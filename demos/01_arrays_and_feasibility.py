@@ -8,15 +8,14 @@ integral Biggs multiplicities, the a_1 = 0 and c_2 <= 2 smallest-eigenvalue
 gates, the odd-girth cycle inequality, and the trace identity.
 """
 
-from drgf import derive_parameters, full_report, parse_array
+from drgf import full_report, parse_array
 
 # the folded 9-cube: a real graph, so every necessary condition passes
 arr = parse_array("{9,8,7,6;1,2,3,4}")
-d = derive_parameters(arr)
 print(f"array {arr}  k={arr.k}  D={arr.D}")
-print(f"  a_i = {d.a}")
-print(f"  k_i = {[str(x) for x in d.kseq]}  ->  v = {d.v}")
-print(f"  odd girth = {d.g}")
+print(f"  a_i = {arr.a}")
+print(f"  k_i = {[str(x) for x in arr.kseq]}  ->  v = {arr.v}")
+print(f"  odd girth = {arr.g}")
 
 report = full_report(arr)
 for entry in report.checks:

@@ -11,8 +11,7 @@ Library layout:
 * drgf.cli         -- the `drgf` command
 """
 
-from .core import (IntersectionArray, derive_parameters, format_array,
-                   odd_girth_of_array, parse_array)
+from .core import IntersectionArray, format_array, parse_array
 from .feasibility import full_report
 from .search import SearchSpec, classify_diameter, enumerate_arrays
 from .spectral import eigenvalues, multiplicity, spectrum, standard_sequence
@@ -20,8 +19,7 @@ from .spectral import eigenvalues, multiplicity, spectrum, standard_sequence
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntersectionArray", "SearchSpec", "classify_diameter",
-    "derive_parameters", "eigenvalues", "enumerate_arrays", "format_array",
-    "full_report", "multiplicity", "odd_girth_of_array", "parse_array",
-    "spectrum", "standard_sequence", "__version__",
+    "IntersectionArray", "SearchSpec", "classify_diameter", "eigenvalues",
+    "enumerate_arrays", "format_array", "full_report", "multiplicity",
+    "parse_array", "spectrum", "standard_sequence", "__version__",
 ]

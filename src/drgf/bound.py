@@ -25,7 +25,7 @@ from mpmath import mp
 
 from .feasibility import p_polynomials
 from .precision import workdps
-from .spectral import as_mpf
+from .spectral import as_mpf, mp_horner
 
 MODE_GENERAL = "general"
 MODE_SHARP_G5 = "sharp-g5"
@@ -124,28 +124,16 @@ def _leftmost_root(coeffs) -> mp.mpf | None:
     ys = np.linspace(-1.0, 0.0, _GRID + 1)
     vals = np.polynomial.polynomial.polyval(ys, fl)
     sign = np.sign(vals)
-    idx = None
-    for i in range(_GRID):
-        if sign[i] != 0 and sign[i + 1] != 0 and sign[i] != sign[i + 1]:
-            idx = i
-            break
-        if sign[i + 1] == 0:
-            idx = i
-            break
-    if idx is None:
+    # first cell with a strict sign change or a zero at its right end
+    hits = np.flatnonzero((sign[:-1] * sign[1:] < 0) | (sign[1:] == 0))
+    if not hits.size:
         return None
-
-    def ev(y):
-        acc = mp.mpf(0)
-        for c in reversed(coeffs):
-            acc = acc * y + c
-        return acc
-
+    idx = hits[0]
     a, b = mp.mpf(ys[idx]), mp.mpf(ys[idx + 1])
-    sa = mp.sign(ev(a))
+    sa = mp.sign(mp_horner(coeffs, a))
     for _ in range(80):
         m = (a + b) / 2
-        if mp.sign(ev(m)) == sa:
+        if mp.sign(mp_horner(coeffs, m)) == sa:
             a = m
         else:
             b = m
@@ -153,18 +141,11 @@ def _leftmost_root(coeffs) -> mp.mpf | None:
             break
     root = (a + b) / 2
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-
-    def dev(y):
-        acc = mp.mpf(0)
-        for c in reversed(dcoeffs):
-            acc = acc * y + c
-        return acc
-
     for _ in range(60):
-        d = dev(root)
+        d = mp_horner(dcoeffs, root)
         if d == 0:
             break
-        step = ev(root) / d
+        step = mp_horner(coeffs, root) / d
         nxt = root - step
         if not (a - (b - a) <= nxt <= b + (b - a)):
             break
@@ -197,7 +178,7 @@ def epsilon1(g: int, mode: str = MODE_GENERAL, zeta=None) -> BoundParameters:
 
     With zeta = zeta_star the bracket is guaranteed: the value at y = -1 is
     -M2 + M1 zeta <= -M2/2 < 0 and at y = 0 it is 1 + M1 zeta > 0; both facts
-    are asserted before root hunting.
+    are checked before root hunting, and BoundError is raised if one fails.
     """
     with workdps():
         t = _require_odd_girth(g)
@@ -211,10 +192,11 @@ def epsilon1(g: int, mode: str = MODE_GENERAL, zeta=None) -> BoundParameters:
         M2 = m2_constant(g)
         at_m1 = mp.fsum(c * (-1) ** i for i, c in enumerate(coeffs))
         at_0 = coeffs[0]
-        assert at_0 > 0, "f(eta,0) + M1 zeta must be positive"
-        if at_star:
-            # at zeta_star the bracket is forced: value -M2 + M1 zeta <= -M2/2
-            assert at_m1 <= -M2 / 2 + mp.mpf("1e-30"), "bracketing sign fact failed"
+        if not at_0 > 0:
+            raise BoundError("f(eta,0) + M1 zeta must be positive")
+        # at zeta_star the bracket is forced: value -M2 + M1 zeta <= -M2/2
+        if at_star and not at_m1 <= -M2 / 2 + mp.mpf("1e-30"):
+            raise BoundError("bracketing sign fact failed at zeta*")
         root = _leftmost_root(coeffs)
         eps = None if root is None else 1 + root
         if mode == MODE_SHARP_G5:

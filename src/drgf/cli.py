@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and, for verdict-producing commands, a pass),
 1 semantic failure (feasibility fail, classification discrepancy, oracle
-disagreement), 2 usage or parse errors.
+disagreement), 2 usage or parse errors, 3 an inconclusive feasibility
+report (no check fails, but at least one could not be decided).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .precision import workdps
 from .spectral import as_mpf, spectrum
 from .search import GRAPH_NAMES
 
-EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INCONCLUSIVE = 0, 1, 2, 3
 
 
 def _fraction(text: str) -> Fraction:
@@ -53,7 +54,7 @@ def cmd_check(args) -> int:
         for e in rep.checks:
             print(f"  {e.name:32s} {e.verdict}")
         print(f"overall: {rep.overall}")
-    return EXIT_OK if rep.overall == "pass" else EXIT_FAIL
+    return {"pass": EXIT_OK, "inconclusive": EXIT_INCONCLUSIVE}.get(rep.overall, EXIT_FAIL)
 
 
 # ------------------------------------------------------------ enumerate

@@ -92,16 +92,6 @@ class IntersectionArray:
         return json.dumps({"b": list(self.b), "c": list(self.c)})
 
 
-@dataclass(frozen=True)
-class DerivedParameters:
-    a: tuple[int, ...]
-    kseq: tuple[Fraction, ...]
-    v: Fraction
-    k_integral: bool
-    t: int | None
-    g: int | None
-
-
 _ARRAY_RE = re.compile(r"^\{([^;{}]*);([^;{}]*)\}$")
 
 
@@ -132,13 +122,3 @@ def array_from_json(text: str) -> IntersectionArray:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ArrayFormatError(f"bad JSON array: {text!r}") from exc
     return IntersectionArray(b, c)
-
-
-def derive_parameters(arr: IntersectionArray) -> DerivedParameters:
-    """All parameters implied by the array; non-integral k_i are flagged, not fatal."""
-    return DerivedParameters(arr.a, arr.kseq, arr.v, arr.k_integral, arr.t, arr.g)
-
-
-def odd_girth_of_array(arr: IntersectionArray) -> int | None:
-    """2 * min{i : a_i != 0} + 1, or None when the array is bipartite-type."""
-    return arr.g

@@ -20,7 +20,7 @@ from mpmath import mp
 from .core import IntersectionArray, format_array
 from .precision import workdps
 from .spectral import (Exact, Spectrum, as_mpf, num_str, spectrum,
-                       standard_sequence, trace_square_check)
+                       standard_sequence, sturm_count_leq, trace_square_check)
 
 PASS = "pass"
 FAIL = "fail"
@@ -48,7 +48,9 @@ class FeasibilityReport:
 
     @property
     def overall(self) -> str:
-        return FAIL if any(e.verdict == FAIL for e in self.checks) else PASS
+        """fail if any check fails, else inconclusive if any is, else pass."""
+        verdicts = {e.verdict for e in self.checks}
+        return FAIL if FAIL in verdicts else INCONCLUSIVE if INCONCLUSIVE in verdicts else PASS
 
     @property
     def failing(self) -> list[str]:
@@ -203,7 +205,6 @@ def check_trace_square(arr: IntersectionArray, theta_min) -> CheckEntry:
 
 def check_theta_ratio(arr: IntersectionArray, spec: Spectrum, ratio: Fraction) -> CheckEntry:
     """theta_min <= ratio * k (exactness matters on the boundary)."""
-    from .spectral import sturm_count_leq
     x = Fraction(ratio) * arr.k
     ok = sturm_count_leq(arr, x) >= 1
     return _entry("theta_ratio", PASS if ok else FAIL,

@@ -13,32 +13,39 @@ subtrees as soon as a prefix is doomed:
 Pruned subtrees are counted exactly (memoised completion counts), so the
 statistics cover the full search space at array granularity.  Complete
 candidates then run the spectral checks, cheapest first: the trace identity
-lower-bounds tr(L^2) against k^2 + (ratio*k)^2, an exact Sturm count decides
-theta_min <= ratio*k on the boundary, and only the handful of survivors pay
-for full spectra, multiplicity integrality and the odd-girth inequality.
-Work is partitioned by valency k and merged in sorted order, so results and
+lower-bounds tr(L^2) against k^2 + (ratio*k)^2, and an exact Sturm count
+decides theta_min <= ratio*k on the boundary.  The arrays of one valency that
+pass both go through one batched float screen of the Biggs multiplicities,
+and only the handful it cannot reject pay for full spectra, multiplicity
+integrality and the odd-girth inequality, in walk order.  Work is
+partitioned by valency k and merged in sorted order, so results and
 statistics are independent of execution order and worker count.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 from mpmath import mp
 
 from .core import IntersectionArray, format_array, parse_array
 from .feasibility import (FAIL, INCONCLUSIVE, c2_upper_bound,
                           check_odd_girth_inequality, full_report)
 from .precision import workdps
-from .spectral import (abs_u_lower_bounds, as_mpf, eigenvalues_float,
-                       implied_last_c_lower, spectrum, sturm_count_leq,
+from .spectral import (abs_u_lower_bounds, as_mpf, implied_last_c_lower,
+                       multiplicities_float, spectrum, sturm_count_leq,
                        trace_of_l_squared, trace_square_check)
 
 ZERO, NONZERO, FREE = "0", "+", "*"
+
+# A float multiplicity this far (relative) from an integer is fractional: real
+# survivors' multiplicities come out within ~1e-10 of integers, and borderline
+# values fall through to the exact spectrum.
+SCREEN_MARGIN = 1e-4
 
 DEFAULT_CHECKS = ("a1_zero", "c2_bound", "k_integrality", "trace_vs_ratio",
                   "theta_ratio", "multiplicity_integrality",
@@ -212,7 +219,18 @@ class _KSpace:
         """Survivor list for this valency; pruning stats land on .stats."""
         stats = PruningStats()
         self.stats = stats
-        survivors = list(self._walk(1, 1, self.k, [], [], 1))
+        batch = list(self._walk(1, 1, self.k, [], [], 1))
+        if batch and "multiplicity_integrality" in self.spec.checks:
+            m = multiplicities_float(batch)
+            fractional = (np.abs(m - np.rint(m))
+                          > SCREEN_MARGIN * np.maximum(1.0, np.abs(m))).any(axis=1)
+            if fractional.any():
+                stats.kill("multiplicity_integrality", int(fractional.sum()))
+                batch = [arr for arr, bad in zip(batch, fractional.tolist()) if not bad]
+        names = [self._spectral_checks(arr) for arr in batch]
+        for name in filter(None, names):
+            stats.kill(name)
+        survivors = [arr for arr, name in zip(batch, names) if name is None]
         stats.generated = self._count(1, 1, self.k)
         stats.survivors = len(survivors)
         return survivors
@@ -234,7 +252,7 @@ class _KSpace:
             k_next = k_here * b_prev // c if level >= 2 else k
             if level == D:
                 arr = IntersectionArray(tuple([k] + bs), tuple(cs + [c]))
-                name = self._array_checks(arr)
+                name = self._exact_cuts(arr)
                 if name is None:
                     yield arr
                 else:
@@ -242,22 +260,25 @@ class _KSpace:
             else:
                 yield from self._walk(level + 1, c, b, cs + [c], bs + [b], k_next)
 
-    def _array_checks(self, arr: IntersectionArray):
-        """First failing array-level check name, or None for a survivor."""
-        spec = self.spec
+    def _exact_cuts(self, arr: IntersectionArray):
+        """The first of the two ratio cuts that arr fails, or None."""
         cut = self.ratio_cut
-        if cut is not None and "trace_vs_ratio" in spec.checks:
-            if Fraction(arr.k) ** 2 + cut * cut > trace_of_l_squared(arr):
+        if cut is not None and "trace_vs_ratio" in self.spec.checks:
+            # k^2 + cut^2 > tr(L^2), scaled by q^2 for cut = p/q
+            p, q = cut.numerator, cut.denominator
+            if (arr.k * q) ** 2 + p * p > trace_of_l_squared(arr) * q * q:
                 return "trace_vs_ratio"
-        if cut is not None and "theta_ratio" in spec.checks:
+        if cut is not None and "theta_ratio" in self.spec.checks:
             if sturm_count_leq(arr, cut) < 1:
                 return "theta_ratio"
-        need_spec = {"multiplicity_integrality", "odd_girth_inequality",
-                     "trace_square"} & set(spec.checks)
-        if not need_spec:
+        return None
+
+    def _spectral_checks(self, arr: IntersectionArray):
+        """First failing check of the exact spectral path, or None."""
+        spec = self.spec
+        if not {"multiplicity_integrality", "odd_girth_inequality",
+                "trace_square"} & set(spec.checks):
             return None
-        if "multiplicity_integrality" in spec.checks and _mults_clearly_non_integral(arr):
-            return "multiplicity_integrality"
         sp = spectrum(arr)
         if "multiplicity_integrality" in spec.checks and not sp.multiplicities_integral:
             return "multiplicity_integrality"
@@ -274,48 +295,26 @@ class _KSpace:
         return None
 
 
-def _mults_clearly_non_integral(arr: IntersectionArray, margin: float = 1e-4) -> bool:
-    """Fast float screen: True when some Biggs multiplicity is unambiguously
-    fractional.  Real survivors have exactly integral multiplicities, which
-    the float path reproduces to ~1e-10, far inside the margin; borderline
-    values fall through to the exact spectrum."""
-    k, D, a = arr.k, arr.D, arr.a
-    ks = [float(x) for x in arr.kseq]
-    v = float(arr.v)
-    for th in eigenvalues_float(arr):
-        u = [1.0, th / k]
-        for j in range(1, D):
-            u.append(((th - a[j]) * u[j] - arr.c[j - 1] * u[j - 1]) / arr.b[j])
-        m = v / sum(kk * uu * uu for kk, uu in zip(ks, u))
-        if abs(m - round(m)) > margin * max(1.0, abs(m)):
-            return True
-    return False
-
-
 def _run_k(args):
-    spec_json, k = args
-    spec = SearchSpec.from_json_dict(json.loads(spec_json))
+    spec, k = args
     space = _KSpace(k, spec)
-    survivors = space.run()
-    return k, [format_array(a) for a in survivors], space.stats
+    return space.run(), space.stats
 
 
 def enumerate_arrays(spec: SearchSpec, jobs: int = 1) -> ClassificationResult:
     """Exhaust the search space; deterministic output order (k, c-sequence)."""
-    tasks = [(json.dumps(spec.to_json_dict()), k)
-             for k in range(spec.k_min, spec.k_max + 1)]
+    tasks = [(spec, k) for k in range(spec.k_min, spec.k_max + 1)]
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_run_k, tasks)
+            parts = pool.map(_run_k, tasks)  # in task order, like the serial path
     else:
         parts = [_run_k(t) for t in tasks]
-    parts.sort(key=lambda p: p[0])
     stats = PruningStats()
-    names: list[str] = []
-    for _k, found, st in parts:
-        names.extend(found)
+    found: list[IntersectionArray] = []
+    for arrays, st in parts:
+        found.extend(arrays)
         stats = stats.merged_with(st)
-    survivors = sorted((parse_array(s) for s in names), key=lambda a: (a.k, a.c, a.b))
+    survivors = sorted(found, key=lambda a: (a.k, a.c, a.b))
     stats.survivors = len(survivors)
     reports = {format_array(a): full_report(a, spec.theta_ratio) for a in survivors}
     return ClassificationResult(spec, tuple(survivors), reports, stats)
@@ -553,7 +552,8 @@ def small_valency_catalog(D: int) -> list[IntersectionArray]:
         arr = parse_array(text)
         rep = full_report(arr, theta_ratio=ratio)
         if rep.overall != "pass":
-            raise CapDerivationError(f"catalog array {text} ({name}) fails: {rep.failing}")
+            raise CapDerivationError(
+                f"catalog array {text} ({name}) is {rep.overall}: failing {rep.failing}")
         out.append(arr)
     return out
 
@@ -596,6 +596,7 @@ def classify_diameter(D: int, jobs: int = 1,
 
     cap2 = pentagon_exclusion_cap(ratio)
     lines = [f"girth-5 cycle inequality forces k <= {cap2}"]
+    res = None
     if cap2 is not None and cap2 >= 5:
         res = enumerate_arrays(SearchSpec(D, 5, cap2, ZERO + NONZERO + FREE * (D - 2),
                                           (1, 2), ratio, checks), jobs)
@@ -604,9 +605,11 @@ def classify_diameter(D: int, jobs: int = 1,
             discrepancies.append(f"a2 stage: unexpected survivor {format_array(arr)}")
     else:
         lines.append("below the k >= 5 regime: branch closed")
-    stages.append(Stage("a_2 != 0 excluded", tuple(lines)))
+    stages.append(Stage("a_2 != 0 excluded", tuple(lines),
+                        stats=res.stats if res else None))
 
     lines = []
+    stats = None
     for c2 in (1, 2):
         cap3 = eta_exclusion_cap(3, (1, 2, 2, 2), ratio, (c2,))
         lines.append(f"eta = 2 inequality forces k <= {cap3} when c_2 = {c2}")
@@ -614,6 +617,7 @@ def classify_diameter(D: int, jobs: int = 1,
             res = enumerate_arrays(
                 SearchSpec(D, 5, cap3, ZERO * 2 + NONZERO + FREE * (D - 3),
                            (c2,), ratio, checks), jobs)
+            stats = res.stats if stats is None else stats.merged_with(res.stats)
             lines.append(f"enumeration k in [5,{cap3}], c_2 = {c2}: "
                          f"{len(res.survivors)} survivors")
             for arr in res.survivors:
@@ -626,7 +630,7 @@ def classify_diameter(D: int, jobs: int = 1,
             if D == 5 and c2 == 2:
                 lines.append("k = 5 case covered by the catalog exclusion: "
                              + _CATALOG_EXCLUSION_D5_K5)
-    stages.append(Stage("a_3 != 0 excluded", tuple(lines)))
+    stages.append(Stage("a_3 != 0 excluded", tuple(lines), stats=stats))
 
     if D == 5:
         cap = valency_cap(5, ratio, branch="a4")

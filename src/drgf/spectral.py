@@ -24,7 +24,6 @@ from fractions import Fraction
 import logging
 
 import numpy as np
-import scipy.linalg
 from mpmath import mp
 
 from .core import IntersectionArray
@@ -202,29 +201,30 @@ def _isolate_irrational(arr: IntersectionArray, q: list[int], int_roots: list[in
     return refined
 
 
+def mp_horner(coeffs, y):
+    """sum coeffs[i] y^i (low to high degree) in mpmath arithmetic."""
+    acc = mp.mpf(0)
+    for coef in reversed(coeffs):
+        acc = acc * y + coef
+    return acc
+
+
 def _newton_polish(q: list[int], lo: Fraction, hi: Fraction):
     """mpmath Newton iteration for the single root of q inside (lo, hi)."""
     dq = [i * c for i, c in enumerate(q)][1:]
-
-    def ev(cs, y):
-        acc = mp.mpf(0)
-        for coef in reversed(cs):
-            acc = acc * y + coef
-        return acc
-
     a, b = as_mpf(lo), as_mpf(hi)
     y = (a + b) / 2
     tol = mp.mpf(10) ** (-(mp.dps - 5))
     for _ in range(200):
-        f = ev(q, y)
-        d = ev(dq, y)
+        f = mp_horner(q, y)
+        d = mp_horner(dq, y)
         if d == 0:
             break
         step = f / d
         y2 = y - step
         if not (a <= y2 <= b):
             y2 = (a + b) / 2  # bisect on sign as fallback
-            if mp.sign(ev(q, y2)) == mp.sign(ev(q, a)):
+            if mp.sign(mp_horner(q, y2)) == mp.sign(mp_horner(q, a)):
                 a = y2
             else:
                 b = y2
@@ -313,17 +313,49 @@ def eigenvalues(arr: IntersectionArray) -> list:
     return _eigen_with_enclosures(arr)[0]
 
 
+def _jacobi_eigvals(b: np.ndarray, c: np.ndarray):
+    """a_0..a_D and the eigenvalues theta_0 > ... > theta_D of a stack of
+    arrays of one diameter, from rows of b_0..b_{D-1} and c_1..c_D: one
+    np.linalg.eigvalsh over the symmetrised intersection matrices
+    (diag a_i, off-diagonal sqrt(b_i c_{i+1}))."""
+    n, D = b.shape
+    a = b[:, :1] - np.pad(b, ((0, 0), (0, 1))) - np.pad(c, ((0, 0), (1, 0)))
+    i = np.arange(D + 1)
+    L = np.zeros((n, D + 1, D + 1))
+    L[:, i, i] = a
+    L[:, i[1:], i[:-1]] = L[:, i[:-1], i[1:]] = np.sqrt(b * c)
+    return a, np.linalg.eigvalsh(L)[:, ::-1]
+
+
 def eigenvalues_float(arr: IntersectionArray) -> list[float]:
-    """Independent float path: symmetrized tridiagonal solve (LAPACK)."""
-    D = arr.D
-    diag = np.array(arr.a, dtype=float)
-    off = np.sqrt([arr.b[i] * arr.c[i] for i in range(D)])
-    w = scipy.linalg.eigvalsh_tridiagonal(diag, off)
-    return sorted(w.tolist(), reverse=True)
+    """Independent float path: symmetrised intersection matrix (LAPACK)."""
+    _a, theta = _jacobi_eigvals(np.array([arr.b], float), np.array([arr.c], float))
+    return theta[0].tolist()
 
 
-def theta_min(arr: IntersectionArray):
-    return eigenvalues(arr)[-1]
+def multiplicities_float(arrays) -> np.ndarray:
+    """Float Biggs multiplicities v / sum k_i u_i^2 [BCN 4.1.1] of a batch.
+
+    Row i holds the multiplicities of arrays[i] in decreasing eigenvalue
+    order, padded with NaN up to the largest diameter in the batch.  Arrays
+    of one diameter share one eigvalsh call and one vectorised pass of the
+    recurrence u_{j+1} = ((theta - a_j) u_j - c_j u_{j-1}) / b_j.
+    """
+    out = np.full((len(arrays), max(arr.D for arr in arrays) + 1), np.nan)
+    diameters = np.array([arr.D for arr in arrays])
+    for D in np.unique(diameters).tolist():
+        rows = np.flatnonzero(diameters == D)
+        b = np.array([arrays[r].b for r in rows], float)
+        c = np.array([arrays[r].c for r in rows], float)
+        a, th = _jacobi_eigvals(b, c)
+        ks = np.cumprod(np.hstack([np.ones((len(rows), 1)), b / c]), axis=1)
+        u_prev, u = np.ones_like(th), th / b[:, :1]
+        norm = 1 + ks[:, [1]] * u * u
+        for j in range(1, D):
+            u_prev, u = u, ((th - a[:, [j]]) * u - c[:, [j - 1]] * u_prev) / b[:, [j]]
+            norm += ks[:, [j + 1]] * u * u
+        out[rows, :D + 1] = ks.sum(axis=1, keepdims=True) / norm
+    return out
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,15 @@ def test_criterion_6_oracle_equivalence():
         assert wall < 60, f"took {wall:.1f} s"
 
 
+def test_d5_main_space_pruning_stats(survivors_d5):
+    st = survivors_d5.stats
+    assert st.generated == 2117200
+    assert st.killed == {"c2_bound": 205, "k_integrality": 2033779,
+                         "multiplicity_integrality": 43079, "theta_ratio": 19797,
+                         "trace_vs_ratio": 20338}
+    assert st.survivors == 2 and st.consistent()
+
+
 def test_criterion_7_property_suites(survivors_d4, survivors_d5):
     with criterion("7", "sum rules, sign alternation, |p_i| <= 2, cycle inequality"):
         survivors = list(survivors_d4.survivors) + list(survivors_d5.survivors)

@@ -58,6 +58,13 @@ def test_zeta_star_values():
         assert 0 < zeta_star(g) <= 0.5
 
 
+def test_epsilon1_raises_when_bracket_fails(monkeypatch):
+    # an M2 so large that f(eta, -1) + M1 zeta* cannot lie below -M2/2
+    monkeypatch.setattr(bound, "m2_constant", lambda g: mp.mpf(10) ** 6)
+    with pytest.raises(BoundError, match="bracketing"):
+        epsilon1(7)
+
+
 def test_epsilon1_girth5():
     params = epsilon1(5)
     assert abs(float(params.epsilon1) - 0.1729090847) < 1e-9

@@ -28,6 +28,13 @@ def test_check_fail_exit1():
     assert "overall: fail" in r.stdout
 
 
+def test_check_inconclusive_exit3(monkeypatch, capsys):
+    from drgf import cli, feasibility
+    monkeypatch.setattr(feasibility, "INEQ_PASS_TOL", -1e9)  # nothing passes
+    assert cli.main(["check", "{9,8,7,6;1,2,3,4}"]) == cli.EXIT_INCONCLUSIVE == 3
+    assert "overall: inconclusive" in capsys.readouterr().out
+
+
 def test_check_parse_error_exit2():
     r = run_cli("check", "{3,2,2;1,2,1}")  # a_2 < 0: malformed array
     assert r.returncode == 2

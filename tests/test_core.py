@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from drgf.core import (ArrayFormatError, IntersectionArray, array_from_json,
-                       derive_parameters, format_array, odd_girth_of_array,
-                       parse_array)
+                       format_array, parse_array)
 
 
 def test_parse_odd_graph_array():
@@ -47,38 +46,38 @@ def test_parser_accepts_infeasible_but_structurally_valid():
 
 
 def test_derive_odd_graph_o5():
-    d = derive_parameters(parse_array("{5,4,4,3;1,1,2,2}"))
-    assert d.a == (0, 0, 0, 0, 3)
-    assert d.kseq == (1, 5, 20, 40, 60)
-    assert d.v == 126 == comb(9, 4)
-    assert d.k_integral
-    assert (d.t, d.g) == (4, 9)
+    arr = parse_array("{5,4,4,3;1,1,2,2}")
+    assert arr.a == (0, 0, 0, 0, 3)
+    assert arr.kseq == (1, 5, 20, 40, 60)
+    assert arr.v == 126 == comb(9, 4)
+    assert arr.k_integral
+    assert (arr.t, arr.g) == (4, 9)
 
 
 def test_derive_folded_9_cube():
-    d = derive_parameters(parse_array("{9,8,7,6;1,2,3,4}"))
-    assert d.a == (0, 0, 0, 0, 5)
-    assert d.kseq == (1, 9, 36, 84, 126)
-    assert d.v == 256 == 2 ** 9 // 2
-    assert d.g == 9
+    arr = parse_array("{9,8,7,6;1,2,3,4}")
+    assert arr.a == (0, 0, 0, 0, 5)
+    assert arr.kseq == (1, 9, 36, 84, 126)
+    assert arr.v == 256 == 2 ** 9 // 2
+    assert arr.g == 9
 
 
 def test_derive_9_gon():
-    d = derive_parameters(parse_array("{2,1,1,1;1,1,1,1}"))
-    assert d.a == (0, 0, 0, 0, 1)
-    assert d.v == 9 and d.g == 9
+    arr = parse_array("{2,1,1,1;1,1,1,1}")
+    assert arr.a == (0, 0, 0, 0, 1)
+    assert arr.v == 9 and arr.g == 9
 
 
 def test_derive_flags_non_integral_k():
-    d = derive_parameters(parse_array("{5,3,2,2;1,2,1,2}"))
-    assert not d.k_integral
-    assert d.v == Fraction(87, 2)
+    arr = parse_array("{5,3,2,2;1,2,1,2}")
+    assert not arr.k_integral
+    assert arr.v == Fraction(87, 2)
 
 
 def test_odd_girth():
-    assert odd_girth_of_array(parse_array("{5,4,4,3;1,1,2,2}")) == 9
-    assert odd_girth_of_array(parse_array("{2,1;1,1}")) == 5
-    assert odd_girth_of_array(parse_array("{3,2,1;1,2,3}")) is None  # 3-cube
+    assert parse_array("{5,4,4,3;1,1,2,2}").g == 9
+    assert parse_array("{2,1;1,1}").g == 5
+    assert parse_array("{3,2,1;1,2,3}").g is None  # 3-cube
 
 
 def test_json_round_trip():
@@ -120,7 +119,7 @@ def test_array_properties(arr):
     # vertex count is the exact rational sum of the k_i
     assert arr.v == sum(arr.kseq)
     # odd girth, when defined, is odd and at least 3
-    g = odd_girth_of_array(arr)
+    g = arr.g
     assert g is None or (g % 2 == 1 and g >= 3)
     # the a_i are nonnegative with a_0 = 0
     assert arr.a[0] == 0 and min(arr.a) >= 0

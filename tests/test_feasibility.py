@@ -3,8 +3,10 @@ import math
 from fractions import Fraction
 
 
+from drgf import feasibility
 from drgf.core import parse_array
-from drgf.feasibility import (FAIL, NA, PASS, check_a1_zero, check_c2_bound,
+from drgf.feasibility import (FAIL, INCONCLUSIVE, NA, PASS, CheckEntry,
+                              FeasibilityReport, check_a1_zero, check_c2_bound,
                               check_monotonicity_and_integrality,
                               check_odd_girth_inequality, check_sum_rules,
                               check_theta_ratio, check_trace_square,
@@ -183,6 +185,26 @@ def test_verdict_independent_of_check_order():
     forward = any(e.verdict == FAIL for e in entries)
     backward = any(e.verdict == FAIL for e in reversed(entries))
     assert forward == backward == (full_report(arr).overall == FAIL)
+
+
+def test_overall_is_three_state():
+    arr = parse_array("{9,8,7,6;1,2,3,4}")
+    passed, unsure, failed = (CheckEntry(name, verdict, {}) for name, verdict in
+                              (("a", PASS), ("b", INCONCLUSIVE), ("c", FAIL)))
+    assert FeasibilityReport(arr, (passed,)).overall == PASS
+    assert FeasibilityReport(arr, (passed, unsure)).overall == INCONCLUSIVE
+    assert FeasibilityReport(arr, (unsure, failed, passed)).overall == FAIL
+
+
+def test_forced_inconclusive_report_is_not_pass(monkeypatch):
+    # a pass band no value can reach: every odd-girth entry of a real graph
+    # then lands in the guard band between pass and fail
+    monkeypatch.setattr(feasibility, "INEQ_PASS_TOL", -1e9)
+    rep = full_report(parse_array("{9,8,7,6;1,2,3,4}"))
+    assert rep.failing == []
+    assert any(e.verdict == INCONCLUSIVE for e in rep.checks)
+    assert rep.overall == INCONCLUSIVE
+    assert rep.to_json_dict()["overall"] == INCONCLUSIVE
 
 
 def test_full_report_with_ratio_entry():

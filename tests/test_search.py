@@ -16,6 +16,12 @@ D4_SPEC = SearchSpec(4, 5, 35, "000+", (1, 2), Fraction(-3, 4))
 
 D4_EXPECT = ["{5,4,4,3;1,1,2,2}", "{9,8,7,6;1,2,3,4}"]
 
+# Exact PruningStats of the D = 4 main space; any change to a cut, its order
+# or the multiplicity screen shows up here.
+D4_KILLED = {"c2_bound": 31, "k_integrality": 10984,
+             "multiplicity_integrality": 1199, "theta_ratio": 596,
+             "trace_vs_ratio": 859}
+
 
 @pytest.fixture(scope="module")
 def d4_result():
@@ -52,6 +58,12 @@ def test_d4_stats_consistent(d4_result):
     assert st.generated > 10000
     assert st.killed["k_integrality"] > 0
     assert st.killed["multiplicity_integrality"] > 0
+
+
+def test_d4_stats_exact(d4_result):
+    st = d4_result.stats
+    assert (st.generated, st.killed, st.survivors) == (13671, D4_KILLED, 2)
+    assert st.warnings == []
 
 
 def test_survivors_pass_full_report(d4_result):
@@ -172,6 +184,21 @@ def test_classify_diameter_4():
     names = [s.name for s in result.stages]
     assert names[0].startswith("small-valency")
     assert any("main enumeration" in n for n in names)
+
+
+def test_enumerating_stages_carry_consistent_stats():
+    result = classify_diameter(4)
+    for stage in result.stages:
+        runs = [ln for ln in stage.lines if ln.startswith("enumeration")]
+        assert (stage.stats is not None) == bool(runs), stage.name
+        if runs:
+            assert stage.stats.consistent(), stage.name
+            assert stage.stats.generated > 0, stage.name
+            reported = sum(int(ln.rsplit(": ", 1)[1].split()[0]) for ln in runs)
+            assert stage.stats.survivors == reported, stage.name
+    a3 = next(s for s in result.stages if s.name.startswith("a_3"))
+    assert a3.stats.generated == enumerate_arrays(
+        SearchSpec(4, 5, 8, "00+*", (2,), Fraction(-3, 4))).stats.generated
 
 
 def test_classify_rejects_other_diameters():

@@ -11,7 +11,7 @@ from drgf.core import parse_array
 from drgf.spectral import (abs_u_lower_bounds, as_mpf, eigenvalues,
                            eigenvalues_float, implied_last_c_lower,
                            intersection_matrix, multiplicity,
-                           multiplicity_upper_bound, spectrum,
+                           multiplicities_float, multiplicity_upper_bound, spectrum,
                            standard_sequence, sturm_count_leq,
                            trace_of_l_squared, trace_square_check)
 
@@ -66,6 +66,35 @@ def test_eigenvalues_two_ways_agree():
         exact = [float(as_mpf(t)) for t in eigenvalues(arr)]
         lapack = eigenvalues_float(arr)
         assert max(abs(a - b) for a, b in zip(exact, lapack)) < 1e-9, text
+
+
+def _assert_float_mults_match_exact(arrays):
+    got = multiplicities_float(arrays)
+    assert got.shape == (len(arrays), max(arr.D for arr in arrays) + 1)
+    for arr, row in zip(arrays, got):
+        exact = np.array([float(as_mpf(m)) for m in spectrum(arr).mults_raw])
+        assert np.all(np.abs(row[:arr.D + 1] - exact)
+                      <= 1e-9 * np.maximum(1, np.abs(exact))), str(arr)
+        assert np.isnan(row[arr.D + 1:]).all(), str(arr)
+
+
+def test_multiplicities_float_catalog():
+    arrays = [parse_array(text) for _name, text in oracle.CATALOG]
+    assert len(arrays) == 7
+    _assert_float_mults_match_exact(arrays)
+
+
+def test_multiplicities_float_mixed_diameters():
+    rng = random.Random(7)
+    arrays = []
+    while len(arrays) < 40:
+        k, D = rng.randint(2, 12), rng.randint(1, 6)
+        c = [1] + [rng.randint(1, k) for _ in range(D - 1)]  # c_1..c_D
+        b = [k] + [rng.randint(1, k - ci) for ci in c[:D - 1] if ci < k]
+        if len(b) == D:
+            arrays.append(spectral.IntersectionArray(tuple(b), tuple(c)))
+    assert len({arr.D for arr in arrays}) == 6
+    _assert_float_mults_match_exact(arrays)
 
 
 def test_standard_sequence_perron():
