@@ -10,9 +10,9 @@ theta >= -0.78 k.
 from fractions import Fraction
 
 from drgf.bound import (bound_table, conservative_2dp, diameter_bound,
-                        epsilon1, polygon_epsilon_upper, theta_bound_given_zeta)
+                        epsilon1, polygon_epsilon_upper)
 
-tb = theta_bound_given_zeta(5, Fraction(1, 10), "sharp-g5")
+tb = epsilon1(5, "sharp-g5", Fraction(1, 10)).theta_over_k
 print(f"girth 5, zeta = 0.1, sharp schedule: theta/k >= {float(tb):.6f}"
       f"  (conservatively {conservative_2dp(tb)})")
 print(f"diameter bound at zeta = 0.1, t = 2: {diameter_bound(2, Fraction(1, 10))}")

@@ -207,13 +207,6 @@ def epsilon1(g: int, mode: str = MODE_GENERAL, zeta=None) -> BoundParameters:
         return BoundParameters(g, t, mode, z, N, M1, M2, eta, eps)
 
 
-def theta_bound_given_zeta(g: int, zeta, mode: str = MODE_GENERAL):
-    """Lower bound on theta/k for a caller-supplied zeta; None when the
-    shifted polynomial has no root in (-1, 0) (no information)."""
-    params = epsilon1(g, mode, zeta)
-    return params.theta_over_k
-
-
 def conservative_2dp(x) -> str:
     """Round a lower bound downward to 2 decimals (safe direction)."""
     return f"{math.floor(float(x) * 100) / 100:.2f}"

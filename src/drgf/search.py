@@ -36,9 +36,9 @@ from .core import IntersectionArray, format_array, parse_array
 from .feasibility import (FAIL, INCONCLUSIVE, c2_upper_bound,
                           check_odd_girth_inequality, full_report)
 from .precision import workdps
-from .spectral import (abs_u_lower_bounds, as_mpf, implied_last_c_lower,
-                       multiplicities_float, spectrum, sturm_count_leq,
-                       trace_of_l_squared, trace_square_check)
+from .spectral import (_poly_eval_frac, abs_u_lower_bounds, as_mpf,
+                       implied_last_c_lower, multiplicities_float, spectrum,
+                       sturm_count_leq, trace_of_l_squared, trace_square_check)
 
 ZERO, NONZERO, FREE = "0", "+", "*"
 
@@ -336,61 +336,82 @@ def pentagon_exclusion_cap(theta_ratio: Fraction):
         return int(mp.floor((s5 - 1) / denom))
 
 
-def _u_chain_exact(k: int, th: Fraction, cs, t: int):
-    """u_0..u_t with a_i = 0 below t; cs = (c_1, ..., c_{t-1})."""
-    u = [Fraction(1), Fraction(th) / k]
-    for j in range(1, t):
-        u.append((Fraction(th) * u[j] - cs[j - 1] * u[j - 1]) / (k - cs[j - 1]))
-    return u
+def _eta_poly(k: int, p_values, cs) -> list:
+    """Coefficients (low to high) of F(theta) = B_t sum_{i<=t} p_i u_i(theta),
+    a_i = 0 below t, cs = (c_1, ..., c_{t-1}).  w_i = B_i u_i with B_i = k
+    prod_{j<i} (k - c_j) > 0 obeys w_{i+1} = theta w_i - c_i b_{i-1} w_{i-1}
+    (b_0 = k), so F is an integer polynomial with the sign of the sum."""
+    F, w_prev, w, b_prev = [k * p_values[0], p_values[1]], [1], [0, 1], k
+    for c, p in zip(cs, p_values[2:]):
+        nxt = [x - c * b_prev * y for x, y in zip([0] + w, w_prev + [0, 0])]
+        F = [(k - c) * f + p * x for f, x in zip(F + [0], nxt)]
+        w_prev, w, b_prev = w, nxt, k - c
+    return F
+
+
+def _sign_changes(values) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(s != r for s, r in zip(signs, signs[1:]))
+
+
+def _has_positive_root(G) -> bool:
+    """Whether G (low to high, G(0) != 0) has a root x > 0: none without a
+    coefficient sign change (Descartes), else a Sturm chain G, G', -rem, ...
+    counts them as its sign changes at 0 minus those at +infinity."""
+    if _sign_changes(G) == 0:
+        return False
+    chain = [[Fraction(g) for g in G]]
+    while chain[0][-1] == 0:
+        chain[0].pop()
+    chain.append([i * g for i, g in enumerate(chain[0])][1:])
+    while len(chain[-1]) > 1:  # ends at a constant, or at [] past the gcd
+        r, d = chain[-2], chain[-1]
+        while len(r) >= len(d):
+            r = [x - r[-1] / d[-1] * y for x, y in zip(r, [0] * (len(r) - len(d)) + d)][:-1]
+        while r and r[-1] == 0:
+            r.pop()
+        chain.append([-x for x in r])
+    return (_sign_changes(s[0] for s in chain if s)
+            > _sign_changes(s[-1] for s in chain if s))
+
+
+def _nonnegative_below_cut(F, k: int, cut: Fraction) -> bool:
+    """Is F(theta) >= 0 for some theta in (-k, cut]?  At the cut (the
+    homogenised sign), or F has a root inside: for cut = P/Q, the roots x > 0
+    of G(x) = Q^n (1+x)^n F((P - kQx)/(Q(1+x))) are those of F in (-k, cut)."""
+    if _poly_eval_frac(F, cut) >= 0:
+        return True
+    P, Q = cut.numerator, cut.denominator
+    G, Dpow = [F[-1]], [1]
+    for f in reversed(F[:-1]):  # homogeneous Horner in P - kQx and Q(1+x)
+        Dpow = [Q * (x + y) for x, y in zip(Dpow + [0], [0] + Dpow)]
+        G = [P * x - k * Q * y + f * d for x, y, d in zip(G + [0], [0] + G, Dpow)]
+    return _has_positive_root(G)
 
 
 def eta_exclusion_cap(t: int, p_values, theta_ratio: Fraction, c2_values=(1, 2),
                       c3_ratio_cap: Fraction | None = None,
-                      k_lo: int = 3, k_hi: int = 300, theta_grid: int = 32):
-    """Largest k in [k_lo, k_hi] where sum p_i u_i >= 0 is still satisfiable,
-    or None if no k is.
+                      k_lo: int = 3, k_hi: int = 300):
+    """Largest k in [k_lo, k_hi] where sum_{i<=t} p_i u_i >= 0 for some theta
+    in (-k, ratio*k], c_1 = 1, c_2 in c2_values and (t = 4) integral c_3 in
+    [c_2, c3_ratio_cap*k] (below k without a cap); None if there is none.
 
-    p_values are the cycle-polynomial values at a rational eigenvalue eta, so
-    the boundary theta = ratio*k evaluates exactly; that is where the maximum
-    sits (a float grid over (-k, ratio*k) guards against interior
-    maximisers).  Integral c_3 makes feasibility non-monotone below the cap
-    (the admissible ceiling floor(c3_cap * k) jumps with k); only the absence
-    of feasible k above the cap matters, and the scan verifies it up to k_hi.
+    p_values are the integer cycle-polynomial values at an integral
+    eigenvalue eta.  c_3 enters only u_4 = (theta u_3 - c_3 u_2)/(k - c_3),
+    a Moebius function of c_3 with its pole at k, so the best c_3 is an
+    endpoint at every theta.  Each case is decided exactly (no float, no
+    tolerance) by _nonnegative_below_cut.  Feasibility is not monotone below
+    the cap (floor(c3_cap * k) jumps with k), and its absence above the cap
+    is only scanned up to k_hi, a bound without proof.
     """
-    p_float = [float(p) for p in p_values]
-
-    def c3_range(k: int, c2: int):
-        if t < 4:
-            return [None]
-        hi = int(Fraction(c3_ratio_cap) * k) if c3_ratio_cap is not None else k - 1
-        return range(c2, hi + 1)
-
     def feasible(k: int) -> bool:
         cut = Fraction(theta_ratio) * k
-        for c2 in c2_values:
-            if c2 >= k:
-                continue
-            for c3 in c3_range(k, c2):
-                cs = (1, c2, c3)[:t - 1]
-                if any(c is not None and c >= k for c in cs):
-                    continue
-                u = _u_chain_exact(k, cut, cs, t)
-                if sum(p * x for p, x in zip(p_values, u)) >= 0:
-                    return True
-                for i in range(1, theta_grid):  # interior safety net, float
-                    th = float(cut) + (float(-k) - float(cut)) * i / theta_grid
-                    u = [1.0, th / k]
-                    for j in range(1, t):
-                        u.append((th * u[j] - cs[j - 1] * u[j - 1]) / (k - cs[j - 1]))
-                    if sum(p * x for p, x in zip(p_float, u)) > 1e-9:
-                        return True
-        return False
+        hi = k - 1 if c3_ratio_cap is None else min(k - 1, int(Fraction(c3_ratio_cap) * k))
+        cases = {(1, c2, c3)[:t - 1] for c2 in c2_values if c2 < k and (t < 4 or c2 <= hi)
+                 for c3 in (c2, hi)}  # the c_3 endpoints (dropped when t < 4)
+        return any(_nonnegative_below_cut(_eta_poly(k, p_values, cs), k, cut) for cs in cases)
 
-    cap = None
-    for k in range(k_lo, k_hi + 1):
-        if feasible(k):
-            cap = k
-    return cap
+    return max((k for k in range(k_lo, k_hi + 1) if feasible(k)), default=None)
 
 
 def _floor4(x) -> Fraction:
@@ -452,16 +473,16 @@ def valency_cap(D: int, theta_ratio: Fraction | None = None, c2_max: int = 2,
         steps.append(CapStep(name, raw, pub))
         return pub
 
+    def publish_u_chain(anchor):
+        lows = abs_u_lower_bounds(anchor, (rho, Fraction(1)), [1, c2_max])
+        return [publish(f"u{i}_lower", lows[i]) for i in (1, 2, 3)]
+
     with workdps():
         if D == 4 and branch == "main":
             anchor = 36
-            lows = abs_u_lower_bounds(anchor, (rho, Fraction(1)), [1, c2_max])
-            u1 = publish("u1_lower", lows[1])
-            u2 = publish("u2_lower", lows[2])
-            u3 = publish("u3_lower", lows[3])
-            theta = theta_ratio * anchor
-            c4r = publish("c4_over_k_lower",
-                          implied_last_c_lower(4, anchor, as_mpf(theta)) / anchor)
+            u1, u2, u3 = publish_u_chain(anchor)
+            c4r = publish("c4_over_k_lower", implied_last_c_lower(
+                4, anchor, as_mpf(theta_ratio * anchor)) / anchor)
             mbound = max(1 / (u1 * u1), 1 / (u2 * u2),
                          (1 / (u3 * u3)) * (1 + 1 / c4r))
             steps.append(CapStep("multiplicity_bound", mbound, _ceil4(mbound)))
@@ -477,25 +498,17 @@ def valency_cap(D: int, theta_ratio: Fraction | None = None, c2_max: int = 2,
                                       tuple(range(1, c2_max + 1)),
                                       c3_ratio_cap=Fraction(3750, 10000))
             steps.append(CapStep("low_c3_cap", split, Fraction(split)))
-            lows = abs_u_lower_bounds(anchor, (rho, Fraction(1)), [1, c2_max])
-            u1 = publish("u1_lower", lows[1])
-            u2 = publish("u2_lower", lows[2])
-            u3 = publish("u3_lower", lows[3])
+            u1, u2, u3 = publish_u_chain(anchor)
             x_hi = (1 - Fraction(3750, 10000)) / Fraction(3750, 10000)
             mbound = max(1 / (u1 * u1), 1 / (u2 * u2),
                          (1 / (u3 * u3)) * (1 + x_hi + x_hi * x_hi))
             steps.append(CapStep("multiplicity_bound", mbound, _ceil4(mbound)))
-            high = mbound.numerator // mbound.denominator  # m integral
-            if high < anchor:
-                high = anchor - 1
+            high = max(anchor - 1, mbound.numerator // mbound.denominator)  # m integral
             return CapDerivation(D, branch, anchor, tuple(steps), max(split, high))
 
         if D == 5 and branch == "main":
             anchor = 71
-            lows = abs_u_lower_bounds(anchor, (rho, Fraction(1)), [1, c2_max])
-            u1 = publish("u1_lower", lows[1])
-            u2 = publish("u2_lower", lows[2])
-            u3 = publish("u3_lower", lows[3])
+            u1, u2, u3 = publish_u_chain(anchor)
             # m >= k >= anchor forces the tail term of the multiplicity bound
             # above anchor: anchor <= (1/u3^2)(1 + x + x^2), x = (k - c3)/c3
             B = anchor * u3 * u3
@@ -504,15 +517,12 @@ def valency_cap(D: int, theta_ratio: Fraction | None = None, c2_max: int = 2,
             lows4 = abs_u_lower_bounds(anchor, (rho, Fraction(1)),
                                        [1, c2_max, c3r * anchor])
             u4 = publish("u4_lower", lows4[4])
-            theta = theta_ratio * anchor
-            c5r = publish("c5_over_k_lower",
-                          implied_last_c_lower(5, anchor, as_mpf(theta)) / anchor)
+            c5r = publish("c5_over_k_lower", implied_last_c_lower(
+                5, anchor, as_mpf(theta_ratio * anchor)) / anchor)
             mbound = max(1 / (u1 * u1), 1 / (u2 * u2), 1 / (u3 * u3),
                          (1 / (u4 * u4)) * (1 + 1 / c5r))
             steps.append(CapStep("multiplicity_bound", mbound, _ceil4(mbound)))
-            cap = mbound.numerator // mbound.denominator
-            if cap < anchor:
-                cap = anchor - 1
+            cap = max(anchor - 1, mbound.numerator // mbound.denominator)
             return CapDerivation(D, branch, anchor, tuple(steps), cap)
 
     raise CapDerivationError(f"no cap pipeline for D={D} branch={branch!r}")

@@ -115,21 +115,18 @@ def sturm_count_leq(arr: IntersectionArray, x: Fraction) -> int:
 
 
 def _integer_roots(coeffs: list[int], k: int) -> list[int]:
-    """All integer roots (simple here) of a monic integer polynomial, in [-k, k]."""
-    roots = []
-    c0 = coeffs[0]
-    if c0 == 0:
-        roots.append(0)
+    """All integer roots (simple here) of a monic integer polynomial, in [-k, k];
+    a nonzero one divides the lowest nonzero coefficient."""
+    roots = [0] if coeffs[0] == 0 else []
     cands = set()
-    n = abs(c0)
-    if n:
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                for r in (d, n // d):
-                    if r <= k:
-                        cands.update((r, -r))
-            d += 1
+    n = abs(next(c for c in coeffs if c != 0))
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            for r in (d, n // d):
+                if r <= k:
+                    cands.update((r, -r))
+        d += 1
     for r in sorted(cands):
         if _poly_eval_frac(coeffs, Fraction(r)) == 0:
             roots.append(r)

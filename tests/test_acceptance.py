@@ -43,9 +43,9 @@ def criterion(n: str, label: str):
     print(f"ACCEPTANCE {n}: PASS  {label}", flush=True)
 
 
-def run_cli(*args):
+def run_cli(*args, flags=()):
     t0 = time.time()
-    r = subprocess.run([sys.executable, "-m", "drgf", *args],
+    r = subprocess.run([sys.executable, *flags, "-m", "drgf", *args],
                        capture_output=True, text=True)
     return r, time.time() - t0
 
@@ -85,6 +85,13 @@ def test_criterion_2_theorem2_d5():
         assert wall < 300, f"took {wall:.1f} s"
 
 
+def test_theorem2_d5_under_python_O():
+    # python -O strips assert statements; no verdict may rest on one
+    r, _ = run_cli("theorem2", "--diameter", "5", flags=("-O",))
+    assert r.returncode == 0
+    assert r.stdout == (FIXTURES / "theorem2_d5.txt").read_text()
+
+
 def test_criterion_3_d4_constant_chain():
     with criterion("3", "D=4 chain at k=36: 0.5500 / 0.3926 / 0.2227 / m < 36"):
         cap = search.valency_cap(4)
@@ -116,7 +123,7 @@ def test_criterion_5a_sharp_girth5_bound():
         r, _ = run_cli("bound", "--girth", "5", "--zeta=1/10", "--mode", "sharp-g5")
         assert r.returncode == 0
         assert "conservative 2dp: -0.78" in r.stdout
-        raw = bound.theta_bound_given_zeta(5, Fraction(1, 10), "sharp-g5")
+        raw = bound.epsilon1(5, "sharp-g5", Fraction(1, 10)).theta_over_k
         assert math.floor(float(raw) * 100) / 100 == -0.78
 
 
@@ -141,7 +148,7 @@ def test_criterion_5b_epsilon1_positive_and_below_polygon():
                 assert params.epsilon1 <= bound.polygon_epsilon_upper(g), g
             assert not cycle_in_branch, (
                 f"g = {g}: the cycle lies in the c_t <= zeta* k branch")
-            at_cycle = bound.theta_bound_given_zeta(g, Fraction(1, 2))
+            at_cycle = bound.epsilon1(g, zeta=Fraction(1, 2)).theta_over_k
             assert at_cycle is None or at_cycle <= -mp.cos(mp.pi / g), g
 
 

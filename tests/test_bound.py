@@ -7,8 +7,7 @@ from mpmath import mp
 from drgf import bound
 from drgf.bound import (MODE_GENERAL, MODE_SHARP_G5, BoundError, bound_table,
                         conservative_2dp, diameter_bound, epsilon1, f_poly,
-                        polygon_epsilon_upper, schedule_n,
-                        theta_bound_given_zeta, zeta_star)
+                        polygon_epsilon_upper, schedule_n, zeta_star)
 
 
 def test_f_poly_at_zero_y():
@@ -94,31 +93,31 @@ def test_epsilon1_vs_polygon_at_girth5():
     if cycle_in_branch:
         assert params.epsilon1 <= polygon_epsilon_upper(5)
     assert not cycle_in_branch
-    at_cycle = theta_bound_given_zeta(5, Fraction(1, 2))
+    at_cycle = epsilon1(5, zeta=Fraction(1, 2)).theta_over_k
     assert at_cycle is None or at_cycle <= -mp.cos(mp.pi / 5)
 
 
 def test_theta_bound_sharp_remark_value():
-    got = theta_bound_given_zeta(5, Fraction(1, 10), MODE_SHARP_G5)
+    got = epsilon1(5, MODE_SHARP_G5, Fraction(1, 10)).theta_over_k
     assert abs(float(got) + 0.7729621536) < 1e-9
     assert conservative_2dp(got) == "-0.78"
 
 
 def test_theta_bound_zeta_zero_is_pure_pentagon():
-    got = theta_bound_given_zeta(5, 0, MODE_SHARP_G5)
+    got = epsilon1(5, MODE_SHARP_G5, 0).theta_over_k
     assert abs(float(got) + (math.sqrt(5) - 1) / 2) < 1e-12
 
 
 def test_theta_bound_general_weaker_than_sharp():
-    sharp = theta_bound_given_zeta(5, Fraction(1, 10), MODE_SHARP_G5)
-    general = theta_bound_given_zeta(5, Fraction(1, 10), MODE_GENERAL)
+    sharp = epsilon1(5, MODE_SHARP_G5, Fraction(1, 10)).theta_over_k
+    general = epsilon1(5, MODE_GENERAL, Fraction(1, 10)).theta_over_k
     assert general < sharp
 
 
 def test_theta_bound_monotone_in_zeta():
     prev = None
     for z in (Fraction(n, 100) for n in range(0, 50, 5)):
-        got = theta_bound_given_zeta(5, z, MODE_SHARP_G5)
+        got = epsilon1(5, MODE_SHARP_G5, z).theta_over_k
         if got is None:
             continue
         if prev is not None:

@@ -35,6 +35,17 @@ def test_check_inconclusive_exit3(monkeypatch, capsys):
     assert "overall: inconclusive" in capsys.readouterr().out
 
 
+def test_check_decides_spectrum_with_zero_eigenvalue():
+    r = run_cli("check", "--json", "{6,5,5,4,2;1,1,2,2,3}")
+    assert r.returncode == 1
+    doc = json.loads(r.stdout)
+    verdicts = {c["name"]: c["verdict"] for c in doc["checks"]}
+    assert "spectrum" not in verdicts  # only present when the spectrum fails
+    assert "inconclusive" not in verdicts.values()
+    assert verdicts["multiplicity_integrality"] == "fail"
+    assert verdicts["spectrum_sum_rules"] == "pass"
+
+
 def test_check_parse_error_exit2():
     r = run_cli("check", "{3,2,2;1,2,1}")  # a_2 < 0: malformed array
     assert r.returncode == 2

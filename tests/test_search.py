@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from drgf.core import format_array, parse_array
-from drgf.search import (CapDerivationError, SearchSpec, SearchSpecError,
-                         classify_diameter, default_spec, enumerate_arrays,
-                         eta_exclusion_cap, pentagon_exclusion_cap,
-                         small_valency_catalog, valency_cap)
-from drgf.spectral import eigenvalues
+from drgf.search import (DEFAULT_CHECKS, CapDerivationError, SearchSpec,
+                         SearchSpecError, _eta_poly, _has_positive_root,
+                         _nonnegative_below_cut, classify_diameter,
+                         default_spec, enumerate_arrays, eta_exclusion_cap,
+                         pentagon_exclusion_cap, small_valency_catalog,
+                         valency_cap)
+from drgf.spectral import _poly_eval_frac, eigenvalues
 
 
 D4_SPEC = SearchSpec(4, 5, 35, "000+", (1, 2), Fraction(-3, 4))
@@ -134,15 +136,15 @@ def test_pentagon_exclusion_caps():
 
 
 def test_pentagon_cap_agrees_with_scan():
-    # same question asked numerically on the exact u-chain at eta = 2cos(2pi/5)
-    from drgf.search import _u_chain_exact
+    # same question asked numerically on the u-chain at eta = 2cos(2pi/5):
+    # F / B_2 = sum p_i u_i with B_2 = k (k - c_1)
     eta = 2 * math.cos(2 * math.pi / 5)
     p = [1.0, eta, eta * eta - 2]
     feasible = []
     for k in range(3, 60):
-        th = Fraction(-3, 4) * k
-        u = [float(x) for x in _u_chain_exact(k, th, (1,), 2)]
-        if sum(a * b for a, b in zip(p, u)) >= -1e-12:
+        th = float(Fraction(-3, 4) * k)
+        F = _eta_poly(k, p, (1,))
+        if sum(f * th ** i for i, f in enumerate(F)) / (k * (k - 1)) >= -1e-12:
             feasible.append(k)
     assert max(feasible, default=None) == 2 or feasible == []
 
@@ -157,9 +159,87 @@ def test_eta2_exclusion_caps():
 def test_eta2_cap_boundary_is_exact():
     # at k = 8, c_2 = 2, theta = -6 the value is exactly zero; float grids
     # would wobble here, the exact path must include it
-    from drgf.search import _u_chain_exact
-    u = _u_chain_exact(8, Fraction(-6), (1, 2), 3)
-    assert 1 + 2 * (u[1] + u[2] + u[3]) == 0
+    F = _eta_poly(8, (1, 2, 2, 2), (1, 2))
+    assert _poly_eval_frac(F, Fraction(-6)) == 0
+    assert eta_exclusion_cap(3, (1, 2, 2, 2), Fraction(-3, 4), (2,), k_lo=8, k_hi=8) == 8
+
+
+# The five eta_exclusion_cap calls of classify_diameter(4) and (5), each with
+# its exact set of feasible k in [3, 300].
+A4_ETA_CALL = (4, (1, -1, -1, 2, -1), Fraction(-4, 5), (1, 2), Fraction(3750, 10000))
+ETA_CALLS = [
+    (A4_ETA_CALL, set(range(3, 21)) | {22, 24}),
+    ((3, (1, 2, 2, 2), Fraction(-3, 4), (1,)), {3, 4}),
+    ((3, (1, 2, 2, 2), Fraction(-3, 4), (2,)), set(range(3, 9))),
+    ((3, (1, 2, 2, 2), Fraction(-4, 5), (1,)), {3}),
+    ((3, (1, 2, 2, 2), Fraction(-4, 5), (2,)), {3, 4, 5}),
+]
+
+
+def _feasible_k(args):
+    return {k for k in range(3, 301) if eta_exclusion_cap(*args, k_lo=k, k_hi=k) == k}
+
+
+@pytest.mark.parametrize("args, expected", ETA_CALLS)
+def test_eta_exclusion_feasible_sets_exact(args, expected):
+    assert _feasible_k(args) == expected
+    assert eta_exclusion_cap(*args) == max(expected)
+
+
+@pytest.mark.parametrize("p_values, c3_cap", [
+    ((1, -1, -1, 2, -1), Fraction(3750, 10000)),
+    ((1, -1, -1, 2, -1), None),
+    ((1, 2, 2, 2, 1), Fraction(1, 2)),
+    ((1, 2, 2, 2, 1), None),
+])
+def test_eta_c3_endpoints_match_every_c3(p_values, c3_cap):
+    # the sum is monotone in c_3, so trying only c_3 in {c_2, top} must
+    # decide every k exactly as trying each integer c_3 does
+    ratio = Fraction(-4, 5)
+    for k in range(3, 41):
+        top = k - 1 if c3_cap is None else min(k - 1, int(c3_cap * k))
+        brute = any(
+            _nonnegative_below_cut(_eta_poly(k, p_values, (1, c2, c3)), k, ratio * k)
+            for c2 in (1, 2) if c2 < k for c3 in range(c2, top + 1))
+        got = eta_exclusion_cap(4, p_values, ratio, (1, 2), c3_cap, k_lo=k, k_hi=k)
+        assert (got == k) == brute, k
+
+
+def test_eta_cap_sees_a_peak_between_grid_nodes():
+    # F = 90 p_0 + 9 p_1 theta + p_2 (theta^2 - 10) on (-10, -15/2] is
+    # negative at both ends and at every node of a 32-point grid, and
+    # positive only near theta = -369/46, between two adjacent nodes
+    k, ratio, p = 10, Fraction(-3, 4), (-19, -41, -23)
+    F = _eta_poly(k, p, (1,))
+    assert F == [90 * -19 + 10 * 23, 9 * -41, -23]
+    cut = ratio * k
+    nodes = [cut + (-k - cut) * Fraction(i, 32) for i in range(33)]
+    assert all(_poly_eval_frac(F, th) < 0 for th in nodes)
+    peak = Fraction(-369, 46)
+    assert nodes[7] < peak < nodes[6] and _poly_eval_frac(F, peak) > 0
+    assert eta_exclusion_cap(2, p, ratio, (1,), k_lo=k, k_hi=k) == k
+
+
+@pytest.mark.parametrize("G, has_root", [
+    ([6, 5, 1], False),          # (x + 2)(x + 3): no sign change
+    ([2, -3, 1], True),          # (x - 1)(x - 2)
+    ([2, -2, 1], False),         # two sign changes, complex roots
+    ([2, 0, -1, 1], False),      # (x + 1)(x^2 - 2x + 2)
+    ([1, -2, 1], True),          # double root at 1
+    ([-1, 3, -3, 1], True),      # triple root at 1
+    ([4, -4, 1, 0], True),       # (x - 2)^2 with a zero leading coefficient
+])
+def test_positive_root_decision(G, has_root):
+    assert _has_positive_root(G) is has_root
+
+
+def test_enumeration_without_integrality_passes_zero_eigenvalue():
+    # {6,5,5,4,2;1,1,2,2,3} has eigenvalues 6, 0 and four irrational ones;
+    # its spectrum must come out exactly when the screen does not kill it
+    checks = tuple(c for c in DEFAULT_CHECKS if c != "multiplicity_integrality")
+    res = enumerate_arrays(SearchSpec(5, 5, 6, "000+*", (1, 2), None, checks))
+    assert res.stats.consistent()
+    assert "{6,5,5,4,2;1,1,2,2,3}" in [format_array(a) for a in res.survivors]
 
 
 def test_small_valency_catalog():

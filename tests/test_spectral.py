@@ -298,3 +298,17 @@ def test_working_precision_env(monkeypatch):
     arr = parse_array("{3,2,2,1;1,1,1,2}")
     th = eigenvalues(arr)
     assert abs(float(as_mpf(th[-1])) - (-1 - math.sqrt(2))) < 1e-12
+
+
+def test_spectrum_with_zero_eigenvalue():
+    sp = spectrum(parse_array("{6,5,5,4,2;1,1,2,2,3}"))
+    assert sp.thetas[0] == 6
+    assert 0 in sp.thetas
+    assert not sp.multiplicities_integral  # m(0) = 3620/47
+
+
+def test_integer_roots_beyond_zero():
+    # x^2 (x - 3)(x + 2) and x (x - 5)(x - 1)(x + 4): the zero constant term
+    # must not hide the nonzero roots
+    assert spectral._integer_roots([0, 0, -6, -1, 1], 5) == [-2, 0, 3]
+    assert spectral._integer_roots([0, 20, -19, -2, 1], 5) == [-4, 0, 1, 5]
