@@ -20,7 +20,7 @@ from . import bound, oracle, search
 from .core import ArrayFormatError, format_array, parse_array
 from .feasibility import full_report
 from .precision import workdps
-from .spectral import as_mpf, spectrum
+from .spectral import as_mpf, num_str, spectrum
 from .search import GRAPH_NAMES
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INCONCLUSIVE = 0, 1, 2, 3
@@ -90,10 +90,11 @@ def cmd_enumerate(args) -> int:
     result = search.enumerate_arrays(spec, jobs=args.jobs)
     rows = []
     for arr in result.survivors:
-        sp = spectrum(arr)
+        sp = result.reports[format_array(arr)].spectrum
         rows.append({
             "array": format_array(arr), "k": arr.k, "D": arr.D,
-            "v": int(arr.v), "odd_girth": arr.g if arr.g else "bipartite",
+            "v": arr.v.numerator if arr.v.denominator == 1 else num_str(arr.v),
+            "odd_girth": arr.g if arr.g else "bipartite",
             "theta_min": _nstr(sp.theta_min, 12),
         })
     if args.json:

@@ -9,7 +9,6 @@ c_i); the deeper necessary conditions live in drgf.feasibility.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,7 @@ from functools import cached_property
 
 
 class ArrayFormatError(ValueError):
-    """Raised for text/JSON that does not describe a valid intersection array."""
+    """Raised for text that does not describe a valid intersection array."""
 
 
 @dataclass(frozen=True)
@@ -88,9 +87,6 @@ class IntersectionArray:
     def __str__(self) -> str:
         return format_array(self)
 
-    def to_json(self) -> str:
-        return json.dumps({"b": list(self.b), "c": list(self.c)})
-
 
 _ARRAY_RE = re.compile(r"^\{([^;{}]*);([^;{}]*)\}$")
 
@@ -112,13 +108,3 @@ def parse_array(text: str) -> IntersectionArray:
 def format_array(arr: IntersectionArray) -> str:
     """Canonical text form: no whitespace."""
     return "{" + ",".join(map(str, arr.b)) + ";" + ",".join(map(str, arr.c)) + "}"
-
-
-def array_from_json(text: str) -> IntersectionArray:
-    try:
-        obj = json.loads(text)
-        b = tuple(int(x) for x in obj["b"])
-        c = tuple(int(x) for x in obj["c"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ArrayFormatError(f"bad JSON array: {text!r}") from exc
-    return IntersectionArray(b, c)

@@ -45,6 +45,7 @@ class CheckEntry:
 class FeasibilityReport:
     array: IntersectionArray
     checks: tuple[CheckEntry, ...]
+    spectrum: Spectrum | None = None  # what the checks used; None if it failed
 
     @property
     def overall(self) -> str:
@@ -211,15 +212,18 @@ def check_theta_ratio(arr: IntersectionArray, spec: Spectrum, ratio: Fraction) -
                   ratio=str(Fraction(ratio)), theta_min=spec.theta_min, cutoff=x)
 
 
-def full_report(arr: IntersectionArray, theta_ratio: Fraction | None = None) -> FeasibilityReport:
-    """Run the whole battery in deterministic order.
+def full_report(arr: IntersectionArray, theta_ratio: Fraction | None = None,
+                spec: Spectrum | None = None) -> FeasibilityReport:
+    """Run the whole battery in deterministic order, on spec when given
+    (the exact spectrum of arr) instead of computing it.
 
     Numerical-precision failures inside a check surface as inconclusive
     entries rather than exceptions.
     """
     checks: list[CheckEntry] = []
     try:
-        spec = spectrum(arr)
+        if spec is None:
+            spec = spectrum(arr)
     except Exception as exc:  # pragma: no cover - defensive
         checks.append(_entry("spectrum", INCONCLUSIVE, error=str(exc)))
         checks.extend(check_monotonicity_and_integrality(
@@ -234,4 +238,4 @@ def full_report(arr: IntersectionArray, theta_ratio: Fraction | None = None) -> 
     checks.append(check_trace_square(arr, tmin))
     if theta_ratio is not None:
         checks.append(check_theta_ratio(arr, spec, theta_ratio))
-    return FeasibilityReport(arr, tuple(checks))
+    return FeasibilityReport(arr, tuple(checks), spec)

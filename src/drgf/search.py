@@ -11,15 +11,16 @@ subtrees as soon as a prefix is doomed:
 * k_i = k_{i-1} b_{i-1} / c_i must stay integral.
 
 Pruned subtrees are counted exactly (memoised completion counts), so the
-statistics cover the full search space at array granularity.  Complete
-candidates then run the spectral checks, cheapest first: the trace identity
-lower-bounds tr(L^2) against k^2 + (ratio*k)^2, and an exact Sturm count
-decides theta_min <= ratio*k on the boundary.  The arrays of one valency that
-pass both go through one batched float screen of the Biggs multiplicities,
-and only the handful it cannot reject pay for full spectra, multiplicity
-integrality and the odd-girth inequality, in walk order.  Work is
-partitioned by valency k and merged in sorted order, so results and
-statistics are independent of execution order and worker count.
+statistics cover the full search space at array granularity.  The walk
+carries tr(L^2) and the Sturm minors of L at the cut ratio*k down the tree
+in integers, so a complete candidate meets the trace identity
+(k^2 + (ratio*k)^2 <= tr(L^2)) and then the exact Sturm count
+(theta_min <= ratio*k) at the cost of one recurrence step.  The (b, c) rows
+of one valency that pass both go through one batched float screen of the
+Biggs multiplicities; only the rows it keeps become arrays and pay for full
+spectra, multiplicity integrality and the odd-girth inequality, in walk
+order.  Work is partitioned by valency k and merged in sorted order, so
+results and statistics are independent of execution order and worker count.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .feasibility import (FAIL, INCONCLUSIVE, c2_upper_bound,
 from .precision import workdps
 from .spectral import (_poly_eval_frac, abs_u_lower_bounds, as_mpf,
                        implied_last_c_lower, multiplicities_float, spectrum,
-                       sturm_count_leq, trace_of_l_squared, trace_square_check)
+                       trace_square_check)
 
 ZERO, NONZERO, FREE = "0", "+", "*"
 
@@ -165,11 +166,19 @@ class _KSpace:
     def __init__(self, k: int, spec: SearchSpec):
         self.k = k
         self.spec = spec
-        self.ratio_cut = None if spec.theta_ratio is None else spec.theta_ratio * k
+        self.ratio_cut = cut = None if spec.theta_ratio is None else spec.theta_ratio * k
         self._a1_prune = (
             "a1_zero" in spec.checks
             and spec.theta_ratio is not None and spec.theta_ratio < Fraction(-1, 2))
         self._c2_cap = self._closed_form_c2_cap()
+        on = set(spec.checks) - ({"trace_vs_ratio", "theta_ratio"} if cut is None else set())
+        (self._k_integral, self._trace_cut, self._sturm_cut, self._screen,
+         self._odd_girth, self._trace_square) = (name in on for name in (
+            "k_integrality", "trace_vs_ratio", "theta_ratio",
+            "multiplicity_integrality", "odd_girth_inequality", "trace_square"))
+        # cut = p/q < 0; no cut reads the placeholder -1
+        self._p, self._q = (-1, 1) if cut is None else (cut.numerator, cut.denominator)
+        self._trace_lhs = (k * self._q) ** 2 + self._p ** 2
         self._count = lru_cache(maxsize=None)(self._count_uncached)
 
     def _closed_form_c2_cap(self):
@@ -216,28 +225,38 @@ class _KSpace:
                    for c, _a, b in self.choices(level, c_prev, b_prev))
 
     def run(self):
-        """Survivor list for this valency; pruning stats land on .stats."""
+        """Survivors at this valency as (array, spectrum or None); stats on .stats."""
         stats = PruningStats()
         self.stats = stats
-        batch = list(self._walk(1, 1, self.k, [], [], 1))
-        if batch and "multiplicity_integrality" in self.spec.checks:
-            m = multiplicities_float(batch)
+        rows: list = []  # the minors start at phi_0 = 1, phi_1 = p < 0: one change
+        self._walk(1, 1, self.k, [self.k], [], 1, 0, 1, self._p, -1, 1, rows)
+        if rows and self._screen:
+            m = multiplicities_float(rows)
             fractional = (np.abs(m - np.rint(m))
                           > SCREEN_MARGIN * np.maximum(1.0, np.abs(m))).any(axis=1)
             if fractional.any():
                 stats.kill("multiplicity_integrality", int(fractional.sum()))
-                batch = [arr for arr, bad in zip(batch, fractional.tolist()) if not bad]
-        names = [self._spectral_checks(arr) for arr in batch]
-        for name in filter(None, names):
-            stats.kill(name)
-        survivors = [arr for arr, name in zip(batch, names) if name is None]
+                rows = [row for row, bad in zip(rows, fractional.tolist()) if not bad]
+        survivors = []
+        for b, c in rows:
+            arr = IntersectionArray(b, c)
+            name, sp = self._spectral_checks(arr)
+            if name is None:
+                survivors.append((arr, sp))
+            else:
+                stats.kill(name)
         stats.generated = self._count(1, 1, self.k)
         stats.survivors = len(survivors)
         return survivors
 
-    def _walk(self, level, c_prev, b_prev, cs, bs, k_here):
-        # k_here = k_{level-1}, integral by induction on the pruned prefix
-        k, D, spec = self.k, self.spec.D, self.spec
+    def _walk(self, level, c_prev, b_prev, bs, cs, k_here, tr, phi_prev, phi, sign,
+              changes, out):
+        """Append to out the (b, c) rows that pass the prefix prunings and the
+        ratio cuts.  Carried from the prefix: k_here = k_{level-1}, tr = sum
+        a_i^2 + 2 sum b_{i-1} c_i so far, the Sturm minors phi_{level-1} and
+        phi_level at cut = p/q (times q^level), their last nonzero sign and
+        the number of sign changes."""
+        k, D, p, q = self.k, self.spec.D, self._p, self._q
         for c, a, b in self.choices(level, c_prev, b_prev):
             if level == 1 and self._a1_prune and a != 0:
                 self.stats.kill("a1_zero", self._count(level + 1, c, b))
@@ -245,54 +264,43 @@ class _KSpace:
             if level == 2 and self._c2_cap is not None and c > self._c2_cap:
                 self.stats.kill("c2_bound", self._count(level + 1, c, b))
                 continue
-            if level >= 2 and "k_integrality" in spec.checks \
-                    and (k_here * b_prev) % c != 0:
+            if level >= 2 and self._k_integral and (k_here * b_prev) % c != 0:
                 self.stats.kill("k_integrality", self._count(level + 1, c, b))
                 continue
-            k_next = k_here * b_prev // c if level >= 2 else k
-            if level == D:
-                arr = IntersectionArray(tuple([k] + bs), tuple(cs + [c]))
-                name = self._exact_cuts(arr)
-                if name is None:
-                    yield arr
-                else:
-                    self.stats.kill(name)
+            # phi_{l+1} = (p - a_l q) phi_l - b_{l-1} c_l q^2 phi_{l-1}
+            tr_next = tr + a * a + 2 * b_prev * c
+            phi_next = (p - a * q) * phi - b_prev * c * q * q * phi_prev
+            changes_next = changes + (phi_next * sign < 0)
+            sign_next = sign if phi_next == 0 else (1 if phi_next > 0 else -1)
+            if level < D:
+                self._walk(level + 1, c, b, bs + [b], cs + [c],
+                           k_here * b_prev // c if level >= 2 else k,
+                           tr_next, phi, phi_next, sign_next, changes_next, out)
+            elif self._trace_cut and self._trace_lhs > tr_next * q * q:
+                self.stats.kill("trace_vs_ratio")  # k^2 + cut^2 > tr(L^2), times q^2
+            elif self._sturm_cut and changes_next > D:
+                self.stats.kill("theta_ratio")  # no eigenvalue <= cut
             else:
-                yield from self._walk(level + 1, c, b, cs + [c], bs + [b], k_next)
-
-    def _exact_cuts(self, arr: IntersectionArray):
-        """The first of the two ratio cuts that arr fails, or None."""
-        cut = self.ratio_cut
-        if cut is not None and "trace_vs_ratio" in self.spec.checks:
-            # k^2 + cut^2 > tr(L^2), scaled by q^2 for cut = p/q
-            p, q = cut.numerator, cut.denominator
-            if (arr.k * q) ** 2 + p * p > trace_of_l_squared(arr) * q * q:
-                return "trace_vs_ratio"
-        if cut is not None and "theta_ratio" in self.spec.checks:
-            if sturm_count_leq(arr, cut) < 1:
-                return "theta_ratio"
-        return None
+                out.append((tuple(bs), tuple(cs + [c])))
 
     def _spectral_checks(self, arr: IntersectionArray):
-        """First failing check of the exact spectral path, or None."""
-        spec = self.spec
-        if not {"multiplicity_integrality", "odd_girth_inequality",
-                "trace_square"} & set(spec.checks):
-            return None
+        """First failing check of the exact spectral path (or None), and the
+        spectrum it computed (None when the path is off)."""
+        if not (self._screen or self._odd_girth or self._trace_square):
+            return None, None
         sp = spectrum(arr)
-        if "multiplicity_integrality" in spec.checks and not sp.multiplicities_integral:
-            return "multiplicity_integrality"
-        if "odd_girth_inequality" in spec.checks:
+        if self._screen and not sp.multiplicities_integral:
+            return "multiplicity_integrality", sp
+        if self._odd_girth:
             entries = check_odd_girth_inequality(arr, sp.theta_min)
             if any(e.verdict == FAIL for e in entries):
-                return "odd_girth_inequality"
+                return "odd_girth_inequality", sp
             if any(e.verdict == INCONCLUSIVE for e in entries):
                 self.stats.warnings.append(
                     f"{format_array(arr)}: odd-girth inequality inconclusive")
-        if "trace_square" in spec.checks:
-            if not trace_square_check(arr, sp.theta_min).verdict:
-                return "trace_square"
-        return None
+        if self._trace_square and not trace_square_check(arr, sp.theta_min).verdict:
+            return "trace_square", sp
+        return None, sp
 
 
 def _run_k(args):
@@ -310,14 +318,14 @@ def enumerate_arrays(spec: SearchSpec, jobs: int = 1) -> ClassificationResult:
     else:
         parts = [_run_k(t) for t in tasks]
     stats = PruningStats()
-    found: list[IntersectionArray] = []
-    for arrays, st in parts:
-        found.extend(arrays)
+    found: list = []
+    for pairs, st in parts:
+        found.extend(pairs)
         stats = stats.merged_with(st)
-    survivors = sorted(found, key=lambda a: (a.k, a.c, a.b))
-    stats.survivors = len(survivors)
-    reports = {format_array(a): full_report(a, spec.theta_ratio) for a in survivors}
-    return ClassificationResult(spec, tuple(survivors), reports, stats)
+    found.sort(key=lambda pair: (pair[0].k, pair[0].c, pair[0].b))
+    stats.survivors = len(found)
+    reports = {format_array(a): full_report(a, spec.theta_ratio, sp) for a, sp in found}
+    return ClassificationResult(spec, tuple(a for a, _sp in found), reports, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -330,28 +330,29 @@ def eigenvalues_float(arr: IntersectionArray) -> list[float]:
     return theta[0].tolist()
 
 
-def multiplicities_float(arrays) -> np.ndarray:
+def multiplicities_float(rows) -> np.ndarray:
     """Float Biggs multiplicities v / sum k_i u_i^2 [BCN 4.1.1] of a batch.
 
-    Row i holds the multiplicities of arrays[i] in decreasing eigenvalue
-    order, padded with NaN up to the largest diameter in the batch.  Arrays
-    of one diameter share one eigvalsh call and one vectorised pass of the
-    recurrence u_{j+1} = ((theta - a_j) u_j - c_j u_{j-1}) / b_j.
+    rows holds (b_0..b_{D-1}, c_1..c_D) pairs.  Row i of the result holds
+    the multiplicities of rows[i] in decreasing eigenvalue order, padded with
+    NaN up to the largest diameter in the batch.  Arrays of one diameter
+    share one eigvalsh call and one vectorised pass of the recurrence
+    u_{j+1} = ((theta - a_j) u_j - c_j u_{j-1}) / b_j.
     """
-    out = np.full((len(arrays), max(arr.D for arr in arrays) + 1), np.nan)
-    diameters = np.array([arr.D for arr in arrays])
+    diameters = np.array([len(b) for b, _c in rows])
+    out = np.full((len(rows), diameters.max() + 1), np.nan)
     for D in np.unique(diameters).tolist():
-        rows = np.flatnonzero(diameters == D)
-        b = np.array([arrays[r].b for r in rows], float)
-        c = np.array([arrays[r].c for r in rows], float)
+        idx = np.flatnonzero(diameters == D)
+        b = np.array([rows[r][0] for r in idx], float)
+        c = np.array([rows[r][1] for r in idx], float)
         a, th = _jacobi_eigvals(b, c)
-        ks = np.cumprod(np.hstack([np.ones((len(rows), 1)), b / c]), axis=1)
+        ks = np.cumprod(np.hstack([np.ones((len(idx), 1)), b / c]), axis=1)
         u_prev, u = np.ones_like(th), th / b[:, :1]
         norm = 1 + ks[:, [1]] * u * u
         for j in range(1, D):
             u_prev, u = u, ((th - a[:, [j]]) * u - c[:, [j - 1]] * u_prev) / b[:, [j]]
             norm += ks[:, [j + 1]] * u * u
-        out[rows, :D + 1] = ks.sum(axis=1, keepdims=True) / norm
+        out[idx, :D + 1] = ks.sum(axis=1, keepdims=True) / norm
     return out
 
 

@@ -102,6 +102,25 @@ def test_enumerate_json():
     assert stats["generated"] == stats["survivors"] + sum(stats["killed"].values())
 
 
+def test_enumerate_prints_v_exactly(tmp_path):
+    # without k_integrality, survivors may have a fractional vertex count
+    spec = {"D": 4, "k_range": [5, 6], "a_pattern": "000+", "c2_set": [1, 2],
+            "theta_ratio": "-3/4", "checks": ["trace_vs_ratio"]}
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    out_csv = tmp_path / "out.csv"
+    r = run_cli("enumerate", "--spec", str(spec_file), "--json", "--csv", str(out_csv))
+    assert r.returncode == 0
+    rows = json.loads(r.stdout)["survivors"]
+    assert len(rows) == 41
+    v = {row["array"]: row["v"] for row in rows}
+    assert v["{5,4,4,4;1,1,1,3}"] == "638/3"
+    assert v["{5,4,4,3;1,1,2,2}"] == 126
+    assert sum(isinstance(x, str) for x in v.values()) == 12
+    csv_v = {row["array"]: row["v"] for row in csv.DictReader(out_csv.open())}
+    assert csv_v == {a: str(x) for a, x in v.items()}
+
+
 def test_enumerate_bad_spec_exit2(tmp_path):
     spec_file = tmp_path / "bad.json"
     spec_file.write_text('{"D": 4}')

@@ -1,17 +1,21 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from drgf.core import format_array, parse_array
+from drgf import feasibility, search
+from drgf.core import IntersectionArray, format_array, parse_array
 from drgf.search import (DEFAULT_CHECKS, CapDerivationError, SearchSpec,
                          SearchSpecError, _eta_poly, _has_positive_root,
-                         _nonnegative_below_cut, classify_diameter,
+                         _KSpace, _nonnegative_below_cut, classify_diameter,
                          default_spec, enumerate_arrays, eta_exclusion_cap,
                          pentagon_exclusion_cap, small_valency_catalog,
                          valency_cap)
-from drgf.spectral import _poly_eval_frac, eigenvalues
+from drgf.spectral import (_poly_eval_frac, eigenvalues, intersection_matrix,
+                           sturm_count_leq, trace_of_l_squared)
 
 
 D4_SPEC = SearchSpec(4, 5, 35, "000+", (1, 2), Fraction(-3, 4))
@@ -66,6 +70,109 @@ def test_d4_stats_exact(d4_result):
     st = d4_result.stats
     assert (st.generated, st.killed, st.survivors) == (13671, D4_KILLED, 2)
     assert st.warnings == []
+
+
+def test_a4_space_stats_exact():
+    st = enumerate_arrays(SearchSpec(5, 5, 24, "000+*", (1, 2), Fraction(-4, 5))).stats
+    assert (st.generated, st.survivors) == (261076, 0)
+    assert st.killed == {"c2_bound": 627, "k_integrality": 215444,
+                         "multiplicity_integrality": 8585, "theta_ratio": 25612,
+                         "trace_vs_ratio": 10808}
+    assert st.warnings == []
+
+
+# The walk carries tr(L^2) and the Sturm minors at the cut down the tree;
+# the reference recomputes both from scratch on every complete candidate.
+PREFIX_CHECKS = ("a1_zero", "c2_bound", "k_integrality")
+CUT_SPACES = [
+    SearchSpec(3, 4, 12, "0**", (1, 2, 3), Fraction(-1, 2)),  # phi_2 = 0 at k = 4
+    SearchSpec(3, 3, 12, "***", (1, 2), Fraction(-2, 3)),
+    SearchSpec(4, 5, 12, "000+", (1, 2), Fraction(-3, 4)),
+    SearchSpec(4, 4, 10, "0*+*", (1, 2), Fraction(-2, 3)),
+    SearchSpec(5, 5, 12, "000+*", (1, 2), Fraction(-4, 5)),
+]
+
+
+def _space_results(spec):
+    """Merged kills and the (b, c) survivors of every valency of spec."""
+    killed, rows = {}, []
+    for k in range(spec.k_min, spec.k_max + 1):
+        space = _KSpace(k, spec)
+        rows += [(arr.b, arr.c) for arr, _sp in space.run()]
+        for name, n in space.stats.killed.items():
+            killed[name] = killed.get(name, 0) + n
+    return killed, rows
+
+
+def _reference_cuts(spec):
+    """Kills and survivors when tr(L^2) and the Sturm count are recomputed
+    on each complete candidate the prefix prunings leave."""
+    on = set(spec.checks) if spec.theta_ratio is not None else set()
+    killed, candidates = _space_results(replace(spec, checks=tuple(
+        c for c in spec.checks if c not in ("trace_vs_ratio", "theta_ratio"))))
+    survivors = []
+    for b, c in candidates:
+        arr = IntersectionArray(b, c)
+        cut = None if spec.theta_ratio is None else spec.theta_ratio * arr.k
+        if "trace_vs_ratio" in on and arr.k ** 2 + cut ** 2 > trace_of_l_squared(arr):
+            killed["trace_vs_ratio"] = killed.get("trace_vs_ratio", 0) + 1
+        elif "theta_ratio" in on and sturm_count_leq(arr, cut) < 1:
+            killed["theta_ratio"] = killed.get("theta_ratio", 0) + 1
+        else:
+            survivors.append((b, c))
+    return killed, survivors
+
+
+@pytest.mark.parametrize("spec", CUT_SPACES, ids=lambda s: f"D{s.D}-{s.a_pattern}")
+@pytest.mark.parametrize("cuts", [("trace_vs_ratio", "theta_ratio"), ("theta_ratio",),
+                                  ("trace_vs_ratio",), "no ratio"])
+def test_fused_cuts_match_reference(spec, cuts):
+    if cuts == "no ratio":
+        spec = replace(spec, theta_ratio=None, checks=PREFIX_CHECKS + (
+            "trace_vs_ratio", "theta_ratio"))
+    else:
+        spec = replace(spec, checks=PREFIX_CHECKS + cuts)
+    killed, survivors = _space_results(spec)
+    assert (killed, survivors) == _reference_cuts(spec)
+    assert survivors
+    if cuts != "no ratio":
+        assert any(killed.get(name) for name in cuts)
+
+
+def test_fused_cuts_meet_a_zero_minor():
+    # some candidate of the first cut space has a leading principal minor of
+    # cut*I - L that vanishes, so the walk's zero-skipping sign rule is used
+    spec = replace(CUT_SPACES[0], checks=PREFIX_CHECKS)
+    _killed, candidates = _space_results(spec)
+
+    def has_zero_minor(b, c):
+        arr = IntersectionArray(b, c)
+        M = spec.theta_ratio * arr.k * sympy.eye(arr.D + 1) - sympy.Matrix(
+            intersection_matrix(arr).tolist())
+        return any(M[:i, :i].det() == 0 for i in range(1, arr.D + 2))
+
+    assert any(has_zero_minor(b, c) for b, c in candidates)
+
+
+@pytest.mark.parametrize("ratio", [Fraction(-4, 5), None])
+def test_one_spectrum_per_array_on_the_exact_path(monkeypatch, ratio):
+    calls = []
+    real = search.spectrum
+
+    def counting(arr):
+        calls.append(arr)
+        return real(arr)
+
+    monkeypatch.setattr(search, "spectrum", counting)
+    monkeypatch.setattr(feasibility, "spectrum", counting)
+    checks = tuple(c for c in DEFAULT_CHECKS if c != "multiplicity_integrality")
+    res = enumerate_arrays(SearchSpec(5, 5, 8, "000+*", (1, 2), ratio, checks))
+    st = res.stats
+    exact_path = (st.survivors + st.killed.get("odd_girth_inequality", 0)
+                  + st.killed.get("trace_square", 0))
+    assert len(calls) == exact_path == len(set(calls))
+    assert st.survivors == len(res.reports) > 0
+    assert all(rep.spectrum is not None for rep in res.reports.values())
 
 
 def test_survivors_pass_full_report(d4_result):

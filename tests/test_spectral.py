@@ -69,7 +69,7 @@ def test_eigenvalues_two_ways_agree():
 
 
 def _assert_float_mults_match_exact(arrays):
-    got = multiplicities_float(arrays)
+    got = multiplicities_float([(arr.b, arr.c) for arr in arrays])
     assert got.shape == (len(arrays), max(arr.D for arr in arrays) + 1)
     for arr, row in zip(arrays, got):
         exact = np.array([float(as_mpf(m)) for m in spectrum(arr).mults_raw])
