@@ -33,6 +33,21 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}")
+
+
+def _girth_range(text: str) -> tuple[int, int]:
+    lo, _, hi = text.partition("..")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a range GMIN..GMAX: {text!r}")
+
+
 def _nstr(x, digits: int = 10) -> str:
     with workdps():
         return mp.nstr(as_mpf(x), digits)
@@ -75,7 +90,7 @@ def _spec_from_args(args) -> search.SearchSpec:
         k_min=args.k_min if args.k_min is not None else 5,
         k_max=args.k_max if args.k_max is not None else (cap or 5),
         a_pattern=args.a_pattern or "0" * (D - 1) + "+",
-        c2_set=tuple(int(x) for x in args.c2.split(",")) if args.c2 else (1, 2),
+        c2_set=args.c2 or (1, 2),
         theta_ratio=args.theta_ratio if args.theta_ratio is not None
         else Fraction(-(D - 1), D),
     )
@@ -122,16 +137,18 @@ def cmd_enumerate(args) -> int:
 # ------------------------------------------------------------- theorem2
 
 def cmd_theorem2(args) -> int:
-    if args.diameter not in (4, 5):
-        print("error: --diameter must be 4 or 5", file=sys.stderr)
+    try:
+        result = search.classify_diameter(args.diameter, jobs=args.jobs,
+                                          disable_checks=tuple(args.disable_check or ()))
+    except search.SearchSpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    result = search.classify_diameter(args.diameter, jobs=args.jobs,
-                                      disable_checks=tuple(args.disable_check or ()))
     if args.json:
         print(json.dumps({
             "D": result.D,
             "stages": [{"name": s.name, "lines": list(s.lines),
-                        "arrays": [format_array(a) for a in s.arrays]}
+                        "arrays": [format_array(a) for a in s.arrays],
+                        "stats": s.stats.to_json_dict() if s.stats else None}
                        for s in result.stages],
             "arrays": [format_array(a) for a in result.arrays],
             "discrepancies": list(result.discrepancies),
@@ -165,8 +182,7 @@ def cmd_bound(args) -> int:
         return EXIT_USAGE
     try:
         if args.table:
-            lo, _, hi = args.table.partition("..")
-            rows = bound.bound_table(int(lo), int(hi), args.mode)
+            rows = bound.bound_table(*args.table, args.mode)
             print("g,zeta_star,epsilon1,theta_over_k")
             for gg, z, e, th in rows:
                 print(f"{gg},{_nstr(z)},{_nstr(e)},{_nstr(th)}")
@@ -262,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-min", type=int)
     p.add_argument("--k-max", type=int)
     p.add_argument("--a-pattern", help="one char per a_1..a_D: 0 zero, + nonzero, * free")
-    p.add_argument("--c2", help="comma list of allowed c_2 values (default 1,2)")
+    p.add_argument("--c2", type=_int_list,
+                   help="comma list of allowed c_2 values (default 1,2)")
     p.add_argument("--theta-ratio", type=_fraction, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
@@ -282,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="branch parameter in [0, 1/2]; default zeta*")
     p.add_argument("--mode", default=bound.MODE_GENERAL,
                    help="general or sharp-g5")
-    p.add_argument("--table", metavar="GMIN..GMAX",
+    p.add_argument("--table", type=_girth_range, metavar="GMIN..GMAX",
                    help="emit a CSV table over a girth range")
     p.set_defaults(func=cmd_bound)
 

@@ -19,8 +19,8 @@ from mpmath import mp
 
 from .core import IntersectionArray, format_array
 from .precision import workdps
-from .spectral import (Exact, Spectrum, as_mpf, num_str, spectrum,
-                       standard_sequence, sturm_count_leq, trace_square_check)
+from .spectral import (Exact, Spectrum, as_mpf, num_str, spectrum, standard_sequence,
+                       sturm_count_leq, trace_of_l_squared)
 
 PASS = "pass"
 FAIL = "fail"
@@ -102,11 +102,8 @@ def check_a1_zero(arr: IntersectionArray, theta_min) -> CheckEntry:
 
 def c2_upper_bound(k: int, theta):
     """(2k - 2*theta) / (4 - 3*theta - k), exact when theta is."""
-    if isinstance(theta, Exact):
-        th = Fraction(theta)
-        return (2 * k - 2 * th) / (4 - 3 * th - k)
     with workdps():
-        th = as_mpf(theta)
+        th = Fraction(theta) if isinstance(theta, Exact) else as_mpf(theta)
         return (2 * k - 2 * th) / (4 - 3 * th - k)
 
 
@@ -199,9 +196,13 @@ def check_sum_rules(arr: IntersectionArray, spec: Spectrum,
 
 
 def check_trace_square(arr: IntersectionArray, theta_min) -> CheckEntry:
-    chk = trace_square_check(arr, theta_min)
-    return _entry("trace_square", PASS if chk.verdict else FAIL,
-                  lhs=chk.lhs, trace=chk.trace, slack=chk.slack)
+    """k^2 + theta_min^2 <= tr(L^2), which holds at the real theta_min."""
+    tr = trace_of_l_squared(arr)
+    with workdps():
+        lhs = (Fraction(arr.k) ** 2 + Fraction(theta_min) ** 2 if isinstance(theta_min, Exact)
+               else mp.mpf(arr.k) ** 2 + as_mpf(theta_min) ** 2)
+        slack = tr - lhs
+    return _entry("trace_square", PASS if lhs <= tr else FAIL, lhs=lhs, trace=tr, slack=slack)
 
 
 def check_theta_ratio(arr: IntersectionArray, spec: Spectrum, ratio: Fraction) -> CheckEntry:
@@ -212,18 +213,16 @@ def check_theta_ratio(arr: IntersectionArray, spec: Spectrum, ratio: Fraction) -
                   ratio=str(Fraction(ratio)), theta_min=spec.theta_min, cutoff=x)
 
 
-def full_report(arr: IntersectionArray, theta_ratio: Fraction | None = None,
-                spec: Spectrum | None = None) -> FeasibilityReport:
-    """Run the whole battery in deterministic order, on spec when given
-    (the exact spectrum of arr) instead of computing it.
+def full_report(arr: IntersectionArray,
+                theta_ratio: Fraction | None = None) -> FeasibilityReport:
+    """Run the whole battery in deterministic order.
 
     Numerical-precision failures inside a check surface as inconclusive
     entries rather than exceptions.
     """
     checks: list[CheckEntry] = []
     try:
-        if spec is None:
-            spec = spectrum(arr)
+        spec = spectrum(arr)
     except Exception as exc:  # pragma: no cover - defensive
         checks.append(_entry("spectrum", INCONCLUSIVE, error=str(exc)))
         checks.extend(check_monotonicity_and_integrality(

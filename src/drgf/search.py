@@ -17,10 +17,12 @@ in integers, so a complete candidate meets the trace identity
 (k^2 + (ratio*k)^2 <= tr(L^2)) and then the exact Sturm count
 (theta_min <= ratio*k) at the cost of one recurrence step.  The (b, c) rows
 of one valency that pass both go through one batched float screen of the
-Biggs multiplicities; only the rows it keeps become arrays and pay for full
-spectra, multiplicity integrality and the odd-girth inequality, in walk
-order.  Work is partitioned by valency k and merged in sorted order, so
-results and statistics are independent of execution order and worker count.
+Biggs multiplicities.  Only the rows it keeps become arrays, and each of
+those gets one full_report (one exact spectrum): the first enabled check among
+multiplicity integrality, the odd-girth inequality and the trace square that
+the report fails kills the array, and a survivor keeps its report.  Work is
+partitioned by valency k and merged in sorted order, so results and
+statistics are independent of execution order and worker count.
 """
 
 from __future__ import annotations
@@ -34,12 +36,11 @@ import numpy as np
 from mpmath import mp
 
 from .core import IntersectionArray, format_array, parse_array
-from .feasibility import (FAIL, INCONCLUSIVE, c2_upper_bound,
-                          check_odd_girth_inequality, full_report)
+from .feasibility import FAIL, INCONCLUSIVE, c2_upper_bound, full_report
 from .precision import workdps
-from .spectral import (_poly_eval_frac, abs_u_lower_bounds, as_mpf,
-                       implied_last_c_lower, multiplicities_float, spectrum,
-                       trace_square_check)
+from .spectral import (SpectralError, _poly_eval_frac, abs_u_lower_bounds, as_mpf,
+                       implied_last_c_lower, multiplicities_float,
+                       spectrum)  # not called here; perfbench's tracer test rebinds it
 
 ZERO, NONZERO, FREE = "0", "+", "*"
 
@@ -55,6 +56,12 @@ DEFAULT_CHECKS = ("a1_zero", "c2_bound", "k_integrality", "trace_vs_ratio",
 
 class SearchSpecError(ValueError):
     pass
+
+
+def _require_known_checks(names):
+    unknown = sorted(set(names) - set(DEFAULT_CHECKS))
+    if unknown:
+        raise SearchSpecError(f"unknown checks {unknown}; known: {', '.join(DEFAULT_CHECKS)}")
 
 
 class CapDerivationError(RuntimeError):
@@ -88,6 +95,7 @@ class SearchSpec:
             raise SearchSpecError("c2_set must hold positive integers")
         if self.theta_ratio is not None and not -1 <= self.theta_ratio < 0:
             raise SearchSpecError("theta_ratio must lie in [-1, 0)")
+        _require_known_checks(self.checks)
 
     def to_json_dict(self) -> dict:
         return {
@@ -172,10 +180,9 @@ class _KSpace:
             and spec.theta_ratio is not None and spec.theta_ratio < Fraction(-1, 2))
         self._c2_cap = self._closed_form_c2_cap()
         on = set(spec.checks) - ({"trace_vs_ratio", "theta_ratio"} if cut is None else set())
-        (self._k_integral, self._trace_cut, self._sturm_cut, self._screen,
-         self._odd_girth, self._trace_square) = (name in on for name in (
-            "k_integrality", "trace_vs_ratio", "theta_ratio",
-            "multiplicity_integrality", "odd_girth_inequality", "trace_square"))
+        self._k_integral, self._trace_cut, self._sturm_cut, self._screen = (
+            name in on for name in ("k_integrality", "trace_vs_ratio", "theta_ratio",
+                                    "multiplicity_integrality"))
         # cut = p/q < 0; no cut reads the placeholder -1
         self._p, self._q = (-1, 1) if cut is None else (cut.numerator, cut.denominator)
         self._trace_lhs = (k * self._q) ** 2 + self._p ** 2
@@ -224,10 +231,10 @@ class _KSpace:
         return sum(self._count(level + 1, c, b)
                    for c, _a, b in self.choices(level, c_prev, b_prev))
 
-    def run(self):
-        """Survivors at this valency as (array, spectrum or None); stats on .stats."""
-        stats = PruningStats()
-        self.stats = stats
+    def run(self) -> tuple[list[IntersectionArray], PruningStats]:
+        """The arrays at this valency that the walk and the float screen keep,
+        in walk order, and the stats of their kills."""
+        self.stats = stats = PruningStats()
         rows: list = []  # the minors start at phi_0 = 1, phi_1 = p < 0: one change
         self._walk(1, 1, self.k, [self.k], [], 1, 0, 1, self._p, -1, 1, rows)
         if rows and self._screen:
@@ -237,17 +244,8 @@ class _KSpace:
             if fractional.any():
                 stats.kill("multiplicity_integrality", int(fractional.sum()))
                 rows = [row for row, bad in zip(rows, fractional.tolist()) if not bad]
-        survivors = []
-        for b, c in rows:
-            arr = IntersectionArray(b, c)
-            name, sp = self._spectral_checks(arr)
-            if name is None:
-                survivors.append((arr, sp))
-            else:
-                stats.kill(name)
         stats.generated = self._count(1, 1, self.k)
-        stats.survivors = len(survivors)
-        return survivors
+        return [IntersectionArray(b, c) for b, c in rows], stats
 
     def _walk(self, level, c_prev, b_prev, bs, cs, k_here, tr, phi_prev, phi, sign,
               changes, out):
@@ -283,30 +281,32 @@ class _KSpace:
             else:
                 out.append((tuple(bs), tuple(cs + [c])))
 
-    def _spectral_checks(self, arr: IntersectionArray):
-        """First failing check of the exact spectral path (or None), and the
-        spectrum it computed (None when the path is off)."""
-        if not (self._screen or self._odd_girth or self._trace_square):
-            return None, None
-        sp = spectrum(arr)
-        if self._screen and not sp.multiplicities_integral:
-            return "multiplicity_integrality", sp
-        if self._odd_girth:
-            entries = check_odd_girth_inequality(arr, sp.theta_min)
-            if any(e.verdict == FAIL for e in entries):
-                return "odd_girth_inequality", sp
-            if any(e.verdict == INCONCLUSIVE for e in entries):
-                self.stats.warnings.append(
-                    f"{format_array(arr)}: odd-girth inequality inconclusive")
-        if self._trace_square and not trace_square_check(arr, sp.theta_min).verdict:
-            return "trace_square", sp
-        return None, sp
-
 
 def _run_k(args):
+    """Survivors of one valency as (array, report) pairs, and its stats: the
+    first enabled exact-path check that an array's one full_report fails kills
+    it, and an odd-girth check reached with no failure but an undecided entry
+    leaves a warning."""
     spec, k = args
-    space = _KSpace(k, spec)
-    return space.run(), space.stats
+    arrays, stats = _KSpace(k, spec).run()
+    exact_path = [name for name in ("multiplicity_integrality", "odd_girth_inequality",
+                                    "trace_square") if name in spec.checks]
+    survivors = []
+    for arr in arrays:
+        report = full_report(arr, spec.theta_ratio)
+        if exact_path and report.spectrum is None:
+            raise SpectralError(f"{format_array(arr)}: {report.checks[0].witness['error']}")
+        for name in exact_path:
+            verdicts = {e.verdict for e in report.checks if e.name.startswith(name)}
+            if FAIL in verdicts:
+                stats.kill(name)
+                break
+            if name == "odd_girth_inequality" and INCONCLUSIVE in verdicts:
+                stats.warnings.append(f"{format_array(arr)}: odd-girth inequality inconclusive")
+        else:
+            survivors.append((arr, report))
+    stats.survivors = len(survivors)
+    return survivors, stats
 
 
 def enumerate_arrays(spec: SearchSpec, jobs: int = 1) -> ClassificationResult:
@@ -323,9 +323,8 @@ def enumerate_arrays(spec: SearchSpec, jobs: int = 1) -> ClassificationResult:
         found.extend(pairs)
         stats = stats.merged_with(st)
     found.sort(key=lambda pair: (pair[0].k, pair[0].c, pair[0].b))
-    stats.survivors = len(found)
-    reports = {format_array(a): full_report(a, spec.theta_ratio, sp) for a, sp in found}
-    return ClassificationResult(spec, tuple(a for a, _sp in found), reports, stats)
+    reports = {format_array(a): report for a, report in found}
+    return ClassificationResult(spec, tuple(a for a, _report in found), reports, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +600,29 @@ def classify_diameter(D: int, jobs: int = 1,
     """
     if D not in (4, 5):
         raise SearchSpecError("classification covers D in {4, 5}")
+    _require_known_checks(disable_checks)
     ratio = Fraction(-(D - 1), D)
     checks = tuple(c for c in DEFAULT_CHECKS if c not in disable_checks)
     stages: list[Stage] = []
     discrepancies: list[str] = []
+
+    def enumerate_stage(stage, lines, k_max, a_pattern, c2_set=(1, 2), expected=()):
+        """Enumerate k in [5, k_max], add its line to lines and sort its
+        survivors: expected, the catalog exclusion (a_3 stage) or a
+        discrepancy; an expected array that is missing is one too."""
+        res = enumerate_arrays(SearchSpec(D, 5, k_max, a_pattern, c2_set, ratio, checks), jobs)
+        only_c2 = f", c_2 = {c2_set[0]}" if len(c2_set) == 1 else ""
+        lines.append(f"enumeration k in [5,{k_max}]{only_c2}: {len(res.survivors)} survivors")
+        for arr in res.survivors:
+            if arr in expected:
+                continue
+            if stage == "a3" and D == 5 and arr.k == 5 and arr.c[1] == 2:
+                lines.append(f"{format_array(arr)} excluded: " + _CATALOG_EXCLUSION_D5_K5)
+            else:
+                discrepancies.append(f"{stage} stage: unexpected survivor {format_array(arr)}")
+        discrepancies.extend(f"{stage} stage: missing {format_array(arr)}"
+                             for arr in expected if arr not in res.survivors)
+        return res
 
     catalog = small_valency_catalog(D)
     stages.append(Stage(
@@ -614,66 +632,35 @@ def classify_diameter(D: int, jobs: int = 1,
 
     cap2 = pentagon_exclusion_cap(ratio)
     lines = [f"girth-5 cycle inequality forces k <= {cap2}"]
-    res = None
+    stats = None
     if cap2 is not None and cap2 >= 5:
-        res = enumerate_arrays(SearchSpec(D, 5, cap2, ZERO + NONZERO + FREE * (D - 2),
-                                          (1, 2), ratio, checks), jobs)
-        lines.append(f"enumeration k in [5,{cap2}]: {len(res.survivors)} survivors")
-        for arr in res.survivors:
-            discrepancies.append(f"a2 stage: unexpected survivor {format_array(arr)}")
+        stats = enumerate_stage("a2", lines, cap2, ZERO + NONZERO + FREE * (D - 2)).stats
     else:
         lines.append("below the k >= 5 regime: branch closed")
-    stages.append(Stage("a_2 != 0 excluded", tuple(lines),
-                        stats=res.stats if res else None))
+    stages.append(Stage("a_2 != 0 excluded", tuple(lines), stats=stats))
 
-    lines = []
-    stats = None
+    lines, stats = [], None
     for c2 in (1, 2):
         cap3 = eta_exclusion_cap(3, (1, 2, 2, 2), ratio, (c2,))
         lines.append(f"eta = 2 inequality forces k <= {cap3} when c_2 = {c2}")
         if cap3 is not None and cap3 >= 5:
-            res = enumerate_arrays(
-                SearchSpec(D, 5, cap3, ZERO * 2 + NONZERO + FREE * (D - 3),
-                           (c2,), ratio, checks), jobs)
+            res = enumerate_stage("a3", lines, cap3, ZERO * 2 + NONZERO + FREE * (D - 3), (c2,))
             stats = res.stats if stats is None else stats.merged_with(res.stats)
-            lines.append(f"enumeration k in [5,{cap3}], c_2 = {c2}: "
-                         f"{len(res.survivors)} survivors")
-            for arr in res.survivors:
-                if D == 5 and arr.k == 5 and arr.c[1] == 2:
-                    lines.append(f"{format_array(arr)} excluded: "
-                                 + _CATALOG_EXCLUSION_D5_K5)
-                else:
-                    discrepancies.append(
-                        f"a3 stage: unexpected survivor {format_array(arr)}")
-            if D == 5 and c2 == 2:
-                lines.append("k = 5 case covered by the catalog exclusion: "
-                             + _CATALOG_EXCLUSION_D5_K5)
+        if D == 5 and c2 == 2:
+            lines.append("k = 5 case covered by the catalog exclusion: "
+                         + _CATALOG_EXCLUSION_D5_K5)
     stages.append(Stage("a_3 != 0 excluded", tuple(lines), stats=stats))
 
     if D == 5:
         cap = valency_cap(5, ratio, branch="a4")
-        lines = [s.fmt() for s in cap.steps]
-        lines.append(f"k <= {cap.k_max} on this branch")
-        res = enumerate_arrays(SearchSpec(5, 5, cap.k_max, "000" + NONZERO + FREE,
-                                          (1, 2), ratio, checks), jobs)
-        lines.append(f"enumeration k in [5,{cap.k_max}]: {len(res.survivors)} survivors")
-        for arr in res.survivors:
-            discrepancies.append(f"a4 stage: unexpected survivor {format_array(arr)}")
+        lines = [s.fmt() for s in cap.steps] + [f"k <= {cap.k_max} on this branch"]
+        res = enumerate_stage("a4", lines, cap.k_max, "000" + NONZERO + FREE)
         stages.append(Stage("a_4 != 0 excluded", tuple(lines), stats=res.stats))
 
     cap = valency_cap(D, ratio, branch="main")
-    lines = [s.fmt() for s in cap.steps]
-    lines.append(f"k <= {cap.k_max}")
-    res = enumerate_arrays(SearchSpec(D, 5, cap.k_max, ZERO * (D - 1) + NONZERO,
-                                      (1, 2), ratio, checks), jobs)
-    lines.append(f"enumeration k in [5,{cap.k_max}]: {len(res.survivors)} survivors")
-    expected = [parse_array(t) for t, _n in _EXPECTED_MAIN[D]]
-    for arr in res.survivors:
-        if arr not in expected:
-            discrepancies.append(f"main stage: unexpected survivor {format_array(arr)}")
-    for arr in expected:
-        if arr not in res.survivors:
-            discrepancies.append(f"main stage: missing {format_array(arr)}")
+    lines = [s.fmt() for s in cap.steps] + [f"k <= {cap.k_max}"]
+    res = enumerate_stage("main", lines, cap.k_max, ZERO * (D - 1) + NONZERO,
+                          expected=[parse_array(t) for t, _n in _EXPECTED_MAIN[D]])
     stages.append(Stage(f"main enumeration (a_i = 0 below D, a_{D} != 0)",
                         tuple(lines), tuple(res.survivors), res.stats))
 

@@ -371,16 +371,10 @@ def standard_sequence(arr: IntersectionArray, theta) -> StandardSequence:
     1e-8) precisely when theta is an eigenvalue of L.
     """
     k, D, a = arr.k, arr.D, arr.a
-    if isinstance(theta, Exact):
-        th = Fraction(theta)
-        u = [Fraction(1), th / k]
-        for j in range(1, D):
-            u.append(((th - a[j]) * u[j] - arr.c[j - 1] * u[j - 1]) / arr.b[j])
-        res = abs(arr.c[D - 1] * u[D - 1] + (a[D] - th) * u[D])
-        return StandardSequence(th, tuple(u), res)
+    exact = isinstance(theta, Exact)
     with workdps():
-        th = as_mpf(theta)
-        u = [mp.mpf(1), th / k]
+        th = Fraction(theta) if exact else as_mpf(theta)
+        u = [Fraction(1) if exact else mp.mpf(1), th / k]
         for j in range(1, D):
             u.append(((th - a[j]) * u[j] - arr.c[j - 1] * u[j - 1]) / arr.b[j])
         res = abs(arr.c[D - 1] * u[D - 1] + (a[D] - th) * u[D])
@@ -496,25 +490,6 @@ def trace_of_l_squared(arr: IntersectionArray) -> int:
     """tr(L^2) = sum a_i^2 + 2 sum b_i c_{i+1}, exact."""
     return sum(x * x for x in arr.a) + 2 * sum(
         arr.b[i] * arr.c[i] for i in range(arr.D))
-
-
-@dataclass(frozen=True)
-class TraceCheck:
-    verdict: bool
-    lhs: object
-    trace: int
-    slack: object
-
-
-def trace_square_check(arr: IntersectionArray, theta) -> TraceCheck:
-    """Does k^2 + theta^2 <= tr(L^2) hold?  Always true at the real theta_min."""
-    tr = trace_of_l_squared(arr)
-    if isinstance(theta, Exact):
-        lhs = Fraction(arr.k) ** 2 + Fraction(theta) ** 2
-        return TraceCheck(lhs <= tr, lhs, tr, tr - lhs)
-    with workdps():
-        lhs = mp.mpf(arr.k) ** 2 + as_mpf(theta) ** 2
-        return TraceCheck(bool(lhs <= tr), lhs, tr, tr - lhs)
 
 
 def implied_last_c_lower(D: int, k: int, theta):

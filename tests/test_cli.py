@@ -126,6 +126,16 @@ def test_enumerate_bad_spec_exit2(tmp_path):
     spec_file.write_text('{"D": 4}')
     assert run_cli("enumerate", "--spec", str(spec_file)).returncode == 2
     assert run_cli("enumerate").returncode == 2
+    spec_file.write_text('{"D": 4, "k_range": [5, 8], "a_pattern": "000+", '
+                         '"checks": "theta_ratio"}')
+    r = run_cli("enumerate", "--spec", str(spec_file))
+    assert r.returncode == 2 and "unknown checks" in r.stderr
+
+
+def test_enumerate_bad_c2_exit2():
+    r = run_cli("enumerate", "-d", "4", "--c2", "a,b")
+    assert r.returncode == 2
+    assert "error:" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_theorem2_d4_matches_fixture():
@@ -151,6 +161,18 @@ def test_theorem2_json():
     assert doc["D"] == 4 and doc["discrepancies"] == []
     assert doc["arrays"] == ["{3,2,2,1;1,1,1,2}", "{2,1,1,1;1,1,1,1}",
                              "{5,4,4,3;1,1,2,2}", "{9,8,7,6;1,2,3,4}"]
+    stats = [s["stats"] for s in doc["stages"]]
+    assert stats[:2] == [None, None]  # the catalog; the a_2 branch closes below k = 5
+    for st in stats[2:]:
+        assert st["generated"] == st["survivors"] + sum(st["killed"].values())
+        assert st["warnings"] == []
+    assert stats[3]["survivors"] == 2 and stats[3]["killed"]["theta_ratio"] == 596
+
+
+def test_theorem2_unknown_check_exit2():
+    r = run_cli("theorem2", "--diameter", "4", "--disable-check", "trace_squar")
+    assert r.returncode == 2
+    assert "unknown checks" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_bound_sharp_g5_remark():
@@ -169,6 +191,12 @@ def test_bound_default_zeta_star():
     assert "zeta = 0.07725424859 (zeta*)" in r.stdout
     assert "epsilon1 = 0.1729090847" in r.stdout
     assert "note:" in r.stdout
+
+
+def test_bound_bad_table_exit2():
+    r = run_cli("bound", "-g", "5", "--table", "5..x")
+    assert r.returncode == 2
+    assert "error:" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_bound_table_csv():

@@ -211,13 +211,3 @@ def test_full_report_with_ratio_entry():
     rep = full_report(parse_array("{9,8,7,6;1,2,3,4}"), theta_ratio=Fraction(-3, 4))
     assert rep.checks[-1].name == "theta_ratio"
     assert rep.overall == PASS
-
-
-def test_full_report_reuses_a_given_spectrum(monkeypatch):
-    arr = parse_array("{6,5,5,4,4;1,1,2,2,3}")
-    sp = spectrum(arr)
-    fresh = full_report(arr, Fraction(-4, 5))
-    monkeypatch.setattr(feasibility, "spectrum", None)  # any call would raise
-    given = full_report(arr, Fraction(-4, 5), sp)
-    assert given.spectrum is sp and fresh.spectrum == sp
-    assert json.dumps(given.to_json_dict()) == json.dumps(fresh.to_json_dict())

@@ -14,8 +14,8 @@ from drgf.search import (DEFAULT_CHECKS, CapDerivationError, SearchSpec,
                          default_spec, enumerate_arrays, eta_exclusion_cap,
                          pentagon_exclusion_cap, small_valency_catalog,
                          valency_cap)
-from drgf.spectral import (_poly_eval_frac, eigenvalues, intersection_matrix,
-                           sturm_count_leq, trace_of_l_squared)
+from drgf.spectral import (SpectralError, _poly_eval_frac, eigenvalues,
+                           intersection_matrix, sturm_count_leq, trace_of_l_squared)
 
 
 D4_SPEC = SearchSpec(4, 5, 35, "000+", (1, 2), Fraction(-3, 4))
@@ -45,6 +45,16 @@ def test_spec_validation():
         SearchSpec(4, 5, 10, "00x+")
     with pytest.raises(SearchSpecError):
         SearchSpec(4, 5, 10, "000+", theta_ratio=Fraction(1, 2))
+
+
+@pytest.mark.parametrize("checks", ["theta_ratio", ["trace_squar"], ["theta_ratio", "x"]])
+def test_spec_rejects_unknown_checks(checks):
+    # a bare string would split into characters and silently disable every check
+    obj = {"D": 4, "k_range": [5, 8], "a_pattern": "000+", "checks": checks}
+    with pytest.raises(SearchSpecError, match="unknown checks"):
+        SearchSpec.from_json_dict(obj)
+    with pytest.raises(SearchSpecError, match="unknown checks"):
+        SearchSpec(4, 5, 8, "000+", checks=tuple(checks))
 
 
 def test_spec_json_round_trip():
@@ -97,9 +107,9 @@ def _space_results(spec):
     """Merged kills and the (b, c) survivors of every valency of spec."""
     killed, rows = {}, []
     for k in range(spec.k_min, spec.k_max + 1):
-        space = _KSpace(k, spec)
-        rows += [(arr.b, arr.c) for arr, _sp in space.run()]
-        for name, n in space.stats.killed.items():
+        arrays, stats = _KSpace(k, spec).run()
+        rows += [(arr.b, arr.c) for arr in arrays]
+        for name, n in stats.killed.items():
             killed[name] = killed.get(name, 0) + n
     return killed, rows
 
@@ -156,23 +166,49 @@ def test_fused_cuts_meet_a_zero_minor():
 
 @pytest.mark.parametrize("ratio", [Fraction(-4, 5), None])
 def test_one_spectrum_per_array_on_the_exact_path(monkeypatch, ratio):
-    calls = []
-    real = search.spectrum
+    calls, reports = [], []
+    real_spectrum, real_report = feasibility.spectrum, search.full_report
 
-    def counting(arr):
+    def counting_spectrum(arr):
         calls.append(arr)
-        return real(arr)
+        return real_spectrum(arr)
 
-    monkeypatch.setattr(search, "spectrum", counting)
-    monkeypatch.setattr(feasibility, "spectrum", counting)
+    def counting_report(arr, theta_ratio=None):
+        reports.append(arr)
+        return real_report(arr, theta_ratio)
+
+    monkeypatch.setattr(feasibility, "spectrum", counting_spectrum)
+    monkeypatch.setattr(search, "full_report", counting_report)
     checks = tuple(c for c in DEFAULT_CHECKS if c != "multiplicity_integrality")
     res = enumerate_arrays(SearchSpec(5, 5, 8, "000+*", (1, 2), ratio, checks))
     st = res.stats
     exact_path = (st.survivors + st.killed.get("odd_girth_inequality", 0)
                   + st.killed.get("trace_square", 0))
     assert len(calls) == exact_path == len(set(calls))
+    assert reports == calls
+    assert (st.killed["odd_girth_inequality"], st.survivors) == {
+        Fraction(-4, 5): (61, 10), None: (139, 283)}[ratio]
     assert st.survivors == len(res.reports) > 0
     assert all(rep.spectrum is not None for rep in res.reports.values())
+
+
+def test_search_warns_on_inconclusive_odd_girth(monkeypatch):
+    # a pass band no value can reach puts every odd-girth entry of O_5 in the
+    # guard band: the array survives, and the search says why it is unsure
+    monkeypatch.setattr(feasibility, "INEQ_PASS_TOL", -1e9)
+    res = enumerate_arrays(SearchSpec(4, 5, 5, "000+", (1, 2), Fraction(-3, 4)))
+    assert [format_array(a) for a in res.survivors] == ["{5,4,4,3;1,1,2,2}"]
+    assert res.stats.warnings == ["{5,4,4,3;1,1,2,2}: odd-girth inequality inconclusive"]
+
+
+def test_search_raises_when_a_spectrum_fails(monkeypatch):
+    # a report without a spectrum stops the search; it never counts as a kill
+    def broken(arr):
+        raise SpectralError("no spectrum")
+
+    monkeypatch.setattr(feasibility, "spectrum", broken)
+    with pytest.raises(SpectralError, match="no spectrum"):
+        enumerate_arrays(SearchSpec(4, 5, 5, "000+", (1, 2), Fraction(-3, 4)))
 
 
 def test_survivors_pass_full_report(d4_result):
@@ -396,6 +432,21 @@ def test_classify_rejects_other_diameters():
 def test_disabling_a_check_creates_discrepancies():
     result = classify_diameter(4, disable_checks=("multiplicity_integrality",))
     assert result.discrepancies
+
+
+def test_classify_reports_unexpected_and_missing_arrays(monkeypatch):
+    # expect the Coxeter array in place of O_5: O_5 is then unexpected and
+    # the Coxeter array, outside the main space, is missing
+    monkeypatch.setitem(search._EXPECTED_MAIN, 4, (
+        ("{3,2,2,1;1,1,1,2}", "Coxeter graph"), ("{9,8,7,6;1,2,3,4}", "folded 9-cube")))
+    assert classify_diameter(4).discrepancies == (
+        "main stage: unexpected survivor {5,4,4,3;1,1,2,2}",
+        "main stage: missing {3,2,2,1;1,1,1,2}")
+
+
+def test_classify_rejects_unknown_disabled_checks():
+    with pytest.raises(SearchSpecError, match="unknown checks"):
+        classify_diameter(4, disable_checks=("trace_squar",))
 
 
 def test_default_spec():

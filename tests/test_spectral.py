@@ -8,12 +8,13 @@ from mpmath import mp
 
 from drgf import oracle, spectral
 from drgf.core import parse_array
+from drgf.feasibility import PASS, check_trace_square
 from drgf.spectral import (abs_u_lower_bounds, as_mpf, eigenvalues,
                            eigenvalues_float, implied_last_c_lower,
                            intersection_matrix, multiplicity,
                            multiplicities_float, multiplicity_upper_bound, spectrum,
                            standard_sequence, sturm_count_leq,
-                           trace_of_l_squared, trace_square_check)
+                           trace_of_l_squared)
 
 CORPUS = ["{2;1}", "{2,1;1,1}", "{3,2;1,1}", "{2,1,1,1;1,1,1,1}",
           "{3,2,2,1;1,1,1,2}", "{5,4,4,3;1,1,2,2}", "{9,8,7,6;1,2,3,4}",
@@ -249,7 +250,7 @@ def test_trace_of_l_squared():
 def test_trace_square_check_true_at_theta_min():
     for text in CORPUS:
         arr = parse_array(text)
-        assert trace_square_check(arr, eigenvalues(arr)[-1]).verdict, text
+        assert check_trace_square(arr, eigenvalues(arr)[-1]).verdict == PASS, text
 
 
 def test_implied_last_c_lower_anchor_values():
