@@ -74,19 +74,20 @@ def _entry(name, verdict, **witness) -> CheckEntry:
 def check_monotonicity_and_integrality(arr: IntersectionArray,
                                        spec: Spectrum | None = None) -> list[CheckEntry]:
     """The four classical conditions: monotone c, monotone b, integral k_i and m_i."""
-    out = []
-    c_ok = all(x <= y for x, y in zip(arr.c, arr.c[1:]))
-    out.append(_entry("c_nondecreasing", PASS if c_ok else FAIL, c=str(list(arr.c))))
-    b_ok = all(x >= y for x, y in zip(arr.b, arr.b[1:]))
-    out.append(_entry("b_nonincreasing", PASS if b_ok else FAIL, b=str(list(arr.b))))
-    out.append(_entry("k_integrality", PASS if arr.k_integral else FAIL,
-                      kseq=str([str(x) for x in arr.kseq])))
     if spec is None:
         spec = spectrum(arr)
-    out.append(_entry("multiplicity_integrality",
-                      PASS if spec.multiplicities_integral else FAIL,
-                      mults=str([num_str(m) for m in spec.mults_raw])))
-    return out
+    return _structure_checks(arr) + [_entry(
+        "multiplicity_integrality", PASS if spec.multiplicities_integral else FAIL,
+        mults=str([num_str(m) for m in spec.mults_raw]))]
+
+
+def _structure_checks(arr: IntersectionArray) -> list[CheckEntry]:
+    c_ok = all(x <= y for x, y in zip(arr.c, arr.c[1:]))
+    b_ok = all(x >= y for x, y in zip(arr.b, arr.b[1:]))
+    return [_entry("c_nondecreasing", PASS if c_ok else FAIL, c=str(list(arr.c))),
+            _entry("b_nonincreasing", PASS if b_ok else FAIL, b=str(list(arr.b))),
+            _entry("k_integrality", PASS if arr.k_integral else FAIL,
+                   kseq=str([str(x) for x in arr.kseq]))]
 
 
 def check_a1_zero(arr: IntersectionArray, theta_min) -> CheckEntry:
@@ -223,10 +224,10 @@ def full_report(arr: IntersectionArray,
     checks: list[CheckEntry] = []
     try:
         spec = spectrum(arr)
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # defensive: no spectrum decides no multiplicity
         checks.append(_entry("spectrum", INCONCLUSIVE, error=str(exc)))
-        checks.extend(check_monotonicity_and_integrality(
-            arr, Spectrum((), (), (), (), arr.v)))
+        checks.extend(_structure_checks(arr))
+        checks.append(_entry("multiplicity_integrality", INCONCLUSIVE, reason="no spectrum"))
         return FeasibilityReport(arr, tuple(checks))
     tmin = spec.theta_min
     checks.extend(check_monotonicity_and_integrality(arr, spec))

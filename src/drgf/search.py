@@ -255,14 +255,26 @@ class _KSpace:
         phi_level at cut = p/q (times q^level), their last nonzero sign and
         the number of sign changes."""
         k, D, p, q = self.k, self.spec.D, self._p, self._q
-        for c, a, b in self.choices(level, c_prev, b_prev):
+        check_k = level >= 2 and self._k_integral
+        if level == D >= 3 and check_k:
+            # a leaf: keep the c that divide k_{D-1} b_{D-1}, count the rest
+            # as one kill (each leaf kill is one array)
+            kind, kb = self.spec.a_pattern[-1], k_here * b_prev
+            cs_all = range(k if kind == ZERO else c_prev, k + (kind != NONZERO))
+            options = [(c, k - c, 0) for c in cs_all if kb % c == 0]
+            if len(options) < len(cs_all):
+                self.stats.kill("k_integrality", len(cs_all) - len(options))
+            check_k = False
+        else:
+            options = self.choices(level, c_prev, b_prev)
+        for c, a, b in options:
             if level == 1 and self._a1_prune and a != 0:
                 self.stats.kill("a1_zero", self._count(level + 1, c, b))
                 continue
             if level == 2 and self._c2_cap is not None and c > self._c2_cap:
                 self.stats.kill("c2_bound", self._count(level + 1, c, b))
                 continue
-            if level >= 2 and self._k_integral and (k_here * b_prev) % c != 0:
+            if check_k and (k_here * b_prev) % c != 0:
                 self.stats.kill("k_integrality", self._count(level + 1, c, b))
                 continue
             # phi_{l+1} = (p - a_l q) phi_l - b_{l-1} c_l q^2 phi_{l-1}

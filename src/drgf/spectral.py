@@ -21,15 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import logging
 
 import numpy as np
 from mpmath import mp
 
 from .core import IntersectionArray
 from .precision import workdps, working_dps
-
-log = logging.getLogger(__name__)
 
 Exact = (int, Fraction)
 
@@ -433,57 +430,63 @@ def multiplicity_upper_bound(arr: IntersectionArray, seq: StandardSequence, j: i
     return max(terms)
 
 
-def _worst_quotient(A, B, K, c_lo, c_hi, minimize: bool):
-    """Extremum of (A - cB)/(K - c) over c in [c_lo, c_hi] (monotone in c)."""
-    vals = [(A - c * B) / (K - c) for c in (c_lo, c_hi)]
-    return min(vals) if minimize else max(vals)
+def abs_u_lower_bounds(k_min: int, theta_ratio_range, c_upper) -> list[Fraction]:
+    """Lower bounds lo_0, ..., lo_m for |u_0(theta)|, ..., |u_m(theta)|,
+    m = len(c_upper) + 1 <= 4, valid at once over the region
 
+        k >= k_min,  r = |theta|/k in [r_lo, r_hi] inside (1/2, 1],
+        a_1 = ... = a_{m-1} = 0,  c_1 = 1,  1 <= c_i <= C_i (1 < i < m),
 
-def abs_u_lower_bounds(k_min: int, theta_ratio_range, c_upper, a=None,
-                       grid: int = 1024, k_factors=(2, 4, 8, 16)):
-    """Worst-case lower bounds for |u_0|, ..., |u_m| over an admissible region.
+    where each C_i = c_upper[i-1] is either fixed (c_2 <= 2 at every k) or
+    scales with the valency (c_3 <= gamma k, passed as C_3 = gamma k_min).
+    It is one exact evaluation of the chain at (k_min, r_lo):
 
-    Parameters: k >= k_min, |theta|/k in theta_ratio_range (inside (1/2, 1]),
-    c_i <= c_upper[i-1] (with c_i >= 1), and fixed a_i (defaults to all zero,
-    the regime below the odd girth).  |u_1| = |theta|/k enters exactly; each
-    subsequent bound chains the recurrence inequality
-        |u_{i+1}| >= (|theta - a_i| |u_i| - c_i |u_{i-1}|) / b_i
-    propagating lower and upper bounds jointly (both are exact where the c_i
-    are pinned, e.g. c_1 = 1).  Minimised over a rational grid of the ratio
-    range at k = k_min; monotone growth in k is probed at k_min * k_factors
-    and a warning is logged if it fails.  Negative bounds collapse to 0 (no
-    information).
+        lo_0 = 1,  lo_1 = r,  lo_{i+1} = max(0, (r k lo_i - C_i lo_{i-1}) / (k - C_i)).
+
+    Outside that domain (c_upper not starting with 1, some C_i outside
+    [1, k_min), or m > 4, where a step would need an upper bound on |u_3|)
+    it raises ValueError.
+
+    Ratios.  While lo_1, ..., lo_i > 0, rho_j = lo_j / lo_{j-1} obeys
+    rho_1 = r and rho_{j+1} = G(rho_j, r, t_j), with t_j = C_j / (k - C_j)
+    >= 0 and G(rho, r, t) = r - t (1/rho - r).  By induction 0 < rho_j <= r
+    <= 1, as 1/rho_j >= 1 >= r.  Once some lo_i is 0 every later one is 0,
+    its numerator being -C_i lo_{i-1} <= 0.
+
+    Validity at one (k, r).  b_i = k - c_i and b_i u_{i+1} = theta u_i -
+    c_i u_{i-1} give |u_{i+1}| >= (r k |u_i| - c_i |u_{i-1}|) / (k - c_i).
+    u_0 = 1, |u_1| = r and (c_1 = 1) |u_2| = |r^2 k - 1| / (k - 1) are
+    exact, the last equal to lo_2 when lo_2 > 0.  So for i <= 3 with
+    lo_i > 0 the step holds with |u_{i-1}| = lo_{i-1} and |u_i| >= lo_i, and
+    its right side is lo_{i-1} rho G(rho, r, c_i/(k - c_i)) at rho = lo_i /
+    lo_{i-1} in (0, r]: nonincreasing in c_i, so c_i = C_i is the worst case
+    and |u_{i+1}| >= lo_{i+1}.
+
+    Monotonicity.  G increases in rho > 0 and in r (dG/dr = 1 + t), and does
+    not increase in t, as 1/rho - r >= 0.  A fixed C_j makes t_j decrease in
+    k; a scaling one, C_j = gamma_j k, makes it gamma_j / (1 - gamma_j),
+    constant.  Take r_lo <= r <= r' <= 1 and k_min <= k <= k', primes
+    marking values at (k', r'), with lo_1, ..., lo_i > 0 at (k, r).  By
+    induction on j, rho'_j >= rho_j > 0:
+
+        rho'_{j+1} = G(rho'_j, r', t'_j) >= G(rho_j, r', t'_j)
+                   >= G(rho_j, r', t_j) >= G(rho_j, r, t_j) = rho_{j+1},
+
+    the middle step by t'_j <= t_j and 1/rho_j - r' >= 0.  So lo'_i >= lo_i
+    (trivially where lo_i = 0): every lo_i is nondecreasing in r on (1/2, 1]
+    and in k >= k_min, for fixed and scaling bounds alike, and its value at
+    (k_min, r_lo) bounds |u_i| over the whole region.
     """
-    m = len(c_upper) + 1
-    if a is None:
-        a = [0] * (m - 1)
-    r_lo, r_hi = (Fraction(x) for x in theta_ratio_range)
-    if not (Fraction(1, 2) < r_lo <= r_hi <= 1):
+    r, r_hi = (Fraction(x) for x in theta_ratio_range)
+    cs = [Fraction(c) for c in c_upper]
+    if not Fraction(1, 2) < r <= r_hi <= 1:
         raise ValueError("theta ratio range must lie in (1/2, 1]")
-
-    def chain(k: int, r: Fraction):
-        lo = [Fraction(1), r]
-        hi = [Fraction(1), r]
-        for i in range(1, m):
-            A_lo, A_hi = r * k * lo[i], r * k * hi[i]
-            K = k - a[i - 1]
-            c_lo, c_hi = Fraction(1), Fraction(c_upper[i - 1])
-            step_lo = _worst_quotient(A_lo, hi[i - 1], K, c_lo, c_hi, minimize=True)
-            step_hi = _worst_quotient(A_hi, lo[i - 1], K, c_lo, c_hi, minimize=False)
-            lo.append(max(Fraction(0), step_lo))
-            hi.append(max(Fraction(0), step_hi))
-        return lo
-
-    best = None
-    for i in range(grid):
-        r = r_lo + (r_hi - r_lo) * i / (grid - 1) if grid > 1 else r_lo
-        lo = chain(k_min, r)
-        best = lo if best is None else [min(x, y) for x, y in zip(best, lo)]
-    for f in k_factors:
-        probe = chain(f * k_min, r_lo)
-        if any(p < b for p, b in zip(probe, best)):
-            log.warning("abs_u_lower_bounds: chain not monotone in k at k=%d", f * k_min)
-    return best
+    if not (1 <= len(cs) <= 3 and cs[0] == 1 and all(1 <= c < k_min for c in cs)):
+        raise ValueError("c_upper must be (1, C_2[, C_3]) with every 1 <= C_i < k_min")
+    lows = [Fraction(1), r]
+    for c in cs:
+        lows.append(max(Fraction(0), (r * k_min * lows[-1] - c * lows[-2]) / (k_min - c)))
+    return lows
 
 
 def trace_of_l_squared(arr: IntersectionArray) -> int:

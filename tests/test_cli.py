@@ -35,6 +35,19 @@ def test_check_inconclusive_exit3(monkeypatch, capsys):
     assert "overall: inconclusive" in capsys.readouterr().out
 
 
+def test_check_without_a_spectrum_exit3(monkeypatch, capsys):
+    from drgf import cli, feasibility
+    from drgf.spectral import SpectralError
+
+    def broken(arr):
+        raise SpectralError("no spectrum")
+
+    monkeypatch.setattr(feasibility, "spectrum", broken)
+    assert cli.main(["check", "{9,8,7,6;1,2,3,4}"]) == cli.EXIT_INCONCLUSIVE
+    out = capsys.readouterr().out
+    assert "overall: inconclusive" in out and " fail" not in out
+
+
 def test_check_decides_spectrum_with_zero_eigenvalue():
     r = run_cli("check", "--json", "{6,5,5,4,2;1,1,2,2,3}")
     assert r.returncode == 1
@@ -142,6 +155,15 @@ def test_theorem2_d4_matches_fixture():
     r = run_cli("theorem2", "--diameter", "4")
     assert r.returncode == 0
     assert r.stdout == (FIXTURES / "theorem2_d4.txt").read_text()
+
+
+def test_theorem2_writes_nothing_to_stderr():
+    # no warning path is left: a logging warning would reach stderr through
+    # Python's last-resort handler
+    for d in ("4", "5"):
+        r = run_cli("theorem2", "--diameter", d)
+        assert r.returncode == 0
+        assert r.stderr == ""
 
 
 def test_theorem2_bad_diameter_exit2():

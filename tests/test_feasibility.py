@@ -11,7 +11,7 @@ from drgf.feasibility import (FAIL, INCONCLUSIVE, NA, PASS, CheckEntry,
                               check_odd_girth_inequality, check_sum_rules,
                               check_theta_ratio, check_trace_square,
                               full_report, p_polynomials)
-from drgf.spectral import eigenvalues, spectrum
+from drgf.spectral import SpectralError, eigenvalues, spectrum
 
 WITNESSES = ["{2,1,1,1;1,1,1,1}", "{3,2,2,1;1,1,1,2}", "{5,4,4,3;1,1,2,2}",
              "{9,8,7,6;1,2,3,4}", "{2,1,1,1,1;1,1,1,1,1}",
@@ -205,6 +205,21 @@ def test_forced_inconclusive_report_is_not_pass(monkeypatch):
     assert any(e.verdict == INCONCLUSIVE for e in rep.checks)
     assert rep.overall == INCONCLUSIVE
     assert rep.to_json_dict()["overall"] == INCONCLUSIVE
+
+
+def test_full_report_without_a_spectrum_is_inconclusive(monkeypatch):
+    # a spectrum that cannot be computed decides no multiplicity: the report
+    # must not fail an array that nothing has ruled out
+    def broken(arr):
+        raise SpectralError("no spectrum")
+
+    monkeypatch.setattr(feasibility, "spectrum", broken)
+    rep = full_report(parse_array("{9,8,7,6;1,2,3,4}"))
+    verdicts = {e.name: e.verdict for e in rep.checks}
+    assert rep.spectrum is None
+    assert verdicts["spectrum"] == verdicts["multiplicity_integrality"] == INCONCLUSIVE
+    assert rep.failing == []
+    assert rep.overall == INCONCLUSIVE
 
 
 def test_full_report_with_ratio_entry():

@@ -241,6 +241,75 @@ def test_abs_u_chain_never_exceeds_true_values():
             assert as_mpf(lo) <= abs(as_mpf(u)) + mp.mpf("1e-25")
 
 
+def _two_sided_chain(k, r, c_upper):
+    """The chain as the grid-era code ran it: lower and upper bounds carried
+    jointly, each c_i step taking the worse of both endpoints c = 1, C_i."""
+    lo, hi = [Fraction(1), Fraction(r)], [Fraction(1), Fraction(r)]
+    for i, C in enumerate(c_upper, start=1):
+        def step(A, B):
+            return [(A - c * B) / (k - c) for c in (1, C)]
+        lo.append(max(Fraction(0), min(step(r * k * lo[i], hi[i - 1]))))
+        hi.append(max(Fraction(0), max(step(r * k * hi[i], lo[i - 1]))))
+    return lo
+
+
+CAP_CHAINS = [(36, Fraction(3, 4), [1, 2]), (24, Fraction(4, 5), [1, 2]),
+              (71, Fraction(4, 5), [1, 2]),
+              (71, Fraction(4, 5), [1, 2, Fraction(2166, 10**4) * 71])]
+
+
+@pytest.mark.parametrize("k_min, r_lo, c_upper", CAP_CHAINS)
+def test_abs_u_chain_equals_the_grid_minimum(k_min, r_lo, c_upper):
+    # the four valency_cap calls: one evaluation at (k_min, r_lo) gives what
+    # the 1024-point ratio grid at k_min and the probes at k_min * {2, .., 16}
+    # gave, to the same Fraction
+    grid = [r_lo + (1 - r_lo) * i / 1023 for i in range(1024)]
+    points = [(k_min, r) for r in grid] + [(f * k_min, r_lo) for f in (2, 4, 8, 16)]
+    chains = [_two_sided_chain(k, r, c_upper) for k, r in points]
+    oracle = [min(column) for column in zip(*chains)]
+    assert abs_u_lower_bounds(k_min, (r_lo, 1), c_upper) == oracle
+
+
+def test_abs_u_chain_bounds_the_chain_over_its_region():
+    # the one evaluation is at most the chain anywhere in the proven region,
+    # with c_3 <= C read as a fixed bound and as one scaling like gamma k
+    rng = random.Random(20261018)
+    for _ in range(40):
+        k_min = rng.randint(6, 80)
+        r_lo = Fraction(rng.randint(51, 100), 100)
+        c2 = rng.randint(1, 2)
+        c_upper = [1, c2, Fraction(rng.randint(100 * c2, 100 * (k_min - 1)), 100)]
+        del c_upper[rng.randint(2, 4):]  # a third of the chains stop at u_3
+        lows = abs_u_lower_bounds(k_min, (r_lo, 1), c_upper)
+
+        def rand_k():
+            return rng.randint(k_min, 3 * k_min)
+
+        def rand_r():
+            return r_lo + (1 - r_lo) * Fraction(rng.randint(0, 1000), 1000)
+
+        for k, r in ((k_min, rand_r()), (rand_k(), r_lo), (rand_k(), rand_r())):
+            scaled = c_upper[:2] + [c * k / k_min for c in c_upper[2:]]
+            for cs in (c_upper, scaled):
+                for lo, chain in zip(lows, _two_sided_chain(k, r, cs)):
+                    assert lo <= chain, (k_min, r_lo, c_upper, k, r, cs)
+
+
+@pytest.mark.parametrize("ratio_range, c_upper", [
+    ((Fraction(1, 2), 1), [1, 2]),                # r_lo not above 1/2
+    ((Fraction(3, 4), Fraction(5, 4)), [1, 2]),   # r_hi above 1
+    ((Fraction(9, 10), Fraction(4, 5)), [1, 2]),  # empty range
+    ((Fraction(3, 4), 1), [2, 2]),                # c_1 is 1
+    ((Fraction(3, 4), 1), [1, Fraction(1, 2)]),   # c_2 >= 1
+    ((Fraction(3, 4), 1), [1, 2, 36]),            # c_3 < k_min
+    ((Fraction(3, 4), 1), [1, 2, 3, 4]),          # u_5 needs an upper |u_3|
+    ((Fraction(3, 4), 1), []),
+])
+def test_abs_u_chain_raises_outside_its_proven_domain(ratio_range, c_upper):
+    with pytest.raises(ValueError):
+        abs_u_lower_bounds(36, ratio_range, c_upper)
+
+
 def test_trace_of_l_squared():
     arr = parse_array("{9,8,7,6;1,2,3,4}")
     # sum a_i^2 + 2 sum b_i c_{i+1} equals sum of eigenvalue squares
