@@ -25,7 +25,7 @@ from mpmath import mp
 
 from .feasibility import p_polynomials
 from .precision import workdps
-from .spectral import as_mpf, mp_horner
+from .spectral import as_mpf, refine_root
 
 MODE_GENERAL = "general"
 MODE_SHARP_G5 = "sharp-g5"
@@ -118,41 +118,16 @@ def _shifted_poly_coeffs(g: int, zeta, mode: str):
 
 
 def _leftmost_root(coeffs) -> mp.mpf | None:
-    """Smallest root of sum coeffs[i] y^i in (-1, 0): leftmost sign change on
-    a 4096-point grid, then bisection and Newton polish."""
+    """Smallest root of sum coeffs[i] y^i in (-1, 0): the first cell of a
+    4096-point grid with a sign change or a zero at its right end, refined
+    by refine_root."""
     fl = np.array([float(c) for c in coeffs])
     ys = np.linspace(-1.0, 0.0, _GRID + 1)
-    vals = np.polynomial.polynomial.polyval(ys, fl)
-    sign = np.sign(vals)
-    # first cell with a strict sign change or a zero at its right end
+    sign = np.sign(np.polynomial.polynomial.polyval(ys, fl))
     hits = np.flatnonzero((sign[:-1] * sign[1:] < 0) | (sign[1:] == 0))
     if not hits.size:
         return None
-    idx = hits[0]
-    a, b = mp.mpf(ys[idx]), mp.mpf(ys[idx + 1])
-    sa = mp.sign(mp_horner(coeffs, a))
-    for _ in range(80):
-        m = (a + b) / 2
-        if mp.sign(mp_horner(coeffs, m)) == sa:
-            a = m
-        else:
-            b = m
-        if b - a < mp.mpf("1e-12"):
-            break
-    root = (a + b) / 2
-    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-    for _ in range(60):
-        d = mp_horner(dcoeffs, root)
-        if d == 0:
-            break
-        step = mp_horner(coeffs, root) / d
-        nxt = root - step
-        if not (a - (b - a) <= nxt <= b + (b - a)):
-            break
-        root = nxt
-        if abs(step) < mp.mpf(10) ** (-(mp.dps - 5)):
-            break
-    return root
+    return refine_root(coeffs, ys[hits[0]], ys[hits[0] + 1])
 
 
 @dataclass(frozen=True)

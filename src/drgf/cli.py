@@ -80,6 +80,8 @@ def _spec_from_args(args) -> search.SearchSpec:
             return search.SearchSpec.from_json_dict(json.load(fh))
     if args.diameter is None:
         raise search.SearchSpecError("need --spec FILE or --diameter D")
+    if args.diameter < 1:
+        raise search.SearchSpecError("D must be >= 1")
     if args.k_min is None and args.k_max is None and args.a_pattern is None \
             and args.theta_ratio is None and args.c2 is None:
         return search.default_spec(args.diameter)
@@ -99,7 +101,8 @@ def _spec_from_args(args) -> search.SearchSpec:
 def cmd_enumerate(args) -> int:
     try:
         spec = _spec_from_args(args)
-    except (search.SearchSpecError, OSError, json.JSONDecodeError) as exc:
+    except (search.SearchSpecError, search.CapDerivationError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     result = search.enumerate_arrays(spec, jobs=args.jobs)

@@ -12,9 +12,6 @@ from functools import cached_property
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from .core import IntersectionArray
 
@@ -61,6 +58,7 @@ class Graph:
     @cached_property
     def distances(self) -> np.ndarray:
         """All-pairs BFS distance matrix (inf marks disconnection)."""
+        import scipy.sparse.csgraph  # here, so only the graph oracles load scipy
         sp = scipy.sparse.csr_matrix(self.adjacency)
         return scipy.sparse.csgraph.shortest_path(sp, method="D", unweighted=True)
 
@@ -184,6 +182,7 @@ def spectrum_bruteforce(g: Graph, tol: float = 1e-7):
     """
     if g.n > 4096:
         raise OracleError("graph too large for the dense oracle")
+    import scipy.linalg
     w = scipy.linalg.eigvalsh(g.adjacency)[::-1]
     values, mults = [], []
     for x in w:

@@ -36,10 +36,10 @@ import numpy as np
 from mpmath import mp
 
 from .core import IntersectionArray, format_array, parse_array
-from .feasibility import FAIL, INCONCLUSIVE, c2_upper_bound, full_report
+from .feasibility import FAIL, INCONCLUSIVE, c2_upper_bound, full_report, p_polynomials
 from .precision import workdps
-from .spectral import (SpectralError, _poly_eval_frac, abs_u_lower_bounds, as_mpf,
-                       implied_last_c_lower, multiplicities_float,
+from .spectral import (SpectralError, _poly_eval_frac, _sign_changes, abs_u_lower_bounds,
+                       as_mpf, implied_last_c_lower, minor_polys, multiplicities_float,
                        spectrum)  # not called here; perfbench's tracer test rebinds it
 
 ZERO, NONZERO, FREE = "0", "+", "*"
@@ -202,20 +202,12 @@ class _KSpace:
         """(c, a, b) options at a level, before pruning checks."""
         k, D = self.k, self.spec.D
         kind = self.spec.a_pattern[level - 1]
-        if level == D:
-            for c in range(c_prev, k + 1):
-                if level == 2 and c not in self.spec.c2_set:
-                    continue
-                a = k - c
-                if kind == ZERO and a != 0:
-                    continue
-                if kind == NONZERO and a == 0:
-                    continue
-                yield c, a, 0
-            return
-        cs = (1,) if level == 1 else range(c_prev, k)
+        cs = (1,) if level == 1 else range(c_prev, k + (level == D))
         if level == 2:
             cs = [c for c in cs if c in self.spec.c2_set]
+        if level == D:  # a leaf: b_D = 0, and a_D = 0 exactly when c = k
+            yield from ((c, k - c, 0) for c in cs if kind == FREE or (kind == ZERO) == (c == k))
+            return
         for c in cs:
             a_lo = 1 if kind == NONZERO else 0
             a_lo = max(a_lo, k - c - b_prev)
@@ -357,20 +349,16 @@ def pentagon_exclusion_cap(theta_ratio: Fraction):
 
 def _eta_poly(k: int, p_values, cs) -> list:
     """Coefficients (low to high) of F(theta) = B_t sum_{i<=t} p_i u_i(theta),
-    a_i = 0 below t, cs = (c_1, ..., c_{t-1}).  w_i = B_i u_i with B_i = k
-    prod_{j<i} (k - c_j) > 0 obeys w_{i+1} = theta w_i - c_i b_{i-1} w_{i-1}
-    (b_0 = k), so F is an integer polynomial with the sign of the sum."""
-    F, w_prev, w, b_prev = [k * p_values[0], p_values[1]], [1], [0, 1], k
-    for c, p in zip(cs, p_values[2:]):
-        nxt = [x - c * b_prev * y for x, y in zip([0] + w, w_prev + [0, 0])]
-        F = [(k - c) * f + p * x for f, x in zip(F + [0], nxt)]
-        w_prev, w, b_prev = w, nxt, k - c
+    a_i = 0 below t, cs = (c_1, ..., c_{t-1}).  With b_0 = k, b_i = k - c_i
+    and B_i = b_0 ... b_{i-1} > 0, B_i u_i is the minor P_i of the partial
+    array, so F = sum p_i (b_i ... b_{t-1}) P_i is an integer polynomial with
+    the sign of the sum."""
+    bs = [k] + [k - c for c in cs]  # b_0, ..., b_{t-1}
+    minors = minor_polys([0] * len(bs), [b * c for b, c in zip(bs, cs)])
+    F = []
+    for p, P, b in zip(p_values, minors, [1] + bs):
+        F = [b * f + p * x for f, x in zip(F + [0], P)]
     return F
-
-
-def _sign_changes(values) -> int:
-    signs = [v > 0 for v in values if v != 0]
-    return sum(s != r for s, r in zip(signs, signs[1:]))
 
 
 def _has_positive_root(G) -> bool:
@@ -513,7 +501,7 @@ def valency_cap(D: int, theta_ratio: Fraction | None = None, c2_max: int = 2,
 
         if D == 5 and branch == "a4":
             anchor = 24
-            split = eta_exclusion_cap(4, (1, -1, -1, 2, -1), theta_ratio,
+            split = eta_exclusion_cap(4, p_polynomials(4, -1), theta_ratio,
                                       tuple(range(1, c2_max + 1)),
                                       c3_ratio_cap=Fraction(3750, 10000))
             steps.append(CapStep("low_c3_cap", split, Fraction(split)))
@@ -653,7 +641,7 @@ def classify_diameter(D: int, jobs: int = 1,
 
     lines, stats = [], None
     for c2 in (1, 2):
-        cap3 = eta_exclusion_cap(3, (1, 2, 2, 2), ratio, (c2,))
+        cap3 = eta_exclusion_cap(3, p_polynomials(3, 2), ratio, (c2,))
         lines.append(f"eta = 2 inequality forces k <= {cap3} when c_2 = {c2}")
         if cap3 is not None and cap3 >= 5:
             res = enumerate_stage("a3", lines, cap3, ZERO * 2 + NONZERO + FREE * (D - 3), (c2,))

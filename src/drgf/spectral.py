@@ -9,8 +9,9 @@ as possible:
   extracted by exact divisor tests and get exact standard sequences and
   multiplicities;
 * irrational eigenvalues are isolated by exact Sturm counts on the minor
-  sequence and only then polished with mpmath Newton iteration, keeping a
-  certified rational enclosure from the exact phase.
+  sequence and only then refined by refine_root, a safeguarded mpmath
+  Newton iteration, keeping a certified rational enclosure from the exact
+  phase.
 
 Eigenvalue counting uses the classical fact that for a Jacobi matrix the
 leading principal minors det(xI - L_i) form a Sturm sequence: with zero values
@@ -65,21 +66,23 @@ def intersection_matrix(arr: IntersectionArray) -> np.ndarray:
     return L
 
 
+def minor_polys(a, w) -> list[list[int]]:
+    """Leading principal minors P_0, ..., P_n of xI - L for the Jacobi matrix L
+    with diagonal a_0..a_{n-1} and off-diagonal products w = (w_1, ...,
+    w_{n-1}), w_i = b_{i-1} c_i, as coefficient lists (low to high degree):
+
+        P_0 = 1,  P_1 = x - a_0,  P_{i+1} = (x - a_i) P_i - w_i P_{i-1}  [BCN 4.1].
+    """
+    P = [[1], [-a[0], 1]]
+    for ai, wi in zip(a[1:], w):
+        P.append([x - ai * y - wi * z
+                  for x, y, z in zip([0] + P[-1], P[-1] + [0], P[-2] + [0, 0])])
+    return P
+
+
 def charpoly(arr: IntersectionArray) -> list[int]:
     """Coefficients (low to high degree) of det(xI - L), exact integers."""
-    a = arr.a
-    prev = [1]
-    cur = [-a[0], 1]
-    for i in range(2, arr.D + 2):
-        w = arr.b[i - 2] * arr.c[i - 2]  # b_{i-2} * c_{i-1}
-        nxt = [0] * (len(cur) + 1)
-        for j, coef in enumerate(cur):
-            nxt[j + 1] += coef
-            nxt[j] -= a[i - 1] * coef
-        for j, coef in enumerate(prev):
-            nxt[j] -= w * coef
-        prev, cur = cur, nxt
-    return cur
+    return minor_polys(arr.a, [b * c for b, c in zip(arr.b, arr.c)])[-1]
 
 
 def _poly_eval_frac(coeffs: list[int], x: Fraction) -> int:
@@ -93,22 +96,17 @@ def _poly_eval_frac(coeffs: list[int], x: Fraction) -> int:
     return acc
 
 
+def _sign_changes(values) -> int:
+    """Sign changes along values, zeros skipped."""
+    signs = [v > 0 for v in values if v != 0]
+    return sum(s != r for s, r in zip(signs, signs[1:]))
+
+
 def sturm_count_leq(arr: IntersectionArray, x: Fraction) -> int:
     """Exact number of eigenvalues of L that are <= x."""
     x = Fraction(x)
-    p, q = x.numerator, x.denominator
-    a = arr.a
-    phi_prev, phi = 1, p - a[0] * q
-    signs = [1]
-    if phi != 0:
-        signs.append(1 if phi > 0 else -1)
-    for i in range(2, arr.D + 2):
-        w = arr.b[i - 2] * arr.c[i - 2] * q * q
-        phi_prev, phi = phi, (p - a[i - 1] * q) * phi - w * phi_prev
-        if phi != 0:
-            signs.append(1 if phi > 0 else -1)
-    changes = sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-    return (arr.D + 1) - changes
+    minors = minor_polys(arr.a, [b * c for b, c in zip(arr.b, arr.c)])
+    return arr.D + 1 - _sign_changes(_poly_eval_frac(P, x) for P in minors)
 
 
 def _integer_roots(coeffs: list[int], k: int) -> list[int]:
@@ -140,11 +138,6 @@ def _deflate(coeffs: list[int], root: int) -> list[int]:
     if rem != 0:
         raise SpectralError(f"{root} is not a root")
     return list(reversed(quot))
-
-
-def _poly_sign(coeffs: list[int], x: Fraction) -> int:
-    val = _poly_eval_frac(coeffs, x)
-    return (val > 0) - (val < 0)
 
 
 def _isolate_irrational(arr: IntersectionArray, q: list[int], int_roots: list[int]):
@@ -180,14 +173,10 @@ def _isolate_irrational(arr: IntersectionArray, q: list[int], int_roots: list[in
 
     refined = []
     for a, b in sorted(done):
-        sa = _poly_sign(q, a)
+        sa = _poly_eval_frac(q, a) > 0  # q has no rational root
         while b - a > Fraction(1, 2 ** _ISOLATE_BITS):
             m = (a + b) / 2
-            sm = _poly_sign(q, m)
-            if sm == 0:  # cannot happen for irrational roots
-                a = b = m
-                break
-            if sm == sa:
+            if (_poly_eval_frac(q, m) > 0) == sa:
                 a = m
             else:
                 b = m
@@ -203,28 +192,35 @@ def mp_horner(coeffs, y):
     return acc
 
 
-def _newton_polish(q: list[int], lo: Fraction, hi: Fraction):
-    """mpmath Newton iteration for the single root of q inside (lo, hi)."""
-    dq = [i * c for i, c in enumerate(q)][1:]
+def refine_root(coeffs, lo, hi):
+    """The root of sum coeffs[i] y^i (low to high degree) in [lo, hi], where
+    the polynomial has one root and changes sign or vanishes at an end.
+
+    Safeguarded Newton from the midpoint at working precision: the sign at
+    each iterate shrinks the bracket, a Newton step that leaves the bracket
+    becomes a bisection step, and a step below 10^-(dps-5) max(1, |y|) ends
+    the iteration.
+    """
+    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
     a, b = as_mpf(lo), as_mpf(hi)
+    sa, sb = (mp.sign(mp_horner(coeffs, x)) for x in (a, b))
+    if sa * sb == 0:  # a root at an end
+        return b if sb == 0 else a
     y = (a + b) / 2
     tol = mp.mpf(10) ** (-(mp.dps - 5))
     for _ in range(200):
-        f = mp_horner(q, y)
-        d = mp_horner(dq, y)
-        if d == 0:
+        f = mp_horner(coeffs, y)
+        if f == 0:
             break
-        step = f / d
-        y2 = y - step
-        if not (a <= y2 <= b):
-            y2 = (a + b) / 2  # bisect on sign as fallback
-            if mp.sign(mp_horner(q, y2)) == mp.sign(mp_horner(q, a)):
-                a = y2
-            else:
-                b = y2
-            y = (a + b) / 2
-            continue
-        y = y2
+        if mp.sign(f) == sa:
+            a = y
+        else:
+            b = y
+        d = mp_horner(dcoeffs, y)
+        step = f / d if d else mp.inf
+        if not a <= y - step <= b:
+            step = y - (a + b) / 2
+        y -= step
         if abs(step) < tol * max(1, abs(y)):
             break
     return y
@@ -285,7 +281,7 @@ def _eigen_with_enclosures(arr: IntersectionArray):
         pairs = [(r, (Fraction(r), Fraction(r))) for r in ints]
         if len(q) > 1:
             for lo, hi in _isolate_irrational(arr, q, ints):
-                pairs.append((_newton_polish(q, lo, hi), (lo, hi)))
+                pairs.append((refine_root(q, lo, hi), (lo, hi)))
         pairs.sort(key=lambda p: p[0], reverse=True)
         roots = [p[0] for p in pairs]
         if len(roots) != arr.D + 1:

@@ -151,6 +151,22 @@ def test_enumerate_bad_c2_exit2():
     assert "error:" in r.stderr and "Traceback" not in r.stderr
 
 
+def test_enumerate_without_a_cap_pipeline_exit2():
+    # no valency cap exists for D = 3, and D = 0 has no ratio -(D-1)/D
+    for args in (("-d", "3"), ("-d", "0", "--k-max", "4"), ("-d", "0")):
+        r = run_cli("enumerate", *args)
+        assert r.returncode == 2, args
+        assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    # only verify's graph oracles need scipy; they import it themselves
+    code = ("import sys, drgf.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0 and r.stdout.strip() == "[]", r.stderr
+
+
 def test_theorem2_d4_matches_fixture():
     r = run_cli("theorem2", "--diameter", "4")
     assert r.returncode == 0

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -329,6 +330,40 @@ def test_eta_exclusion_feasible_sets_exact(args, expected):
     assert eta_exclusion_cap(*args) == max(expected)
 
 
+def _eta_poly_by_w_recurrence(k, p_values, cs):
+    """F by w_i = B_i u_i, w_{i+1} = theta w_i - c_i b_{i-1} w_{i-1} (b_0 = k),
+    with the B_i folded in step by step."""
+    F, w_prev, w, b_prev = [k * p_values[0], p_values[1]], [1], [0, 1], k
+    for c, p in zip(cs, p_values[2:]):
+        nxt = [x - c * b_prev * y for x, y in zip([0] + w, w_prev + [0, 0])]
+        F = [(k - c) * f + p * x for f, x in zip(F + [0], nxt)]
+        w_prev, w, b_prev = w, nxt, k - c
+    return F
+
+
+@pytest.mark.parametrize("args", [args for args, _feasible in ETA_CALLS])
+def test_eta_poly_matches_the_w_recurrence_on_the_cap_calls(args):
+    t, p_values, _ratio, c2_values = args[:4]
+    for k in range(3, 61):
+        for c2 in (c for c in c2_values if c < k):
+            for c3 in range(c2, k) if t == 4 else (c2,):
+                cs = (1, c2, c3)[:t - 1]
+                assert _eta_poly(k, p_values, cs) == _eta_poly_by_w_recurrence(
+                    k, p_values, cs), (k, cs)
+
+
+def test_eta_poly_matches_the_w_recurrence_on_random_inputs():
+    rng = random.Random(909)
+    for _ in range(300):
+        t, k = rng.randint(1, 7), rng.randint(2, 40)
+        cs = [1]
+        while len(cs) < t - 1:
+            cs.append(rng.randint(cs[-1], k - 1))
+        p_values = [rng.randint(-5, 5) for _ in range(t + 1)]
+        cs = tuple(cs[:t - 1])
+        assert _eta_poly(k, p_values, cs) == _eta_poly_by_w_recurrence(k, p_values, cs)
+
+
 @pytest.mark.parametrize("p_values, c3_cap", [
     ((1, -1, -1, 2, -1), Fraction(3750, 10000)),
     ((1, -1, -1, 2, -1), None),
@@ -374,6 +409,16 @@ def test_eta_cap_sees_a_peak_between_grid_nodes():
 ])
 def test_positive_root_decision(G, has_root):
     assert _has_positive_root(G) is has_root
+
+
+def test_diameter_one_spaces_hold_only_complete_graphs():
+    # level 1 is the leaf: c_1 = 1 only, so {k; 1} is the one array per k
+    res = enumerate_arrays(SearchSpec(1, 2, 6, "+", (1, 2), None))
+    assert [format_array(a) for a in res.survivors] == [f"{{{k};1}}" for k in range(2, 7)]
+    assert res.stats.generated == 5 and res.stats.consistent()
+    res = enumerate_arrays(SearchSpec(1, 2, 6, "*", (1, 2), Fraction(-1, 2)))
+    assert [format_array(a) for a in res.survivors] == ["{2;1}"]
+    assert res.stats.killed == {"trace_vs_ratio": 4} and res.stats.generated == 5
 
 
 def test_enumeration_without_integrality_passes_zero_eigenvalue():

@@ -4,17 +4,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from mpmath import mp
 
 from drgf import oracle, spectral
-from drgf.core import parse_array
+from drgf.core import IntersectionArray, parse_array
 from drgf.feasibility import PASS, check_trace_square
-from drgf.spectral import (abs_u_lower_bounds, as_mpf, eigenvalues,
+from drgf.precision import workdps
+from drgf.spectral import (abs_u_lower_bounds, as_mpf, charpoly, eigenvalues,
                            eigenvalues_float, implied_last_c_lower,
                            intersection_matrix, multiplicity,
-                           multiplicities_float, multiplicity_upper_bound, spectrum,
-                           standard_sequence, sturm_count_leq,
-                           trace_of_l_squared)
+                           multiplicities_float, multiplicity_upper_bound,
+                           refine_root, spectrum, standard_sequence,
+                           sturm_count_leq, trace_of_l_squared)
 
 CORPUS = ["{2;1}", "{2,1;1,1}", "{3,2;1,1}", "{2,1,1,1;1,1,1,1}",
           "{3,2,2,1;1,1,1,2}", "{5,4,4,3;1,1,2,2}", "{9,8,7,6;1,2,3,4}",
@@ -195,6 +197,72 @@ def test_sturm_count_boundary_exact():
     assert sturm_count_leq(arr, Fraction(-4)) == 1     # boundary hit exactly
     assert sturm_count_leq(arr, Fraction(-401, 100)) == 0
     assert sturm_count_leq(arr, Fraction(5)) == 5
+
+
+def _seeded_arrays(n=42, seed=4155):
+    """n arrays with D = 1..6 in turn, k in [2, 12], c non-decreasing and b
+    non-increasing; neither k_i nor the multiplicities need be integral."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        D, k = i % 6 + 1, rng.randint(2, 12)
+        c = [1]
+        while len(c) < D:  # c_i < k below the diameter keeps b_i >= 1
+            c.append(rng.randint(c[-1], k if len(c) == D - 1 else k - 1))
+        b = [k]
+        for j in range(1, D):
+            b.append(rng.randint(1, min(b[-1], k - c[j - 1])))
+        out.append(IntersectionArray(tuple(b), tuple(c)))
+    return out
+
+
+SEEDED = _seeded_arrays()
+
+
+@pytest.mark.parametrize("arr", SEEDED, ids=str)
+def test_charpoly_matches_sympy(arr):
+    x = sympy.Symbol("x")
+    M = sympy.Matrix(intersection_matrix(arr).tolist())
+    assert charpoly(arr) == [int(c) for c in reversed(M.charpoly(x).all_coeffs())]
+
+
+@pytest.mark.parametrize("arr", SEEDED, ids=str)
+def test_sturm_count_matches_numpy(arr):
+    # every integer in [-k-1, k+1], where minors and integer eigenvalues
+    # vanish, and seeded rationals with small denominators
+    theta = np.linalg.eigvals(intersection_matrix(arr).astype(float)).real
+    rng = random.Random(str(arr))
+    points = [Fraction(n) for n in range(-arr.k - 1, arr.k + 2)]
+    points += [Fraction(rng.randint(-9 * arr.k, 9 * arr.k), rng.randint(2, 9))
+               for _ in range(20)]
+    for x in points:
+        assert sturm_count_leq(arr, x) == int((theta <= float(x) + 1e-7).sum()), x
+
+
+def test_refine_root_when_newton_leaves_the_bracket():
+    # Newton on y^3 - 2y + 2 cycles 0 -> 1 -> 0; from the midpoint 0 of
+    # [-2, 2] the bracket shrinks to [-2, 0] and the step to 1 leaves it
+    coeffs = [2, -2, 0, 1]
+    with workdps():
+        root = refine_root(coeffs, Fraction(-2), Fraction(2))
+        exact = mp.findroot(lambda y: y ** 3 - 2 * y + 2, -1.77)
+        assert abs(root - exact) < mp.mpf(10) ** -45
+
+
+def test_refine_root_at_a_bracket_end():
+    # Newton toward the end root overshoots it, so only bisection could
+    # approach it: (y - 1)(y - 3) from 3/2 and 2 (y + 1/2)(y + 2) from -9/16;
+    # at 200 digits that would take over 300 steps
+    with mp.workdps(200):
+        assert refine_root([3, -4, 1], 1, 2) == 1
+        assert refine_root([2, 5, 2], Fraction(-5, 8), Fraction(-1, 2)) == mp.mpf(-0.5)
+
+
+def test_refine_root_on_mpf_coefficients():
+    with workdps():
+        coeffs = [-mp.sqrt(2), 0, 0, 0, 1]  # y^4 = sqrt(2)
+        root = refine_root(coeffs, 0, 2)
+        assert abs(root - mp.root(2, 8)) < mp.mpf(10) ** -45
 
 
 def test_abs_u_chain_diameter4_constants():
