@@ -94,7 +94,7 @@ def _spec_from_args(args) -> search.SearchSpec:
         a_pattern=args.a_pattern or "0" * (D - 1) + "+",
         c2_set=args.c2 or (1, 2),
         theta_ratio=args.theta_ratio if args.theta_ratio is not None
-        else Fraction(-(D - 1), D),
+        else Fraction(-(D - 1), D) if D > 1 else None,  # -(D-1)/D is 0 at D = 1
     )
 
 

@@ -29,6 +29,7 @@ INCONCLUSIVE = "inconclusive"
 
 INEQ_PASS_TOL = 1e-9   # >= -1e-9 counts as pass
 INEQ_FAIL_TOL = 1e-6   # <= -1e-6 counts as fail; between is inconclusive
+SUM_RULES_TOL = 1e-6   # the sum rules pass when every relative residual is below it
 
 
 @dataclass(frozen=True)
@@ -181,8 +182,7 @@ def check_odd_girth_inequality(arr: IntersectionArray, theta_min) -> list[CheckE
     return out
 
 
-def check_sum_rules(arr: IntersectionArray, spec: Spectrum,
-                    rel_tol: float = 1e-6) -> CheckEntry:
+def check_sum_rules(arr: IntersectionArray, spec: Spectrum) -> CheckEntry:
     """Numerical sanity: sum m = v, sum m*theta = 0, sum m*theta^2 = v*k."""
     with workdps():
         th = [as_mpf(t) for t in spec.thetas]
@@ -191,7 +191,7 @@ def check_sum_rules(arr: IntersectionArray, spec: Spectrum,
         r0 = abs(mp.fsum(ms) - v) / v
         r1 = abs(mp.fsum(m * t for m, t in zip(ms, th))) / (v * arr.k)
         r2 = abs(mp.fsum(m * t * t for m, t in zip(ms, th)) - v * arr.k) / (v * arr.k)
-        ok = max(r0, r1, r2) < rel_tol
+        ok = max(r0, r1, r2) < SUM_RULES_TOL
         return _entry("spectrum_sum_rules", PASS if ok else FAIL,
                       r_sum=r0, r_first=r1, r_second=r2)
 

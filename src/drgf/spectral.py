@@ -5,13 +5,14 @@ simple eigenvalues.  Everything here leans on exact integer arithmetic as far
 as possible:
 
 * the characteristic polynomial has integer coefficients, computed exactly;
-* rational eigenvalues (necessarily integers, the polynomial being monic) are
-  extracted by exact divisor tests and get exact standard sequences and
-  multiplicities;
+* rational eigenvalues (necessarily integers, the polynomial being monic, and
+  in [-k, k]) are found by exact evaluation at every integer of [-k, k] and
+  get exact standard sequences and multiplicities;
 * irrational eigenvalues are isolated by exact Sturm counts on the minor
-  sequence and only then refined by refine_root, a safeguarded mpmath
-  Newton iteration, keeping a certified rational enclosure from the exact
-  phase.
+  sequence, each isolating interval goes to refine_root, a safeguarded
+  mpmath Newton iteration, and two exact signs of the deflated polynomial
+  at the refined root +- 2^-49 certify a rational enclosure of width
+  <= 2^-48.
 
 Eigenvalue counting uses the classical fact that for a Jacobi matrix the
 leading principal minors det(xI - L_i) form a Sturm sequence: with zero values
@@ -24,14 +25,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .core import IntersectionArray
 from .precision import workdps, working_dps
 
 Exact = (int, Fraction)
 
-# isolation width 2^-ISOLATE_BITS for the exact enclosure phase
+# certified enclosures of irrational eigenvalues have width <= 2^-_ISOLATE_BITS:
+# the refined root +- 2^-(_ISOLATE_BITS + 1), checked by two exact signs
 _ISOLATE_BITS = 48
 
 
@@ -110,47 +112,30 @@ def sturm_count_leq(arr: IntersectionArray, x: Fraction) -> int:
 
 
 def _integer_roots(coeffs: list[int], k: int) -> list[int]:
-    """All integer roots (simple here) of a monic integer polynomial, in [-k, k];
-    a nonzero one divides the lowest nonzero coefficient."""
-    roots = [0] if coeffs[0] == 0 else []
-    cands = set()
-    n = abs(next(c for c in coeffs if c != 0))
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            for r in (d, n // d):
-                if r <= k:
-                    cands.update((r, -r))
-        d += 1
-    for r in sorted(cands):
-        if _poly_eval_frac(coeffs, Fraction(r)) == 0:
-            roots.append(r)
-    return sorted(roots)
+    """The integer roots of the characteristic polynomial of L, ascending: a
+    scan of [-k, k], which holds every eigenvalue of L, a nonnegative matrix
+    with row sums k."""
+    return [r for r in range(-k, k + 1) if _poly_eval_frac(coeffs, Fraction(r)) == 0]
 
 
 def _deflate(coeffs: list[int], root: int) -> list[int]:
-    """Exact synthetic division by (x - root)."""
+    """Exact synthetic division by (x - root), for a root of coeffs."""
     high = list(reversed(coeffs))
     quot = [high[0]]
     for coef in high[1:-1]:
         quot.append(coef + root * quot[-1])
-    rem = high[-1] + root * quot[-1]
-    if rem != 0:
-        raise SpectralError(f"{root} is not a root")
     return list(reversed(quot))
 
 
 def _isolate_irrational(arr: IntersectionArray, q: list[int], int_roots: list[int]):
-    """Isolating rational intervals (lo, hi), one per root of the deflated poly q."""
-    k = arr.k
-    lo, hi = Fraction(-k - 1), Fraction(k + 1)
+    """Isolating dyadic intervals (lo, hi], one per root of the deflated poly q,
+    by exact Sturm counts."""
     want = len(q) - 1
-    boxes = [(lo, hi, want)]
+    boxes = [(Fraction(-arr.k - 1), Fraction(arr.k + 1), want)]
     done = []
-    ints = sorted(int_roots)
 
     def count_open(a: Fraction, b: Fraction) -> int:
-        n_int = sum(1 for r in ints if a < r <= b)
+        n_int = sum(1 for r in int_roots if a < r <= b)
         return sturm_count_leq(arr, b) - sturm_count_leq(arr, a) - n_int
 
     guard = 0
@@ -170,18 +155,7 @@ def _isolate_irrational(arr: IntersectionArray, q: list[int], int_roots: list[in
         boxes.append((m, b, cnt - cl))
     if len(done) != want:
         raise SpectralError("failed to isolate eigenvalues")
-
-    refined = []
-    for a, b in sorted(done):
-        sa = _poly_eval_frac(q, a) > 0  # q has no rational root
-        while b - a > Fraction(1, 2 ** _ISOLATE_BITS):
-            m = (a + b) / 2
-            if (_poly_eval_frac(q, m) > 0) == sa:
-                a = m
-            else:
-                b = m
-        refined.append((a, b))
-    return refined
+    return done
 
 
 def mp_horner(coeffs, y):
@@ -231,7 +205,9 @@ class Spectrum:
     """Distinct eigenvalues theta_0 > ... > theta_D with Biggs multiplicities.
 
     thetas holds exact ints where the eigenvalue is rational, else mpf values;
-    enclosures are certified rational intervals from the exact isolation phase.
+    enclosures holds (theta, theta) for an int, else a rational interval of
+    width <= 2^-48 around the refined root that exact signs of the deflated
+    characteristic polynomial prove holds the eigenvalue.
     """
 
     thetas: tuple
@@ -279,9 +255,16 @@ def _eigen_with_enclosures(arr: IntersectionArray):
         for r in ints:
             q = _deflate(q, r)
         pairs = [(r, (Fraction(r), Fraction(r))) for r in ints]
-        if len(q) > 1:
-            for lo, hi in _isolate_irrational(arr, q, ints):
-                pairs.append((refine_root(q, lo, hi), (lo, hi)))
+        e = Fraction(1, 2 ** (_ISOLATE_BITS + 1))
+        for lo, hi in _isolate_irrational(arr, q, ints):
+            # q has no rational root and one root in (lo, hi]: opposite signs
+            # at a and b, around the exact value c of y, prove it is in [a, b]
+            y = refine_root(q, lo, hi)
+            c = Fraction(*libmp.to_rational(y._mpf_))  # mpf.man_exp drops the sign
+            a, b = max(lo, c - e), min(hi, c + e)
+            if not (a < b and (_poly_eval_frac(q, a) > 0) != (_poly_eval_frac(q, b) > 0)):
+                raise SpectralError(f"refined root {y} is not the root of q in ({lo}, {hi}]")
+            pairs.append((y, (a, b)))
         pairs.sort(key=lambda p: p[0], reverse=True)
         roots = [p[0] for p in pairs]
         if len(roots) != arr.D + 1:

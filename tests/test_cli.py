@@ -151,6 +151,16 @@ def test_enumerate_bad_c2_exit2():
     assert "error:" in r.stderr and "Traceback" not in r.stderr
 
 
+def test_enumerate_d1_without_a_ratio():
+    # -(D-1)/D is 0 at D = 1, which is no ratio: that space gets no ratio cut
+    r = run_cli("enumerate", "-d", "1", "--k-max", "6", "--json")
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["spec"]["theta_ratio"] is None
+    assert [row["array"] for row in doc["survivors"]] == ["{5;1}", "{6;1}"]
+    assert doc["stats"]["generated"] == 2
+
+
 def test_enumerate_without_a_cap_pipeline_exit2():
     # no valency cap exists for D = 3, and D = 0 has no ratio -(D-1)/D
     for args in (("-d", "3"), ("-d", "0", "--k-max", "4"), ("-d", "0")):

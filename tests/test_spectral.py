@@ -9,7 +9,7 @@ from mpmath import mp
 
 from drgf import oracle, spectral
 from drgf.core import IntersectionArray, parse_array
-from drgf.feasibility import PASS, check_trace_square
+from drgf.feasibility import INCONCLUSIVE, PASS, check_trace_square, full_report
 from drgf.precision import workdps
 from drgf.spectral import (abs_u_lower_bounds, as_mpf, charpoly, eigenvalues,
                            eigenvalues_float, implied_last_c_lower,
@@ -223,7 +223,17 @@ SEEDED = _seeded_arrays()
 def test_charpoly_matches_sympy(arr):
     x = sympy.Symbol("x")
     M = sympy.Matrix(intersection_matrix(arr).tolist())
-    assert charpoly(arr) == [int(c) for c in reversed(M.charpoly(x).all_coeffs())]
+    P = M.charpoly(x)
+    assert charpoly(arr) == [int(c) for c in reversed(P.all_coeffs())]
+    # every enclosure holds exactly one root (a one-point box for an integer
+    # eigenvalue), and the integer eigenvalues are sympy's integer roots
+    sp = spectrum(arr)
+    for lo, hi in sp.enclosures:
+        assert hi - lo <= Fraction(1, 2**48)
+        assert P.count_roots(sympy.Rational(lo.numerator, lo.denominator),
+                             sympy.Rational(hi.numerator, hi.denominator)) == 1
+    assert sorted(t for t in sp.thetas if isinstance(t, int)) == \
+        [int(r) for r in P.real_roots() if r.is_Integer]
 
 
 @pytest.mark.parametrize("arr", SEEDED, ids=str)
@@ -431,6 +441,18 @@ def test_spectrum_enclosures_certified():
         assert hi - lo <= Fraction(1, 2**40)
 
 
+def test_spectrum_rejects_a_refined_root_outside_its_box(monkeypatch):
+    # a refiner that returns the lower end of its bracket must not yield an
+    # eigenvalue: the two-point sign check rejects it, and the report on the
+    # array has no spectrum to decide anything with
+    arr = parse_array("{3,2,2,1;1,1,1,2}")
+    monkeypatch.setattr(spectral, "refine_root", lambda coeffs, lo, hi: as_mpf(lo))
+    with pytest.raises(spectral.SpectralError):
+        spectrum(arr)
+    rep = full_report(arr)
+    assert rep.spectrum is None and rep.overall == INCONCLUSIVE
+
+
 def test_working_precision_env(monkeypatch):
     monkeypatch.setenv("DRGF_PRECISION", "30")
     arr = parse_array("{3,2,2,1;1,1,1,2}")
@@ -450,3 +472,6 @@ def test_integer_roots_beyond_zero():
     # must not hide the nonzero roots
     assert spectral._integer_roots([0, 0, -6, -1, 1], 5) == [-2, 0, 3]
     assert spectral._integer_roots([0, 20, -19, -2, 1], 5) == [-4, 0, 1, 5]
+    # a charpoly whose largest root k = 71 is the last point of the scan
+    arr = parse_array("{71,70,69,68,67;1,2,3,4,5}")
+    assert spectral._integer_roots(charpoly(arr), arr.k) == [-1, 71]
