@@ -1,10 +1,10 @@
 """Reproduce the diameter-4 classification by pruned exhaustive search.
 
-Graphs with theta_min <= -(3/4) k and D = 4: the small-valency catalog
-contributes the Coxeter graph and the 9-gon; branch-by-branch exclusions
-(girth-5 inequality, eta = 2 inequality, the valency cap k <= 35) reduce the
-rest to one finite enumeration whose survivors are the Odd graph O_5 and the
-folded 9-cube.
+Graphs with theta_min <= -(3/4) k and D = 4: enumerating k <= 4 over every
+a-pattern finds the Coxeter graph and the 9-gon once bipartite arrays are set
+aside; branch-by-branch exclusions (girth-5 inequality, eta = 2 inequality,
+the valency cap k <= 35) reduce the rest to one finite enumeration whose
+survivors are the Odd graph O_5 and the folded 9-cube.
 """
 
 from drgf import classify_diameter

@@ -21,7 +21,6 @@ from .core import ArrayFormatError, format_array, parse_array
 from .feasibility import full_report
 from .precision import workdps
 from .spectral import as_mpf, num_str, spectrum
-from .search import GRAPH_NAMES
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INCONCLUSIVE = 0, 1, 2, 3
 
@@ -38,6 +37,12 @@ def _int_list(text: str) -> tuple[int, ...]:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}")
+
+
+def _jobs(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive worker count: {text!r}")
+    return int(text)
 
 
 def _girth_range(text: str) -> tuple[int, int]:
@@ -165,9 +170,7 @@ def cmd_theorem2(args) -> int:
                 print(f"  {line}")
         print(f"result: {len(result.arrays)} arrays")
         for arr in result.arrays:
-            text = format_array(arr)
-            name = GRAPH_NAMES.get(text)
-            print(f"  {text}  ({name})" if name else f"  {text}")
+            print(f"  {search.named(arr)}")
         for d in result.discrepancies:
             print(f"DISCREPANCY: {d}")
     return EXIT_FAIL if result.discrepancies else EXIT_OK
@@ -269,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run the feasibility battery on one array")
-    p.add_argument("array", help="intersection array, e.g. '{9,8,7,6;1,2,3,4}'")
+    p.add_argument("array", help="intersection array, e.g. '{3,2;1,1}'")
     p.add_argument("--json", action="store_true")
     p.add_argument("--theta-ratio", type=_fraction, default=None,
                    help="also require theta_min <= RATIO * k (e.g. -3/4)")
@@ -284,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2", type=_int_list,
                    help="comma list of allowed c_2 values (default 1,2)")
     p.add_argument("--theta-ratio", type=_fraction, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", help="write survivors to a CSV file")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("theorem2", help="reproduce the diameter-4/5 classification")
     p.add_argument("--diameter", "-d", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--disable-check", action="append", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_theorem2)

@@ -212,12 +212,16 @@ def odd_girth_bruteforce(g: Graph):
     return int(2 * du[same].min() + 1)
 
 
-CATALOG = (
-    ("cycle:9", "{2,1,1,1;1,1,1,1}"),
-    ("coxeter", "{3,2,2,1;1,1,1,2}"),
-    ("odd_graph:5", "{5,4,4,3;1,1,2,2}"),
-    ("folded_cube:9", "{9,8,7,6;1,2,3,4}"),
-    ("cycle:11", "{2,1,1,1,1;1,1,1,1,1}"),
-    ("odd_graph:6", "{6,5,5,4,4;1,1,2,2,3}"),
-    ("folded_cube:11", "{11,10,9,8,7;1,2,3,4,5}"),
+# The witness graphs of the diameter-4/5 classification as (graph name for
+# build, intersection array, display name), in the order theorem2 lists them.
+WITNESSES = (
+    ("coxeter", "{3,2,2,1;1,1,1,2}", "Coxeter graph"),
+    ("cycle:9", "{2,1,1,1;1,1,1,1}", "9-gon"),
+    ("odd_graph:5", "{5,4,4,3;1,1,2,2}", "Odd graph O_5"),
+    ("folded_cube:9", "{9,8,7,6;1,2,3,4}", "folded 9-cube"),
+    ("cycle:11", "{2,1,1,1,1;1,1,1,1,1}", "11-gon"),
+    ("odd_graph:6", "{6,5,5,4,4;1,1,2,2,3}", "Odd graph O_6"),
+    ("folded_cube:11", "{11,10,9,8,7;1,2,3,4,5}", "folded 11-cube"),
 )
+
+CATALOG = tuple((graph, text) for graph, text, _name in WITNESSES)

@@ -23,6 +23,10 @@ multiplicity integrality, the odd-girth inequality and the trace square that
 the report fails kills the array, and a survivor keeps its report.  Work is
 partitioned by valency k and merged in sorted order, so results and
 statistics are independent of execution order and worker count.
+
+classify_diameter runs the paper's stages in one loop: k <= 4, the a_2, a_3
+and (D = 5) a_4 exclusions under their derived caps, and the main space.
+Each survivor that is not bipartite must be a witness in its stage's space.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from mpmath import mp
 
 from .core import IntersectionArray, format_array, parse_array
 from .feasibility import FAIL, INCONCLUSIVE, c2_upper_bound, full_report, p_polynomials
+from .oracle import WITNESSES
 from .precision import workdps
 from .spectral import (SpectralError, _poly_eval_frac, _sign_changes, abs_u_lower_bounds,
                        as_mpf, implied_last_c_lower, minor_polys, multiplicities_float,
@@ -96,6 +101,13 @@ class SearchSpec:
         if self.theta_ratio is not None and not -1 <= self.theta_ratio < 0:
             raise SearchSpecError("theta_ratio must lie in [-1, 0)")
         _require_known_checks(self.checks)
+
+    def contains(self, arr: IntersectionArray) -> bool:
+        """Whether arr lies in this space, before the ratio cut and checks."""
+        return (arr.D == self.D and self.k_min <= arr.k <= self.k_max
+                and (arr.D < 2 or arr.c[1] in self.c2_set)
+                and all(kind == FREE or (kind == ZERO) == (a == 0)
+                        for kind, a in zip(self.a_pattern, arr.a[1:])))
 
     def to_json_dict(self) -> dict:
         return {
@@ -538,49 +550,26 @@ def valency_cap(D: int, theta_ratio: Fraction | None = None, c2_max: int = 2,
 # ---------------------------------------------------------------------------
 # the classification pipeline
 
-_CATALOG_SMALL_K = {
-    4: (("{3,2,2,1;1,1,1,2}", "Coxeter graph"),
-        ("{2,1,1,1;1,1,1,1}", "9-gon")),
-    5: (("{2,1,1,1,1;1,1,1,1,1}", "11-gon"),),
-}
-
-_EXPECTED_MAIN = {
-    4: (("{5,4,4,3;1,1,2,2}", "Odd graph O_5"),
-        ("{9,8,7,6;1,2,3,4}", "folded 9-cube")),
-    5: (("{6,5,5,4,4;1,1,2,2,3}", "Odd graph O_6"),
-        ("{11,10,9,8,7;1,2,3,4,5}", "folded 11-cube")),
-}
-
 # k = 5, c_2 = 2, a_3 != 0, D = 5 admits no graph (classification of known
-# small-valency results); recorded as a catalog fact, not re-derived.
+# small-valency results).  Under the default checks c2_bound already kills all
+# 30 arrays of that space; the line stays as the paper's argument.
 _CATALOG_EXCLUSION_D5_K5 = "no graph exists with D=5, k=5, c_2=2, a_3 != 0"
 
-GRAPH_NAMES = {arr: name for D in (4, 5)
-               for arr, name in _CATALOG_SMALL_K[D] + _EXPECTED_MAIN[D]}
+GRAPH_NAMES = {text: name for _graph, text, name in WITNESSES}
 
 
-def small_valency_catalog(D: int) -> list[IntersectionArray]:
-    """Known classification results for k <= 4, re-verified before use."""
-    if D not in _CATALOG_SMALL_K:
-        raise SearchSpecError("catalog covers D in {4, 5}")
-    ratio = Fraction(-(D - 1), D)
-    out = []
-    for text, name in _CATALOG_SMALL_K[D]:
-        arr = parse_array(text)
-        rep = full_report(arr, theta_ratio=ratio)
-        if rep.overall != "pass":
-            raise CapDerivationError(
-                f"catalog array {text} ({name}) is {rep.overall}: failing {rep.failing}")
-        out.append(arr)
-    return out
+def named(arr: IntersectionArray) -> str:
+    """The array's text, followed by its graph's name for a witness."""
+    text = format_array(arr)
+    return f"{text}  ({GRAPH_NAMES[text]})" if text in GRAPH_NAMES else text
 
 
 @dataclass(frozen=True)
 class Stage:
     name: str
     lines: tuple[str, ...]
-    arrays: tuple[IntersectionArray, ...] = ()
-    stats: PruningStats | None = None
+    arrays: tuple[IntersectionArray, ...]
+    stats: PruningStats | None
 
 
 @dataclass(frozen=True)
@@ -593,76 +582,78 @@ class DiameterClassification:
 
 def classify_diameter(D: int, jobs: int = 1,
                       disable_checks: tuple[str, ...] = ()) -> DiameterClassification:
-    """Full case analysis for theta_min <= -(D-1)/D k, D in {4, 5}.
+    """Full case analysis for theta_min <= -(D-1)/D k, D in {4, 5}: one loop
+    over the stages, each a list of its lines and the spaces it enumerates.
 
-    Every stage's findings are compared against the expected classification;
-    anything outside it is reported as a discrepancy, never dropped.
-    """
+    One rule sorts every survivor: a bipartite one (every a_i = 0) is set
+    aside as killed["bipartite"], the a_3 catalog exclusion gets its line,
+    and any other joins the stage's arrays, as a discrepancy unless it is a
+    witness of diameter D in the space.  A missing witness is one too."""
     if D not in (4, 5):
         raise SearchSpecError("classification covers D in {4, 5}")
     _require_known_checks(disable_checks)
     ratio = Fraction(-(D - 1), D)
     checks = tuple(c for c in DEFAULT_CHECKS if c not in disable_checks)
-    stages: list[Stage] = []
-    discrepancies: list[str] = []
 
-    def enumerate_stage(stage, lines, k_max, a_pattern, c2_set=(1, 2), expected=()):
-        """Enumerate k in [5, k_max], add its line to lines and sort its
-        survivors: expected, the catalog exclusion (a_3 stage) or a
-        discrepancy; an expected array that is missing is one too."""
-        res = enumerate_arrays(SearchSpec(D, 5, k_max, a_pattern, c2_set, ratio, checks), jobs)
-        only_c2 = f", c_2 = {c2_set[0]}" if len(c2_set) == 1 else ""
-        lines.append(f"enumeration k in [5,{k_max}]{only_c2}: {len(res.survivors)} survivors")
-        for arr in res.survivors:
-            if arr in expected:
-                continue
-            if stage == "a3" and D == 5 and arr.k == 5 and arr.c[1] == 2:
-                lines.append(f"{format_array(arr)} excluded: " + _CATALOG_EXCLUSION_D5_K5)
-            else:
-                discrepancies.append(f"{stage} stage: unexpected survivor {format_array(arr)}")
-        discrepancies.extend(f"{stage} stage: missing {format_array(arr)}"
-                             for arr in expected if arr not in res.survivors)
-        return res
+    def space(k_min, k_max, a_pattern, c2_set=(1, 2)):
+        return SearchSpec(D, k_min, k_max, a_pattern, c2_set, ratio, checks)
 
-    catalog = small_valency_catalog(D)
-    stages.append(Stage(
-        "small-valency catalog (k <= 4)",
-        tuple(f"{format_array(a)}  ({GRAPH_NAMES[format_array(a)]})" for a in catalog),
-        tuple(catalog)))
+    def capped(branch, a_pattern, suffix=""):
+        cap = valency_cap(D, ratio, branch=branch)
+        return [*(s.fmt() for s in cap.steps), f"k <= {cap.k_max}{suffix}",
+                space(5, cap.k_max, a_pattern)]
 
     cap2 = pentagon_exclusion_cap(ratio)
-    lines = [f"girth-5 cycle inequality forces k <= {cap2}"]
-    stats = None
-    if cap2 is not None and cap2 >= 5:
-        stats = enumerate_stage("a2", lines, cap2, ZERO + NONZERO + FREE * (D - 2)).stats
-    else:
-        lines.append("below the k >= 5 regime: branch closed")
-    stages.append(Stage("a_2 != 0 excluded", tuple(lines), stats=stats))
-
-    lines, stats = [], None
+    a3 = []
     for c2 in (1, 2):
         cap3 = eta_exclusion_cap(3, p_polynomials(3, 2), ratio, (c2,))
-        lines.append(f"eta = 2 inequality forces k <= {cap3} when c_2 = {c2}")
+        a3.append(f"eta = 2 inequality forces k <= {cap3} when c_2 = {c2}")
         if cap3 is not None and cap3 >= 5:
-            res = enumerate_stage("a3", lines, cap3, ZERO * 2 + NONZERO + FREE * (D - 3), (c2,))
-            stats = res.stats if stats is None else stats.merged_with(res.stats)
-        if D == 5 and c2 == 2:
-            lines.append("k = 5 case covered by the catalog exclusion: "
-                         + _CATALOG_EXCLUSION_D5_K5)
-    stages.append(Stage("a_3 != 0 excluded", tuple(lines), stats=stats))
-
+            a3.append(space(5, cap3, ZERO * 2 + NONZERO + FREE * (D - 3), (c2,)))
     if D == 5:
-        cap = valency_cap(5, ratio, branch="a4")
-        lines = [s.fmt() for s in cap.steps] + [f"k <= {cap.k_max} on this branch"]
-        res = enumerate_stage("a4", lines, cap.k_max, "000" + NONZERO + FREE)
-        stages.append(Stage("a_4 != 0 excluded", tuple(lines), stats=res.stats))
+        a3.append("k = 5 case covered by the catalog exclusion: " + _CATALOG_EXCLUSION_D5_K5)
+    plans = [
+        ("k <= 4", "small-valency catalog (k <= 4)", [space(2, 4, FREE * D, (1, 2, 3, 4))]),
+        ("a2", "a_2 != 0 excluded", [
+            f"girth-5 cycle inequality forces k <= {cap2}",
+            space(5, cap2, ZERO + NONZERO + FREE * (D - 2)) if cap2 is not None and cap2 >= 5
+            else "below the k >= 5 regime: branch closed"]),
+        ("a3", "a_3 != 0 excluded", a3)]
+    if D == 5:
+        plans.append(("a4", "a_4 != 0 excluded", capped("a4", "000+*", " on this branch")))
+    plans.append(("main", f"main enumeration (a_i = 0 below D, a_{D} != 0)",
+                  capped("main", ZERO * (D - 1) + NONZERO)))
 
-    cap = valency_cap(D, ratio, branch="main")
-    lines = [s.fmt() for s in cap.steps] + [f"k <= {cap.k_max}"]
-    res = enumerate_stage("main", lines, cap.k_max, ZERO * (D - 1) + NONZERO,
-                          expected=[parse_array(t) for t, _n in _EXPECTED_MAIN[D]])
-    stages.append(Stage(f"main enumeration (a_i = 0 below D, a_{D} != 0)",
-                        tuple(lines), tuple(res.survivors), res.stats))
-
-    arrays = tuple(catalog) + tuple(res.survivors)
+    witnesses = [parse_array(text) for _graph, text, _name in WITNESSES]
+    stages, discrepancies = [], []
+    for key, name, items in plans:
+        lines, arrays, stats = [], [], None
+        for item in items:
+            if isinstance(item, str):
+                lines.append(item)
+                continue
+            res = enumerate_arrays(item, jobs)
+            run, kept = res.stats, [a for a in res.survivors if a.t is not None]
+            if len(kept) < run.survivors:
+                run.kill("bipartite", run.survivors - len(kept))
+                run.survivors = len(kept)
+            if key != "k <= 4":  # that stage names its arrays instead
+                only_c2 = f", c_2 = {item.c2_set[0]}" if len(item.c2_set) == 1 else ""
+                lines.append(f"enumeration k in [{item.k_min},{item.k_max}]{only_c2}: "
+                             f"{run.survivors} survivors")
+            expected, unexpected = [w for w in witnesses if item.contains(w)], []
+            for arr in kept:
+                if key == "a3" and D == 5 and arr.k == 5 and arr.c[1] == 2:
+                    lines.append(f"{format_array(arr)} excluded: " + _CATALOG_EXCLUSION_D5_K5)
+                elif arr not in expected:
+                    unexpected.append(arr)
+                    discrepancies.append(f"{key} stage: unexpected survivor {format_array(arr)}")
+            discrepancies.extend(f"{key} stage: missing {format_array(w)}"
+                                 for w in expected if w not in kept)
+            arrays += [w for w in expected if w in kept] + unexpected
+            stats = run if stats is None else stats.merged_with(run)
+        if key == "k <= 4":
+            lines += [named(arr) for arr in arrays]
+        stages.append(Stage(name, tuple(lines), tuple(arrays), stats))
+    arrays = tuple(arr for stage in stages for arr in stage.arrays)
     return DiameterClassification(D, tuple(stages), arrays, tuple(discrepancies))

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -210,11 +212,23 @@ def test_theorem2_json():
     assert doc["arrays"] == ["{3,2,2,1;1,1,1,2}", "{2,1,1,1;1,1,1,1}",
                              "{5,4,4,3;1,1,2,2}", "{9,8,7,6;1,2,3,4}"]
     stats = [s["stats"] for s in doc["stages"]]
-    assert stats[:2] == [None, None]  # the catalog; the a_2 branch closes below k = 5
-    for st in stats[2:]:
+    assert stats[1] is None  # the a_2 branch closes below k = 5
+    for st in stats[:1] + stats[2:]:
         assert st["generated"] == st["survivors"] + sum(st["killed"].values())
         assert st["warnings"] == []
+    assert stats[0]["generated"] == 140 and stats[0]["killed"]["bipartite"] == 7
+    assert stats[0]["survivors"] == 2 == len(doc["stages"][0]["arrays"])
     assert stats[3]["survivors"] == 2 and stats[3]["killed"]["theta_ratio"] == 596
+
+
+@pytest.mark.parametrize("command", [["enumerate", "-d", "4"], ["theorem2", "-d", "4"]])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_exit2(command, jobs, capsys):
+    from drgf import cli
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "argument --jobs" in capsys.readouterr().err
 
 
 def test_theorem2_unknown_check_exit2():

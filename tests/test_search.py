@@ -13,8 +13,7 @@ from drgf.search import (DEFAULT_CHECKS, CapDerivationError, SearchSpec,
                          SearchSpecError, _eta_poly, _has_positive_root,
                          _KSpace, _nonnegative_below_cut, classify_diameter,
                          default_spec, enumerate_arrays, eta_exclusion_cap,
-                         pentagon_exclusion_cap, small_valency_catalog,
-                         valency_cap)
+                         pentagon_exclusion_cap, valency_cap)
 from drgf.spectral import (SpectralError, _poly_eval_frac, eigenvalues,
                            intersection_matrix, sturm_count_leq, trace_of_l_squared)
 
@@ -56,6 +55,17 @@ def test_spec_rejects_unknown_checks(checks):
         SearchSpec.from_json_dict(obj)
     with pytest.raises(SearchSpecError, match="unknown checks"):
         SearchSpec(4, 5, 8, "000+", checks=tuple(checks))
+
+
+def test_spec_contains_what_its_walk_generates():
+    def space(spec):  # every array of the space: no check is on
+        return {a for k in range(spec.k_min, spec.k_max + 1) for a in _KSpace(k, spec).run()[0]}
+
+    inner = SearchSpec(4, 3, 6, "0+*+", (1, 3), None, ())
+    outer = space(SearchSpec(4, 2, 7, "****", (1, 2, 3, 4, 5), None, ()))
+    members = space(inner)
+    assert members and members < outer
+    assert {a for a in outer if inner.contains(a)} == members
 
 
 def test_spec_json_round_trip():
@@ -430,11 +440,32 @@ def test_enumeration_without_integrality_passes_zero_eigenvalue():
     assert "{6,5,5,4,2;1,1,2,2,3}" in [format_array(a) for a in res.survivors]
 
 
-def test_small_valency_catalog():
-    d4 = [format_array(a) for a in small_valency_catalog(4)]
-    assert d4 == ["{3,2,2,1;1,1,1,2}", "{2,1,1,1;1,1,1,1}"]
-    d5 = [format_array(a) for a in small_valency_catalog(5)]
-    assert d5 == ["{2,1,1,1,1;1,1,1,1,1}"]
+@pytest.fixture(scope="module")
+def classified():
+    return {D: classify_diameter(D) for D in (4, 5)}
+
+
+# The k <= 4 stage enumerates every a-pattern with c_2 <= 4: its kills, the
+# bipartite arrays it sets aside and the witnesses it keeps.
+SMALL_VALENCY = {
+    4: ({"generated": 140, "killed": {"a1_zero": 63, "bipartite": 7, "k_integrality": 15,
+                                      "multiplicity_integrality": 25, "theta_ratio": 28},
+         "survivors": 2, "warnings": []},
+        ["{3,2,2,1;1,1,1,2}  (Coxeter graph)", "{2,1,1,1;1,1,1,1}  (9-gon)"]),
+    5: ({"generated": 280, "killed": {"a1_zero": 114, "bipartite": 3, "k_integrality": 45,
+                                      "multiplicity_integrality": 44, "theta_ratio": 73},
+         "survivors": 1, "warnings": []},
+        ["{2,1,1,1,1;1,1,1,1,1}  (11-gon)"]),
+}
+
+
+def test_small_valency_catalog(classified):
+    for D, (stats, lines) in SMALL_VALENCY.items():
+        stage = classified[D].stages[0]
+        assert stage.name == "small-valency catalog (k <= 4)"
+        assert stage.stats.to_json_dict() == stats
+        assert list(stage.lines) == lines
+        assert [format_array(a) for a in stage.arrays] == [ln.split()[0] for ln in lines]
 
 
 def test_coxeter_meets_gate():
@@ -443,8 +474,8 @@ def test_coxeter_meets_gate():
     assert float(tmin) <= -9 / 4
 
 
-def test_classify_diameter_4():
-    result = classify_diameter(4)
+def test_classify_diameter_4(classified):
+    result = classified[4]
     assert result.discrepancies == ()
     assert [format_array(a) for a in result.arrays] == [
         "{3,2,2,1;1,1,1,2}", "{2,1,1,1;1,1,1,1}",
@@ -454,17 +485,19 @@ def test_classify_diameter_4():
     assert any("main enumeration" in n for n in names)
 
 
-def test_enumerating_stages_carry_consistent_stats():
-    result = classify_diameter(4)
-    for stage in result.stages:
-        runs = [ln for ln in stage.lines if ln.startswith("enumeration")]
-        assert (stage.stats is not None) == bool(runs), stage.name
-        if runs:
-            assert stage.stats.consistent(), stage.name
-            assert stage.stats.generated > 0, stage.name
-            reported = sum(int(ln.rsplit(": ", 1)[1].split()[0]) for ln in runs)
-            assert stage.stats.survivors == reported, stage.name
-    a3 = next(s for s in result.stages if s.name.startswith("a_3"))
+def test_enumerating_stages_carry_consistent_stats(classified):
+    for result in classified.values():
+        for stage in result.stages:
+            runs = [ln for ln in stage.lines if ln.startswith("enumeration")]
+            first = stage is result.stages[0]  # it names its arrays instead of counting
+            assert (stage.stats is not None) == (bool(runs) or first), stage.name
+            if stage.stats is not None:
+                assert stage.stats.consistent(), stage.name
+                assert stage.stats.generated > 0, stage.name
+                reported = len(stage.lines) if first else sum(
+                    int(ln.rsplit(": ", 1)[1].split()[0]) for ln in runs)
+                assert stage.stats.survivors == reported, stage.name
+    a3 = next(s for s in classified[4].stages if s.name.startswith("a_3"))
     assert a3.stats.generated == enumerate_arrays(
         SearchSpec(4, 5, 8, "00+*", (2,), Fraction(-3, 4))).stats.generated
 
@@ -475,18 +508,45 @@ def test_classify_rejects_other_diameters():
 
 
 def test_disabling_a_check_creates_discrepancies():
+    # {3,2,2,1;1,1,1,1} is not bipartite and fails only the multiplicity
+    # check, so the k <= 4 stage, which enumerates, must report it
     result = classify_diameter(4, disable_checks=("multiplicity_integrality",))
-    assert result.discrepancies
+    assert "k <= 4 stage: unexpected survivor {3,2,2,1;1,1,1,1}" in result.discrepancies
+
+
+def test_a3_catalog_exclusion_closes_what_c2_bound_would(monkeypatch):
+    # c2_bound kills the whole D = 5, k = 5, c_2 = 2, a_3 != 0 space by
+    # default; without it and multiplicity_integrality one array survives
+    # the battery, and only the catalog exclusion closes it.  The a_4 and main
+    # caps are lowered to k <= 5 to keep the test short.
+    real_cap = search.valency_cap
+    monkeypatch.setattr(search, "valency_cap",
+                        lambda *args, **kw: replace(real_cap(*args, **kw), k_max=5))
+    result = classify_diameter(5, disable_checks=("c2_bound", "multiplicity_integrality"))
+    a3 = result.stages[2]
+    assert a3.name == "a_3 != 0 excluded"
+    assert a3.stats.to_json_dict() == {
+        "generated": 30, "killed": {"k_integrality": 21, "odd_girth_inequality": 8},
+        "survivors": 1, "warnings": []}
+    assert ("{5,4,3,1,1;1,2,2,3,5} excluded: no graph exists with D=5, k=5, c_2=2, a_3 != 0"
+            in a3.lines)
+    assert a3.arrays == ()
+    assert not [d for d in result.discrepancies if d.startswith("a3 stage")]
 
 
 def test_classify_reports_unexpected_and_missing_arrays(monkeypatch):
-    # expect the Coxeter array in place of O_5: O_5 is then unexpected and
-    # the Coxeter array, outside the main space, is missing
-    monkeypatch.setitem(search._EXPECTED_MAIN, 4, (
-        ("{3,2,2,1;1,1,1,2}", "Coxeter graph"), ("{9,8,7,6;1,2,3,4}", "folded 9-cube")))
-    assert classify_diameter(4).discrepancies == (
+    # drop the Coxeter graph and O_5 from the witness table and add an array
+    # of the main space that is no graph: the two are then unexpected, in
+    # their stages, and the third is missing
+    table = [row for row in search.WITNESSES if row[0] not in ("coxeter", "odd_graph:5")]
+    monkeypatch.setattr(search, "WITNESSES", (*table, ("none", "{7,6,6,5;1,1,2,2}", "none")))
+    result = classify_diameter(4)
+    assert result.discrepancies == (
+        "k <= 4 stage: unexpected survivor {3,2,2,1;1,1,1,2}",
         "main stage: unexpected survivor {5,4,4,3;1,1,2,2}",
-        "main stage: missing {3,2,2,1;1,1,1,2}")
+        "main stage: missing {7,6,6,5;1,1,2,2}")
+    assert [format_array(a) for a in result.arrays] == [
+        "{2,1,1,1;1,1,1,1}", "{3,2,2,1;1,1,1,2}", "{9,8,7,6;1,2,3,4}", "{5,4,4,3;1,1,2,2}"]
 
 
 def test_classify_rejects_unknown_disabled_checks():
