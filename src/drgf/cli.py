@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (and, for verdict-producing commands, a pass),
 1 semantic failure (feasibility fail, classification discrepancy, oracle
-disagreement), 2 usage or parse errors, 3 an inconclusive feasibility
-report (no check fails, but at least one could not be decided).
+disagreement), 2 usage or parse errors (an unreadable or unwritable file
+included), 3 an inconclusive feasibility report (no check fails, but at
+least one could not be decided).
 """
 
 from __future__ import annotations
@@ -134,11 +135,15 @@ def cmd_enumerate(args) -> int:
             print(f"  killed by {name:28s} {n}")
         print(f"survivors {result.stats.survivors}")
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=["array", "k", "D", "v",
-                                               "odd_girth", "theta_min"])
-            w.writeheader()
-            w.writerows(rows)
+        try:
+            with open(args.csv, "w", newline="") as fh:
+                w = csv.DictWriter(fh, fieldnames=["array", "k", "D", "v",
+                                                   "odd_girth", "theta_min"])
+                w.writeheader()
+                w.writerows(rows)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return EXIT_OK
 
 
@@ -225,11 +230,11 @@ def cmd_bound(args) -> int:
 def cmd_verify(args) -> int:
     try:
         g = oracle.build(args.graph)
-    except oracle.OracleError as exc:
+        if args.export:
+            g.write_edge_list(args.export)
+    except (oracle.OracleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.export:
-        g.write_edge_list(args.export)
     print(f"graph {g.name}: {g.n} vertices, {len(g.edges)} edges")
     arr, witness = oracle.verify_distance_regular(g)
     if arr is None:

@@ -54,6 +54,15 @@ class FeasibilityReport:
         verdicts = {e.verdict for e in self.checks}
         return FAIL if FAIL in verdicts else INCONCLUSIVE if INCONCLUSIVE in verdicts else PASS
 
+    def verdict(self, name: str) -> str | None:
+        """One verdict for the check name across its entries (the odd-girth
+        check writes one per j): fail if any fails, else inconclusive if any
+        is, else the entry's verdict; None if the report has no such entry."""
+        verdicts = [e.verdict for e in self.checks
+                    if e.name == name or e.name.startswith(f"{name}_j")]
+        return (FAIL if FAIL in verdicts else INCONCLUSIVE if INCONCLUSIVE in verdicts
+                else verdicts[0] if verdicts else None)
+
     @property
     def failing(self) -> list[str]:
         return [e.name for e in self.checks if e.verdict == FAIL]
@@ -72,17 +81,8 @@ def _entry(name, verdict, **witness) -> CheckEntry:
     return CheckEntry(name, verdict, clean)
 
 
-def check_monotonicity_and_integrality(arr: IntersectionArray,
-                                       spec: Spectrum | None = None) -> list[CheckEntry]:
-    """The four classical conditions: monotone c, monotone b, integral k_i and m_i."""
-    if spec is None:
-        spec = spectrum(arr)
-    return _structure_checks(arr) + [_entry(
-        "multiplicity_integrality", PASS if spec.multiplicities_integral else FAIL,
-        mults=str([num_str(m) for m in spec.mults_raw]))]
-
-
 def _structure_checks(arr: IntersectionArray) -> list[CheckEntry]:
+    """Monotone c, monotone b and integral k_i."""
     c_ok = all(x <= y for x, y in zip(arr.c, arr.c[1:]))
     b_ok = all(x >= y for x, y in zip(arr.b, arr.b[1:]))
     return [_entry("c_nondecreasing", PASS if c_ok else FAIL, c=str(list(arr.c))),
@@ -221,21 +221,19 @@ def full_report(arr: IntersectionArray,
     Numerical-precision failures inside a check surface as inconclusive
     entries rather than exceptions.
     """
-    checks: list[CheckEntry] = []
     try:
         spec = spectrum(arr)
     except Exception as exc:  # defensive: no spectrum decides no multiplicity
-        checks.append(_entry("spectrum", INCONCLUSIVE, error=str(exc)))
-        checks.extend(_structure_checks(arr))
-        checks.append(_entry("multiplicity_integrality", INCONCLUSIVE, reason="no spectrum"))
-        return FeasibilityReport(arr, tuple(checks))
+        return FeasibilityReport(arr, (
+            _entry("spectrum", INCONCLUSIVE, error=str(exc)), *_structure_checks(arr),
+            _entry("multiplicity_integrality", INCONCLUSIVE, reason="no spectrum")))
     tmin = spec.theta_min
-    checks.extend(check_monotonicity_and_integrality(arr, spec))
-    checks.append(check_a1_zero(arr, tmin))
-    checks.append(check_c2_bound(arr, tmin))
-    checks.extend(check_odd_girth_inequality(arr, tmin))
-    checks.append(check_sum_rules(arr, spec))
-    checks.append(check_trace_square(arr, tmin))
+    checks = [*_structure_checks(arr),
+              _entry("multiplicity_integrality", PASS if spec.multiplicities_integral else FAIL,
+                     mults=str([num_str(m) for m in spec.mults_raw])),
+              check_a1_zero(arr, tmin), check_c2_bound(arr, tmin),
+              *check_odd_girth_inequality(arr, tmin),
+              check_sum_rules(arr, spec), check_trace_square(arr, tmin)]
     if theta_ratio is not None:
         checks.append(check_theta_ratio(arr, spec, theta_ratio))
     return FeasibilityReport(arr, tuple(checks), spec)

@@ -18,11 +18,12 @@ in integers, so a complete candidate meets the trace identity
 (theta_min <= ratio*k) at the cost of one recurrence step.  The (b, c) rows
 of one valency that pass both go through one batched float screen of the
 Biggs multiplicities.  Only the rows it keeps become arrays, and each of
-those gets one full_report (one exact spectrum): the first enabled check among
-multiplicity integrality, the odd-girth inequality and the trace square that
-the report fails kills the array, and a survivor keeps its report.  Work is
-partitioned by valency k and merged in sorted order, so results and
-statistics are independent of execution order and worker count.
+those gets one full_report (one exact spectrum).  The first check in
+DEFAULT_CHECKS order that is enabled and that the report fails kills the
+array, so a c2_bound or a1_zero failure at the array's own theta_min counts
+even where the walk's cuts at ratio*k let it through; a survivor keeps its
+report.  Work is partitioned by valency k and merged in sorted order, so
+results and statistics are independent of execution order and worker count.
 
 classify_diameter runs the paper's stages in one loop: k <= 4, the a_2, a_3
 and (D = 5) a_4 exclusions under their derived caps, and the main space.
@@ -123,16 +124,28 @@ class SearchSpec:
             ratio = obj.get("theta_ratio")
             if ratio is not None:
                 ratio = Fraction(str(ratio))
+            if type(obj["D"]) is not int:
+                raise TypeError(f"D must be an integer, got {obj['D']!r}")
+            k_min, k_max = _json_ints("k_range", obj["k_range"], 2)
             return cls(
-                D=int(obj["D"]),
-                k_min=int(obj["k_range"][0]), k_max=int(obj["k_range"][1]),
+                D=obj["D"], k_min=k_min, k_max=k_max,
                 a_pattern=str(obj["a_pattern"]),
-                c2_set=tuple(sorted(int(c) for c in obj.get("c2_set", (1, 2)))),
+                c2_set=tuple(sorted(_json_ints("c2_set", obj.get("c2_set", [1, 2])))),
                 theta_ratio=ratio,
                 checks=tuple(obj.get("checks", DEFAULT_CHECKS)),
             )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SearchSpecError(f"bad search spec: {exc}") from exc
+
+
+def _json_ints(key: str, value, n: int | None = None) -> list[int]:
+    """value if it is a list of JSON integers, of length n unless n is None;
+    a string, a float or a bool is no integer, and no entry is converted,
+    truncated or dropped."""
+    if (not isinstance(value, list) or n not in (None, len(value))
+            or any(type(x) is not int for x in value)):
+        raise TypeError(f"{key} must be a list of {n or 'some'} integers, got {value!r}")
+    return value
 
 
 def default_spec(D: int, checks: tuple[str, ...] = DEFAULT_CHECKS) -> SearchSpec:
@@ -300,24 +313,22 @@ class _KSpace:
 
 def _run_k(args):
     """Survivors of one valency as (array, report) pairs, and its stats: the
-    first enabled exact-path check that an array's one full_report fails kills
-    it, and an odd-girth check reached with no failure but an undecided entry
-    leaves a warning."""
+    first check in DEFAULT_CHECKS order that is enabled and that an array's
+    one full_report fails kills it, and an odd-girth check reached with no
+    failure but an undecided entry leaves a warning."""
     spec, k = args
     arrays, stats = _KSpace(k, spec).run()
-    exact_path = [name for name in ("multiplicity_integrality", "odd_girth_inequality",
-                                    "trace_square") if name in spec.checks]
     survivors = []
     for arr in arrays:
         report = full_report(arr, spec.theta_ratio)
-        if exact_path and report.spectrum is None:
+        if report.spectrum is None:
             raise SpectralError(f"{format_array(arr)}: {report.checks[0].witness['error']}")
-        for name in exact_path:
-            verdicts = {e.verdict for e in report.checks if e.name.startswith(name)}
-            if FAIL in verdicts:
+        for name in (c for c in DEFAULT_CHECKS if c in spec.checks):
+            verdict = report.verdict(name)
+            if verdict == FAIL:
                 stats.kill(name)
                 break
-            if name == "odd_girth_inequality" and INCONCLUSIVE in verdicts:
+            if name == "odd_girth_inequality" and verdict == INCONCLUSIVE:
                 stats.warnings.append(f"{format_array(arr)}: odd-girth inequality inconclusive")
         else:
             survivors.append((arr, report))

@@ -171,6 +171,15 @@ def test_enumerate_without_a_cap_pipeline_exit2():
         assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("enumerate", "-d", "4", "--k-max", "9", "--csv", "/nonexistent-dir/x.csv"),
+    ("verify", "cycle:9", "--export", "/nonexistent-dir/x")])
+def test_unwritable_output_path_exit2(args):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert "error: " in r.stderr and "Traceback" not in r.stderr
+
+
 def test_cli_import_loads_no_scipy():
     # only verify's graph oracles need scipy; they import it themselves
     code = ("import sys, drgf.cli; "

@@ -7,7 +7,6 @@ from drgf import feasibility
 from drgf.core import parse_array
 from drgf.feasibility import (FAIL, INCONCLUSIVE, NA, PASS, CheckEntry,
                               FeasibilityReport, check_a1_zero, check_c2_bound,
-                              check_monotonicity_and_integrality,
                               check_odd_girth_inequality, check_sum_rules,
                               check_theta_ratio, check_trace_square,
                               full_report, p_polynomials)
@@ -24,16 +23,19 @@ def test_witnesses_all_pass():
         assert rep.overall == PASS, (text, rep.failing)
 
 
+# the four classical conditions: monotone c, monotone b, integral k_i and m_i
+CLASSICAL = ("c_nondecreasing", "b_nonincreasing", "k_integrality", "multiplicity_integrality")
+
+
 def test_monotonicity_failure():
-    entries = check_monotonicity_and_integrality(parse_array("{5,3,2,2;1,2,1,2}"))
-    by = {e.name: e.verdict for e in entries}
+    by = {e.name: e.verdict for e in full_report(parse_array("{5,3,2,2;1,2,1,2}")).checks}
     assert by["c_nondecreasing"] == FAIL
     assert by["k_integrality"] == FAIL
 
 
 def test_monotone_checks_pass_folded_cube():
-    entries = check_monotonicity_and_integrality(parse_array("{9,8,7,6;1,2,3,4}"))
-    assert all(e.verdict == PASS for e in entries)
+    rep = full_report(parse_array("{9,8,7,6;1,2,3,4}"))
+    assert [rep.verdict(name) for name in CLASSICAL] == [PASS] * 4
 
 
 def test_regression_non_integral_multiplicities():
@@ -178,7 +180,7 @@ def test_verdict_independent_of_check_order():
     arr = parse_array("{5,4,4,3;1,1,2,3}")
     tmin = eigenvalues(arr)[-1]
     spec = spectrum(arr)
-    entries = (check_monotonicity_and_integrality(arr, spec)
+    entries = ([e for e in full_report(arr).checks if e.name in CLASSICAL]
                + [check_a1_zero(arr, tmin), check_c2_bound(arr, tmin)]
                + check_odd_girth_inequality(arr, tmin)
                + [check_sum_rules(arr, spec), check_trace_square(arr, tmin)])
@@ -194,6 +196,21 @@ def test_overall_is_three_state():
     assert FeasibilityReport(arr, (passed,)).overall == PASS
     assert FeasibilityReport(arr, (passed, unsure)).overall == INCONCLUSIVE
     assert FeasibilityReport(arr, (unsure, failed, passed)).overall == FAIL
+
+
+def test_verdict_joins_the_entries_of_one_check():
+    arr = parse_array("{9,8,7,6;1,2,3,4}")
+    na = CheckEntry("a1_zero", NA, {})
+    odd = [CheckEntry(f"odd_girth_inequality_j{j}", verdict, {})
+           for j, verdict in enumerate((PASS, INCONCLUSIVE, FAIL))]
+    for n, verdict in ((1, PASS), (2, INCONCLUSIVE), (3, FAIL)):
+        rep = FeasibilityReport(arr, (na, *odd[:n]))
+        assert rep.verdict("odd_girth_inequality") == verdict
+        assert rep.verdict("a1_zero") == NA
+        assert rep.verdict("odd_girth") is None and rep.verdict("trace_square") is None
+    real = full_report(arr)
+    assert real.verdict("odd_girth_inequality") == PASS
+    assert real.verdict("theta_ratio") is real.verdict("trace_vs_ratio") is None
 
 
 def test_forced_inconclusive_report_is_not_pass(monkeypatch):

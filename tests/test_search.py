@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from drgf import feasibility, search
+from drgf import feasibility, oracle, search
 from drgf.core import IntersectionArray, format_array, parse_array
+from drgf.feasibility import FAIL, full_report
 from drgf.search import (DEFAULT_CHECKS, CapDerivationError, SearchSpec,
                          SearchSpecError, _eta_poly, _has_positive_root,
                          _KSpace, _nonnegative_below_cut, classify_diameter,
@@ -55,6 +56,17 @@ def test_spec_rejects_unknown_checks(checks):
         SearchSpec.from_json_dict(obj)
     with pytest.raises(SearchSpecError, match="unknown checks"):
         SearchSpec(4, 5, 8, "000+", checks=tuple(checks))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("k_range", "58"), ("c2_set", "12"), ("D", 4.9), ("D", True), ("D", "4"),
+    ("k_range", [5.5, 8]), ("k_range", [5, 8, 99]), ("k_range", [5]), ("c2_set", [1, 2.0])])
+def test_spec_json_rejects_what_it_would_misread(key, value):
+    # int() and indexing would misread each: as [5, 8], {1, 2}, D = 4 or 1,
+    # or by truncating or dropping an entry
+    obj = {"D": 4, "k_range": [5, 8], "a_pattern": "000+", key: value}
+    with pytest.raises(SearchSpecError, match=f"bad search spec: {key} must be"):
+        SearchSpec.from_json_dict(obj)
 
 
 def test_spec_contains_what_its_walk_generates():
@@ -193,14 +205,42 @@ def test_one_spectrum_per_array_on_the_exact_path(monkeypatch, ratio):
     checks = tuple(c for c in DEFAULT_CHECKS if c != "multiplicity_integrality")
     res = enumerate_arrays(SearchSpec(5, 5, 8, "000+*", (1, 2), ratio, checks))
     st = res.stats
+    # with no ratio the walk has no c_2 cap, so every c2_bound kill is the report's
     exact_path = (st.survivors + st.killed.get("odd_girth_inequality", 0)
-                  + st.killed.get("trace_square", 0))
+                  + st.killed.get("trace_square", 0)
+                  + (st.killed.get("c2_bound", 0) if ratio is None else 0))
     assert len(calls) == exact_path == len(set(calls))
     assert reports == calls
-    assert (st.killed["odd_girth_inequality"], st.survivors) == {
-        Fraction(-4, 5): (61, 10), None: (139, 283)}[ratio]
+    assert (st.killed, st.survivors) == {
+        Fraction(-4, 5): ({"c2_bound": 319, "k_integrality": 301,
+                           "odd_girth_inequality": 61, "theta_ratio": 241}, 10),
+        None: ({"c2_bound": 86, "k_integrality": 510, "odd_girth_inequality": 84}, 252)}[ratio]
     assert st.survivors == len(res.reports) > 0
     assert all(rep.spectrum is not None for rep in res.reports.values())
+
+
+@pytest.mark.parametrize("D, k_max, ratio", [(3, 6, None), (3, 8, Fraction(-3, 4)),
+                                             (4, 5, None), (4, 6, Fraction(-3, 4))])
+def test_no_survivor_fails_an_enabled_check(D, k_max, ratio):
+    # with one check disabled in turn, every other one still holds on every
+    # survivor's report, including a1_zero and c2_bound, which the walk
+    # applies only under a ratio cut
+    survivors = 0
+    for off in DEFAULT_CHECKS:
+        checks = tuple(c for c in DEFAULT_CHECKS if c != off)
+        res = enumerate_arrays(SearchSpec(D, 2, k_max, "*" * D, (1, 2), ratio, checks))
+        survivors += res.stats.survivors
+        for text, report in res.reports.items():
+            assert [c for c in checks if report.verdict(c) == FAIL] == [], (off, text)
+    assert survivors > 0
+
+
+def test_every_default_check_has_a_report_verdict():
+    # the search reads each enabled check off the report; only the walk
+    # applies trace_vs_ratio
+    for _graph, text, _name in oracle.WITNESSES:
+        report = full_report(parse_array(text), Fraction(-1, 2))
+        assert [c for c in DEFAULT_CHECKS if report.verdict(c) is None] == ["trace_vs_ratio"]
 
 
 def test_search_warns_on_inconclusive_odd_girth(monkeypatch):
@@ -509,9 +549,15 @@ def test_classify_rejects_other_diameters():
 
 def test_disabling_a_check_creates_discrepancies():
     # {3,2,2,1;1,1,1,1} is not bipartite and fails only the multiplicity
-    # check, so the k <= 4 stage, which enumerates, must report it
+    # check, so the k <= 4 stage, which enumerates, must report it.  The
+    # three main-space arrays fail c2_bound at their own theta_min, which the
+    # report decides although the walk's cap at ratio*k lets them through.
     result = classify_diameter(4, disable_checks=("multiplicity_integrality",))
     assert "k <= 4 stage: unexpected survivor {3,2,2,1;1,1,1,1}" in result.discrepancies
+    assert len(result.discrepancies) == 88
+    for text in ("{8,7,6,6;1,2,2,4}", "{8,7,6,5;1,2,3,4}", "{10,9,8,6;1,2,4,5}"):
+        assert f"main stage: unexpected survivor {text}" not in result.discrepancies
+        assert full_report(parse_array(text), Fraction(-3, 4)).verdict("c2_bound") == FAIL
 
 
 def test_a3_catalog_exclusion_closes_what_c2_bound_would(monkeypatch):
