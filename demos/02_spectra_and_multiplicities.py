@@ -3,7 +3,7 @@
 The tridiagonal intersection matrix L has D+1 simple eigenvalues.  Rational
 ones are integers (the characteristic polynomial is monic with integer
 coefficients) and are extracted exactly; the rest are isolated by exact Sturm
-counts and polished to the working precision (DRGF_PRECISION digits).
+counts and polished to the working precision of 50 digits.
 """
 
 from drgf import parse_array, spectrum, standard_sequence

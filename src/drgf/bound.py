@@ -24,8 +24,7 @@ import numpy as np
 from mpmath import mp
 
 from .feasibility import p_polynomials
-from .precision import workdps
-from .spectral import as_mpf, refine_root
+from .spectral import as_mpf, refine_root, workdps
 
 MODE_GENERAL = "general"
 MODE_SHARP_G5 = "sharp-g5"
@@ -42,9 +41,9 @@ class BoundError(ValueError):
     pass
 
 
-def _require_odd_girth(g: int, minimum: int = 5) -> int:
-    if g < minimum or g % 2 == 0:
-        raise BoundError(f"need odd girth >= {minimum}, got {g}")
+def _require_odd_girth(g: int) -> int:
+    if g < 5 or g % 2 == 0:
+        raise BoundError(f"need odd girth >= 5, got {g}")
     return (g - 1) // 2
 
 
@@ -61,21 +60,21 @@ def f_poly(x, y, t: int):
 
 
 def schedule_n(g: int, mode: str = MODE_GENERAL, zeta=None) -> list:
-    """N_0..N_t; the sharp girth-5 schedule needs zeta to be known."""
+    """N_0..N_t of the mode; the one place that validates the mode.  The
+    sharp girth-5 schedule needs zeta, which the general one ignores."""
     t = _require_odd_girth(g)
     if mode == MODE_GENERAL:
         N = [0, 0]
         for _ in range(2, t + 1):
             N.append(2 * N[-1] + 4)
         return N
-    if mode == MODE_SHARP_G5:
-        if g != 5:
-            raise BoundError("sharp-g5 schedule is specific to girth 5")
-        if zeta is None:
-            raise BoundError("sharp-g5 schedule needs zeta")
-        z = as_mpf(zeta)
-        return [mp.mpf(0), mp.mpf(0), 2 / (1 - z)]
-    raise BoundError(f"unknown mode {mode!r}")
+    if mode != MODE_SHARP_G5:
+        raise BoundError(f"unknown mode {mode!r}")
+    if g != 5:
+        raise BoundError("sharp-g5 schedule is specific to girth 5")
+    if zeta is None:
+        raise BoundError("sharp-g5 schedule needs zeta")
+    return [mp.mpf(0), mp.mpf(0), 2 / (1 - as_mpf(zeta))]
 
 
 def m2_constant(g: int):
@@ -84,37 +83,14 @@ def m2_constant(g: int):
 
 
 def zeta_star(g: int, mode: str = MODE_GENERAL):
-    """min{M2 / (2 M1), 1/2}; for the sharp girth-5 schedule M1 depends on
-    zeta itself and the minimum solves to M2 / (8 + M2)."""
+    """min{M2 / (2 M1), 1/2}; for the sharp girth-5 schedule M1 = 4 / (1 - zeta)
+    depends on zeta itself and the minimum solves to M2 / (8 + M2)."""
     with workdps():
-        _require_odd_girth(g)
+        M1 = 2 * mp.fsum(schedule_n(g, mode, 0))  # the sharp one's is unused
         M2 = m2_constant(g)
         if mode == MODE_SHARP_G5:
-            if g != 5:
-                raise BoundError("sharp-g5 schedule is specific to girth 5")
             return min(M2 / (8 + M2), mp.mpf(1) / 2)
-        M1 = 2 * sum(schedule_n(g, mode))
-        if M1 == 0:
-            return mp.mpf(1) / 2
         return min(M2 / (2 * M1), mp.mpf(1) / 2)
-
-
-def _shifted_poly_coeffs(g: int, zeta, mode: str):
-    """Coefficients (low to high) of f(eta, y) + M1 zeta with eta at j = t - 1."""
-    t = _require_odd_girth(g)
-    eta = 2 * mp.cos(2 * mp.pi * (t - 1) / g)
-    ps = p_polynomials(t, eta)
-    if mode == MODE_SHARP_G5:
-        if g != 5:
-            raise BoundError("sharp-g5 schedule is specific to girth 5")
-        z = as_mpf(zeta)
-        shift = 4 * z / (1 - z)
-    else:
-        M1 = 2 * sum(schedule_n(g, mode))
-        shift = M1 * as_mpf(zeta)
-    coeffs = [mp.mpf(p) for p in ps]
-    coeffs[0] += shift
-    return coeffs, eta, shift
 
 
 def _leftmost_root(coeffs) -> mp.mpf | None:
@@ -156,14 +132,16 @@ def epsilon1(g: int, mode: str = MODE_GENERAL, zeta=None) -> BoundParameters:
     are checked before root hunting, and BoundError is raised if one fails.
     """
     with workdps():
-        t = _require_odd_girth(g)
         at_star = zeta is None
-        if at_star:
-            zeta = zeta_star(g, mode)
-        z = as_mpf(zeta)
+        z = as_mpf(zeta_star(g, mode) if at_star else zeta)
         if not 0 <= z <= mp.mpf(1) / 2:
             raise BoundError("zeta must lie in [0, 1/2]")
-        coeffs, eta, shift = _shifted_poly_coeffs(g, z, mode)
+        N = tuple(schedule_n(g, mode, z))
+        M1 = 2 * mp.fsum(N)
+        t = len(N) - 1
+        eta = 2 * mp.cos(2 * mp.pi * (t - 1) / g)
+        coeffs = [mp.mpf(p) for p in p_polynomials(t, eta)]
+        coeffs[0] += M1 * z
         M2 = m2_constant(g)
         at_m1 = mp.fsum(c * (-1) ** i for i, c in enumerate(coeffs))
         at_0 = coeffs[0]
@@ -174,11 +152,6 @@ def epsilon1(g: int, mode: str = MODE_GENERAL, zeta=None) -> BoundParameters:
             raise BoundError("bracketing sign fact failed at zeta*")
         root = _leftmost_root(coeffs)
         eps = None if root is None else 1 + root
-        if mode == MODE_SHARP_G5:
-            N = tuple(schedule_n(g, mode, z))
-        else:
-            N = tuple(schedule_n(g, mode))
-        M1 = 2 * mp.fsum(mp.mpf(x) for x in N)
         return BoundParameters(g, t, mode, z, N, M1, M2, eta, eps)
 
 

@@ -20,8 +20,7 @@ from mpmath import mp
 from . import bound, oracle, search
 from .core import ArrayFormatError, format_array, parse_array
 from .feasibility import full_report
-from .precision import workdps
-from .spectral import as_mpf, num_str, spectrum
+from .spectral import as_mpf, num_str, spectrum, workdps
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INCONCLUSIVE = 0, 1, 2, 3
 
@@ -107,6 +106,7 @@ def _spec_from_args(args) -> search.SearchSpec:
 def cmd_enumerate(args) -> int:
     try:
         spec = _spec_from_args(args)
+        out = open(args.csv, "w", newline="") if args.csv else None  # fail before the run
     except (search.SearchSpecError, search.CapDerivationError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -134,16 +134,12 @@ def cmd_enumerate(args) -> int:
         for name, n in sorted(result.stats.killed.items()):
             print(f"  killed by {name:28s} {n}")
         print(f"survivors {result.stats.survivors}")
-    if args.csv:
-        try:
-            with open(args.csv, "w", newline="") as fh:
-                w = csv.DictWriter(fh, fieldnames=["array", "k", "D", "v",
-                                                   "odd_girth", "theta_min"])
-                w.writeheader()
-                w.writerows(rows)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    if out:
+        with out:
+            w = csv.DictWriter(out, fieldnames=["array", "k", "D", "v",
+                                                "odd_girth", "theta_min"])
+            w.writeheader()
+            w.writerows(rows)
     return EXIT_OK
 
 
@@ -187,9 +183,6 @@ def cmd_bound(args) -> int:
     g = args.girth
     if g < 5 or g % 2 == 0:
         print("error: --girth must be odd and >= 5", file=sys.stderr)
-        return EXIT_USAGE
-    if args.mode not in bound.MODES:
-        print(f"error: --mode must be one of {', '.join(bound.MODES)}", file=sys.stderr)
         return EXIT_USAGE
     try:
         if args.table:
@@ -308,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--girth", "-g", type=int, required=True)
     p.add_argument("--zeta", type=_fraction, default=None,
                    help="branch parameter in [0, 1/2]; default zeta*")
-    p.add_argument("--mode", default=bound.MODE_GENERAL,
-                   help="general or sharp-g5")
+    p.add_argument("--mode", default=bound.MODE_GENERAL, choices=bound.MODES)
     p.add_argument("--table", type=_girth_range, metavar="GMIN..GMAX",
                    help="emit a CSV table over a girth range")
     p.set_defaults(func=cmd_bound)

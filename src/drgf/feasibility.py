@@ -18,9 +18,8 @@ from fractions import Fraction
 from mpmath import mp
 
 from .core import IntersectionArray, format_array
-from .precision import workdps
 from .spectral import (Exact, Spectrum, as_mpf, num_str, spectrum, standard_sequence,
-                       sturm_count_leq, trace_of_l_squared)
+                       sturm_count_leq, trace_of_l_squared, workdps)
 
 PASS = "pass"
 FAIL = "fail"

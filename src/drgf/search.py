@@ -43,10 +43,10 @@ from mpmath import mp
 from .core import IntersectionArray, format_array, parse_array
 from .feasibility import FAIL, INCONCLUSIVE, c2_upper_bound, full_report, p_polynomials
 from .oracle import WITNESSES
-from .precision import workdps
 from .spectral import (SpectralError, _poly_eval_frac, _sign_changes, abs_u_lower_bounds,
                        as_mpf, implied_last_c_lower, minor_polys, multiplicities_float,
-                       spectrum)  # not called here; perfbench's tracer test rebinds it
+                       spectrum,  # not called here; perfbench's tracer test rebinds it
+                       workdps)
 
 ZERO, NONZERO, FREE = "0", "+", "*"
 
@@ -483,9 +483,9 @@ class CapDerivation:
         raise KeyError(name)
 
 
-def valency_cap(D: int, theta_ratio: Fraction | None = None, c2_max: int = 2,
-                branch: str = "main") -> CapDerivation:
-    """Replay the valency-cap pipeline at its anchor valency.
+def valency_cap(D: int, branch: str = "main") -> CapDerivation:
+    """Replay the valency-cap pipeline at its anchor valency, for the
+    classification's ratio theta_min <= -(D-1)/D k and c_2 <= 2.
 
     The |u_i| chain is evaluated exactly at the anchor; each intermediate is
     then published with outward 4-decimal rounding (lower bounds floored,
@@ -493,9 +493,8 @@ def valency_cap(D: int, theta_ratio: Fraction | None = None, c2_max: int = 2,
     every constant of the audited derivation is reproducible and every
     rounding step weakens, never strengthens, the chain.
     """
-    if theta_ratio is None:
-        theta_ratio = Fraction(-(D - 1), D)
-    rho = -Fraction(theta_ratio)
+    theta_ratio, c2_max = Fraction(-(D - 1), D), 2
+    rho = -theta_ratio
     steps: list[CapStep] = []
 
     def publish(name, raw, upper=False):
@@ -610,7 +609,7 @@ def classify_diameter(D: int, jobs: int = 1,
         return SearchSpec(D, k_min, k_max, a_pattern, c2_set, ratio, checks)
 
     def capped(branch, a_pattern, suffix=""):
-        cap = valency_cap(D, ratio, branch=branch)
+        cap = valency_cap(D, branch)
         return [*(s.fmt() for s in cap.steps), f"k <= {cap.k_max}{suffix}",
                 space(5, cap.k_max, a_pattern)]
 

@@ -28,9 +28,14 @@ import numpy as np
 from mpmath import libmp, mp
 
 from .core import IntersectionArray
-from .precision import workdps, working_dps
 
 Exact = (int, Fraction)
+
+# mpmath working precision in decimal digits: refine_root stops at a step
+# below 10^-(DPS-5) = 10^-45, far inside the 2^-49 half-width that the two
+# exact signs of the enclosure certificate test, so no refined root fails
+# that certificate for lack of digits
+DPS = 50
 
 # certified enclosures of irrational eigenvalues have width <= 2^-_ISOLATE_BITS:
 # the refined root +- 2^-(_ISOLATE_BITS + 1), checked by two exact signs
@@ -47,13 +52,18 @@ def as_mpf(x):
     return mp.mpf(x)
 
 
+def workdps():
+    """Context manager pinning mpmath to the working precision DPS."""
+    return mp.workdps(DPS)
+
+
 def num_str(x) -> str:
     """Decimal string at working precision (exact values print exactly)."""
     if isinstance(x, int):
         return str(x)
     if isinstance(x, Fraction):
         return str(x) if x.denominator > 1 else str(x.numerator)
-    return mp.nstr(as_mpf(x), working_dps())
+    return mp.nstr(as_mpf(x), DPS)
 
 
 def intersection_matrix(arr: IntersectionArray) -> np.ndarray:

@@ -8,6 +8,7 @@ from drgf import bound
 from drgf.bound import (MODE_GENERAL, MODE_SHARP_G5, BoundError, bound_table,
                         conservative_2dp, diameter_bound, epsilon1, f_poly,
                         polygon_epsilon_upper, schedule_n, zeta_star)
+from drgf.spectral import workdps
 
 
 def test_f_poly_at_zero_y():
@@ -72,6 +73,18 @@ def test_epsilon1_girth5():
     # the sharp schedule meets the same root at its own zeta*
     sharp = epsilon1(5, MODE_SHARP_G5)
     assert abs(sharp.epsilon1 - params.epsilon1) < 1e-20
+
+
+def test_epsilon1_root_solves_the_shifted_equation():
+    # y = epsilon1 - 1 is a root of f(eta, y) + M1 zeta, with the M1 and
+    # zeta that epsilon1 returns
+    cases = [(5, MODE_GENERAL, None), (7, MODE_GENERAL, None), (101, MODE_GENERAL, None),
+             (5, MODE_SHARP_G5, None), (5, MODE_SHARP_G5, Fraction(1, 10))]
+    with workdps():
+        for g, mode, zeta in cases:
+            p = epsilon1(g, mode, zeta)
+            y = p.epsilon1 - 1
+            assert abs(f_poly(p.eta, y, p.t) + p.M1 * p.zeta) < mp.mpf(10) ** -40, (g, mode)
 
 
 def test_epsilon1_decreases_from_5_to_9():

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -175,9 +176,11 @@ def test_enumerate_without_a_cap_pipeline_exit2():
     ("enumerate", "-d", "4", "--k-max", "9", "--csv", "/nonexistent-dir/x.csv"),
     ("verify", "cycle:9", "--export", "/nonexistent-dir/x")])
 def test_unwritable_output_path_exit2(args):
+    # the path fails before any work: nothing is printed to stdout
     r = run_cli(*args)
     assert r.returncode == 2
     assert "error: " in r.stderr and "Traceback" not in r.stderr
+    assert r.stdout == ""
 
 
 def test_cli_import_loads_no_scipy():
@@ -264,6 +267,12 @@ def test_bound_default_zeta_star():
     assert "note:" in r.stdout
 
 
+def test_bound_unknown_mode_exit2():
+    r = run_cli("bound", "-g", "5", "--mode", "bogus")
+    assert r.returncode == 2
+    assert "invalid choice: 'bogus'" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_bound_bad_table_exit2():
     r = run_cli("bound", "-g", "5", "--table", "5..x")
     assert r.returncode == 2
@@ -306,6 +315,14 @@ def test_verify_export(tmp_path):
     assert len(out.read_text().strip().splitlines()) == 9
 
 
-def test_precision_env_smoke():
-    r = run_cli("check", "{3,2,2,1;1,1,1,2}", env={"DRGF_PRECISION": "30"})
-    assert r.returncode == 0 and "overall: pass" in r.stdout
+def test_theorem2_d5_ignores_a_precision_variable():
+    # the working precision is fixed: at 15 digits refine_root would stop at
+    # 1e-10, short of the 2^-49 that the enclosure certificate needs
+    r = run_cli("theorem2", "-d", "5", env={"DRGF_PRECISION": "15"})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (FIXTURES / "theorem2_d5.txt").read_text()
+
+
+def test_src_reads_no_environment():
+    for path in (Path(__file__).parent.parent / "src" / "drgf").rglob("*.py"):
+        assert not re.search(r"\benviron\b|getenv", path.read_text()), path.name

@@ -10,13 +10,12 @@ from mpmath import mp
 from drgf import oracle, spectral
 from drgf.core import IntersectionArray, parse_array
 from drgf.feasibility import INCONCLUSIVE, PASS, check_trace_square, full_report
-from drgf.precision import workdps
 from drgf.spectral import (abs_u_lower_bounds, as_mpf, charpoly, eigenvalues,
                            eigenvalues_float, implied_last_c_lower,
                            intersection_matrix, multiplicity,
                            multiplicities_float, multiplicity_upper_bound,
                            refine_root, spectrum, standard_sequence,
-                           sturm_count_leq, trace_of_l_squared)
+                           sturm_count_leq, trace_of_l_squared, workdps)
 
 CORPUS = ["{2;1}", "{2,1;1,1}", "{3,2;1,1}", "{2,1,1,1;1,1,1,1}",
           "{3,2,2,1;1,1,1,2}", "{5,4,4,3;1,1,2,2}", "{9,8,7,6;1,2,3,4}",
@@ -451,13 +450,6 @@ def test_spectrum_rejects_a_refined_root_outside_its_box(monkeypatch):
         spectrum(arr)
     rep = full_report(arr)
     assert rep.spectrum is None and rep.overall == INCONCLUSIVE
-
-
-def test_working_precision_env(monkeypatch):
-    monkeypatch.setenv("DRGF_PRECISION", "30")
-    arr = parse_array("{3,2,2,1;1,1,1,2}")
-    th = eigenvalues(arr)
-    assert abs(float(as_mpf(th[-1])) - (-1 - math.sqrt(2))) < 1e-12
 
 
 def test_spectrum_with_zero_eigenvalue():
