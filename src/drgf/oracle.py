@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,16 @@ class OracleError(ValueError):
     pass
 
 
+class BFS(NamedTuple):
+    """What one all-sources BFS pass finds (see Graph.bfs)."""
+
+    connected: bool
+    b: tuple[int, ...]  # b_0, b_1, ... while the counts are constant
+    c: tuple[int, ...]  # c_1, c_2, ... likewise
+    witness: tuple[int, int, int] | None  # first (x, y, i) where one is not
+    odd_girth: int | str
+
+
 @dataclass(frozen=True)
 class Graph:
     name: str
@@ -56,11 +67,52 @@ class Graph:
         return A
 
     @cached_property
-    def distances(self) -> np.ndarray:
-        """All-pairs BFS distance matrix (inf marks disconnection)."""
-        import scipy.sparse.csgraph  # here, so only the graph oracles load scipy
-        sp = scipy.sparse.csr_matrix(self.adjacency)
-        return scipy.sparse.csgraph.shortest_path(sp, method="D", unweighted=True)
+    def bfs(self) -> BFS:
+        """BFS from every vertex at once, one distance layer at a time.
+
+        L_i is the 0/1 matrix of pairs at distance i and N_i = L_i A, so
+        N_i[x, y] = #{z ~ y : d(x, z) = i}; L_{i+1} is N_i > 0 less L_i and
+        L_{i-1}.  On layer i, c_i is read off N_{i-1} and b_i off N_{i+1}
+        [BCN 4.1]; the witness is the first layer i, c before b, then the
+        lexicographically least (x, y) whose count differs from the count at
+        the layer's least pair.  An edge inside layer r (L_r o N_r != 0)
+        closes an odd walk of length 2r + 1, so the least such r gives the
+        odd girth.  Only layers i-1..i+1 and their products are held.
+
+        The pass holds A L_i = N_i^T, the C-ordered product.  Where it reads
+        a count, every earlier check has passed, so L_{i-1} and, for b_i,
+        L_i are polynomials in A by the three-term recurrence and commute
+        with it; hence c(x, y) = (L_{i-1} A)[x, y] and b(x, y) = k -
+        (L_i A)[x, y] - (L_{i-1} A)[x, y] are symmetric on layer i, where
+        N_i^T therefore reads as N_i.
+        """
+        import scipy.sparse  # here, so only the graph oracles load scipy
+        n = self.n
+        u, v = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        A = scipy.sparse.csr_array(
+            (np.ones(2 * len(u), np.int32), (np.r_[u, v], np.r_[v, u])), shape=(n, n))
+        prev, cur = np.zeros((n, n), dtype=bool), np.eye(n, dtype=bool)
+        nt_prev, nt_cur = None, A @ cur
+        b, c, witness, odd_girth, seen = [], [], None, BIPARTITE, n
+        for i in count():
+            if odd_girth == BIPARTITE and nt_cur[cur].any():
+                odd_girth = 2 * i + 1
+            nxt = (nt_cur > 0) & ~cur & ~prev
+            nt_next = A @ nxt if nxt.any() else None
+            for nt, store in ((nt_prev, c), (nt_next, b)):
+                if witness is not None or nt is None:
+                    continue
+                vals = nt[cur]  # in lexicographic (x, y) order
+                bad = np.flatnonzero(vals != vals[0])
+                if bad.size:
+                    x, y = divmod(int(np.flatnonzero(cur)[bad[0]]), n)
+                    witness = (x, y, i)
+                else:
+                    store.append(int(vals[0]))
+            if nt_next is None:
+                return BFS(seen == n * n, tuple(b), tuple(c), witness, odd_girth)
+            seen += int(np.count_nonzero(nxt))
+            prev, cur, nt_prev, nt_cur = cur, nxt, nt_cur, nt_next
 
     def edge_list_text(self) -> str:
         """One 'u v' pair per line, 0-indexed, sorted."""
@@ -72,10 +124,15 @@ class Graph:
             fh.write(self.edge_list_text())
 
 
+def _connected_bfs(g: Graph) -> BFS:
+    if not g.bfs.connected:
+        raise OracleError(f"{g.name} is not connected")
+    return g.bfs
+
+
 def _graph(name, n, edges) -> Graph:
     g = Graph(name, n, tuple(sorted((min(u, v), max(u, v)) for u, v in edges)))
-    if np.isinf(g.distances).any():
-        raise OracleError(f"{name} is not connected")
+    _connected_bfs(g)
     return g
 
 
@@ -89,11 +146,17 @@ def odd_graph(m: int) -> Graph:
     """Kneser graph on (m-1)-subsets of a (2m-1)-set, adjacency = disjointness."""
     if m < 2:
         raise OracleError("odd_graph needs m >= 2")
-    verts = list(combinations(range(2 * m - 1), m - 1))
-    masks = [sum(1 << x for x in t) for t in verts]
-    edges = [(i, j) for i in range(len(verts)) for j in range(i + 1, len(verts))
-             if not masks[i] & masks[j]]
-    return _graph(f"odd_graph:{m}", len(verts), edges)
+    masks = [sum(1 << x for x in t) for t in combinations(range(2 * m - 1), m - 1)]
+    index = {mask: i for i, mask in enumerate(masks)}
+    full = (1 << (2 * m - 1)) - 1
+    # the subsets disjoint from a vertex are its m-set complement less one point
+    edges = []
+    for i, mask in enumerate(masks):
+        rest = full ^ mask
+        for x in range(2 * m - 1):
+            if rest >> x & 1 and i < (j := index[rest ^ (1 << x)]):
+                edges.append((i, j))
+    return _graph(f"odd_graph:{m}", len(masks), edges)
 
 
 def folded_cube(n: int) -> Graph:
@@ -137,36 +200,15 @@ def build(name: str) -> Graph:
 
 
 def verify_distance_regular(g: Graph):
-    """BFS from every vertex and check the c_i/b_i counts are globally constant.
+    """Check the c_i/b_i counts of every BFS layer are globally constant.
 
     Returns (IntersectionArray, None) on success, (None, witness) on failure
-    where witness is the first violating (x, y, i) triple.
+    where witness is the first violating (x, y, i) triple (see Graph.bfs).
     """
-    dist = g.distances
-    if np.isinf(dist).any():
-        raise OracleError("graph is not connected")
-    dist = dist.astype(np.int64)
-    diam = int(dist.max())
-    A = g.adjacency
-    b = {}
-    c = {}
-    for i in range(diam + 1):
-        sel = dist == i
-        counts_c = (dist == i - 1).astype(np.float64) @ A if i > 0 else None
-        counts_b = (dist == i + 1).astype(np.float64) @ A if i < diam else None
-        for kind, counts, store in (("c", counts_c, c), ("b", counts_b, b)):
-            if counts is None:
-                continue
-            vals = counts[sel]
-            first = vals.flat[0]
-            if not (vals == first).all():
-                bad = np.argwhere(sel & (counts != first))
-                x, y = map(int, min(map(tuple, bad)))
-                return None, (x, y, i)
-            store[i] = int(first)
-    arr = IntersectionArray(tuple(b[i] for i in range(diam)),
-                            tuple(c[i] for i in range(1, diam + 1)))
-    return arr, None
+    bfs = _connected_bfs(g)
+    if bfs.witness is not None:
+        return None, bfs.witness
+    return IntersectionArray(bfs.b, bfs.c), None
 
 
 class ClusteringError(RuntimeError):
@@ -202,14 +244,7 @@ def odd_girth_bruteforce(g: Graph):
     An edge inside BFS layer r of root x closes an odd walk of length 2r + 1
     through x; minimising over roots and edges gives the odd girth.
     """
-    dist = g.distances
-    U = np.array([e[0] for e in g.edges])
-    V = np.array([e[1] for e in g.edges])
-    du, dv = dist[:, U], dist[:, V]
-    same = du == dv
-    if not same.any():
-        return BIPARTITE
-    return int(2 * du[same].min() + 1)
+    return _connected_bfs(g).odd_girth
 
 
 # The witness graphs of the diameter-4/5 classification as (graph name for

@@ -257,7 +257,17 @@ def test_bound_sharp_g5_remark():
 
 
 def test_bound_even_girth_exit2():
-    assert run_cli("bound", "--girth", "6").returncode == 2
+    for g in ("4", "6"):
+        r = run_cli("bound", "--girth", g)
+        assert r.returncode == 2
+        assert f"need odd girth >= 5, got {g}" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_bound_needs_one_of_girth_and_table():
+    for args in ((), ("-g", "5", "--table", "5..7")):
+        r = run_cli("bound", *args)
+        assert r.returncode == 2
+        assert "error:" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_bound_default_zeta_star():
@@ -274,18 +284,21 @@ def test_bound_unknown_mode_exit2():
 
 
 def test_bound_bad_table_exit2():
-    r = run_cli("bound", "-g", "5", "--table", "5..x")
+    r = run_cli("bound", "--table", "5..x")
     assert r.returncode == 2
     assert "error:" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_bound_table_csv():
-    r = run_cli("bound", "--girth", "5", "--table", "5..13")
-    lines = r.stdout.strip().splitlines()
-    assert lines[0] == "g,zeta_star,epsilon1,theta_over_k"
-    assert len(lines) == 6  # header + g in {5,7,9,11,13}
-    gs = [int(ln.split(",")[0]) for ln in lines[1:]]
-    assert gs == [5, 7, 9, 11, 13]
+    r = run_cli("bound", "--table", "5..13")
+    assert r.returncode == 0
+    assert r.stdout == (
+        "g,zeta_star,epsilon1,theta_over_k\n"
+        "5,0.07725424859,0.1729090847,-0.8270909153\n"
+        "7,0.02506055424,0.1292584188,-0.8707415812\n"
+        "9,0.01136363636,0.1028205989,-0.8971794011\n"
+        "11,0.005786613576,0.08525864942,-0.9147413506\n"
+        "13,0.003092149229,0.07278335045,-0.9272166496\n")
 
 
 def test_verify_odd_graph6():

@@ -1,4 +1,6 @@
 import math
+import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -40,7 +42,102 @@ def test_verify_distance_regular_catalog(catalog_graphs):
 def test_verify_rejects_path():
     p4 = oracle.Graph("path", 4, ((0, 1), (1, 2), (2, 3)))
     arr, witness = oracle.verify_distance_regular(p4)
-    assert arr is None and witness is not None
+    assert arr is None and witness == (1, 1, 0)  # b_0: degree 2 at 1, 1 at 0
+
+
+def test_disconnected_graph_raises():
+    two = oracle.Graph("two", 4, ((0, 1), (2, 3)))
+    with pytest.raises(oracle.OracleError, match="not connected"):
+        oracle.verify_distance_regular(two)
+    with pytest.raises(oracle.OracleError, match="not connected"):
+        oracle.odd_girth_bruteforce(two)
+
+
+def _reference_bfs(n, edges):
+    """Per-root BFS in plain Python: (b, c, witness, odd girth), with the
+    witness taken in the documented order (least i, c before b, then the
+    lexicographically least (x, y))."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = []
+    for x in range(n):
+        d = {x: 0}
+        queue = [x]
+        for y in queue:
+            for z in adj[y]:
+                if z not in d:
+                    d[z] = d[y] + 1
+                    queue.append(z)
+        dist.append([d[y] for y in range(n)])
+    diam = max(map(max, dist))
+    odd = [2 * dist[x][u] + 1 for x in range(n) for u, v in edges
+           if dist[x][u] == dist[x][v]]
+    odd_girth = min(odd) if odd else oracle.BIPARTITE
+    b, c = [], []
+    for i in range(diam + 1):
+        layer = [(x, y) for x in range(n) for y in range(n) if dist[x][y] == i]
+        for j, store in ((i - 1, c), (i + 1, b)):
+            if not 0 <= j <= diam:
+                continue
+            counts = [sum(dist[x][z] == j for z in adj[y]) for x, y in layer]
+            for (x, y), k in zip(layer, counts):
+                if k != counts[0]:
+                    return b, c, (x, y, i), odd_girth
+            store.append(counts[0])
+    return b, c, None, odd_girth
+
+
+def _random_connected_graphs(count, seed):
+    """Seeded random connected graphs: a random spanning tree plus G(n, p)
+    edges, and random regular graphs, which pass b_0 and fail later."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        n = rng.randint(2, 14)
+        if len(graphs) % 2:
+            k = rng.randint(2, n - 1) if n > 2 else 1
+            if n * k % 2:
+                continue
+            G = nx.random_regular_graph(k, n, seed=rng.randrange(2**32))
+            if not nx.is_connected(G):
+                continue
+            edges = set(G.edges())
+        else:
+            edges = {(rng.randrange(v), v) for v in range(1, n)}
+            p = rng.random()
+            edges |= {(u, v) for u, v in combinations(range(n), 2) if rng.random() < p}
+        graphs.append(oracle.Graph(f"random:{len(graphs)}", n, tuple(sorted(edges))))
+    return graphs
+
+
+def test_bfs_matches_plain_python_reference():
+    graphs = _random_connected_graphs(200, seed=14)
+    assert sum(oracle.verify_distance_regular(g)[1] is None for g in graphs) >= 10
+    for g in graphs:
+        b, c, witness, odd_girth = _reference_bfs(g.n, g.edges)
+        arr, got = oracle.verify_distance_regular(g)
+        assert got == witness, g
+        if witness is None:
+            assert (arr.b, arr.c) == (tuple(b), tuple(c)), g
+        assert oracle.odd_girth_bruteforce(g) == odd_girth, g
+
+
+def test_verify_matches_networkx(catalog_graphs):
+    nx = pytest.importorskip("networkx")
+    graphs = list(catalog_graphs.values()) + _random_connected_graphs(200, seed=41)
+    for g in graphs:
+        G = nx.Graph(g.edges)
+        G.add_nodes_from(range(g.n))
+        try:
+            want = nx.intersection_array(G)
+        except nx.NetworkXError:  # not distance-regular
+            want = None
+        arr, _ = oracle.verify_distance_regular(g)
+        got = None if arr is None else (list(arr.b), list(arr.c))
+        assert got == want, g.name
 
 
 def test_spectrum_bruteforce_coxeter(catalog_graphs):
@@ -56,6 +153,15 @@ def test_spectrum_bruteforce_coxeter(catalog_graphs):
 def test_spectrum_bruteforce_cycle9(catalog_graphs):
     vals, mults = oracle.spectrum_bruteforce(catalog_graphs["cycle:9"])
     assert mults == [1, 2, 2, 2, 2]
+
+
+def test_odd_graph_edges_match_pairwise_disjointness():
+    for m in range(2, 7):
+        verts = list(combinations(range(2 * m - 1), m - 1))
+        pairwise = {(i, j) for i, j in combinations(range(len(verts)), 2)
+                    if not set(verts[i]) & set(verts[j])}
+        g = oracle.odd_graph(m)
+        assert g.n == len(verts) and set(g.edges) == pairwise, m
 
 
 def test_odd_girth_bruteforce(catalog_graphs):
