@@ -18,7 +18,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .core import IntersectionArray, format_array
-from .spectral import (Exact, Spectrum, as_mpf, num_str, spectrum, standard_sequence,
+from .spectral import (DPS, Exact, Spectrum, as_mpf, num_str, spectrum, standard_sequence,
                        sturm_count_leq, trace_of_l_squared, workdps)
 
 PASS = "pass"
@@ -192,7 +192,14 @@ def check_sum_rules(arr: IntersectionArray, spec: Spectrum) -> CheckEntry:
         r2 = abs(mp.fsum(m * t * t for m, t in zip(ms, th)) - v * arr.k) / (v * arr.k)
         ok = max(r0, r1, r2) < SUM_RULES_TOL
         return _entry("spectrum_sum_rules", PASS if ok else FAIL,
-                      r_sum=r0, r_first=r1, r_second=r2)
+                      r_sum=_residual_str(r0), r_first=_residual_str(r1),
+                      r_second=_residual_str(r2))
+
+
+def _residual_str(r) -> str:
+    """A sum-rule residual at 3 significant digits, or 0 below 10^-(DPS-5),
+    where it is rounding noise of the working precision."""
+    return "0" if r < mp.mpf(10) ** (5 - DPS) else mp.nstr(r, 3)
 
 
 def check_trace_square(arr: IntersectionArray, theta_min) -> CheckEntry:

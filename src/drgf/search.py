@@ -8,16 +8,21 @@ subtrees as soon as a prefix is doomed:
 * a_1 >= 1 cannot meet theta_min <= ratio*k when ratio < -1/2;
 * c_2 above the closed-form bound (2k - 2*theta)/(4 - 3*theta - k), evaluated
   at theta = ratio*k where the bound is largest, is impossible;
-* k_i = k_{i-1} b_{i-1} / c_i must stay integral.
+* k_i = k_{i-1} b_{i-1} / c_i must stay integral: from level 3 on the walk
+  takes only the c_i that divide k_{i-1} b_{i-1}.
 
 Pruned subtrees are counted exactly (memoised completion counts), so the
-statistics cover the full search space at array granularity.  The walk
-carries tr(L^2) and the Sturm minors of L at the cut ratio*k down the tree
-in integers, so a complete candidate meets the trace identity
-(k^2 + (ratio*k)^2 <= tr(L^2)) and then the exact Sturm count
-(theta_min <= ratio*k) at the cost of one recurrence step.  The (b, c) rows
-of one valency that pass both go through one batched float screen of the
-Biggs multiplicities.  Only the rows it keeps become arrays, and each of
+statistics cover the full search space at array granularity; the subtrees a
+node's divisor filter drops are one kill, its count less its kept children's.
+The walk carries tr(L^2) and the Sturm minors of L at the cut ratio*k down
+the tree in integers.  At a leaf a_D = k - c_D, so tr(L^2) is quadratic and
+the last minor affine in c_D: each leaf-parent decides the trace identity
+(k^2 + (ratio*k)^2 <= tr(L^2)) and then the exact Sturm count (theta_min <=
+ratio*k) for all its leaves at once, counting each cut's kills once.  The
+(b, c) rows of one valency that pass both go through one batched float
+screen of the Biggs multiplicities (see _screen), which decides at theta_min
+first and sends to eigvalsh only the rows it leaves undecided or
+integral-looking there.  Only the rows it keeps become arrays, and each of
 those gets one full_report (one exact spectrum).  The first check in
 DEFAULT_CHECKS order that is enabled and that the report fails kills the
 array, so a c2_bound or a1_zero failure at the array's own theta_min counts
@@ -46,7 +51,7 @@ from .oracle import WITNESSES
 from .spectral import (SpectralError, _poly_eval_frac, _sign_changes, abs_u_lower_bounds,
                        as_mpf, implied_last_c_lower, minor_polys, multiplicities_float,
                        spectrum,  # not called here; perfbench's tracer test rebinds it
-                       workdps)
+                       theta_min_multiplicity_float, workdps)
 
 ZERO, NONZERO, FREE = "0", "+", "*"
 
@@ -223,44 +228,42 @@ class _KSpace:
         bound = c2_upper_bound(k, self.ratio_cut)
         return bound.numerator // bound.denominator
 
-    def choices(self, level: int, c_prev: int, b_prev: int):
-        """(c, a, b) options at a level, before pruning checks."""
+    def choices(self, level: int, c_prev: int, b_prev: int, divides: int | None = None):
+        """(c, a, b) options at a level, before pruning checks; given divides,
+        only those whose c divides it."""
         k, D = self.k, self.spec.D
         kind = self.spec.a_pattern[level - 1]
         cs = (1,) if level == 1 else range(c_prev, k + (level == D))
         if level == 2:
             cs = [c for c in cs if c in self.spec.c2_set]
+        if divides is not None:
+            cs = [c for c in cs if divides % c == 0]
         if level == D:  # a leaf: b_D = 0, and a_D = 0 exactly when c = k
-            yield from ((c, k - c, 0) for c in cs if kind == FREE or (kind == ZERO) == (c == k))
-            return
-        for c in cs:
-            a_lo = 1 if kind == NONZERO else 0
-            a_lo = max(a_lo, k - c - b_prev)
-            a_hi = 0 if kind == ZERO else k - c - 1
-            if kind == ZERO and a_lo > 0:
-                continue
-            for a in range(a_lo, a_hi + 1):
-                yield c, a, k - c - a
+            return [(c, k - c, 0) for c in cs if kind == FREE or (kind == ZERO) == (c == k)]
+        a_min, zero = int(kind == NONZERO), kind == ZERO
+        # b = k - c - a stays in [1, b_prev]
+        return [(c, a, k - c - a) for c in cs
+                for a in range(max(a_min, k - c - b_prev), 1 if zero else k - c)]
 
     def _count_uncached(self, level: int, c_prev: int, b_prev: int) -> int:
         if level > self.spec.D:
             return 1
-        return sum(self._count(level + 1, c, b)
-                   for c, _a, b in self.choices(level, c_prev, b_prev))
+        options = self.choices(level, c_prev, b_prev)
+        if level == self.spec.D:  # each leaf is one array
+            return len(options)
+        return sum([self._count(level + 1, c, b) for c, _a, b in options])
 
     def run(self) -> tuple[list[IntersectionArray], PruningStats]:
         """The arrays at this valency that the walk and the float screen keep,
         in walk order, and the stats of their kills."""
         self.stats = stats = PruningStats()
         rows: list = []  # the minors start at phi_0 = 1, phi_1 = p < 0: one change
-        self._walk(1, 1, self.k, [self.k], [], 1, 0, 1, self._p, -1, 1, rows)
+        self._walk(1, 1, self.k, (self.k,), (), 1, 0, 1, self._p, -1, 1, rows)
         if rows and self._screen:
-            m = multiplicities_float(rows)
-            fractional = (np.abs(m - np.rint(m))
-                          > SCREEN_MARGIN * np.maximum(1.0, np.abs(m))).any(axis=1)
-            if fractional.any():
-                stats.kill("multiplicity_integrality", int(fractional.sum()))
-                rows = [row for row, bad in zip(rows, fractional.tolist()) if not bad]
+            keep = _screen(rows)
+            if not keep.all():
+                stats.kill("multiplicity_integrality", int((~keep).sum()))
+                rows = [row for row, kept in zip(rows, keep.tolist()) if kept]
         stats.generated = self._count(1, 1, self.k)
         return [IntersectionArray(b, c) for b, c in rows], stats
 
@@ -272,43 +275,82 @@ class _KSpace:
         phi_level at cut = p/q (times q^level), their last nonzero sign and
         the number of sign changes."""
         k, D, p, q = self.k, self.spec.D, self._p, self._q
-        check_k = level >= 2 and self._k_integral
-        if level == D >= 3 and check_k:
-            # a leaf: keep the c that divide k_{D-1} b_{D-1}, count the rest
-            # as one kill (each leaf kill is one array)
-            kind, kb = self.spec.a_pattern[-1], k_here * b_prev
-            cs_all = range(k if kind == ZERO else c_prev, k + (kind != NONZERO))
-            options = [(c, k - c, 0) for c in cs_all if kb % c == 0]
-            if len(options) < len(cs_all):
-                self.stats.kill("k_integrality", len(cs_all) - len(options))
-            check_k = False
+        if level >= 3 and self._k_integral:
+            # keep the c that divide k_{l-1} b_{l-1}; the other subtrees are
+            # one kill (a leaf's subtree is one array)
+            options = self.choices(level, c_prev, b_prev, k_here * b_prev)
+            lost = self._count(level, c_prev, b_prev) - (len(options) if level == D else sum(
+                self._count(level + 1, c, b) for c, _a, b in options))
+            if lost:
+                self.stats.kill("k_integrality", lost)
         else:
-            options = self.choices(level, c_prev, b_prev)
+            options = []
+            for c, a, b in self.choices(level, c_prev, b_prev):
+                if level == 1 and self._a1_prune and a != 0:
+                    killed = "a1_zero"
+                elif level == 2 and self._c2_cap is not None and c > self._c2_cap:
+                    killed = "c2_bound"
+                elif level == 2 and self._k_integral and (k * b_prev) % c != 0:
+                    killed = "k_integrality"  # k_2 = k b_1 / c_2
+                else:
+                    options.append((c, a, b))
+                    continue
+                self.stats.kill(killed, self._count(level + 1, c, b))
+        if level == D:
+            self._leaves([c for c, _a, _b in options], b_prev, bs, cs, tr, phi_prev, phi,
+                         sign, changes, out)
+            return
         for c, a, b in options:
-            if level == 1 and self._a1_prune and a != 0:
-                self.stats.kill("a1_zero", self._count(level + 1, c, b))
-                continue
-            if level == 2 and self._c2_cap is not None and c > self._c2_cap:
-                self.stats.kill("c2_bound", self._count(level + 1, c, b))
-                continue
-            if check_k and (k_here * b_prev) % c != 0:
-                self.stats.kill("k_integrality", self._count(level + 1, c, b))
-                continue
             # phi_{l+1} = (p - a_l q) phi_l - b_{l-1} c_l q^2 phi_{l-1}
-            tr_next = tr + a * a + 2 * b_prev * c
             phi_next = (p - a * q) * phi - b_prev * c * q * q * phi_prev
-            changes_next = changes + (phi_next * sign < 0)
-            sign_next = sign if phi_next == 0 else (1 if phi_next > 0 else -1)
-            if level < D:
-                self._walk(level + 1, c, b, bs + [b], cs + [c],
-                           k_here * b_prev // c if level >= 2 else k,
-                           tr_next, phi, phi_next, sign_next, changes_next, out)
-            elif self._trace_cut and self._trace_lhs > tr_next * q * q:
-                self.stats.kill("trace_vs_ratio")  # k^2 + cut^2 > tr(L^2), times q^2
-            elif self._sturm_cut and changes_next > D:
-                self.stats.kill("theta_ratio")  # no eigenvalue <= cut
-            else:
-                out.append((tuple(bs), tuple(cs + [c])))
+            self._walk(level + 1, c, b, bs + (b,), cs + (c,), k_here * b_prev // c,
+                       tr + a * a + 2 * b_prev * c, phi, phi_next,
+                       sign if phi_next == 0 else (1 if phi_next > 0 else -1),
+                       changes + (phi_next * sign < 0), out)
+
+    def _leaves(self, leaf_cs, b_prev, bs, cs, tr, phi_prev, phi, sign, changes, out):
+        """Append to out the leaves c_D in leaf_cs that pass both ratio cuts,
+        each cut decided for all of them at once and its kills counted once.
+        a_D = k - c_D, so tr(L^2) = tr + (k - c_D)^2 + 2 b_{D-1} c_D is
+        quadratic in c_D and phi_{D+1} = alpha + beta c_D is affine in it."""
+        k, D, p, q = self.k, self.spec.D, self._p, self._q
+        if self._trace_cut:  # k^2 + cut^2 <= tr(L^2), times q^2
+            kept = [c for c in leaf_cs
+                    if self._trace_lhs <= (tr + (k - c) ** 2 + 2 * b_prev * c) * q * q]
+            if len(kept) < len(leaf_cs):
+                self.stats.kill("trace_vs_ratio", len(leaf_cs) - len(kept))
+            leaf_cs = kept
+        if self._sturm_cut and changes == D:
+            # no eigenvalue <= cut takes D + 1 sign changes: the most that
+            # phi_0..phi_D can make, and one more at phi_{D+1}
+            alpha, beta = (p - k * q) * phi, (phi - b_prev * q * phi_prev) * q
+            kept = [c for c in leaf_cs if (alpha + beta * c) * sign >= 0]
+            if len(kept) < len(leaf_cs):
+                self.stats.kill("theta_ratio", len(leaf_cs) - len(kept))
+            leaf_cs = kept
+        out += [(bs, cs + (c,)) for c in leaf_cs]
+
+
+def _screen(rows) -> np.ndarray:
+    """Which (b, c) rows of one diameter the float multiplicity screen keeps.
+
+    theta_min's multiplicity decides first: a row where it is fractional
+    under SCREEN_MARGIN is killed.  Every other row, an integral-looking one
+    or one the Newton pass left undecided (NaN), goes through
+    multiplicities_float at every eigenvalue and is kept unless one of them
+    is fractional."""
+    keep = ~_fractional(theta_min_multiplicity_float(rows)[1])
+    rest = np.flatnonzero(keep)
+    if rest.size:
+        keep[rest] = ~_fractional(multiplicities_float([rows[i] for i in rest])).any(axis=1)
+    return keep
+
+
+def _fractional(m: np.ndarray) -> np.ndarray:
+    """Where the float multiplicities m lie further than SCREEN_MARGIN
+    (relative) from an integer; never at NaN or inf."""
+    with np.errstate(invalid="ignore"):
+        return np.abs(m - np.rint(m)) > SCREEN_MARGIN * np.maximum(1.0, np.abs(m))
 
 
 def _run_k(args):

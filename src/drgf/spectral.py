@@ -14,6 +14,12 @@ as possible:
   at the refined root +- 2^-49 certify a rational enclosure of width
   <= 2^-48.
 
+The enumeration's float multiplicity screen has two batched paths, both
+ending in one vectorised pass of the standard-sequence recurrence:
+theta_min_multiplicity_float finds theta_min alone by Newton on
+det(xI - L) from x = -k, a start proven to rise monotonically to it, and
+multiplicities_float takes every eigenvalue from one eigvalsh call.
+
 Eigenvalue counting uses the classical fact that for a Jacobi matrix the
 leading principal minors det(xI - L_i) form a Sturm sequence: with zero values
 skipped, (D+1) minus the number of sign changes equals #{eigenvalues <= x}.
@@ -296,13 +302,19 @@ def eigenvalues(arr: IntersectionArray) -> list:
     return _eigen_with_enclosures(arr)[0]
 
 
+def _diagonal(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a_i = k - b_i - c_i (i = 0..D) of a stack of arrays of one diameter,
+    from rows of b_0..b_{D-1} and c_1..c_D."""
+    return b[:, :1] - np.pad(b, ((0, 0), (0, 1))) - np.pad(c, ((0, 0), (1, 0)))
+
+
 def _jacobi_eigvals(b: np.ndarray, c: np.ndarray):
     """a_0..a_D and the eigenvalues theta_0 > ... > theta_D of a stack of
     arrays of one diameter, from rows of b_0..b_{D-1} and c_1..c_D: one
     np.linalg.eigvalsh over the symmetrised intersection matrices
     (diag a_i, off-diagonal sqrt(b_i c_{i+1}))."""
     n, D = b.shape
-    a = b[:, :1] - np.pad(b, ((0, 0), (0, 1))) - np.pad(c, ((0, 0), (1, 0)))
+    a = _diagonal(b, c)
     i = np.arange(D + 1)
     L = np.zeros((n, D + 1, D + 1))
     L[:, i, i] = a
@@ -316,14 +328,27 @@ def eigenvalues_float(arr: IntersectionArray) -> list[float]:
     return theta[0].tolist()
 
 
+def _biggs_float(a: np.ndarray, b: np.ndarray, c: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """Float Biggs multiplicities v / sum k_i u_i^2 [BCN 4.1.1] at the
+    columns of th, for a stack of arrays of one diameter (rows of a_0..a_D,
+    b_0..b_{D-1} and c_1..c_D): one vectorised pass of the recurrence
+    u_{j+1} = ((theta - a_j) u_j - c_j u_{j-1}) / b_j."""
+    ks = np.cumprod(np.hstack([np.ones((len(b), 1)), b / c]), axis=1)
+    u_prev, u = np.ones_like(th), th / b[:, :1]
+    norm = 1 + ks[:, [1]] * u * u
+    for j in range(1, b.shape[1]):
+        u_prev, u = u, ((th - a[:, [j]]) * u - c[:, [j - 1]] * u_prev) / b[:, [j]]
+        norm += ks[:, [j + 1]] * u * u
+    return ks.sum(axis=1, keepdims=True) / norm
+
+
 def multiplicities_float(rows) -> np.ndarray:
-    """Float Biggs multiplicities v / sum k_i u_i^2 [BCN 4.1.1] of a batch.
+    """Float Biggs multiplicities of a batch at every eigenvalue.
 
     rows holds (b_0..b_{D-1}, c_1..c_D) pairs.  Row i of the result holds
     the multiplicities of rows[i] in decreasing eigenvalue order, padded with
     NaN up to the largest diameter in the batch.  Arrays of one diameter
-    share one eigvalsh call and one vectorised pass of the recurrence
-    u_{j+1} = ((theta - a_j) u_j - c_j u_{j-1}) / b_j.
+    share one eigvalsh call and one pass of _biggs_float.
     """
     diameters = np.array([len(b) for b, _c in rows])
     out = np.full((len(rows), diameters.max() + 1), np.nan)
@@ -332,14 +357,64 @@ def multiplicities_float(rows) -> np.ndarray:
         b = np.array([rows[r][0] for r in idx], float)
         c = np.array([rows[r][1] for r in idx], float)
         a, th = _jacobi_eigvals(b, c)
-        ks = np.cumprod(np.hstack([np.ones((len(idx), 1)), b / c]), axis=1)
-        u_prev, u = np.ones_like(th), th / b[:, :1]
-        norm = 1 + ks[:, [1]] * u * u
-        for j in range(1, D):
-            u_prev, u = u, ((th - a[:, [j]]) * u - c[:, [j - 1]] * u_prev) / b[:, [j]]
-            norm += ks[:, [j + 1]] * u * u
-        out[idx, :D + 1] = ks.sum(axis=1, keepdims=True) / norm
+        out[idx, :D + 1] = _biggs_float(a, b, c, th)
     return out
+
+
+# Newton on det(xI - L) stops after a step below _NEWTON_TOL * k, and a row
+# that has not stopped after _NEWTON_STEPS steps is left undecided.
+_NEWTON_STEPS = 40
+_NEWTON_TOL = 1e-12
+
+
+def theta_min_multiplicity_float(rows) -> tuple[np.ndarray, np.ndarray]:
+    """theta_min and its float Biggs multiplicity for a batch of one diameter.
+
+    rows holds (b_0..b_{D-1}, c_1..c_D) pairs of one D.  Each row runs
+    Newton on P = det(xI - L) from x = -k, with P and P' from the minor
+    recurrence P_{i+1} = (x - a_i) P_i - w_i P_{i-1} and its derivative
+    P'_{i+1} = P_i + (x - a_i) P'_i - w_i P'_{i-1}, all rows at once, until
+    a step is below _NEWTON_TOL * k.  A row that has not stopped within
+    _NEWTON_STEPS steps, or whose iterate is not finite, gets NaN for both
+    values: it is undecided, never a fractional multiplicity.
+
+    Why the start works.  L is a nonnegative matrix with row sums k, so its
+    eigenvalues lie in [-k, k], and they are real and simple (a Jacobi
+    matrix), so P(x) = prod_j (x - theta_j) with theta_min < every other
+    theta_j.  At any x < theta_min put d_j = theta_j - x > 0; then P'/P =
+    sum_j 1/(x - theta_j) = -sum_j 1/d_j, and the Newton step is
+
+        x' - x = -P/P' = 1 / sum_j 1/d_j,
+
+    which lies in (0, d_min) with d_min = theta_min - x, as every term
+    1/d_j > 0 and the sum exceeds 1/d_min.  So x < x' < theta_min: from
+    x = -k (or from theta_min = -k itself, where P = 0 and the step is 0)
+    the iterates rise monotonically and stay at or below theta_min.  A
+    bounded increasing sequence converges, and its steps tend to 0, which
+    forces d_min -> 0 since the step is at least d_min / (D + 1): the limit
+    is theta_min, reached quadratically as the root is simple.  The same
+    inequality bounds the error at the stop: a step s leaves theta_min - x'
+    <= D s.
+    """
+    D = len(rows[0][0])
+    bc = np.array([b + c for b, c in rows], float)
+    b, c, n = bc[:, :D], bc[:, D:], len(rows)
+    k, a, w = b[:, 0], _diagonal(b, c), b * c  # w_i = b_{i-1} c_i
+    x, done = -k, np.zeros(n, bool)
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            p_prev, p, dp_prev, dp = 1.0, x - a[:, 0], 0.0, 1.0
+            for i in range(1, D + 1):
+                t = x - a[:, i]
+                p_prev, p, dp_prev, dp = (p, t * p - w[:, i - 1] * p_prev,
+                                          dp, p + t * dp - w[:, i - 1] * dp_prev)
+            step = p / dp
+            x = np.where(done, x, x - step)
+            done |= np.abs(step) <= _NEWTON_TOL * k
+            if done.all():
+                break
+        theta = np.where(done & np.isfinite(x), x, np.nan)
+        return theta, _biggs_float(a, b, c, theta[:, None])[:, 0]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 
@@ -10,7 +11,7 @@ from drgf.feasibility import (FAIL, INCONCLUSIVE, NA, PASS, CheckEntry,
                               check_odd_girth_inequality, check_sum_rules,
                               check_theta_ratio, check_trace_square,
                               full_report, p_polynomials)
-from drgf.spectral import SpectralError, eigenvalues, spectrum
+from drgf.spectral import SpectralError, as_mpf, eigenvalues, spectrum, workdps
 
 WITNESSES = ["{2,1,1,1;1,1,1,1}", "{3,2,2,1;1,1,1,2}", "{5,4,4,3;1,1,2,2}",
              "{9,8,7,6;1,2,3,4}", "{2,1,1,1,1;1,1,1,1,1}",
@@ -158,6 +159,26 @@ def test_sum_rules_and_trace_entries():
     spec = spectrum(arr)
     assert check_sum_rules(arr, spec).verdict == PASS
     assert check_trace_square(arr, spec.theta_min).verdict == PASS
+
+
+def test_sum_rule_residuals_print_at_three_digits():
+    # rounding noise of the working precision prints as 0; a real residual
+    # prints at 3 digits, and the verdict reads the raw value
+    arr = parse_array("{6,5,5,4,2;1,1,2,2,3}")
+    spec = spectrum(arr)
+    entry = check_sum_rules(arr, spec)
+    assert (entry.verdict, entry.witness) == (PASS, {"r_sum": "0", "r_first": "0",
+                                                     "r_second": "0"})
+    for rel, verdict, r_sum, r_second in [(Fraction(123456, 10**13), PASS, "1.23e-8", "7.41e-8"),
+                                          (Fraction(1000001, 10**12), FAIL, "1.0e-6", "6.0e-6"),
+                                          (Fraction(1, 10**47), PASS, "0", "0")]:
+        # theta_0 = k carries multiplicity 1; shift it by rel * v
+        with workdps():
+            shifted = replace(spec, mults_raw=(as_mpf(spec.mults_raw[0]) + as_mpf(rel * arr.v),
+                                               *spec.mults_raw[1:]))
+            entry = check_sum_rules(arr, shifted)
+        assert entry.verdict == verdict
+        assert (entry.witness["r_sum"], entry.witness["r_second"]) == (r_sum, r_second)
 
 
 def test_theta_ratio_check():

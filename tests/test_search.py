@@ -4,10 +4,11 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
-from drgf import feasibility, oracle, search
+from drgf import feasibility, oracle, search, spectral
 from drgf.core import IntersectionArray, format_array, parse_array
 from drgf.feasibility import FAIL, full_report
 from drgf.search import (DEFAULT_CHECKS, CapDerivationError, SearchSpec,
@@ -15,8 +16,9 @@ from drgf.search import (DEFAULT_CHECKS, CapDerivationError, SearchSpec,
                          _KSpace, _nonnegative_below_cut, classify_diameter,
                          default_spec, enumerate_arrays, eta_exclusion_cap,
                          pentagon_exclusion_cap, valency_cap)
-from drgf.spectral import (SpectralError, _poly_eval_frac, eigenvalues,
-                           intersection_matrix, sturm_count_leq, trace_of_l_squared)
+from drgf.spectral import (SpectralError, _jacobi_eigvals, _poly_eval_frac, eigenvalues,
+                           intersection_matrix, multiplicities_float, sturm_count_leq,
+                           theta_min_multiplicity_float, trace_of_l_squared)
 
 
 D4_SPEC = SearchSpec(4, 5, 35, "000+", (1, 2), Fraction(-3, 4))
@@ -114,10 +116,109 @@ def test_a4_space_stats_exact():
     assert st.warnings == []
 
 
+# PruningStats of small spaces, recorded before the walk settled its inner
+# k-integrality kills and its leaf cuts in bulk: D <= 2 leaves, where the
+# a_1 prune or the c_2 cap comes before the cuts, and a walk without the
+# k-integrality check.
+NO_K = tuple(c for c in DEFAULT_CHECKS if c != "k_integrality")
+WALK_PINS = [
+    (SearchSpec(2, 3, 12, "0*", (1, 2), Fraction(-1, 2)),
+     (20, {"c2_bound": 1, "multiplicity_integrality": 4, "theta_ratio": 4,
+           "trace_vs_ratio": 9}, 2)),
+    (SearchSpec(2, 2, 12, "**", (1, 2, 3), Fraction(-2, 3)),
+     (197, {"a1_zero": 165, "k_integrality": 3, "multiplicity_integrality": 3,
+            "trace_vs_ratio": 22}, 4)),
+    (SearchSpec(1, 2, 9, "*", (1,), Fraction(-1, 2)), (8, {"trace_vs_ratio": 7}, 1)),
+    (SearchSpec(3, 3, 12, "***", (1, 2), Fraction(-2, 3), NO_K),
+     (5080, {"a1_zero": 4070, "multiplicity_integrality": 180, "theta_ratio": 323,
+             "trace_vs_ratio": 485}, 22)),
+]
+
+
+@pytest.mark.parametrize("spec, expected", WALK_PINS,
+                         ids=[f"D{spec.D}-{spec.a_pattern}" for spec, _expected in WALK_PINS])
+def test_walk_counts_pinned(spec, expected):
+    st = enumerate_arrays(spec).stats
+    assert (st.generated, st.killed, st.survivors) == expected
+    assert st.warnings == [] and st.consistent()
+
+
+# The rows that reach the float screen in the D = 4 and D = 5 main spaces and
+# the a_4 space, with how many of the screen's kills theta_min's multiplicity
+# decides alone, and how many kills there are.
+SCREEN_SPACES = {
+    "D4 main": (D4_SPEC, 1198, 1199),
+    "D5 main": (SearchSpec(5, 5, 71, "0000+", (1, 2), Fraction(-4, 5)), 43058, 43072),
+    "a4": (SearchSpec(5, 5, 24, "000+*", (1, 2), Fraction(-4, 5)), 8579, 8585),
+}
+
+
+@pytest.fixture(scope="module")
+def screened_rows():
+    """name -> the batches of (b, c) rows that _KSpace.run screens, one per
+    valency that has any."""
+    batches, real = {}, search._screen
+    with pytest.MonkeyPatch.context() as patch:
+        for name, (spec, _decided, _kills) in SCREEN_SPACES.items():
+            seen = batches[name] = []
+            patch.setattr(search, "_screen",
+                          lambda rows, seen=seen: seen.append(rows) or real(rows))
+            for k in range(spec.k_min, spec.k_max + 1):
+                _KSpace(k, spec).run()
+    return batches
+
+
+def _eigvalsh_kills(rows):
+    """The screen's verdicts from eigvalsh alone: some multiplicity is fractional."""
+    return search._fractional(multiplicities_float(rows)).any(axis=1)
+
+
+@pytest.mark.parametrize("name", SCREEN_SPACES)
+def test_theta_min_pass_matches_eigvalsh(screened_rows, name):
+    # theta_min agrees with eigvalsh on every screened row, the screen's
+    # verdicts are those of eigvalsh alone, and the kills theta_min does not
+    # decide fall through to multiplicities_float and are still killed
+    decided = kills = 0
+    for rows in screened_rows[name]:
+        theta, m = theta_min_multiplicity_float(rows)
+        b, c = (np.array([row[i] for row in rows], float) for i in (0, 1))
+        assert np.all(np.abs(theta - _jacobi_eigvals(b, c)[1][:, -1]) <= 1e-9 * b[:, 0])
+        eig_kill = _eigvalsh_kills(rows)
+        assert (search._screen(rows) == ~eig_kill).all()
+        first = search._fractional(m)
+        assert not (first & ~eig_kill).any()
+        decided, kills = decided + int(first.sum()), kills + int(eig_kill.sum())
+    assert (decided, kills) == SCREEN_SPACES[name][1:]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_undecided_theta_min_rows_fall_through(screened_rows, monkeypatch, value):
+    # a non-finite theta_min multiplicity kills nothing: every row goes to
+    # multiplicities_float and gets the same verdict, the two the screen
+    # keeps included
+    rows = [row for batch in screened_rows["D4 main"] for row in batch]
+    expected = ~_eigvalsh_kills(rows)
+    assert expected.sum() == 2
+    monkeypatch.setattr(search, "theta_min_multiplicity_float",
+                        lambda rows: (np.full(len(rows), value), np.full(len(rows), value)))
+    assert (search._screen(rows) == expected).all()
+
+
+def test_newton_rows_past_the_step_budget_are_undecided(screened_rows, monkeypatch):
+    # one Newton step stops no row of the D = 5 main space: each is left
+    # undecided (NaN), and the screen still gives the eigvalsh verdicts
+    rows = [row for batch in screened_rows["D5 main"][:20] for row in batch]
+    monkeypatch.setattr(spectral, "_NEWTON_STEPS", 1)
+    theta, m = theta_min_multiplicity_float(rows)
+    assert np.isnan(theta).all() and np.isnan(m).all()
+    assert (search._screen(rows) == ~_eigvalsh_kills(rows)).all()
+
+
 # The walk carries tr(L^2) and the Sturm minors at the cut down the tree;
 # the reference recomputes both from scratch on every complete candidate.
 PREFIX_CHECKS = ("a1_zero", "c2_bound", "k_integrality")
 CUT_SPACES = [
+    SearchSpec(2, 3, 12, "0*", (1, 2), Fraction(-1, 2)),  # the c_2 cap at a leaf
     SearchSpec(3, 4, 12, "0**", (1, 2, 3), Fraction(-1, 2)),  # phi_2 = 0 at k = 4
     SearchSpec(3, 3, 12, "***", (1, 2), Fraction(-2, 3)),
     SearchSpec(4, 5, 12, "000+", (1, 2), Fraction(-3, 4)),
@@ -279,6 +380,13 @@ def test_parallel_matches_serial(d4_result):
     assert par.survivors == d4_result.survivors
     assert par.stats.generated == d4_result.stats.generated
     assert par.stats.killed == d4_result.stats.killed
+
+
+def test_jobs_do_not_change_the_classification(classified):
+    par, serial = classify_diameter(4, jobs=2), classified[4]
+    assert par.arrays == serial.arrays and par.discrepancies == serial.discrepancies == ()
+    assert [(s.name, s.lines, s.stats) for s in par.stages] == [
+        (s.name, s.lines, s.stats) for s in serial.stages]
 
 
 def test_exclusion_branch_d4_a3():

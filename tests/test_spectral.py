@@ -15,7 +15,8 @@ from drgf.spectral import (abs_u_lower_bounds, as_mpf, charpoly, eigenvalues,
                            intersection_matrix, multiplicity,
                            multiplicities_float, multiplicity_upper_bound,
                            refine_root, spectrum, standard_sequence,
-                           sturm_count_leq, trace_of_l_squared, workdps)
+                           sturm_count_leq, theta_min_multiplicity_float,
+                           trace_of_l_squared, workdps)
 
 CORPUS = ["{2;1}", "{2,1;1,1}", "{3,2;1,1}", "{2,1,1,1;1,1,1,1}",
           "{3,2,2,1;1,1,1,2}", "{5,4,4,3;1,1,2,2}", "{9,8,7,6;1,2,3,4}",
@@ -97,6 +98,24 @@ def test_multiplicities_float_mixed_diameters():
             arrays.append(spectral.IntersectionArray(tuple(b), tuple(c)))
     assert len({arr.D for arr in arrays}) == 6
     _assert_float_mults_match_exact(arrays)
+
+
+def test_theta_min_multiplicity_float_matches_exact():
+    # one batch per diameter of the corpus: theta_min and its multiplicity
+    # from the Newton pass against the exact spectrum, a bipartite array
+    # (theta_min = -k, where Newton starts) included
+    by_d = {}
+    for text in CORPUS:
+        arr = parse_array(text)
+        by_d.setdefault(arr.D, []).append(arr)
+    assert any(arr.t is None for arrs in by_d.values() for arr in arrs)
+    for arrays in by_d.values():
+        theta, m = theta_min_multiplicity_float([(arr.b, arr.c) for arr in arrays])
+        for arr, th, mult in zip(arrays, theta, m):
+            sp = spectrum(arr)
+            assert abs(th - float(as_mpf(sp.theta_min))) <= 1e-12 * arr.k, str(arr)
+            exact = float(as_mpf(sp.mults_raw[-1]))
+            assert abs(mult - exact) <= 1e-9 * max(1, exact), str(arr)
 
 
 def test_standard_sequence_perron():
