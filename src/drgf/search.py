@@ -43,15 +43,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from mpmath import mp
 
 from .core import IntersectionArray, format_array, parse_array
 from .feasibility import FAIL, INCONCLUSIVE, c2_upper_bound, full_report, p_polynomials
 from .oracle import WITNESSES
 from .spectral import (SpectralError, _poly_eval_frac, _sign_changes, abs_u_lower_bounds,
-                       as_mpf, implied_last_c_lower, minor_polys, multiplicities_float,
+                       implied_last_c_lower, minor_polys, multiplicities_float,
                        spectrum,  # not called here; perfbench's tracer test rebinds it
-                       theta_min_multiplicity_float, workdps)
+                       sqrt_bounds, theta_min_multiplicity_float)
 
 ZERO, NONZERO, FREE = "0", "+", "*"
 
@@ -153,12 +152,12 @@ def _json_ints(key: str, value, n: int | None = None) -> list[int]:
     return value
 
 
-def default_spec(D: int, checks: tuple[str, ...] = DEFAULT_CHECKS) -> SearchSpec:
+def default_spec(D: int) -> SearchSpec:
     """The main-branch space: all a_i zero below the diameter, a_D nonzero,
     c_2 in {1, 2}, theta_min <= -(D-1)/D k, valency capped by valency_cap."""
     cap = valency_cap(D).k_max
     return SearchSpec(D, 5, cap, ZERO * (D - 1) + NONZERO,
-                      (1, 2), Fraction(-(D - 1), D), checks)
+                      (1, 2), Fraction(-(D - 1), D))
 
 
 @dataclass
@@ -402,14 +401,17 @@ def enumerate_arrays(spec: SearchSpec, jobs: int = 1) -> ClassificationResult:
 
 def pentagon_exclusion_cap(theta_ratio: Fraction):
     """Largest k where theta <= ratio*k can coexist with the girth-5 cycle
-    inequality theta >= (-2k - sqrt(5) + 1)/(sqrt(5) + 1); None if unbounded."""
-    with workdps():
-        rho = -as_mpf(theta_ratio)
-        s5 = mp.sqrt(5)
-        denom = rho * (s5 + 1) - 2
-        if denom <= 0:
-            return None
-        return int(mp.floor((s5 - 1) / denom))
+    inequality theta >= (-2k - sqrt(5) + 1)/(sqrt(5) + 1); None if unbounded.
+    With rho = -ratio and e = rho^2 + rho - 1 that is k <= ((1 - rho) sqrt(5) +
+    3 rho - 1)/(2e), unbounded exactly when rho <= 0 or e <= 0.  sqrt(5) is the
+    sqrt_bounds end that raises the bound, so its floor is the exact one unless
+    an integer lies within |1 - rho| 2^-64 / 2e above the bound."""
+    rho = -Fraction(theta_ratio)
+    e = rho * rho + rho - 1
+    if rho <= 0 or e <= 0:
+        return None
+    v = (max((1 - rho) * s for s in sqrt_bounds(Fraction(5))) + 3 * rho - 1) / (2 * e)
+    return v.numerator // v.denominator
 
 
 def _eta_poly(k: int, p_values, cs) -> list:
@@ -486,24 +488,20 @@ def eta_exclusion_cap(t: int, p_values, theta_ratio: Fraction, c2_values=(1, 2),
     return max((k for k in range(k_lo, k_hi + 1) if feasible(k)), default=None)
 
 
-def _floor4(x) -> Fraction:
+def _floor4(x: Fraction) -> Fraction:
     """Round a lower bound down to 4 decimals (stays a valid lower bound)."""
-    if isinstance(x, Fraction):
-        return Fraction((x.numerator * 10**4) // x.denominator, 10**4)
-    return Fraction(int(mp.floor(as_mpf(x) * 10**4)), 10**4)
+    return Fraction((x.numerator * 10**4) // x.denominator, 10**4)
 
 
-def _ceil4(x) -> Fraction:
+def _ceil4(x: Fraction) -> Fraction:
     """Round an upper bound up to 4 decimals (stays a valid upper bound)."""
-    if isinstance(x, Fraction):
-        return Fraction(-((-x.numerator * 10**4) // x.denominator), 10**4)
-    return Fraction(int(mp.ceil(as_mpf(x) * 10**4)), 10**4)
+    return -_floor4(-x)
 
 
 @dataclass(frozen=True)
 class CapStep:
     name: str
-    raw: object
+    raw: Fraction | int
     published: Fraction
 
     def fmt(self) -> str:
@@ -533,7 +531,10 @@ def valency_cap(D: int, branch: str = "main") -> CapDerivation:
     then published with outward 4-decimal rounding (lower bounds floored,
     upper bounds ceiled) and later stages consume the published values, so
     every constant of the audited derivation is reproducible and every
-    rounding step weakens, never strengthens, the chain.
+    rounding step weakens, never strengthens, the chain.  Every raw value is
+    a Fraction (low_c3_cap an int), exact or, where a square root enters
+    (c4_over_k_lower, c3_over_k_upper, c5_over_k_lower), a bound on its safe
+    side within 2^-64, from the matching end of sqrt_bounds.
     """
     theta_ratio, c2_max = Fraction(-(D - 1), D), 2
     rho = -theta_ratio
@@ -545,56 +546,49 @@ def valency_cap(D: int, branch: str = "main") -> CapDerivation:
         return pub
 
     def publish_u_chain(anchor):
-        lows = abs_u_lower_bounds(anchor, (rho, Fraction(1)), [1, c2_max])
+        lows = abs_u_lower_bounds(anchor, (rho, 1), [1, c2_max])
         return [publish(f"u{i}_lower", lows[i]) for i in (1, 2, 3)]
 
-    with workdps():
-        if D == 4 and branch == "main":
-            anchor = 36
-            u1, u2, u3 = publish_u_chain(anchor)
-            c4r = publish("c4_over_k_lower", implied_last_c_lower(
-                4, anchor, as_mpf(theta_ratio * anchor)) / anchor)
-            mbound = max(1 / (u1 * u1), 1 / (u2 * u2),
-                         (1 / (u3 * u3)) * (1 + 1 / c4r))
-            steps.append(CapStep("multiplicity_bound", mbound, _ceil4(mbound)))
-            if not mbound < anchor:
-                raise CapDerivationError(
-                    f"multiplicity_bound: expected a contradiction below k = {anchor}, "
-                    f"got {float(mbound):.4f}")
-            return CapDerivation(D, branch, anchor, tuple(steps), anchor - 1)
+    if D == 4 and branch == "main":
+        anchor = 36
+        u1, u2, u3 = publish_u_chain(anchor)
+        c4r = publish("c4_over_k_lower",
+                      implied_last_c_lower(4, anchor, theta_ratio * anchor) / anchor)
+        mbound = max(1 / (u1 * u1), 1 / (u2 * u2), (1 / (u3 * u3)) * (1 + 1 / c4r))
+        steps.append(CapStep("multiplicity_bound", mbound, _ceil4(mbound)))
+        if not mbound < anchor:
+            raise CapDerivationError(
+                f"multiplicity_bound: expected a contradiction below k = {anchor}, "
+                f"got {float(mbound):.4f}")
+        return CapDerivation(D, branch, anchor, tuple(steps), anchor - 1)
 
-        if D == 5 and branch == "a4":
-            anchor = 24
-            split = eta_exclusion_cap(4, p_polynomials(4, -1), theta_ratio,
-                                      tuple(range(1, c2_max + 1)),
-                                      c3_ratio_cap=Fraction(3750, 10000))
-            steps.append(CapStep("low_c3_cap", split, Fraction(split)))
-            u1, u2, u3 = publish_u_chain(anchor)
-            x_hi = (1 - Fraction(3750, 10000)) / Fraction(3750, 10000)
-            mbound = max(1 / (u1 * u1), 1 / (u2 * u2),
-                         (1 / (u3 * u3)) * (1 + x_hi + x_hi * x_hi))
-            steps.append(CapStep("multiplicity_bound", mbound, _ceil4(mbound)))
-            high = max(anchor - 1, mbound.numerator // mbound.denominator)  # m integral
-            return CapDerivation(D, branch, anchor, tuple(steps), max(split, high))
+    if D == 5 and branch == "a4":
+        anchor = 24
+        split = eta_exclusion_cap(4, p_polynomials(4, -1), theta_ratio, tuple(range(1, c2_max + 1)),
+                                  c3_ratio_cap=Fraction(3750, 10000))
+        steps.append(CapStep("low_c3_cap", split, Fraction(split)))
+        u1, u2, u3 = publish_u_chain(anchor)
+        x_hi = (1 - Fraction(3750, 10000)) / Fraction(3750, 10000)
+        mbound = max(1 / (u1 * u1), 1 / (u2 * u2), (1 / (u3 * u3)) * (1 + x_hi + x_hi * x_hi))
+        steps.append(CapStep("multiplicity_bound", mbound, _ceil4(mbound)))
+        high = max(anchor - 1, mbound.numerator // mbound.denominator)  # m integral
+        return CapDerivation(D, branch, anchor, tuple(steps), max(split, high))
 
-        if D == 5 and branch == "main":
-            anchor = 71
-            u1, u2, u3 = publish_u_chain(anchor)
-            # m >= k >= anchor forces the tail term of the multiplicity bound
-            # above anchor: anchor <= (1/u3^2)(1 + x + x^2), x = (k - c3)/c3
-            B = anchor * u3 * u3
-            x_lo = (-1 + mp.sqrt(as_mpf(4 * B - 3))) / 2
-            c3r = publish("c3_over_k_upper", 1 / (1 + x_lo), upper=True)
-            lows4 = abs_u_lower_bounds(anchor, (rho, Fraction(1)),
-                                       [1, c2_max, c3r * anchor])
-            u4 = publish("u4_lower", lows4[4])
-            c5r = publish("c5_over_k_lower", implied_last_c_lower(
-                5, anchor, as_mpf(theta_ratio * anchor)) / anchor)
-            mbound = max(1 / (u1 * u1), 1 / (u2 * u2), 1 / (u3 * u3),
-                         (1 / (u4 * u4)) * (1 + 1 / c5r))
-            steps.append(CapStep("multiplicity_bound", mbound, _ceil4(mbound)))
-            cap = max(anchor - 1, mbound.numerator // mbound.denominator)
-            return CapDerivation(D, branch, anchor, tuple(steps), cap)
+    if D == 5 and branch == "main":
+        anchor = 71
+        u1, u2, u3 = publish_u_chain(anchor)
+        # m >= k >= anchor forces the tail term of the multiplicity bound
+        # above anchor: anchor <= (1/u3^2)(1 + x + x^2), x = (k - c3)/c3, so x
+        # is at least (sqrt(4 anchor u3^2 - 3) - 1)/2, here bounded from below
+        x_lo = (sqrt_bounds(4 * anchor * u3 * u3 - 3)[0] - 1) / 2
+        c3r = publish("c3_over_k_upper", 1 / (1 + x_lo), upper=True)
+        u4 = publish("u4_lower", abs_u_lower_bounds(anchor, (rho, 1), [1, c2_max, c3r * anchor])[4])
+        c5r = publish("c5_over_k_lower",
+                      implied_last_c_lower(5, anchor, theta_ratio * anchor) / anchor)
+        mbound = max(1 / (u1 * u1), 1 / (u2 * u2), 1 / (u3 * u3), (1 / (u4 * u4)) * (1 + 1 / c5r))
+        steps.append(CapStep("multiplicity_bound", mbound, _ceil4(mbound)))
+        cap = max(anchor - 1, mbound.numerator // mbound.denominator)
+        return CapDerivation(D, branch, anchor, tuple(steps), cap)
 
     raise CapDerivationError(f"no cap pipeline for D={D} branch={branch!r}")
 

@@ -27,6 +27,7 @@ skipped, (D+1) minus the number of sign changes equals #{eigenvalues <= x}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -559,17 +560,21 @@ def trace_of_l_squared(arr: IntersectionArray) -> int:
         arr.b[i] * arr.c[i] for i in range(arr.D))
 
 
-def implied_last_c_lower(D: int, k: int, theta):
+def sqrt_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
+    """(lo, hi) with lo <= sqrt(x) < hi = lo + 2^-64 for x >= 0, from one isqrt:
+    n = isqrt(floor(x 2^128)) has n^2 <= x 2^128 < (n + 1)^2."""
+    n = math.isqrt((x.numerator << 128) // x.denominator)
+    return Fraction(n, 1 << 64), Fraction(n + 1, 1 << 64)
+
+
+def implied_last_c_lower(D: int, k: int, theta) -> Fraction:
     """Lower bound on c_D implied by the trace inequality in the all-a-zero regime.
 
     Uses the coarse caps tr(L^2) <= k^2 + 6k + c_4(2k - c_4) for D = 4 and
     tr(L^2) <= k^2 + 6k + 4 c_5 k - c_5^2 for D = 5 (valid when c_2 <= 2 and
-    the earlier c_i are dominated by the last one), solved for the last c.
+    the earlier c_i are dominated by the last one), solved for the last c with
+    the square root from above: a Fraction at most 2^-64 below the exact bound.
     """
-    with workdps():
-        th = as_mpf(theta)
-        if D == 4:
-            return mp.mpf(k) - mp.sqrt(k * k - th * th + 6 * k)
-        if D == 5:
-            return 2 * mp.mpf(k) - mp.sqrt(4 * k * k - th * th + 6 * k)
-    raise ValueError("implied_last_c_lower supports D in {4, 5}")
+    if D not in (4, 5):
+        raise ValueError("implied_last_c_lower supports D in {4, 5}")
+    return (D - 3) * k - sqrt_bounds(((D - 3) * k) ** 2 + 6 * k - Fraction(theta) ** 2)[1]

@@ -9,6 +9,7 @@ that branch, so 5b compares epsilon1 with the cycle gap only where the cycle
 lies inside the branch (see its docstring).
 """
 
+import ast
 import math
 import subprocess
 import sys
@@ -90,6 +91,20 @@ def test_theorem2_d5_under_python_O():
     r, _ = run_cli("theorem2", "--diameter", "5", flags=("-O",))
     assert r.returncode == 0
     assert r.stdout == (FIXTURES / "theorem2_d5.txt").read_text()
+
+
+def test_search_does_not_import_mpmath():
+    # the valency caps are exact rationals; no mpf may come back into search
+    path = Path(search.__file__)
+    tree = ast.parse(path.read_text(), str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "mpmath" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] != "mpmath"
+            assert {a.name for a in node.names}.isdisjoint({"as_mpf", "workdps", "mp"})
+        elif isinstance(node, ast.Name):
+            assert node.id not in ("mp", "mpmath", "as_mpf", "workdps"), node.lineno
 
 
 def test_criterion_3_d4_constant_chain():

@@ -12,7 +12,7 @@ from drgf import feasibility, oracle, search, spectral
 from drgf.core import IntersectionArray, format_array, parse_array
 from drgf.feasibility import FAIL, full_report
 from drgf.search import (DEFAULT_CHECKS, CapDerivationError, SearchSpec,
-                         SearchSpecError, _eta_poly, _has_positive_root,
+                         SearchSpecError, _ceil4, _eta_poly, _floor4, _has_positive_root,
                          _KSpace, _nonnegative_below_cut, classify_diameter,
                          default_spec, enumerate_arrays, eta_exclusion_cap,
                          pentagon_exclusion_cap, valency_cap)
@@ -435,6 +435,67 @@ def test_pentagon_exclusion_caps():
     assert pentagon_exclusion_cap(Fraction(-4, 5)) == 2
     # below the golden-ratio slope there is no cap
     assert pentagon_exclusion_cap(Fraction(-3, 5)) is None
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_floor4_ceil4_round_the_safe_way(sign):
+    step, eps = Fraction(1, 10**4), Fraction(1, 2**64)
+    edge = sign * Fraction(2227, 10**4)  # exactly on a 4-decimal boundary
+    for x in (edge - eps, edge, edge + eps):
+        lo, hi = _floor4(x), _ceil4(x)
+        assert lo <= x <= hi and hi - lo <= step
+        assert (lo * 10**4).denominator == (hi * 10**4).denominator == 1
+        assert lo * 10**4 == math.floor(x * 10**4) and hi * 10**4 == math.ceil(x * 10**4)
+    assert _floor4(edge) == _ceil4(edge) == edge
+    assert _floor4(edge - eps) == edge - step and _ceil4(edge - eps) == edge
+    assert _floor4(edge + eps) == edge and _ceil4(edge + eps) == edge + step
+
+
+GOLDEN_CUT = (sympy.sqrt(5) - 1) / 2  # rho (sqrt(5) + 1) <= 2 exactly below it
+
+
+@pytest.mark.parametrize("ratio", [
+    *(Fraction(-n, 100) for n in range(62, 101)),
+    *(Fraction(-n, 10**4) for n in (6181, 6190, 6200, 7071, 9999)),
+    # Fibonacci ratios F_n / F_{n+1} straddle (sqrt(5) - 1)/2 ever closer
+    *(-Fraction(a, b) for a, b in ((55, 89), (89, 144), (144, 233), (233, 377),
+                                   (514229, 832040), (832040, 1346269)))])
+def test_pentagon_cap_matches_sympy_floor(ratio):
+    rho = sympy.Rational(-ratio.numerator, ratio.denominator)
+    got = pentagon_exclusion_cap(ratio)
+    if rho <= GOLDEN_CUT:
+        assert got is None
+    else:
+        exact = (sympy.sqrt(5) - 1) / (rho * (sympy.sqrt(5) + 1) - 2)
+        assert got == sympy.floor(exact)
+
+
+@pytest.mark.parametrize("n", [2, 5, 194])
+def test_pentagon_cap_just_above_an_integer(n):
+    # the cap is n exactly at rho_n = (2n + sqrt(5) - 1)/(n (sqrt(5) + 1)) and
+    # falls as rho grows: just below rho_n the bound lies a hair above n, so
+    # only an upper bound on sqrt(5)'s term keeps the floor at n
+    rho_n = (2 * n + sympy.sqrt(5) - 1) / (n * (sympy.sqrt(5) + 1))
+    rho = Fraction(int(sympy.floor(rho_n * 2**200)), 2**200)
+    assert pentagon_exclusion_cap(-rho) == n
+
+
+def test_cap_steps_are_rational_bounds_on_their_safe_side():
+    for D, branch in ((4, "main"), (5, "a4"), (5, "main")):
+        for step in valency_cap(D, branch).steps:
+            assert type(step.raw) in (Fraction, int), (D, branch, step.name)
+    s5, d4 = valency_cap(5), valency_cap(4)
+    u3 = sympy.Rational(s5.step("u3_lower").published)
+    exact = {  # sympy's values of the three steps that take a square root
+        (d4, "c4_over_k_lower"): (36 - sympy.sqrt(36**2 - 27**2 + 6 * 36)) / 36,
+        (s5, "c5_over_k_lower"): (142 - sympy.sqrt(
+            4 * 71**2 - sympy.Rational(4 * 71, 5) ** 2 + 6 * 71)) / 71,
+        (s5, "c3_over_k_upper"): 2 / (1 + sympy.sqrt(4 * 71 * u3 * u3 - 3))}
+    for (cap, name), value in exact.items():
+        gap = value - sympy.Rational(cap.step(name).raw)
+        if name.endswith("_upper"):
+            gap = -gap
+        assert 0 <= gap < sympy.Rational(1, 2**60), name
 
 
 def test_pentagon_cap_agrees_with_scan():

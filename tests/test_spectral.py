@@ -14,7 +14,7 @@ from drgf.spectral import (abs_u_lower_bounds, as_mpf, charpoly, eigenvalues,
                            eigenvalues_float, implied_last_c_lower,
                            intersection_matrix, multiplicity,
                            multiplicities_float, multiplicity_upper_bound,
-                           refine_root, spectrum, standard_sequence,
+                           refine_root, spectrum, sqrt_bounds, standard_sequence,
                            sturm_count_leq, theta_min_multiplicity_float,
                            trace_of_l_squared, workdps)
 
@@ -423,6 +423,34 @@ def test_implied_last_c_lower_anchor_values():
     assert abs(float(c4r) - 0.2227) < 1e-4
     c5r = implied_last_c_lower(5, 71, Fraction(-4, 5) * 71) / 71
     assert abs(float(c5r) - 0.1440) < 1e-4
+
+
+def _rational(x: Fraction):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+@pytest.mark.parametrize("x", [
+    Fraction(0), Fraction(1), Fraction(4), Fraction(9, 4), Fraction(1, 2**64),
+    Fraction(12345678901234567890 ** 2), Fraction(2), Fraction(5), Fraction(3, 7),
+    Fraction(4 * 36 * 36 - 3, 10**4), Fraction(10**39 + 7),
+    Fraction(31415926535897932384626433832795028841, 27182818284590452353602874713526624977)])
+def test_sqrt_bounds_against_sympy(x):
+    lo, hi = sqrt_bounds(x)
+    assert isinstance(lo, Fraction) and hi - lo == Fraction(1, 2**64)
+    assert lo * lo <= x < hi * hi  # fractions as the oracle
+    root = sympy.sqrt(_rational(x)) * 2**64  # sympy's exact root, on the 2^-64 grid
+    assert lo * 2**64 == sympy.floor(root)
+    assert (lo * lo == x) == root.is_integer  # a root on the grid comes out exactly
+
+
+@pytest.mark.parametrize("D, k, theta", [(4, 36, Fraction(-27)), (5, 71, Fraction(-4, 5) * 71)])
+def test_implied_last_c_lower_against_sympy(D, k, theta):
+    got = implied_last_c_lower(D, k, theta)
+    assert isinstance(got, Fraction)
+    m = D - 3
+    exact = m * k - sympy.sqrt(_rational(m * m * k * k - theta * theta + 6 * k))
+    gap = exact - _rational(got)
+    assert gap >= 0 and gap < sympy.Rational(1, 2**60)
 
 
 def test_sum_rules_on_corpus():
