@@ -12,23 +12,23 @@ subtrees as soon as a prefix is doomed:
   takes only the c_i that divide k_{i-1} b_{i-1}.
 
 Pruned subtrees are counted exactly (memoised completion counts), so the
-statistics cover the full search space at array granularity; the subtrees a
-node's divisor filter drops are one kill, its count less its kept children's.
-The walk carries tr(L^2) and the Sturm minors of L at the cut ratio*k down
-the tree in integers.  At a leaf a_D = k - c_D, so tr(L^2) is quadratic and
-the last minor affine in c_D: each leaf-parent decides the trace identity
-(k^2 + (ratio*k)^2 <= tr(L^2)) and then the exact Sturm count (theta_min <=
-ratio*k) for all its leaves at once, counting each cut's kills once.  The
-(b, c) rows of one valency that pass both go through one batched float
-screen of the Biggs multiplicities (see _screen), which decides at theta_min
-first and sends to eigvalsh only the rows it leaves undecided or
-integral-looking there.  Only the rows it keeps become arrays, and each of
-those gets one full_report (one exact spectrum).  The first check in
-DEFAULT_CHECKS order that is enabled and that the report fails kills the
-array, so a c2_bound or a1_zero failure at the array's own theta_min counts
-even where the walk's cuts at ratio*k let it through; a survivor keeps its
-report.  Work is partitioned by valency k and merged in sorted order, so
-results and statistics are independent of execution order and worker count.
+statistics cover the full search space at array granularity.  The walk
+carries tr(L^2) and the Sturm minors of L at the cut ratio*k down the tree
+in integers and stops at the leaf-parents.  At a leaf a_D = k - c_D, so
+tr(L^2) is quadratic and the last minor affine in c_D: one integer numpy
+pass per valency expands every leaf and decides the level-D prunings, the
+trace identity (k^2 + (ratio*k)^2 <= tr(L^2)) and the exact Sturm count
+(theta_min <= ratio*k) for all of them at once.  The rows it keeps, one int
+matrix, go through one batched float screen of the Biggs multiplicities
+(see _screen), which decides at theta_min first and sends to eigvalsh only
+the rows it leaves undecided or integral-looking there.  Only the rows it
+keeps become arrays, and each gets one full_report (one exact spectrum).
+The first check in DEFAULT_CHECKS order that is enabled and that the report
+fails kills the array, so a c2_bound or a1_zero failure at the array's own
+theta_min counts even where the walk's cuts at ratio*k let it through; a
+survivor keeps its report.  Work is partitioned by valency k and merged in
+sorted order, so results and statistics are independent of execution order
+and worker count.
 
 classify_diameter runs the paper's stages in one loop: k <= 4, the a_2, a_3
 and (D = 5) a_4 exclusions under their derived caps, and the main space.
@@ -40,7 +40,6 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -198,7 +197,7 @@ class ClassificationResult:
 
 class _KSpace:
     """Search tree for one valency; shares the choice logic between the
-    generator and the exact completion counter."""
+    walk and the exact completion counter."""
 
     def __init__(self, k: int, spec: SearchSpec):
         self.k = k
@@ -215,7 +214,15 @@ class _KSpace:
         # cut = p/q < 0; no cut reads the placeholder -1
         self._p, self._q = (-1, 1) if cut is None else (cut.numerator, cut.denominator)
         self._trace_lhs = (k * self._q) ** 2 + self._p ** 2
-        self._count = lru_cache(maxsize=None)(self._count_uncached)
+        # completion counts; a dict keeps no reference cycle alive past run()
+        self._memo: dict = {}
+        # the leaf space: c_D <= k (c_1 = 1 at D = 1), in the c_2 set at D = 2,
+        # a_D = k - c_D zero exactly at k; a leaf-parent has the c_D >= c_{D-1}
+        top, kind = (k if spec.D > 1 else 1), spec.a_pattern[-1]
+        self._leaf_ok = np.array([c <= top and (spec.D != 2 or c in spec.c2_set)
+                                  and (kind == FREE or (kind == ZERO) == (c == k))
+                                  for c in range(k + 1)])
+        self._leaf_count = np.cumsum(self._leaf_ok[::-1])[::-1].tolist()
 
     def _closed_form_c2_cap(self):
         if ("c2_bound" not in self.spec.checks or self.ratio_cut is None
@@ -228,58 +235,63 @@ class _KSpace:
         return bound.numerator // bound.denominator
 
     def choices(self, level: int, c_prev: int, b_prev: int, divides: int | None = None):
-        """(c, a, b) options at a level, before pruning checks; given divides,
-        only those whose c divides it."""
-        k, D = self.k, self.spec.D
+        """(c, a, b) options at an inner level (below D), before pruning
+        checks; given divides, only those whose c divides it."""
+        k = self.k
         kind = self.spec.a_pattern[level - 1]
-        cs = (1,) if level == 1 else range(c_prev, k + (level == D))
+        cs = (1,) if level == 1 else range(c_prev, k)
         if level == 2:
             cs = [c for c in cs if c in self.spec.c2_set]
         if divides is not None:
             cs = [c for c in cs if divides % c == 0]
-        if level == D:  # a leaf: b_D = 0, and a_D = 0 exactly when c = k
-            return [(c, k - c, 0) for c in cs if kind == FREE or (kind == ZERO) == (c == k)]
-        a_min, zero = int(kind == NONZERO), kind == ZERO
         # b = k - c - a stays in [1, b_prev]
-        return [(c, a, k - c - a) for c in cs
-                for a in range(max(a_min, k - c - b_prev), 1 if zero else k - c)]
+        if kind == ZERO:
+            return [(c, 0, k - c) for c in cs if k - c <= b_prev]
+        a_min = int(kind == NONZERO)
+        return [(c, a, k - c - a) for c in cs for a in range(max(a_min, k - c - b_prev), k - c)]
 
-    def _count_uncached(self, level: int, c_prev: int, b_prev: int) -> int:
-        if level > self.spec.D:
-            return 1
-        options = self.choices(level, c_prev, b_prev)
-        if level == self.spec.D:  # each leaf is one array
-            return len(options)
-        return sum([self._count(level + 1, c, b) for c, _a, b in options])
+    def _count(self, level: int, c_prev: int, b_prev: int) -> int:
+        """The arrays below a node, memoised; a leaf-parent's from the table."""
+        if level == self.spec.D:
+            return self._leaf_count[c_prev]
+        key = (level, c_prev, b_prev)
+        if key not in self._memo:
+            self._memo[key] = sum(self._count(level + 1, c, b)
+                                  for c, _a, b in self.choices(level, c_prev, b_prev))
+        return self._memo[key]
 
     def run(self) -> tuple[list[IntersectionArray], PruningStats]:
-        """The arrays at this valency that the walk and the float screen keep,
-        in walk order, and the stats of their kills."""
+        """The arrays at this valency that the walk, the leaf pass and the
+        float screen keep, in walk order, and the stats of their kills."""
         self.stats = stats = PruningStats()
-        rows: list = []  # the minors start at phi_0 = 1, phi_1 = p < 0: one change
-        self._walk(1, 1, self.k, (self.k,), (), 1, 0, 1, self._p, -1, 1, rows)
-        if rows and self._screen:
+        parents: list = []  # the minors start at phi_0 = 1, phi_1 = p < 0: one change
+        self._walk(1, 1, self.k, (self.k,), (), 1, 0, 1, self._p, -1, 1, parents)
+        rows = self._decide_leaves(parents)
+        if len(rows) and self._screen:
             keep = _screen(rows)
             if not keep.all():
                 stats.kill("multiplicity_integrality", int((~keep).sum()))
-                rows = [row for row, kept in zip(rows, keep.tolist()) if kept]
+                rows = rows[keep]
         stats.generated = self._count(1, 1, self.k)
-        return [IntersectionArray(b, c) for b, c in rows], stats
+        D = self.spec.D
+        return [IntersectionArray(tuple(row[:D]), tuple(row[D:])) for row in rows.tolist()], stats
 
     def _walk(self, level, c_prev, b_prev, bs, cs, k_here, tr, phi_prev, phi, sign,
-              changes, out):
-        """Append to out the (b, c) rows that pass the prefix prunings and the
-        ratio cuts.  Carried from the prefix: k_here = k_{level-1}, tr = sum
-        a_i^2 + 2 sum b_{i-1} c_i so far, the Sturm minors phi_{level-1} and
-        phi_level at cut = p/q (times q^level), their last nonzero sign and
-        the number of sign changes."""
-        k, D, p, q = self.k, self.spec.D, self._p, self._q
+              changes, parents):
+        """Append to parents the state of each leaf-parent below this node
+        that the prefix prunings leave.  Carried from the prefix: k_here =
+        k_{level-1}, tr = sum a_i^2 + 2 sum b_{i-1} c_i so far, the Sturm
+        minors phi_{level-1} and phi_level at cut = p/q (times q^level),
+        their last nonzero sign and the number of sign changes."""
+        if level == self.spec.D:  # b_0..b_{D-1}, c_1..c_{D-1}, then the state
+            parents.append(bs + cs + (k_here * b_prev, tr, phi_prev, phi, sign, changes))
+            return
+        k, p, q = self.k, self._p, self._q
         if level >= 3 and self._k_integral:
-            # keep the c that divide k_{l-1} b_{l-1}; the other subtrees are
-            # one kill (a leaf's subtree is one array)
+            # keep the c that divide k_{l-1} b_{l-1}; the other subtrees are one kill
             options = self.choices(level, c_prev, b_prev, k_here * b_prev)
-            lost = self._count(level, c_prev, b_prev) - (len(options) if level == D else sum(
-                self._count(level + 1, c, b) for c, _a, b in options))
+            lost = self._count(level, c_prev, b_prev) - sum(
+                self._count(level + 1, c, b) for c, _a, b in options)
             if lost:
                 self.stats.kill("k_integrality", lost)
         else:
@@ -295,43 +307,70 @@ class _KSpace:
                     options.append((c, a, b))
                     continue
                 self.stats.kill(killed, self._count(level + 1, c, b))
-        if level == D:
-            self._leaves([c for c, _a, _b in options], b_prev, bs, cs, tr, phi_prev, phi,
-                         sign, changes, out)
-            return
         for c, a, b in options:
             # phi_{l+1} = (p - a_l q) phi_l - b_{l-1} c_l q^2 phi_{l-1}
             phi_next = (p - a * q) * phi - b_prev * c * q * q * phi_prev
             self._walk(level + 1, c, b, bs + (b,), cs + (c,), k_here * b_prev // c,
                        tr + a * a + 2 * b_prev * c, phi, phi_next,
                        sign if phi_next == 0 else (1 if phi_next > 0 else -1),
-                       changes + (phi_next * sign < 0), out)
+                       changes + (phi_next * sign < 0), parents)
 
-    def _leaves(self, leaf_cs, b_prev, bs, cs, tr, phi_prev, phi, sign, changes, out):
-        """Append to out the leaves c_D in leaf_cs that pass both ratio cuts,
-        each cut decided for all of them at once and its kills counted once.
-        a_D = k - c_D, so tr(L^2) = tr + (k - c_D)^2 + 2 b_{D-1} c_D is
-        quadratic in c_D and phi_{D+1} = alpha + beta c_D is affine in it."""
+    def _decide_leaves(self, parents: list) -> np.ndarray:
+        """The leaves of the leaf-parents that pass the level-D checks, as
+        one (n, 2D) int matrix of b_0..b_{D-1}, c_1..c_D, in walk order.
+
+        np.repeat expands each parent into its leaves c_D in the leaf space;
+        a1_zero (D = 1), c2_bound (D = 2), the divisor filter c_D | k_{D-1}
+        b_{D-1} (D >= 2), the trace cut and the Sturm cut then each decide
+        every leaf at once, in the walk's kill order, and count their kills
+        with one sum.  a_D = k - c_D, so tr(L^2) = tr + (k - c_D)^2 +
+        2 b_{D-1} c_D and phi_{D+1} = alpha + beta c_D."""
         k, D, p, q = self.k, self.spec.D, self._p, self._q
+        if not parents:
+            return np.zeros((0, 2 * D), np.int64)
+        P = np.array(parents)  # int64, else float64 or object dtype
+        if P.dtype == np.int64:
+            # every intermediate below is at most k^2 q^2 + p^2, (tr + 3k^2) q^2
+            # or |phi_{D+1}| <= |p - kq| |phi_D| + (|phi_D| + kq |phi_{D-1}|) kq;
+            # this float bound on them errs by far less than 2^63 / 2^62
+            t, f_prev, f = np.abs(P[:, 2 * D:2 * D + 3].astype(float)).max(axis=0).tolist()
+            big = max(float(k * q) ** 2 + float(p) ** 2, (t + 3.0 * k * k) * q * q,
+                      abs(p - k * q) * f + (f + k * q * f_prev) * q * k)
+        if P.dtype != np.int64 or big >= 2.0 ** 62:
+            P = np.array(parents, dtype=object)  # Python ints: exact, slower
+        b_prev, (kb, tr, phi_prev, phi, sign, changes) = P[:, D - 1], P[:, 2 * D - 1:].T
+        c_lo = P[:, 2 * D - 2].astype(np.int64) if D > 1 else np.ones(len(P), np.int64)
+        n = k + 1 - c_lo
+        at = np.repeat(np.arange(len(P)), n)  # each leaf's parent
+        c = c_lo[at] + np.arange(len(at)) - (np.cumsum(n) - n)[at]
+        at, c = at[self._leaf_ok[c]], c[self._leaf_ok[c]]
+
+        def drop(name, fails):
+            nonlocal at, c
+            if fails.any():
+                self.stats.kill(name, int(fails.sum()))
+                at, c = at[~fails], c[~fails]
+
+        if D == 1 and self._a1_prune:
+            drop("a1_zero", c != k)
+        if D == 2 and self._c2_cap is not None:
+            drop("c2_bound", c > self._c2_cap)
+        if D >= 2 and self._k_integral:
+            drop("k_integrality", kb[at] % c != 0)
         if self._trace_cut:  # k^2 + cut^2 <= tr(L^2), times q^2
-            kept = [c for c in leaf_cs
-                    if self._trace_lhs <= (tr + (k - c) ** 2 + 2 * b_prev * c) * q * q]
-            if len(kept) < len(leaf_cs):
-                self.stats.kill("trace_vs_ratio", len(leaf_cs) - len(kept))
-            leaf_cs = kept
-        if self._sturm_cut and changes == D:
+            drop("trace_vs_ratio",
+                 self._trace_lhs > (tr[at] + (k - c) ** 2 + 2 * b_prev[at] * c) * (q * q))
+        if self._sturm_cut:
             # no eigenvalue <= cut takes D + 1 sign changes: the most that
             # phi_0..phi_D can make, and one more at phi_{D+1}
             alpha, beta = (p - k * q) * phi, (phi - b_prev * q * phi_prev) * q
-            kept = [c for c in leaf_cs if (alpha + beta * c) * sign >= 0]
-            if len(kept) < len(leaf_cs):
-                self.stats.kill("theta_ratio", len(leaf_cs) - len(kept))
-            leaf_cs = kept
-        out += [(bs, cs + (c,)) for c in leaf_cs]
+            drop("theta_ratio", (changes[at] == D) & ((alpha[at] + beta[at] * c) * sign[at] < 0))
+        return np.hstack([P[at, :2 * D - 1], c[:, None]])
 
 
-def _screen(rows) -> np.ndarray:
-    """Which (b, c) rows of one diameter the float multiplicity screen keeps.
+def _screen(rows: np.ndarray) -> np.ndarray:
+    """Which rows of an (n, 2D) matrix of b_0..b_{D-1}, c_1..c_D the float
+    multiplicity screen keeps.
 
     theta_min's multiplicity decides first: a row where it is fractional
     under SCREEN_MARGIN is killed.  Every other row, an integral-looking one
@@ -341,7 +380,7 @@ def _screen(rows) -> np.ndarray:
     keep = ~_fractional(theta_min_multiplicity_float(rows)[1])
     rest = np.flatnonzero(keep)
     if rest.size:
-        keep[rest] = ~_fractional(multiplicities_float([rows[i] for i in rest])).any(axis=1)
+        keep[rest] = ~_fractional(multiplicities_float(rows[rest])).any(axis=1)
     return keep
 
 
@@ -380,6 +419,7 @@ def _run_k(args):
 def enumerate_arrays(spec: SearchSpec, jobs: int = 1) -> ClassificationResult:
     """Exhaust the search space; deterministic output order (k, c-sequence)."""
     tasks = [(spec, k) for k in range(spec.k_min, spec.k_max + 1)]
+    jobs = min(jobs, len(tasks))  # one valency runs in process
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             parts = pool.map(_run_k, tasks)  # in task order, like the serial path

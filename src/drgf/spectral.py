@@ -343,23 +343,13 @@ def _biggs_float(a: np.ndarray, b: np.ndarray, c: np.ndarray, th: np.ndarray) ->
     return ks.sum(axis=1, keepdims=True) / norm
 
 
-def multiplicities_float(rows) -> np.ndarray:
-    """Float Biggs multiplicities of a batch at every eigenvalue.
-
-    rows holds (b_0..b_{D-1}, c_1..c_D) pairs.  Row i of the result holds
-    the multiplicities of rows[i] in decreasing eigenvalue order, padded with
-    NaN up to the largest diameter in the batch.  Arrays of one diameter
-    share one eigvalsh call and one pass of _biggs_float.
-    """
-    diameters = np.array([len(b) for b, _c in rows])
-    out = np.full((len(rows), diameters.max() + 1), np.nan)
-    for D in np.unique(diameters).tolist():
-        idx = np.flatnonzero(diameters == D)
-        b = np.array([rows[r][0] for r in idx], float)
-        c = np.array([rows[r][1] for r in idx], float)
-        a, th = _jacobi_eigvals(b, c)
-        out[idx, :D + 1] = _biggs_float(a, b, c, th)
-    return out
+def multiplicities_float(rows: np.ndarray) -> np.ndarray:
+    """Float Biggs multiplicities at every eigenvalue, decreasing, of each
+    row of an (n, 2D) int matrix of b_0..b_{D-1}, c_1..c_D: one eigvalsh
+    call and one pass of _biggs_float."""
+    b, c = np.hsplit(np.asarray(rows, float), 2)
+    a, th = _jacobi_eigvals(b, c)
+    return _biggs_float(a, b, c, th)
 
 
 # Newton on det(xI - L) stops after a step below _NEWTON_TOL * k, and a row
@@ -371,7 +361,7 @@ _NEWTON_TOL = 1e-12
 def theta_min_multiplicity_float(rows) -> tuple[np.ndarray, np.ndarray]:
     """theta_min and its float Biggs multiplicity for a batch of one diameter.
 
-    rows holds (b_0..b_{D-1}, c_1..c_D) pairs of one D.  Each row runs
+    rows is an (n, 2D) int matrix of b_0..b_{D-1}, c_1..c_D.  Each row runs
     Newton on P = det(xI - L) from x = -k, with P and P' from the minor
     recurrence P_{i+1} = (x - a_i) P_i - w_i P_{i-1} and its derivative
     P'_{i+1} = P_i + (x - a_i) P'_i - w_i P'_{i-1}, all rows at once, until
@@ -397,9 +387,8 @@ def theta_min_multiplicity_float(rows) -> tuple[np.ndarray, np.ndarray]:
     inequality bounds the error at the stop: a step s leaves theta_min - x'
     <= D s.
     """
-    D = len(rows[0][0])
-    bc = np.array([b + c for b, c in rows], float)
-    b, c, n = bc[:, :D], bc[:, D:], len(rows)
+    b, c = np.hsplit(np.asarray(rows, float), 2)
+    n, D = b.shape
     k, a, w = b[:, 0], _diagonal(b, c), b * c  # w_i = b_{i-1} c_i
     x, done = -k, np.zeros(n, bool)
     with np.errstate(all="ignore"):

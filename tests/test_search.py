@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -155,8 +157,8 @@ SCREEN_SPACES = {
 
 @pytest.fixture(scope="module")
 def screened_rows():
-    """name -> the batches of (b, c) rows that _KSpace.run screens, one per
-    valency that has any."""
+    """name -> the (n, 2D) int matrices of b_0..b_{D-1}, c_1..c_D that
+    _KSpace.run screens, one per valency that has any."""
     batches, real = {}, search._screen
     with pytest.MonkeyPatch.context() as patch:
         for name, (spec, _decided, _kills) in SCREEN_SPACES.items():
@@ -180,8 +182,9 @@ def test_theta_min_pass_matches_eigvalsh(screened_rows, name):
     # decide fall through to multiplicities_float and are still killed
     decided = kills = 0
     for rows in screened_rows[name]:
+        assert rows.dtype == np.int64 and rows.shape[1] == 2 * SCREEN_SPACES[name][0].D
         theta, m = theta_min_multiplicity_float(rows)
-        b, c = (np.array([row[i] for row in rows], float) for i in (0, 1))
+        b, c = np.hsplit(rows.astype(float), 2)
         assert np.all(np.abs(theta - _jacobi_eigvals(b, c)[1][:, -1]) <= 1e-9 * b[:, 0])
         eig_kill = _eigvalsh_kills(rows)
         assert (search._screen(rows) == ~eig_kill).all()
@@ -196,7 +199,7 @@ def test_undecided_theta_min_rows_fall_through(screened_rows, monkeypatch, value
     # a non-finite theta_min multiplicity kills nothing: every row goes to
     # multiplicities_float and gets the same verdict, the two the screen
     # keeps included
-    rows = [row for batch in screened_rows["D4 main"] for row in batch]
+    rows = np.vstack(screened_rows["D4 main"])
     expected = ~_eigvalsh_kills(rows)
     assert expected.sum() == 2
     monkeypatch.setattr(search, "theta_min_multiplicity_float",
@@ -207,7 +210,7 @@ def test_undecided_theta_min_rows_fall_through(screened_rows, monkeypatch, value
 def test_newton_rows_past_the_step_budget_are_undecided(screened_rows, monkeypatch):
     # one Newton step stops no row of the D = 5 main space: each is left
     # undecided (NaN), and the screen still gives the eigvalsh verdicts
-    rows = [row for batch in screened_rows["D5 main"][:20] for row in batch]
+    rows = np.vstack(screened_rows["D5 main"][:20])
     monkeypatch.setattr(spectral, "_NEWTON_STEPS", 1)
     theta, m = theta_min_multiplicity_float(rows)
     assert np.isnan(theta).all() and np.isnan(m).all()
@@ -224,6 +227,8 @@ CUT_SPACES = [
     SearchSpec(4, 5, 12, "000+", (1, 2), Fraction(-3, 4)),
     SearchSpec(4, 4, 10, "0*+*", (1, 2), Fraction(-2, 3)),
     SearchSpec(5, 5, 12, "000+*", (1, 2), Fraction(-4, 5)),
+    SearchSpec(3, 3, 12, "**0", (1, 2), Fraction(-2, 3)),  # a_D = 0: only c_D = k
+    SearchSpec(4, 5, 12, "000+", (1, 2), Fraction(-3, 4), NO_K),  # every divisor kept
 ]
 
 
@@ -257,20 +262,48 @@ def _reference_cuts(spec):
     return killed, survivors
 
 
-@pytest.mark.parametrize("spec", CUT_SPACES, ids=lambda s: f"D{s.D}-{s.a_pattern}")
+def _with_cuts(spec, cuts):
+    """spec with its prefix checks and the given ratio cuts only."""
+    return replace(spec, checks=tuple(c for c in spec.checks if c in PREFIX_CHECKS) + cuts)
+
+
+@pytest.mark.parametrize("spec", CUT_SPACES, ids=lambda s: f"D{s.D}-{s.a_pattern}" + (
+    "" if "k_integrality" in s.checks else "-no-k"))
 @pytest.mark.parametrize("cuts", [("trace_vs_ratio", "theta_ratio"), ("theta_ratio",),
                                   ("trace_vs_ratio",), "no ratio"])
 def test_fused_cuts_match_reference(spec, cuts):
     if cuts == "no ratio":
-        spec = replace(spec, theta_ratio=None, checks=PREFIX_CHECKS + (
-            "trace_vs_ratio", "theta_ratio"))
+        spec = replace(_with_cuts(spec, ("trace_vs_ratio", "theta_ratio")), theta_ratio=None)
     else:
-        spec = replace(spec, checks=PREFIX_CHECKS + cuts)
+        spec = _with_cuts(spec, cuts)
     killed, survivors = _space_results(spec)
     assert (killed, survivors) == _reference_cuts(spec)
     assert survivors
     if cuts != "no ratio":
         assert any(killed.get(name) for name in cuts)
+
+
+@pytest.mark.parametrize("q, dtype", [(1000, "int64"), (7000, "float64"), (10**10, "object")])
+def test_leaf_pass_stays_exact_past_int64(monkeypatch, q, dtype):
+    # at cut = -(3q - 1)/(4q) k the minors q^i phi_i outgrow int64: at
+    # q = 1000 every batch fits, but alpha + beta c_D would wrap; at 7000
+    # some batch comes out float64, and at 10^10 some holds a minor past
+    # 2^64.  Each goes to Python ints, and the verdicts stay those of
+    # sturm_count_leq and trace_of_l_squared.
+    spec = _with_cuts(SearchSpec(4, 5, 12, "000+", (1, 2), Fraction(1 - 3 * q, 4 * q)),
+                      ("trace_vs_ratio", "theta_ratio"))
+    dtypes, peak, real = set(), [0], _KSpace._decide_leaves
+
+    def spy(self, parents):
+        dtypes.add(str(np.array(parents).dtype))
+        peak[0] = max([peak[0]] + [abs(x) for parent in parents for x in parent])
+        return real(self, parents)
+
+    monkeypatch.setattr(_KSpace, "_decide_leaves", spy)
+    killed, survivors = _space_results(spec)
+    assert dtype in dtypes and (peak[0] >= 2**63) == (q > 1000)
+    assert (killed, survivors) == _reference_cuts(spec)
+    assert killed["theta_ratio"] and killed["trace_vs_ratio"] and survivors
 
 
 def test_fused_cuts_meet_a_zero_minor():
@@ -380,6 +413,46 @@ def test_parallel_matches_serial(d4_result):
     assert par.survivors == d4_result.survivors
     assert par.stats.generated == d4_result.stats.generated
     assert par.stats.killed == d4_result.stats.killed
+
+
+def test_no_more_pool_workers_than_valencies(monkeypatch):
+    # a one-valency space runs in process, and a pool never outnumbers its
+    # tasks; classify_diameter(5)'s one-valency a_3 space opens no pool
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, n):
+            sizes.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(search.multiprocessing, "Pool", InProcessPool)
+    enumerate_arrays(SearchSpec(5, 5, 5, "000+*", (1, 2), Fraction(-4, 5)), jobs=2)
+    enumerate_arrays(SearchSpec(4, 5, 7, "000+", (1, 2), Fraction(-3, 4)), jobs=8)
+    assert sizes == [3]
+    classify_diameter(5, jobs=2)
+    assert sizes == [3, 2, 2, 2]
+
+
+def test_a_valency_space_is_freed_when_run_returns():
+    # no reference cycle holds a space, its memo or its leaf batch: with the
+    # cyclic collector off, dropping the last reference frees it
+    gc.disable()
+    try:
+        space = _KSpace(20, D4_SPEC)
+        ref = weakref.ref(space)
+        assert space.run()[1].generated
+        del space
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_jobs_do_not_change_the_classification(classified):

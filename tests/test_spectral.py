@@ -72,13 +72,14 @@ def test_eigenvalues_two_ways_agree():
 
 
 def _assert_float_mults_match_exact(arrays):
-    got = multiplicities_float([(arr.b, arr.c) for arr in arrays])
-    assert got.shape == (len(arrays), max(arr.D for arr in arrays) + 1)
-    for arr, row in zip(arrays, got):
-        exact = np.array([float(as_mpf(m)) for m in spectrum(arr).mults_raw])
-        assert np.all(np.abs(row[:arr.D + 1] - exact)
-                      <= 1e-9 * np.maximum(1, np.abs(exact))), str(arr)
-        assert np.isnan(row[arr.D + 1:]).all(), str(arr)
+    # one (n, 2D) int matrix of b_0..b_{D-1}, c_1..c_D per diameter
+    for D in {arr.D for arr in arrays}:
+        batch = [arr for arr in arrays if arr.D == D]
+        got = multiplicities_float(np.array([arr.b + arr.c for arr in batch]))
+        assert got.shape == (len(batch), D + 1)
+        for arr, row in zip(batch, got):
+            exact = np.array([float(as_mpf(m)) for m in spectrum(arr).mults_raw])
+            assert np.all(np.abs(row - exact) <= 1e-9 * np.maximum(1, np.abs(exact))), str(arr)
 
 
 def test_multiplicities_float_catalog():
@@ -110,7 +111,7 @@ def test_theta_min_multiplicity_float_matches_exact():
         by_d.setdefault(arr.D, []).append(arr)
     assert any(arr.t is None for arrs in by_d.values() for arr in arrs)
     for arrays in by_d.values():
-        theta, m = theta_min_multiplicity_float([(arr.b, arr.c) for arr in arrays])
+        theta, m = theta_min_multiplicity_float(np.array([arr.b + arr.c for arr in arrays]))
         for arr, th, mult in zip(arrays, theta, m):
             sp = spectrum(arr)
             assert abs(th - float(as_mpf(sp.theta_min))) <= 1e-12 * arr.k, str(arr)
