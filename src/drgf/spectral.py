@@ -5,14 +5,18 @@ simple eigenvalues.  Everything here leans on exact integer arithmetic as far
 as possible:
 
 * the characteristic polynomial has integer coefficients, computed exactly;
-* rational eigenvalues (necessarily integers, the polynomial being monic, and
-  in [-k, k]) are found by exact evaluation at every integer of [-k, k] and
-  get exact standard sequences and multiplicities;
-* irrational eigenvalues are isolated by exact Sturm counts on the minor
-  sequence, each isolating interval goes to refine_root, a safeguarded
-  mpmath Newton iteration, and two exact signs of the deflated polynomial
-  at the refined root +- 2^-49 certify a rational enclosure of width
-  <= 2^-48.
+* one loop isolates every eigenvalue in a box (lo, hi]: cuts at -k-1, k+1
+  and between neighbouring float eigenvalues (eigenvalues_float), then exact
+  Sturm counts drop a box without a root and halve one with several, which
+  ends as the eigenvalues are simple;
+* in a one-root box with float value x, the eigenvalue is the int round(x)
+  if P = det(xI - L) vanishes there; else refine_root, a safeguarded mpmath
+  Newton iteration, starts from x, and the eigenvalue is round(c) of the
+  exact value c of its result if P vanishes there, else two exact signs of P
+  at c +- 2^-49, clipped to the box, certify an enclosure of width <= 2^-48.
+  No cut is an integer, so P (monic, integer coefficients: its rational
+  roots are integers) vanishes at no box end.  Floats only steer: every
+  count and sign that decides anything is exact.
 
 The enumeration's float multiplicity screen has two batched paths, both
 ending in one vectorised pass of the standard-sequence recurrence:
@@ -44,9 +48,8 @@ Exact = (int, Fraction)
 # that certificate for lack of digits
 DPS = 50
 
-# certified enclosures of irrational eigenvalues have width <= 2^-_ISOLATE_BITS:
-# the refined root +- 2^-(_ISOLATE_BITS + 1), checked by two exact signs
-_ISOLATE_BITS = 48
+# a certified enclosure is the refined root +- _HALF_WIDTH: width <= 2^-48
+_HALF_WIDTH = Fraction(1, 2 ** 49)
 
 
 class SpectralError(ValueError):
@@ -122,57 +125,24 @@ def _sign_changes(values) -> int:
 
 
 def sturm_count_leq(arr: IntersectionArray, x: Fraction) -> int:
-    """Exact number of eigenvalues of L that are <= x."""
+    """Exact number of eigenvalues of L that are <= x: the minors at x = p/q,
+    times q^i, by the integer recurrence phi_{i+1} = (p - a_i q) phi_i -
+    b_{i-1} c_i q^2 phi_{i-1}."""
     x = Fraction(x)
-    minors = minor_polys(arr.a, [b * c for b, c in zip(arr.b, arr.c)])
-    return arr.D + 1 - _sign_changes(_poly_eval_frac(P, x) for P in minors)
+    p, q = x.numerator, x.denominator
+    phis = [1, p - arr.a[0] * q]
+    for ai, b, c in zip(arr.a[1:], arr.b, arr.c):
+        phis.append((p - ai * q) * phis[-1] - b * c * q * q * phis[-2])
+    return arr.D + 1 - _sign_changes(phis)
 
 
-def _integer_roots(coeffs: list[int], k: int) -> list[int]:
-    """The integer roots of the characteristic polynomial of L, ascending: a
-    scan of [-k, k], which holds every eigenvalue of L, a nonnegative matrix
-    with row sums k."""
-    return [r for r in range(-k, k + 1) if _poly_eval_frac(coeffs, Fraction(r)) == 0]
-
-
-def _deflate(coeffs: list[int], root: int) -> list[int]:
-    """Exact synthetic division by (x - root), for a root of coeffs."""
-    high = list(reversed(coeffs))
-    quot = [high[0]]
-    for coef in high[1:-1]:
-        quot.append(coef + root * quot[-1])
-    return list(reversed(quot))
-
-
-def _isolate_irrational(arr: IntersectionArray, q: list[int], int_roots: list[int]):
-    """Isolating dyadic intervals (lo, hi], one per root of the deflated poly q,
-    by exact Sturm counts."""
-    want = len(q) - 1
-    boxes = [(Fraction(-arr.k - 1), Fraction(arr.k + 1), want)]
-    done = []
-
-    def count_open(a: Fraction, b: Fraction) -> int:
-        n_int = sum(1 for r in int_roots if a < r <= b)
-        return sturm_count_leq(arr, b) - sturm_count_leq(arr, a) - n_int
-
-    guard = 0
-    while boxes:
-        guard += 1
-        if guard > 10000:
-            raise SpectralError("failed to isolate eigenvalues")
-        a, b, cnt = boxes.pop()
-        if cnt == 0:
-            continue
-        if cnt == 1:
-            done.append((a, b))
-            continue
-        m = (a + b) / 2
-        cl = count_open(a, m)
-        boxes.append((a, m, cl))
-        boxes.append((m, b, cnt - cl))
-    if len(done) != want:
-        raise SpectralError("failed to isolate eigenvalues")
-    return done
+def _cut(lo: Fraction, hi: Fraction) -> Fraction:
+    """A non-integer point of (lo, hi): (lo + hi)/2, moved toward hi while
+    it is an integer."""
+    m = (lo + hi) / 2
+    while m.denominator == 1:
+        m = (m + hi) / 2
+    return m
 
 
 def mp_horner(coeffs, y):
@@ -183,21 +153,21 @@ def mp_horner(coeffs, y):
     return acc
 
 
-def refine_root(coeffs, lo, hi):
+def refine_root(coeffs, lo, hi, start=None):
     """The root of sum coeffs[i] y^i (low to high degree) in [lo, hi], where
     the polynomial has one root and changes sign or vanishes at an end.
 
-    Safeguarded Newton from the midpoint at working precision: the sign at
-    each iterate shrinks the bracket, a Newton step that leaves the bracket
-    becomes a bisection step, and a step below 10^-(dps-5) max(1, |y|) ends
-    the iteration.
+    Safeguarded Newton from start (default the midpoint) at working
+    precision: the sign at each iterate shrinks the bracket, a Newton step
+    that leaves the bracket becomes a bisection step, and a step below
+    10^-(dps-5) max(1, |y|) ends the iteration.
     """
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
     a, b = as_mpf(lo), as_mpf(hi)
     sa, sb = (mp.sign(mp_horner(coeffs, x)) for x in (a, b))
     if sa * sb == 0:  # a root at an end
         return b if sb == 0 else a
-    y = (a + b) / 2
+    y = (a + b) / 2 if start is None else as_mpf(start)
     tol = mp.mpf(10) ** (-(mp.dps - 5))
     for _ in range(200):
         f = mp_horner(coeffs, y)
@@ -223,7 +193,7 @@ class Spectrum:
 
     thetas holds exact ints where the eigenvalue is rational, else mpf values;
     enclosures holds (theta, theta) for an int, else a rational interval of
-    width <= 2^-48 around the refined root that exact signs of the deflated
+    width <= 2^-48 around the refined root that exact signs of the
     characteristic polynomial prove holds the eigenvalue.
     """
 
@@ -265,33 +235,46 @@ class Spectrum:
 
 
 def _eigen_with_enclosures(arr: IntersectionArray):
+    """theta_0 > ... > theta_D and their enclosures (the module docstring)."""
     with workdps():
         coeffs = charpoly(arr)
-        ints = _integer_roots(coeffs, arr.k)
-        q = coeffs
-        for r in ints:
-            q = _deflate(q, r)
-        pairs = [(r, (Fraction(r), Fraction(r))) for r in ints]
-        e = Fraction(1, 2 ** (_ISOLATE_BITS + 1))
-        for lo, hi in _isolate_irrational(arr, q, ints):
-            # q has no rational root and one root in (lo, hi]: opposite signs
-            # at a and b, around the exact value c of y, prove it is in [a, b]
-            y = refine_root(q, lo, hi)
-            c = Fraction(*libmp.to_rational(y._mpf_))  # mpf.man_exp drops the sign
-            a, b = max(lo, c - e), min(hi, c + e)
-            if not (a < b and (_poly_eval_frac(q, a) > 0) != (_poly_eval_frac(q, b) > 0)):
-                raise SpectralError(f"refined root {y} is not the root of q in ({lo}, {hi}]")
-            pairs.append((y, (a, b)))
-        pairs.sort(key=lambda p: p[0], reverse=True)
-        roots = [p[0] for p in pairs]
+        fl = sorted(Fraction(t) for t in eigenvalues_float(arr))
+        inner = sorted({_cut(s, t) for s, t in zip(fl, fl[1:]) if -arr.k - 1 < s < t < arr.k + 1})
+        cuts = [Fraction(-arr.k - 1), *inner, Fraction(arr.k + 1)]
+        # L is nonnegative with row sums k: every eigenvalue lies in [-k, k]
+        counts = [0, *(sturm_count_leq(arr, x) for x in inner), arr.D + 1]
+        boxes = list(zip(cuts, cuts[1:], counts, counts[1:]))
+        found = []  # (theta, enclosure), decreasing
+
+        def int_root(x):  # round(x) if it is the eigenvalue of the box (lo, hi]
+            r = round(x)
+            return r if lo < r <= hi and _poly_eval_frac(coeffs, Fraction(r)) == 0 else None
+
+        while boxes:  # the highest box first
+            lo, hi, n_lo, n_hi = boxes.pop()
+            if n_hi - n_lo > 1:
+                m = _cut(lo, hi)
+                n_m = sturm_count_leq(arr, m)
+                boxes += [(lo, m, n_lo, n_m), (m, hi, n_m, n_hi)]
+            if n_hi - n_lo != 1:
+                continue
+            x = next((t for t in fl if lo < t <= hi), (lo + hi) / 2)
+            if (r := int_root(x)) is None:
+                y = refine_root(coeffs, lo, hi, start=x)
+                c = Fraction(*libmp.to_rational(y._mpf_))  # mpf.man_exp drops the sign
+                if (r := int_root(c)) is None:
+                    a, b = max(lo, c - _HALF_WIDTH), min(hi, c + _HALF_WIDTH)
+                    if not (a < b and _poly_eval_frac(coeffs, a) * _poly_eval_frac(coeffs, b) < 0):
+                        raise SpectralError(f"refined root {y} is not in its box ({lo}, {hi}]")
+                    found.append((y, (a, b)))
+                    continue
+            found.append((r, (Fraction(r), Fraction(r))))
+        roots, enclosures = map(list, zip(*found))
         if len(roots) != arr.D + 1:
             raise SpectralError("root count mismatch")
         if roots[0] != arr.k:
             raise SpectralError("theta_0 != k")
-        for s, t in zip(roots, roots[1:]):
-            if not s > t:
-                raise SpectralError("eigenvalues not strictly decreasing")
-        return roots, [p[1] for p in pairs]
+        return roots, enclosures
 
 
 def eigenvalues(arr: IntersectionArray) -> list:
@@ -324,9 +307,10 @@ def _jacobi_eigvals(b: np.ndarray, c: np.ndarray):
 
 
 def eigenvalues_float(arr: IntersectionArray) -> list[float]:
-    """Independent float path: symmetrised intersection matrix (LAPACK)."""
-    _a, theta = _jacobi_eigvals(np.array([arr.b], float), np.array([arr.c], float))
-    return theta[0].tolist()
+    """Float eigenvalues, decreasing, of the symmetrised intersection matrix
+    (LAPACK): the steering of spectrum's exact isolation."""
+    off = np.sqrt(np.multiply(arr.b, arr.c, dtype=float))  # read as the lower triangle
+    return np.linalg.eigvalsh(np.diag(np.array(arr.a, float)) + np.diag(off, -1))[::-1].tolist()
 
 
 def _biggs_float(a: np.ndarray, b: np.ndarray, c: np.ndarray, th: np.ndarray) -> np.ndarray:
@@ -448,18 +432,11 @@ def multiplicity(arr: IntersectionArray, theta):
 
 
 def spectrum(arr: IntersectionArray) -> Spectrum:
-    thetas, encl = _eigen_with_enclosures(arr)
-    enclosures = tuple(encl)
+    thetas, enclosures = _eigen_with_enclosures(arr)
     raw = tuple(multiplicity(arr, t) for t in thetas)
-    rounded = []
-    for m in raw:
-        if isinstance(m, Exact):
-            fr = Fraction(m)
-            rounded.append(fr.numerator // fr.denominator if fr.denominator == 1 else round(float(fr)))
-        else:
-            rounded.append(int(mp.nint(m)))
+    rounded = [round(Fraction(m)) if isinstance(m, Exact) else int(mp.nint(m)) for m in raw]
     v = arr.v.numerator if arr.v.denominator == 1 else arr.v
-    return Spectrum(tuple(thetas), raw, tuple(rounded), enclosures, v)
+    return Spectrum(tuple(thetas), raw, tuple(rounded), tuple(enclosures), v)
 
 
 def multiplicity_upper_bound(arr: IntersectionArray, seq: StandardSequence, j: int):

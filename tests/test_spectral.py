@@ -5,11 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from mpmath import mp
+from mpmath import libmp, mp
 
 from drgf import oracle, spectral
 from drgf.core import IntersectionArray, parse_array
-from drgf.feasibility import INCONCLUSIVE, PASS, check_trace_square, full_report
+from drgf.feasibility import FAIL, INCONCLUSIVE, PASS, check_trace_square, full_report
 from drgf.spectral import (abs_u_lower_bounds, as_mpf, charpoly, eigenvalues,
                            eigenvalues_float, implied_last_c_lower,
                            intersection_matrix, multiplicity,
@@ -218,13 +218,13 @@ def test_sturm_count_boundary_exact():
     assert sturm_count_leq(arr, Fraction(5)) == 5
 
 
-def _seeded_arrays(n=42, seed=4155):
-    """n arrays with D = 1..6 in turn, k in [2, 12], c non-decreasing and b
-    non-increasing; neither k_i nor the multiplicities need be integral."""
+def _seeded_arrays(n=42, seed=4155, d_max=6, k_max=12):
+    """n arrays with D = 1..d_max in turn, k in [2, k_max], c non-decreasing
+    and b non-increasing; neither k_i nor the multiplicities need be integral."""
     rng = random.Random(seed)
     out = []
     for i in range(n):
-        D, k = i % 6 + 1, rng.randint(2, 12)
+        D, k = i % d_max + 1, rng.randint(2, k_max)
         c = [1]
         while len(c) < D:  # c_i < k below the diameter keeps b_i >= 1
             c.append(rng.randint(c[-1], k if len(c) == D - 1 else k - 1))
@@ -244,15 +244,6 @@ def test_charpoly_matches_sympy(arr):
     M = sympy.Matrix(intersection_matrix(arr).tolist())
     P = M.charpoly(x)
     assert charpoly(arr) == [int(c) for c in reversed(P.all_coeffs())]
-    # every enclosure holds exactly one root (a one-point box for an integer
-    # eigenvalue), and the integer eigenvalues are sympy's integer roots
-    sp = spectrum(arr)
-    for lo, hi in sp.enclosures:
-        assert hi - lo <= Fraction(1, 2**48)
-        assert P.count_roots(sympy.Rational(lo.numerator, lo.denominator),
-                             sympy.Rational(hi.numerator, hi.denominator)) == 1
-    assert sorted(t for t in sp.thetas if isinstance(t, int)) == \
-        [int(r) for r in P.real_roots() if r.is_Integer]
 
 
 @pytest.mark.parametrize("arr", SEEDED, ids=str)
@@ -489,15 +480,21 @@ def test_spectrum_enclosures_certified():
 
 
 def test_spectrum_rejects_a_refined_root_outside_its_box(monkeypatch):
-    # a refiner that returns the lower end of its bracket must not yield an
-    # eigenvalue: the two-point sign check rejects it, and the report on the
-    # array has no spectrum to decide anything with
+    # a refiner that errs must not yield an eigenvalue, and the report on the
+    # array then has no spectrum to decide anything with.  The lower end of
+    # the bracket also fails the terminal residual; a root off by 1e-12 and
+    # theta_min, an eigenvalue but of another box, pass it, and only the
+    # two-point sign check on the clipped interval rejects them
     arr = parse_array("{3,2,2,1;1,1,1,2}")
-    monkeypatch.setattr(spectral, "refine_root", lambda coeffs, lo, hi: as_mpf(lo))
-    with pytest.raises(spectral.SpectralError):
-        spectrum(arr)
-    rep = full_report(arr)
-    assert rep.spectrum is None and rep.overall == INCONCLUSIVE
+    refine, theta_min = spectral.refine_root, spectrum(arr).theta_min
+    for wrong in (lambda coeffs, lo, hi, start: as_mpf(lo),
+                  lambda coeffs, lo, hi, start: refine(coeffs, lo, hi, start) + mp.mpf(1e-12),
+                  lambda coeffs, lo, hi, start: theta_min):
+        monkeypatch.setattr(spectral, "refine_root", wrong)
+        with pytest.raises(spectral.SpectralError):
+            spectrum(arr)
+        rep = full_report(arr)
+        assert rep.spectrum is None and rep.overall == INCONCLUSIVE
 
 
 def test_spectrum_with_zero_eigenvalue():
@@ -507,11 +504,89 @@ def test_spectrum_with_zero_eigenvalue():
     assert not sp.multiplicities_integral  # m(0) = 3620/47
 
 
-def test_integer_roots_beyond_zero():
-    # x^2 (x - 3)(x + 2) and x (x - 5)(x - 1)(x + 4): the zero constant term
-    # must not hide the nonzero roots
-    assert spectral._integer_roots([0, 0, -6, -1, 1], 5) == [-2, 0, 3]
-    assert spectral._integer_roots([0, 20, -19, -2, 1], 5) == [-4, 0, 1, 5]
-    # a charpoly whose largest root k = 71 is the last point of the scan
-    arr = parse_array("{71,70,69,68,67;1,2,3,4,5}")
-    assert spectral._integer_roots(charpoly(arr), arr.k) == [-1, 71]
+def test_integer_roots_beyond_zero(monkeypatch):
+    # exact ints on both sides of a zero eigenvalue, and k = 71 at the top of
+    # [-k, k]: charpolys x (x - 6) q_4 and (x - 71)(x + 1) q_4, q_4
+    # irreducible; the float value finds each int, and only the four roots
+    # of q_4 are refined
+    refined, refine = [], spectral.refine_root
+    monkeypatch.setattr(spectral, "refine_root",
+                        lambda *args, **kw: refined.append(args) or refine(*args, **kw))
+    for text, ints in (("{6,5,5,4,2;1,1,2,2,3}", {0: 6, 3: 0}),
+                       ("{71,70,69,68,67;1,2,3,4,5}", {0: 71, 3: -1})):
+        refined.clear()
+        sp = spectrum(parse_array(text))
+        assert len(refined) == 4
+        assert {i: t for i, t in enumerate(sp.thetas) if isinstance(t, int)} == ints
+        assert all(sp.enclosures[i] == (t, t) for i, t in ints.items())
+
+
+def _exact_view(sp):
+    """The parts of a spectrum that must not depend on the float steering."""
+    return ([t if isinstance(t, int) else None for t in sp.thetas], sp.mults,
+            sp.multiplicities_integral)
+
+
+@pytest.mark.parametrize("steer", [
+    lambda fl: [t + 0.6 for t in fl],  # every round(x) of an int misses it
+    lambda fl: [0.5] * len(fl),        # no cut: halving does all the work
+], ids=["shifted", "all-equal"])
+def test_floats_only_steer(monkeypatch, steer):
+    arrays = [parse_array(t) for t in CORPUS + ["{6,5,5,4,2;1,1,2,2,3}",
+                                                "{71,70,69,68,67;1,2,3,4,5}"]]
+    want = [_exact_view(spectrum(arr)) for arr in arrays]
+    exact_floats = spectral.eigenvalues_float
+    monkeypatch.setattr(spectral, "eigenvalues_float", lambda arr: steer(exact_floats(arr)))
+    for arr, view in zip(arrays, want):
+        sp = spectrum(arr)
+        assert _exact_view(sp) == view, str(arr)
+        for theta, (lo, hi) in zip(sp.thetas, sp.enclosures):
+            if not isinstance(theta, int):
+                assert lo <= Fraction(*libmp.to_rational(theta._mpf_)) <= hi, str(arr)
+                assert 0 < hi - lo <= Fraction(1, 2**48), str(arr)
+
+
+NEAR_DEGENERATE = [f"{{{k},1,1,1,1;1,1,1,1,{k}}}" for k in (10**4, 10**6)] + [
+    f"{{{k},{k - 1},1,1,1,1,1;1,1,1,1,1,{k - 1},{k}}}" for k in (10**4, 10**6)]
+
+
+@pytest.mark.parametrize("text", NEAR_DEGENERATE)
+def test_near_degenerate_spectra(monkeypatch, text):
+    # two eigenvalues within 2e-12 of each other (k = 10^4) or closer: the
+    # float cuts cannot split them, the exact halving must, and the cost may
+    # not grow with k (a scan of [-k, k] would make 2k + 1 evaluations)
+    arr = parse_array(text)
+    evals, evaluate = [], spectral._poly_eval_frac
+    monkeypatch.setattr(spectral, "_poly_eval_frac",
+                        lambda coeffs, x: evals.append(x) or evaluate(coeffs, x))
+    sp = spectrum(arr)
+    assert len(evals) <= 4 * (arr.D + 1)
+    assert len(sp.enclosures) == arr.D + 1
+    for (lo, _hi), (_lo, hi_next) in zip(sp.enclosures, sp.enclosures[1:]):
+        assert hi_next <= lo  # disjoint, decreasing; a shared end is no root
+    for theta, (lo, hi) in zip(sp.thetas, sp.enclosures):
+        if isinstance(theta, int):
+            assert lo == hi == theta and evaluate(charpoly(arr), lo) == 0
+        else:
+            assert sturm_count_leq(arr, hi) - sturm_count_leq(arr, lo) == 1
+    assert full_report(arr).overall == FAIL
+
+
+@pytest.mark.parametrize("arr", SEEDED + _seeded_arrays(200, seed=18, d_max=7, k_max=80),
+                         ids=str)
+def test_spectrum_boxes_hold_sympy_real_roots(arr):
+    # sympy's real_roots of the charpoly, decreasing, against the boxes: an
+    # Integer root is the exact int theta in a one-point box, any other root
+    # is irrational and the only root in its box
+    x = sympy.Symbol("x")
+    P = sympy.Poly(list(reversed(charpoly(arr))), x)
+    sp = spectrum(arr)
+    roots = P.real_roots()[::-1]
+    assert len(roots) == len(sp.thetas) == arr.D + 1
+    for root, theta, (lo, hi) in zip(roots, sp.thetas, sp.enclosures):
+        if root.is_Rational:
+            assert root.is_Integer and theta == int(root) and lo == hi == theta
+        else:
+            assert not isinstance(theta, int) and hi - lo <= Fraction(1, 2**48)
+            assert P.count_roots(_rational(lo), _rational(hi)) == 1
+            assert abs(float(root) - float(theta)) <= 1e-12 * arr.k
