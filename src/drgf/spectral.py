@@ -14,9 +14,10 @@ as possible:
   Newton iteration, starts from x, and the eigenvalue is round(c) of the
   exact value c of its result if P vanishes there, else two exact signs of P
   at c +- 2^-49, clipped to the box, certify an enclosure of width <= 2^-48.
-  No cut is an integer, so P (monic, integer coefficients: its rational
-  roots are integers) vanishes at no box end.  Floats only steer: every
-  count and sign that decides anything is exact.
+  No interior cut is an integer and every eigenvalue lies in [-k, k], so P
+  (monic, integer coefficients: its rational roots are integers) vanishes
+  at no box end.  Floats only steer: every count and sign that decides
+  anything is exact.
 
 The enumeration's float multiplicity screen has two batched paths, both
 ending in one vectorised pass of the standard-sequence recurrence:
@@ -124,16 +125,14 @@ def _sign_changes(values) -> int:
     return sum(s != r for s, r in zip(signs, signs[1:]))
 
 
+def _count_leq(minors: list[list[int]], x: Fraction) -> int:
+    """#{eigenvalues of L <= x} from the minors P_0, ..., P_{D+1} of xI - L."""
+    return len(minors) - 1 - _sign_changes(_poly_eval_frac(P, x) for P in minors)
+
+
 def sturm_count_leq(arr: IntersectionArray, x: Fraction) -> int:
-    """Exact number of eigenvalues of L that are <= x: the minors at x = p/q,
-    times q^i, by the integer recurrence phi_{i+1} = (p - a_i q) phi_i -
-    b_{i-1} c_i q^2 phi_{i-1}."""
-    x = Fraction(x)
-    p, q = x.numerator, x.denominator
-    phis = [1, p - arr.a[0] * q]
-    for ai, b, c in zip(arr.a[1:], arr.b, arr.c):
-        phis.append((p - ai * q) * phis[-1] - b * c * q * q * phis[-2])
-    return arr.D + 1 - _sign_changes(phis)
+    """Exact number of eigenvalues of L that are <= x."""
+    return _count_leq(minor_polys(arr.a, [b * c for b, c in zip(arr.b, arr.c)]), Fraction(x))
 
 
 def _cut(lo: Fraction, hi: Fraction) -> Fraction:
@@ -237,12 +236,13 @@ class Spectrum:
 def _eigen_with_enclosures(arr: IntersectionArray):
     """theta_0 > ... > theta_D and their enclosures (the module docstring)."""
     with workdps():
-        coeffs = charpoly(arr)
+        minors = minor_polys(arr.a, [b * c for b, c in zip(arr.b, arr.c)])
+        coeffs = minors[-1]  # charpoly(arr)
         fl = sorted(Fraction(t) for t in eigenvalues_float(arr))
         inner = sorted({_cut(s, t) for s, t in zip(fl, fl[1:]) if -arr.k - 1 < s < t < arr.k + 1})
         cuts = [Fraction(-arr.k - 1), *inner, Fraction(arr.k + 1)]
         # L is nonnegative with row sums k: every eigenvalue lies in [-k, k]
-        counts = [0, *(sturm_count_leq(arr, x) for x in inner), arr.D + 1]
+        counts = [0, *(_count_leq(minors, x) for x in inner), arr.D + 1]
         boxes = list(zip(cuts, cuts[1:], counts, counts[1:]))
         found = []  # (theta, enclosure), decreasing
 
@@ -254,7 +254,7 @@ def _eigen_with_enclosures(arr: IntersectionArray):
             lo, hi, n_lo, n_hi = boxes.pop()
             if n_hi - n_lo > 1:
                 m = _cut(lo, hi)
-                n_m = sturm_count_leq(arr, m)
+                n_m = _count_leq(minors, m)
                 boxes += [(lo, m, n_lo, n_m), (m, hi, n_m, n_hi)]
             if n_hi - n_lo != 1:
                 continue
@@ -309,8 +309,8 @@ def _jacobi_eigvals(b: np.ndarray, c: np.ndarray):
 def eigenvalues_float(arr: IntersectionArray) -> list[float]:
     """Float eigenvalues, decreasing, of the symmetrised intersection matrix
     (LAPACK): the steering of spectrum's exact isolation."""
-    off = np.sqrt(np.multiply(arr.b, arr.c, dtype=float))  # read as the lower triangle
-    return np.linalg.eigvalsh(np.diag(np.array(arr.a, float)) + np.diag(off, -1))[::-1].tolist()
+    _a, theta = _jacobi_eigvals(np.array([arr.b], float), np.array([arr.c], float))
+    return theta[0].tolist()
 
 
 def _biggs_float(a: np.ndarray, b: np.ndarray, c: np.ndarray, th: np.ndarray) -> np.ndarray:

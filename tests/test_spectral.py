@@ -553,14 +553,15 @@ NEAR_DEGENERATE = [f"{{{k},1,1,1,1;1,1,1,1,{k}}}" for k in (10**4, 10**6)] + [
 @pytest.mark.parametrize("text", NEAR_DEGENERATE)
 def test_near_degenerate_spectra(monkeypatch, text):
     # two eigenvalues within 2e-12 of each other (k = 10^4) or closer: the
-    # float cuts cannot split them, the exact halving must, and the cost may
-    # not grow with k (a scan of [-k, k] would make 2k + 1 evaluations)
+    # float cuts cannot split them, the exact halving must.  A Sturm count
+    # evaluates every minor at one point, and each halving adds one point,
+    # O(log k) of them per close pair; a scan of [-k, k] would take 2k + 1
     arr = parse_array(text)
     evals, evaluate = [], spectral._poly_eval_frac
     monkeypatch.setattr(spectral, "_poly_eval_frac",
                         lambda coeffs, x: evals.append(x) or evaluate(coeffs, x))
     sp = spectrum(arr)
-    assert len(evals) <= 4 * (arr.D + 1)
+    assert len(set(evals)) <= 4 * (arr.D + 1) * arr.k.bit_length()
     assert len(sp.enclosures) == arr.D + 1
     for (lo, _hi), (_lo, hi_next) in zip(sp.enclosures, sp.enclosures[1:]):
         assert hi_next <= lo  # disjoint, decreasing; a shared end is no root
@@ -570,6 +571,19 @@ def test_near_degenerate_spectra(monkeypatch, text):
         else:
             assert sturm_count_leq(arr, hi) - sturm_count_leq(arr, lo) == 1
     assert full_report(arr).overall == FAIL
+
+
+def test_spectrum_past_int64():
+    # k = 2^65 does not fit an int64: the float steering must still take it
+    k = 2**65
+    sp = spectrum(parse_array(f"{{{k};1}}"))
+    assert sp.thetas == (k, -1) and sp.mults == (1, k) and sp.multiplicities_integral
+    arr = parse_array(f"{{{k},{k - 1},1;1,1,{k - 1}}}")
+    sp = spectrum(arr)
+    assert sp.thetas[0] == k and len(sp.thetas) == arr.D + 1
+    for lo, hi in sp.enclosures[1:]:
+        assert 0 < hi - lo <= Fraction(1, 2**48)
+        assert sturm_count_leq(arr, hi) - sturm_count_leq(arr, lo) == 1
 
 
 @pytest.mark.parametrize("arr", SEEDED + _seeded_arrays(200, seed=18, d_max=7, k_max=80),
