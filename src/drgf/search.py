@@ -19,16 +19,19 @@ tr(L^2) is quadratic and the last minor affine in c_D: one integer numpy
 pass per valency expands every leaf and decides the level-D prunings, the
 trace identity (k^2 + (ratio*k)^2 <= tr(L^2)) and the exact Sturm count
 (theta_min <= ratio*k) for all of them at once.  The rows it keeps, one int
-matrix, go through one batched float screen of the Biggs multiplicities
-(see _screen), which decides at theta_min first and sends to eigvalsh only
-the rows it leaves undecided or integral-looking there.  Only the rows it
-keeps become arrays, and each gets one full_report (one exact spectrum).
-The first check in DEFAULT_CHECKS order that is enabled and that the report
-fails kills the array, so a c2_bound or a1_zero failure at the array's own
-theta_min counts even where the walk's cuts at ratio*k let it through; a
-survivor keeps its report.  Work is partitioned by valency k and merged in
-sorted order, so results and statistics are independent of execution order
-and worker count.
+matrix per valency, wait across consecutive valencies until about
+_SCREEN_ROWS of them go through one batched float screen of the Biggs
+multiplicities (see _screen and _walk_group), which decides at theta_min
+first and sends to eigvalsh only the rows it leaves undecided or
+integral-looking there; each row's verdict is its own, whatever its batch.
+Only the rows it keeps become arrays, and each gets one full_report (one
+exact spectrum).  The first check in DEFAULT_CHECKS order that is enabled
+and that the report fails kills the array, so a c2_bound or a1_zero failure
+at the array's own theta_min counts even where the walk's cuts at ratio*k
+let it through; a survivor keeps its report.  Each valency keeps its own
+results and statistics; with jobs > 1 each pool worker takes every
+jobs-th valency, and the valencies are merged in valency order, so results
+and statistics are independent of execution order and worker count.
 
 classify_diameter runs the paper's stages in one loop: k <= 4, the a_2, a_3
 and (D = 5) a_4 exclusions under their derived caps, and the main space.
@@ -38,6 +41,7 @@ Each survivor that is not bipartite must be a witness in its stage's space.
 from __future__ import annotations
 
 import multiprocessing
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -57,6 +61,11 @@ ZERO, NONZERO, FREE = "0", "+", "*"
 # survivors' multiplicities come out within ~1e-10 of integers, and borderline
 # values fall through to the exact spectrum.
 SCREEN_MARGIN = 1e-4
+
+# The float screen takes the leaf rows of consecutive valencies in batches of
+# about this many rows: numpy's per-call cost is spread over many rows while
+# a batch's float temporaries stay near a megabyte.
+_SCREEN_ROWS = 4096
 
 DEFAULT_CHECKS = ("a1_zero", "c2_bound", "k_integrality", "trace_vs_ratio",
                   "theta_ratio", "multiplicity_integrality",
@@ -208,9 +217,8 @@ class _KSpace:
             and spec.theta_ratio is not None and spec.theta_ratio < Fraction(-1, 2))
         self._c2_cap = self._closed_form_c2_cap()
         on = set(spec.checks) - ({"trace_vs_ratio", "theta_ratio"} if cut is None else set())
-        self._k_integral, self._trace_cut, self._sturm_cut, self._screen = (
-            name in on for name in ("k_integrality", "trace_vs_ratio", "theta_ratio",
-                                    "multiplicity_integrality"))
+        self._k_integral, self._trace_cut, self._sturm_cut = (
+            name in on for name in ("k_integrality", "trace_vs_ratio", "theta_ratio"))
         # cut = p/q < 0; no cut reads the placeholder -1
         self._p, self._q = (-1, 1) if cut is None else (cut.numerator, cut.denominator)
         self._trace_lhs = (k * self._q) ** 2 + self._p ** 2
@@ -260,21 +268,16 @@ class _KSpace:
                                   for c, _a, b in self.choices(level, c_prev, b_prev))
         return self._memo[key]
 
-    def run(self) -> tuple[list[IntersectionArray], PruningStats]:
-        """The arrays at this valency that the walk, the leaf pass and the
-        float screen keep, in walk order, and the stats of their kills."""
+    def run(self) -> tuple[np.ndarray, PruningStats]:
+        """The leaf rows at this valency that the walk and the leaf pass
+        keep, as one (n, 2D) int matrix in walk order (see _decide_leaves),
+        and the stats of their kills; the float screen comes after."""
         self.stats = stats = PruningStats()
         parents: list = []  # the minors start at phi_0 = 1, phi_1 = p < 0: one change
         self._walk(1, 1, self.k, (self.k,), (), 1, 0, 1, self._p, -1, 1, parents)
         rows = self._decide_leaves(parents)
-        if len(rows) and self._screen:
-            keep = _screen(rows)
-            if not keep.all():
-                stats.kill("multiplicity_integrality", int((~keep).sum()))
-                rows = rows[keep]
         stats.generated = self._count(1, 1, self.k)
-        D = self.spec.D
-        return [IntersectionArray(tuple(row[:D]), tuple(row[D:])) for row in rows.tolist()], stats
+        return rows, stats
 
     def _walk(self, level, c_prev, b_prev, bs, cs, k_here, tr, phi_prev, phi, sign,
               changes, parents):
@@ -391,43 +394,82 @@ def _fractional(m: np.ndarray) -> np.ndarray:
         return np.abs(m - np.rint(m)) > SCREEN_MARGIN * np.maximum(1.0, np.abs(m))
 
 
-def _run_k(args):
-    """Survivors of one valency as (array, report) pairs, and its stats: the
-    first check in DEFAULT_CHECKS order that is enabled and that an array's
-    one full_report fails kills it, and an odd-girth check reached with no
-    failure but an undecided entry leaves a warning."""
-    spec, k = args
-    arrays, stats = _KSpace(k, spec).run()
-    survivors = []
-    for arr in arrays:
-        report = full_report(arr, spec.theta_ratio)
-        if report.spectrum is None:
-            raise SpectralError(f"{format_array(arr)}: {report.checks[0].witness['error']}")
-        for name in (c for c in DEFAULT_CHECKS if c in spec.checks):
-            verdict = report.verdict(name)
-            if verdict == FAIL:
-                stats.kill(name)
-                break
-            if name == "odd_girth_inequality" and verdict == INCONCLUSIVE:
-                stats.warnings.append(f"{format_array(arr)}: odd-girth inequality inconclusive")
-        else:
-            survivors.append((arr, report))
-    stats.survivors = len(survivors)
-    return survivors, stats
+def _walk_group(spec: SearchSpec, ks) -> Iterator[tuple[int, list[IntersectionArray], PruningStats]]:
+    """Each valency k of the sequence ks, in order, with the arrays that its
+    walk, its leaf pass and the float screen keep, in walk order, and the
+    stats of their kills.
+
+    The leaf rows of consecutive valencies wait in one list until it holds
+    _SCREEN_ROWS rows, or ks ends, and are then screened in one _screen
+    call, so a batch holds fewer than _SCREEN_ROWS rows plus one valency's.
+    A row's verdict does not depend on its batch."""
+    screen = "multiplicity_integrality" in spec.checks
+    waiting, stack, n = [], [], 0  # the valencies and the leaf rows not yet screened
+    for i, k in enumerate(ks):
+        rows, stats = _KSpace(k, spec).run()
+        waiting.append((k, len(rows), stats))
+        stack.append(rows)
+        n += len(rows)
+        if n < _SCREEN_ROWS and i + 1 < len(ks):
+            continue
+        # drop the per-valency rows, so that the screen runs beside one copy
+        batch, stack, rows = np.vstack(stack), [], None
+        keep = _screen(batch) if screen and n else np.ones(n, bool)
+        at = 0
+        for k, count, stats in waiting:
+            rows, kept, at = batch[at:at + count], keep[at:at + count], at + count
+            if not kept.all():
+                stats.kill("multiplicity_integrality", int((~kept).sum()))
+                rows = rows[kept]
+            yield k, [IntersectionArray(tuple(row[:spec.D]), tuple(row[spec.D:]))
+                      for row in rows.tolist()], stats
+        waiting, n = [], 0
+
+
+def _run_group(args):
+    """(k, survivors as (array, report) pairs, stats) for each valency of a
+    group, in the group's order: the first check in DEFAULT_CHECKS order
+    that is enabled and that an array's one full_report fails kills it, and
+    an odd-girth check reached with no failure but an undecided entry leaves
+    a warning."""
+    spec, ks = args
+    parts = []
+    for k, arrays, stats in _walk_group(spec, ks):
+        survivors = []
+        for arr in arrays:
+            report = full_report(arr, spec.theta_ratio)
+            if report.spectrum is None:
+                raise SpectralError(f"{format_array(arr)}: {report.checks[0].witness['error']}")
+            for name in (c for c in DEFAULT_CHECKS if c in spec.checks):
+                verdict = report.verdict(name)
+                if verdict == FAIL:
+                    stats.kill(name)
+                    break
+                if name == "odd_girth_inequality" and verdict == INCONCLUSIVE:
+                    stats.warnings.append(f"{format_array(arr)}: odd-girth inequality inconclusive")
+            else:
+                survivors.append((arr, report))
+        stats.survivors = len(survivors)
+        parts.append((k, survivors, stats))
+    return parts
 
 
 def enumerate_arrays(spec: SearchSpec, jobs: int = 1) -> ClassificationResult:
-    """Exhaust the search space; deterministic output order (k, c-sequence)."""
-    tasks = [(spec, k) for k in range(spec.k_min, spec.k_max + 1)]
-    jobs = min(jobs, len(tasks))  # one valency runs in process
+    """Exhaust the search space; deterministic output order (k, c-sequence).
+
+    With jobs > 1 each pool worker takes every jobs-th valency; the
+    valencies' results are merged in valency order, as in process."""
+    ks = range(spec.k_min, spec.k_max + 1)
+    jobs = min(jobs, len(ks))  # one valency runs in process
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_run_k, tasks)  # in task order, like the serial path
+            groups = pool.map(_run_group, [(spec, ks[i::jobs]) for i in range(jobs)])
+        parts = sorted((part for group in groups for part in group), key=lambda part: part[0])
     else:
-        parts = [_run_k(t) for t in tasks]
+        parts = _run_group((spec, ks))
     stats = PruningStats()
     found: list = []
-    for pairs, st in parts:
+    for _k, pairs, st in parts:
         found.extend(pairs)
         stats = stats.merged_with(st)
     found.sort(key=lambda pair: (pair[0].k, pair[0].c, pair[0].b))

@@ -23,7 +23,10 @@ The enumeration's float multiplicity screen has two batched paths, both
 ending in one vectorised pass of the standard-sequence recurrence:
 theta_min_multiplicity_float finds theta_min alone by Newton on
 det(xI - L) from x = -k, a start proven to rise monotonically to it, and
-multiplicities_float takes every eigenvalue from one eigvalsh call.
+multiplicities_float takes every eigenvalue from one eigvalsh call.  Both
+work on a transposed copy of the batch (_columns), in which a_i, b_i and
+c_i each make one contiguous row over all arrays, so every step of the
+recurrences is one pass over contiguous memory.
 
 Eigenvalue counting uses the classical fact that for a Jacobi matrix the
 leading principal minors det(xI - L_i) form a Sturm sequence: with zero values
@@ -286,54 +289,56 @@ def eigenvalues(arr: IntersectionArray) -> list:
     return _eigen_with_enclosures(arr)[0]
 
 
-def _diagonal(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """a_i = k - b_i - c_i (i = 0..D) of a stack of arrays of one diameter,
-    from rows of b_0..b_{D-1} and c_1..c_D."""
-    return b[:, :1] - np.pad(b, ((0, 0), (0, 1))) - np.pad(c, ((0, 0), (1, 0)))
+def _columns(rows):
+    """a_0..a_D, b_0..b_{D-1} and c_1..c_D of an (n, 2D) matrix of rows
+    b_0..b_{D-1}, c_1..c_D, as (D+1, n), (D, n) and (D, n) float arrays in
+    which each row, one entry for every array, is contiguous: a transposed
+    copy, a_i = k - b_i - c_i with b_D = c_0 = 0."""
+    b, c = np.split(np.ascontiguousarray(np.asarray(rows).T, float), 2)
+    a = np.vstack([b[:1] - b, b[:1]])
+    a[1:] -= c
+    return a, b, c
 
 
-def _jacobi_eigvals(b: np.ndarray, c: np.ndarray):
-    """a_0..a_D and the eigenvalues theta_0 > ... > theta_D of a stack of
-    arrays of one diameter, from rows of b_0..b_{D-1} and c_1..c_D: one
-    np.linalg.eigvalsh over the symmetrised intersection matrices
-    (diag a_i, off-diagonal sqrt(b_i c_{i+1}))."""
-    n, D = b.shape
-    a = _diagonal(b, c)
+def _jacobi_eigvals(a, b, c) -> np.ndarray:
+    """The eigenvalues theta_0 > ... > theta_D, one row per array, of a
+    stack of arrays of one diameter in the layout of _columns: one
+    np.linalg.eigvalsh over the symmetrised intersection matrices (diag
+    a_i, off-diagonal sqrt(b_i c_{i+1}))."""
+    D, n = b.shape
     i = np.arange(D + 1)
     L = np.zeros((n, D + 1, D + 1))
-    L[:, i, i] = a
-    L[:, i[1:], i[:-1]] = L[:, i[:-1], i[1:]] = np.sqrt(b * c)
-    return a, np.linalg.eigvalsh(L)[:, ::-1]
+    L[:, i, i] = a.T
+    L[:, i[1:], i[:-1]] = L[:, i[:-1], i[1:]] = np.sqrt(b * c).T
+    return np.linalg.eigvalsh(L)[:, ::-1]
 
 
 def eigenvalues_float(arr: IntersectionArray) -> list[float]:
     """Float eigenvalues, decreasing, of the symmetrised intersection matrix
     (LAPACK): the steering of spectrum's exact isolation."""
-    _a, theta = _jacobi_eigvals(np.array([arr.b], float), np.array([arr.c], float))
-    return theta[0].tolist()
+    return _jacobi_eigvals(*_columns([arr.b + arr.c]))[0].tolist()
 
 
 def _biggs_float(a: np.ndarray, b: np.ndarray, c: np.ndarray, th: np.ndarray) -> np.ndarray:
-    """Float Biggs multiplicities v / sum k_i u_i^2 [BCN 4.1.1] at the
-    columns of th, for a stack of arrays of one diameter (rows of a_0..a_D,
-    b_0..b_{D-1} and c_1..c_D): one vectorised pass of the recurrence
-    u_{j+1} = ((theta - a_j) u_j - c_j u_{j-1}) / b_j."""
-    ks = np.cumprod(np.hstack([np.ones((len(b), 1)), b / c]), axis=1)
-    u_prev, u = np.ones_like(th), th / b[:, :1]
-    norm = 1 + ks[:, [1]] * u * u
-    for j in range(1, b.shape[1]):
-        u_prev, u = u, ((th - a[:, [j]]) * u - c[:, [j - 1]] * u_prev) / b[:, [j]]
-        norm += ks[:, [j + 1]] * u * u
-    return ks.sum(axis=1, keepdims=True) / norm
+    """Float Biggs multiplicities v / sum k_i u_i^2 [BCN 4.1.1] at th, an
+    (n,) vector or an (m, n) matrix of eigenvalues, for a stack of arrays
+    of one diameter in the layout of _columns: one vectorised pass of the
+    recurrence u_{j+1} = ((theta - a_j) u_j - c_j u_{j-1}) / b_j."""
+    ks = np.cumprod(np.vstack([np.ones((1, b.shape[1])), b / c]), axis=0)
+    u_prev, u = np.ones_like(th), th / b[0]
+    norm = 1 + ks[1] * u * u
+    for j in range(1, len(b)):
+        u_prev, u = u, ((th - a[j]) * u - c[j - 1] * u_prev) / b[j]
+        norm += ks[j + 1] * u * u
+    return ks.sum(axis=0) / norm
 
 
 def multiplicities_float(rows: np.ndarray) -> np.ndarray:
     """Float Biggs multiplicities at every eigenvalue, decreasing, of each
     row of an (n, 2D) int matrix of b_0..b_{D-1}, c_1..c_D: one eigvalsh
     call and one pass of _biggs_float."""
-    b, c = np.hsplit(np.asarray(rows, float), 2)
-    a, th = _jacobi_eigvals(b, c)
-    return _biggs_float(a, b, c, th)
+    a, b, c = _columns(rows)
+    return _biggs_float(a, b, c, _jacobi_eigvals(a, b, c).T).T
 
 
 # Newton on det(xI - L) stops after a step below _NEWTON_TOL * k, and a row
@@ -371,24 +376,24 @@ def theta_min_multiplicity_float(rows) -> tuple[np.ndarray, np.ndarray]:
     inequality bounds the error at the stop: a step s leaves theta_min - x'
     <= D s.
     """
-    b, c = np.hsplit(np.asarray(rows, float), 2)
-    n, D = b.shape
-    k, a, w = b[:, 0], _diagonal(b, c), b * c  # w_i = b_{i-1} c_i
+    a, b, c = _columns(rows)
+    D, n = b.shape
+    k, w = b[0], b * c  # w_i = b_{i-1} c_i
     x, done = -k, np.zeros(n, bool)
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
-            p_prev, p, dp_prev, dp = 1.0, x - a[:, 0], 0.0, 1.0
+            p_prev, p, dp_prev, dp = 1.0, x - a[0], 0.0, 1.0
             for i in range(1, D + 1):
-                t = x - a[:, i]
-                p_prev, p, dp_prev, dp = (p, t * p - w[:, i - 1] * p_prev,
-                                          dp, p + t * dp - w[:, i - 1] * dp_prev)
+                t = x - a[i]
+                p_prev, p, dp_prev, dp = (p, t * p - w[i - 1] * p_prev,
+                                          dp, p + t * dp - w[i - 1] * dp_prev)
             step = p / dp
             x = np.where(done, x, x - step)
             done |= np.abs(step) <= _NEWTON_TOL * k
             if done.all():
                 break
         theta = np.where(done & np.isfinite(x), x, np.nan)
-        return theta, _biggs_float(a, b, c, theta[:, None])[:, 0]
+        return theta, _biggs_float(a, b, c, theta)
 
 
 @dataclass(frozen=True)

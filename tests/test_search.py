@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import random
+import tracemalloc
 import weakref
 from dataclasses import replace
 from fractions import Fraction
@@ -9,16 +10,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drgf import feasibility, oracle, search, spectral
 from drgf.core import IntersectionArray, format_array, parse_array
 from drgf.feasibility import FAIL, full_report
 from drgf.search import (DEFAULT_CHECKS, CapDerivationError, SearchSpec,
                          SearchSpecError, _ceil4, _eta_poly, _floor4, _has_positive_root,
-                         _KSpace, _nonnegative_below_cut, classify_diameter,
+                         _KSpace, _nonnegative_below_cut, _walk_group, classify_diameter,
                          default_spec, enumerate_arrays, eta_exclusion_cap,
                          pentagon_exclusion_cap, valency_cap)
-from drgf.spectral import (SpectralError, _jacobi_eigvals, _poly_eval_frac, eigenvalues,
+from drgf.spectral import (SpectralError, _columns, _jacobi_eigvals, _poly_eval_frac, eigenvalues,
                            intersection_matrix, multiplicities_float, sturm_count_leq,
                            theta_min_multiplicity_float, trace_of_l_squared)
 
@@ -73,9 +76,14 @@ def test_spec_json_rejects_what_it_would_misread(key, value):
         SearchSpec.from_json_dict(obj)
 
 
+def _valencies(spec):
+    """Each valency of spec with its walked and screened arrays and stats."""
+    return _walk_group(spec, range(spec.k_min, spec.k_max + 1))
+
+
 def test_spec_contains_what_its_walk_generates():
     def space(spec):  # every array of the space: no check is on
-        return {a for k in range(spec.k_min, spec.k_max + 1) for a in _KSpace(k, spec).run()[0]}
+        return {a for _k, arrays, _stats in _valencies(spec) for a in arrays}
 
     inner = SearchSpec(4, 3, 6, "0+*+", (1, 3), None, ())
     outer = space(SearchSpec(4, 2, 7, "****", (1, 2, 3, 4, 5), None, ()))
@@ -158,15 +166,14 @@ SCREEN_SPACES = {
 @pytest.fixture(scope="module")
 def screened_rows():
     """name -> the (n, 2D) int matrices of b_0..b_{D-1}, c_1..c_D that
-    _KSpace.run screens, one per valency that has any."""
+    _walk_group screens, one per batch of consecutive valencies."""
     batches, real = {}, search._screen
     with pytest.MonkeyPatch.context() as patch:
         for name, (spec, _decided, _kills) in SCREEN_SPACES.items():
             seen = batches[name] = []
             patch.setattr(search, "_screen",
                           lambda rows, seen=seen: seen.append(rows) or real(rows))
-            for k in range(spec.k_min, spec.k_max + 1):
-                _KSpace(k, spec).run()
+            list(_valencies(spec))
     return batches
 
 
@@ -184,8 +191,7 @@ def test_theta_min_pass_matches_eigvalsh(screened_rows, name):
     for rows in screened_rows[name]:
         assert rows.dtype == np.int64 and rows.shape[1] == 2 * SCREEN_SPACES[name][0].D
         theta, m = theta_min_multiplicity_float(rows)
-        b, c = np.hsplit(rows.astype(float), 2)
-        assert np.all(np.abs(theta - _jacobi_eigvals(b, c)[1][:, -1]) <= 1e-9 * b[:, 0])
+        assert np.all(np.abs(theta - _jacobi_eigvals(*_columns(rows))[:, -1]) <= 1e-9 * rows[:, 0])
         eig_kill = _eigvalsh_kills(rows)
         assert (search._screen(rows) == ~eig_kill).all()
         first = search._fractional(m)
@@ -210,11 +216,124 @@ def test_undecided_theta_min_rows_fall_through(screened_rows, monkeypatch, value
 def test_newton_rows_past_the_step_budget_are_undecided(screened_rows, monkeypatch):
     # one Newton step stops no row of the D = 5 main space: each is left
     # undecided (NaN), and the screen still gives the eigvalsh verdicts
-    rows = np.vstack(screened_rows["D5 main"][:20])
+    rows = screened_rows["D5 main"][0]
     monkeypatch.setattr(spectral, "_NEWTON_STEPS", 1)
     theta, m = theta_min_multiplicity_float(rows)
     assert np.isnan(theta).all() and np.isnan(m).all()
     assert (search._screen(rows) == ~_eigvalsh_kills(rows)).all()
+
+
+def _theta_min_rows_reference(rows):
+    """theta_min_multiplicity_float in the row layout: one row per array,
+    the diagonal from np.pad, a column per step of each recurrence."""
+    b, c = np.hsplit(np.asarray(rows, float), 2)
+    n, D = b.shape
+    k, w = b[:, 0], b * c
+    a = b[:, :1] - np.pad(b, ((0, 0), (0, 1))) - np.pad(c, ((0, 0), (1, 0)))
+    x, done = -k, np.zeros(n, bool)
+    with np.errstate(all="ignore"):
+        for _ in range(spectral._NEWTON_STEPS):
+            p_prev, p, dp_prev, dp = 1.0, x - a[:, 0], 0.0, 1.0
+            for i in range(1, D + 1):
+                t = x - a[:, i]
+                p_prev, p, dp_prev, dp = (p, t * p - w[:, i - 1] * p_prev,
+                                          dp, p + t * dp - w[:, i - 1] * dp_prev)
+            step = p / dp
+            x = np.where(done, x, x - step)
+            done |= np.abs(step) <= spectral._NEWTON_TOL * k
+            if done.all():
+                break
+        theta = np.where(done & np.isfinite(x), x, np.nan)[:, None]
+        ks = np.cumprod(np.hstack([np.ones((n, 1)), b / c]), axis=1)
+        u_prev, u = np.ones_like(theta), theta / b[:, :1]
+        norm = 1 + ks[:, [1]] * u * u
+        for j in range(1, D):
+            u_prev, u = u, ((theta - a[:, [j]]) * u - c[:, [j - 1]] * u_prev) / b[:, [j]]
+            norm += ks[:, [j + 1]] * u * u
+        return theta[:, 0], (ks.sum(axis=1, keepdims=True) / norm)[:, 0]
+
+
+@pytest.mark.parametrize("name", SCREEN_SPACES)
+@pytest.mark.parametrize("steps", [spectral._NEWTON_STEPS, 3])
+def test_column_layout_matches_the_row_layout_bit_for_bit(screened_rows, monkeypatch, name, steps):
+    # three Newton steps leave some rows undecided (NaN) and decide others
+    monkeypatch.setattr(spectral, "_NEWTON_STEPS", steps)
+    rows = np.vstack(screened_rows[name])
+    theta, m = theta_min_multiplicity_float(rows)
+    assert np.isnan(theta).any() == (steps == 3)
+    want_theta, want_m = _theta_min_rows_reference(rows)
+    assert np.array_equal(theta, want_theta, equal_nan=True)
+    assert np.array_equal(m, want_m, equal_nan=True)
+
+
+def _keep_in_batches(rows, cuts):
+    """The screen's verdicts on rows, screened in the parts that cuts make."""
+    return np.concatenate([search._screen(part) for part in np.split(rows, cuts)])
+
+
+@pytest.mark.parametrize("name", SCREEN_SPACES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_batching_changes_no_verdict(screened_rows, name, data):
+    # each row's verdict is its own: all rows in one batch, the batches of
+    # the walk and any cut points give the same keep vector
+    rows = np.vstack(screened_rows[name])
+    whole = search._screen(rows)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=8), label="cuts"))
+    assert np.array_equal(_keep_in_batches(rows, cuts), whole)
+    walk = np.cumsum([len(batch) for batch in screened_rows[name]])[:-1]
+    assert np.array_equal(_keep_in_batches(rows, walk), whole)
+
+
+@pytest.mark.parametrize("name", SCREEN_SPACES)
+def test_one_row_batches_change_no_verdict(screened_rows, name):
+    # one _screen call per row; on the D = 5 main space only over its first
+    # batch, as 43,081 single-row calls would take seconds
+    rows = screened_rows[name][0] if name == "D5 main" else np.vstack(screened_rows[name])
+    assert len(rows) >= 1000
+    assert np.array_equal(_keep_in_batches(rows, np.arange(1, len(rows))), search._screen(rows))
+
+
+def test_screen_batches_stay_bounded(monkeypatch):
+    # classify_diameter(5) screens no batch of more than _SCREEN_ROWS rows
+    # plus one valency's, and the D = 5 main space's 43,081 rows take at
+    # most ceil(43,081 / _SCREEN_ROWS) + 1 calls, not one per valency
+    spaces, valency_rows = [], []
+    real_screen, real_run, real_enumerate = search._screen, _KSpace.run, search.enumerate_arrays
+
+    def enumerate_spy(spec, jobs=1):
+        spaces.append((spec, []))
+        return real_enumerate(spec, jobs)
+
+    def run_spy(self):
+        rows, stats = real_run(self)
+        valency_rows.append(len(rows))
+        return rows, stats
+
+    monkeypatch.setattr(search, "enumerate_arrays", enumerate_spy)
+    monkeypatch.setattr(search, "_screen", lambda rows: spaces[-1][1].append(len(rows))
+                        or real_screen(rows))
+    monkeypatch.setattr(_KSpace, "run", run_spy)
+    classify_diameter(5)
+    assert max(n for _spec, sizes in spaces for n in sizes) <= search._SCREEN_ROWS + max(
+        valency_rows)
+    main = [sizes for spec, sizes in spaces if spec.a_pattern == "0000+"]
+    assert len(main) == 1 and sum(main[0]) == 43081
+    assert len(main[0]) <= math.ceil(43081 / search._SCREEN_ROWS) + 1
+
+
+def test_one_screen_batch_stays_small(screened_rows):
+    # the float temporaries of one _SCREEN_ROWS-row batch stay below 4 MB;
+    # the D = 5 main space screened at once peaks near 14 MB
+    rows = np.vstack(screened_rows["D5 main"])[:search._SCREEN_ROWS]
+    assert len(rows) == search._SCREEN_ROWS
+    tracemalloc.start()
+    try:
+        search._screen(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 # The walk carries tr(L^2) and the Sturm minors at the cut down the tree;
@@ -235,8 +354,7 @@ CUT_SPACES = [
 def _space_results(spec):
     """Merged kills and the (b, c) survivors of every valency of spec."""
     killed, rows = {}, []
-    for k in range(spec.k_min, spec.k_max + 1):
-        arrays, stats = _KSpace(k, spec).run()
+    for _k, arrays, stats in _valencies(spec):
         rows += [(arr.b, arr.c) for arr in arrays]
         for name, n in stats.killed.items():
             killed[name] = killed.get(name, 0) + n
@@ -413,6 +531,21 @@ def test_parallel_matches_serial(d4_result):
     assert par.survivors == d4_result.survivors
     assert par.stats.generated == d4_result.stats.generated
     assert par.stats.killed == d4_result.stats.killed
+
+
+def test_jobs_change_no_output_or_its_order(monkeypatch):
+    # every odd-girth entry inconclusive: warnings at k = 4..8, which the
+    # pool's groups of every jobs-th valency hold out of valency order; the
+    # merge restores it for the survivors, the kills and the warnings
+    monkeypatch.setattr(feasibility, "INEQ_PASS_TOL", -1e9)
+    spec = SearchSpec(3, 3, 8, "***", (1, 2), None)
+    serial = enumerate_arrays(spec)
+    assert {int(w[1:w.index(",")]) for w in serial.stats.warnings} == {4, 5, 6, 7, 8}
+    for jobs in (2, 3):
+        par = enumerate_arrays(spec, jobs=jobs)
+        assert par.survivors == serial.survivors and list(par.reports) == list(serial.reports)
+        assert list(par.stats.killed.items()) == list(serial.stats.killed.items())
+        assert par.stats.warnings == serial.stats.warnings
 
 
 def test_no_more_pool_workers_than_valencies(monkeypatch):
