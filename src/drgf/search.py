@@ -394,7 +394,8 @@ def _fractional(m: np.ndarray) -> np.ndarray:
         return np.abs(m - np.rint(m)) > SCREEN_MARGIN * np.maximum(1.0, np.abs(m))
 
 
-def _walk_group(spec: SearchSpec, ks) -> Iterator[tuple[int, list[IntersectionArray], PruningStats]]:
+def _walk_group(spec: SearchSpec,
+                ks) -> Iterator[tuple[int, list[IntersectionArray], PruningStats]]:
     """Each valency k of the sequence ks, in order, with the arrays that its
     walk, its leaf pass and the float screen keep, in walk order, and the
     stats of their kills.
