@@ -24,7 +24,7 @@ import numpy as np
 from mpmath import mp
 
 from .feasibility import p_polynomials
-from .spectral import as_mpf, refine_root, workdps
+from .spectral import as_mpf, mp_horner, refine_root, workdps
 
 MODE_GENERAL = "general"
 MODE_SHARP_G5 = "sharp-g5"
@@ -103,7 +103,7 @@ def _leftmost_root(coeffs) -> mp.mpf | None:
     hits = np.flatnonzero((sign[:-1] * sign[1:] < 0) | (sign[1:] == 0))
     if not hits.size:
         return None
-    return refine_root(coeffs, ys[hits[0]], ys[hits[0] + 1])
+    return refine_root(lambda y: mp_horner(coeffs, y), ys[hits[0]], ys[hits[0] + 1])
 
 
 @dataclass(frozen=True)
@@ -182,9 +182,12 @@ def diameter_bound(t: int, zeta) -> int:
 
 
 def bound_table(g_min: int, g_max: int, mode: str = MODE_GENERAL):
-    """Rows (g, zeta_star, epsilon1, theta/k bound) for odd g in [g_min, g_max]."""
+    """Rows (g, zeta_star, epsilon1, theta/k bound) for odd g in [g_min, g_max];
+    BoundError if there is none."""
+    if not (girths := range(g_min | 1, g_max + 1, 2)):
+        raise BoundError(f"no odd girth in {g_min}..{g_max}")
     rows = []
-    for g in range(g_min if g_min % 2 else g_min + 1, g_max + 1, 2):
+    for g in girths:
         params = epsilon1(g, mode)
         rows.append((g, params.zeta, params.epsilon1, params.theta_over_k))
     return rows

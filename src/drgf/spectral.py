@@ -1,41 +1,36 @@
 """Spectra of intersection matrices: eigenvalues, standard sequences, multiplicities.
 
 The tridiagonal intersection matrix L of an intersection array has D+1 real,
-simple eigenvalues.  Everything here leans on exact integer arithmetic as far
-as possible:
+simple eigenvalues.  Every value of P = det(xI - L) at a point comes from one
+kernel, _minors_at: minor_polys' recurrence run on values, with derivatives,
+exactly at a rational x, in mpmath, or over a float array.
 
-* the characteristic polynomial has integer coefficients, computed exactly;
-* one loop isolates every eigenvalue in a box (lo, hi]: cuts at -k-1, k+1
-  and between neighbouring float eigenvalues (eigenvalues_float), then exact
-  Sturm counts drop a box without a root and halve one with several, which
-  ends as the eigenvalues are simple;
-* in a one-root box with float value x, the eigenvalue is the int round(x)
-  if P = det(xI - L) vanishes there; else refine_root, a safeguarded mpmath
-  Newton iteration, starts from x, and the eigenvalue is round(c) of the
-  exact value c of its result if P vanishes there, else two exact signs of P
-  at c +- 2^-49, clipped to the box, certify an enclosure of width <= 2^-48.
-  No interior cut is an integer and every eigenvalue lies in [-k, k], so P
-  (monic, integer coefficients: its rational roots are integers) vanishes
-  at no box end.  Floats only steer: every count and sign that decides
-  anything is exact.
+* Sturm counts: the minors at x form a Sturm sequence; with zeros skipped,
+  (D+1) minus their sign changes is #{eigenvalues <= x}.
+* One loop isolates every eigenvalue in a box (lo, hi]: cuts at -k-1, k+1
+  and between neighbouring float eigenvalues (eigenvalues_float), then
+  exact Sturm counts drop a box without a root and halve one with several.
+* In a one-root box with float value x, the eigenvalue is the int round(x)
+  if P vanishes there; else refine_root, safeguarded mpmath Newton on the
+  kernel's P and P', starts from x, and the eigenvalue is round(c) of the
+  exact value c of its result if P vanishes there, else two exact signs of
+  P at c +- 2^-49, clipped to the box, certify an enclosure of width
+  <= 2^-48.  No interior cut is an integer and every eigenvalue lies in
+  [-k, k], so P (monic over Z: its rational roots are integers) vanishes at
+  no box end.  Floats only steer: every count and sign that decides is exact.
+* Every Biggs multiplicity, exact, mpf or float, is the Christoffel-Darboux
+  form in multiplicity's docstring.
 
-The enumeration's float multiplicity screen has two batched paths, both
-ending in one vectorised pass of the standard-sequence recurrence:
-theta_min_multiplicity_float finds theta_min alone by Newton on
-det(xI - L) from x = -k, a start proven to rise monotonically to it, and
-multiplicities_float takes every eigenvalue from one eigvalsh call.  Both
-work on a transposed copy of the batch (_columns), in which a_i, b_i and
-c_i each make one contiguous row over all arrays, so every step of the
-recurrences is one pass over contiguous memory.
-
-Eigenvalue counting uses the classical fact that for a Jacobi matrix the
-leading principal minors det(xI - L_i) form a Sturm sequence: with zero values
-skipped, (D+1) minus the number of sign changes equals #{eigenvalues <= x}.
+The enumeration's float screen works on a transposed copy of a batch
+(_columns), a_i, b_i and c_i each one contiguous row over all arrays:
+theta_min_multiplicity_float finds theta_min alone by Newton from x = -k,
+and multiplicities_float takes every eigenvalue from one eigvalsh call.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,23 +68,13 @@ def workdps():
 
 def num_str(x) -> str:
     """Decimal string at working precision (exact values print exactly)."""
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        return str(x) if x.denominator > 1 else str(x.numerator)
-    return mp.nstr(as_mpf(x), DPS)
+    return str(x) if isinstance(x, Exact) else mp.nstr(as_mpf(x), DPS)
 
 
 def intersection_matrix(arr: IntersectionArray) -> np.ndarray:
     """L as a dense (D+1)x(D+1) integer matrix: diag a_i, super b_i, sub c_i."""
-    D = arr.D
-    L = np.zeros((D + 1, D + 1), dtype=np.int64)
-    for i in range(D + 1):
-        L[i, i] = arr.a[i]
-        if i < D:
-            L[i, i + 1] = arr.b[i]
-            L[i + 1, i] = arr.c[i]
-    return L
+    return sum(np.diag(np.array(x, dtype=np.int64), d)
+               for x, d in ((arr.a, 0), (arr.b, 1), (arr.c, -1)))
 
 
 def minor_polys(a, w) -> list[list[int]]:
@@ -111,15 +96,31 @@ def charpoly(arr: IntersectionArray) -> list[int]:
     return minor_polys(arr.a, [b * c for b, c in zip(arr.b, arr.c)])[-1]
 
 
-def _poly_eval_frac(coeffs: list[int], x: Fraction) -> int:
-    """Sign-faithful integer evaluation of sum c_i x^i, scaled by den(x)^deg."""
-    p, q = x.numerator, x.denominator
-    acc = 0
-    qpow = 1
-    for coef in reversed(coeffs):
-        acc = acc * p + coef * qpow
-        qpow *= q
-    return acc
+def _minors_at(a, w, x, q=1):
+    """Yields (R_i, R'_i), i = 0..n: R_i = q^i P_i(x/q) for the minors P_i of
+    minor_polys, R'_i its x-derivative; R_0 = 1, R_1 = x - q a_0 and, with
+    t_i = x - q a_i,
+
+        R_{i+1} = t_i R_i - q^2 w_i R_{i-1},  R'_{i+1} = R_i + t_i R'_i - q^2 w_i R'_{i-1}.
+
+    x is an int with an int q > 0 (exact; R_i has the sign of P_i(x/q)), an
+    mpf, or a float array whose a_i, w_i are rows over the same arrays; a
+    caller that keeps only the last pairs holds no other array."""
+    if q != 1:
+        a, w = [q * ai for ai in a], [q * q * wi for wi in w]
+    p0, p1, d0, d1 = 1, x - a[0], 0, 1
+    yield p0, d0
+    yield p1, d1
+    for ai, wi in zip(a[1:], w):
+        t = x - ai
+        p0, p1, d0, d1 = p1, t * p1 - wi * p0, d1, p1 + t * d1 - wi * d0
+        yield p1, d1
+
+
+def _minors(arr: IntersectionArray, x):
+    """_minors_at for arr at an int, a Fraction p/q (q^i P_i, exact) or an mpf x."""
+    x, q = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
+    return _minors_at(arr.a, [b * c for b, c in zip(arr.b, arr.c)], x, q)
 
 
 def _sign_changes(values) -> int:
@@ -128,14 +129,17 @@ def _sign_changes(values) -> int:
     return sum(s != r for s, r in zip(signs, signs[1:]))
 
 
-def _count_leq(minors: list[list[int]], x: Fraction) -> int:
-    """#{eigenvalues of L <= x} from the minors P_0, ..., P_{D+1} of xI - L."""
-    return len(minors) - 1 - _sign_changes(_poly_eval_frac(P, x) for P in minors)
+def sturm_count_leq(arr: IntersectionArray, x) -> int:
+    """Exact number of eigenvalues of L that are <= the rational x."""
+    return arr.D + 1 - _sign_changes(p for p, _ in _minors(arr, Fraction(x)))
 
 
-def sturm_count_leq(arr: IntersectionArray, x: Fraction) -> int:
-    """Exact number of eigenvalues of L that are <= x."""
-    return _count_leq(minor_polys(arr.a, [b * c for b, c in zip(arr.b, arr.c)]), Fraction(x))
+def _poly_eval_frac(coeffs: list[int], x: Fraction) -> int:
+    """Sign-faithful integer evaluation of sum c_i x^i, scaled by den(x)^deg."""
+    acc, qpow = 0, 1
+    for coef in reversed(coeffs):
+        acc, qpow = acc * x.numerator + coef * qpow, qpow * x.denominator
+    return acc
 
 
 def _cut(lo: Fraction, hi: Fraction) -> Fraction:
@@ -148,39 +152,38 @@ def _cut(lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def mp_horner(coeffs, y):
-    """sum coeffs[i] y^i (low to high degree) in mpmath arithmetic."""
-    acc = mp.mpf(0)
+    """sum coeffs[i] y^i (low to high degree) and its derivative at y, by
+    Horner's rule in mpmath arithmetic: refine_root's f for a polynomial."""
+    f = d = mp.mpf(0)
     for coef in reversed(coeffs):
-        acc = acc * y + coef
-    return acc
+        f, d = f * y + coef, d * y + f
+    return f, d
 
 
-def refine_root(coeffs, lo, hi, start=None):
-    """The root of sum coeffs[i] y^i (low to high degree) in [lo, hi], where
-    the polynomial has one root and changes sign or vanishes at an end.
+def refine_root(f, lo, hi, start=None):
+    """The root in [lo, hi] of a function that has one root there and changes
+    sign or vanishes at an end; f(y) is its value and derivative at y.
 
     Safeguarded Newton from start (default the midpoint) at working
     precision: the sign at each iterate shrinks the bracket, a Newton step
     that leaves the bracket becomes a bisection step, and a step below
     10^-(dps-5) max(1, |y|) ends the iteration.
     """
-    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
     a, b = as_mpf(lo), as_mpf(hi)
-    sa, sb = (mp.sign(mp_horner(coeffs, x)) for x in (a, b))
+    sa, sb = (mp.sign(f(x)[0]) for x in (a, b))
     if sa * sb == 0:  # a root at an end
         return b if sb == 0 else a
     y = (a + b) / 2 if start is None else as_mpf(start)
     tol = mp.mpf(10) ** (-(mp.dps - 5))
     for _ in range(200):
-        f = mp_horner(coeffs, y)
-        if f == 0:
+        v, d = f(y)
+        if v == 0:
             break
-        if mp.sign(f) == sa:
+        if mp.sign(v) == sa:
             a = y
         else:
             b = y
-        d = mp_horner(dcoeffs, y)
-        step = f / d if d else mp.inf
+        step = v / d if d else mp.inf
         if not a <= y - step <= b:
             step = y - (a + b) / 2
         y -= step
@@ -211,21 +214,12 @@ class Spectrum:
 
     @property
     def multiplicities_integral(self) -> bool:
-        v_int = self.v if isinstance(self.v, int) else (
-            self.v.numerator if self.v.denominator == 1 else None)
-        if v_int is None:
-            return False
-        if sum(self.mults) != v_int:
-            return False
-        for raw, r in zip(self.mults_raw, self.mults):
-            if r < 1:
-                return False
-            if isinstance(raw, Exact):
-                if Fraction(raw) != r:
-                    return False
-            elif abs(raw - r) >= 1e-6 * max(1, abs(raw)):
-                return False
-        return True
+        """The rounded multiplicities are >= 1 and sum to v, and each raw one
+        equals its rounding: exactly, or within 1e-6 (relative) for an mpf."""
+        return sum(self.mults) == self.v and all(
+            r >= 1 and (Fraction(raw) == r if isinstance(raw, Exact)
+                        else abs(raw - r) < 1e-6 * max(1, abs(raw)))
+            for raw, r in zip(self.mults_raw, self.mults))
 
     def to_json_dict(self) -> dict:
         return {
@@ -239,35 +233,36 @@ class Spectrum:
 def _eigen_with_enclosures(arr: IntersectionArray):
     """theta_0 > ... > theta_D and their enclosures (the module docstring)."""
     with workdps():
-        minors = minor_polys(arr.a, [b * c for b, c in zip(arr.b, arr.c)])
-        coeffs = minors[-1]  # charpoly(arr)
         fl = sorted(Fraction(t) for t in eigenvalues_float(arr))
         inner = sorted({_cut(s, t) for s, t in zip(fl, fl[1:]) if -arr.k - 1 < s < t < arr.k + 1})
         cuts = [Fraction(-arr.k - 1), *inner, Fraction(arr.k + 1)]
         # L is nonnegative with row sums k: every eigenvalue lies in [-k, k]
-        counts = [0, *(_count_leq(minors, x) for x in inner), arr.D + 1]
+        counts = [0, *(sturm_count_leq(arr, x) for x in inner), arr.D + 1]
         boxes = list(zip(cuts, cuts[1:], counts, counts[1:]))
         found = []  # (theta, enclosure), decreasing
 
+        def det(x):  # P = det(xI - L) and P' at x; at a rational x, P's sign
+            return deque(_minors(arr, x), 1)[0]
+
         def int_root(x):  # round(x) if it is the eigenvalue of the box (lo, hi]
             r = round(x)
-            return r if lo < r <= hi and _poly_eval_frac(coeffs, Fraction(r)) == 0 else None
+            return r if lo < r <= hi and det(r)[0] == 0 else None
 
         while boxes:  # the highest box first
             lo, hi, n_lo, n_hi = boxes.pop()
             if n_hi - n_lo > 1:
                 m = _cut(lo, hi)
-                n_m = _count_leq(minors, m)
+                n_m = sturm_count_leq(arr, m)
                 boxes += [(lo, m, n_lo, n_m), (m, hi, n_m, n_hi)]
             if n_hi - n_lo != 1:
                 continue
             x = next((t for t in fl if lo < t <= hi), (lo + hi) / 2)
             if (r := int_root(x)) is None:
-                y = refine_root(coeffs, lo, hi, start=x)
+                y = refine_root(det, lo, hi, start=x)
                 c = Fraction(*libmp.to_rational(y._mpf_))  # mpf.man_exp drops the sign
                 if (r := int_root(c)) is None:
                     a, b = max(lo, c - _HALF_WIDTH), min(hi, c + _HALF_WIDTH)
-                    if not (a < b and _poly_eval_frac(coeffs, a) * _poly_eval_frac(coeffs, b) < 0):
+                    if not (a < b and det(a)[0] * det(b)[0] < 0):
                         raise SpectralError(f"refined root {y} is not in its box ({lo}, {hi}]")
                     found.append((y, (a, b)))
                     continue
@@ -320,17 +315,13 @@ def eigenvalues_float(arr: IntersectionArray) -> list[float]:
 
 
 def _biggs_float(a: np.ndarray, b: np.ndarray, c: np.ndarray, th: np.ndarray) -> np.ndarray:
-    """Float Biggs multiplicities v / sum k_i u_i^2 [BCN 4.1.1] at th, an
-    (n,) vector or an (m, n) matrix of eigenvalues, for a stack of arrays
-    of one diameter in the layout of _columns: one vectorised pass of the
-    recurrence u_{j+1} = ((theta - a_j) u_j - c_j u_{j-1}) / b_j."""
-    ks = np.cumprod(np.vstack([np.ones((1, b.shape[1])), b / c]), axis=0)
-    u_prev, u = np.ones_like(th), th / b[0]
-    norm = 1 + ks[1] * u * u
-    for j in range(1, len(b)):
-        u_prev, u = u, ((th - a[j]) * u - c[j - 1] * u_prev) / b[j]
-        norm += ks[j + 1] * u * u
-    return ks.sum(axis=0) / norm
+    """Float Biggs multiplicities at th, an (n,) vector or (m, n) matrix, for
+    a stack of arrays of one diameter in the layout of _columns: the
+    Christoffel-Darboux form of multiplicity from one pass of _minors_at."""
+    w = b * c
+    v = np.cumprod(np.vstack([np.ones((1, b.shape[1])), b / c]), axis=0).sum(axis=0)
+    (p0, d0), (p1, d1) = deque(_minors_at(a, w, th), 2)
+    return v * w.prod(axis=0) / (d1 * p0 - d0 * p1)
 
 
 def multiplicities_float(rows: np.ndarray) -> np.ndarray:
@@ -351,10 +342,9 @@ def theta_min_multiplicity_float(rows) -> tuple[np.ndarray, np.ndarray]:
     """theta_min and its float Biggs multiplicity for a batch of one diameter.
 
     rows is an (n, 2D) int matrix of b_0..b_{D-1}, c_1..c_D.  Each row runs
-    Newton on P = det(xI - L) from x = -k, with P and P' from the minor
-    recurrence P_{i+1} = (x - a_i) P_i - w_i P_{i-1} and its derivative
-    P'_{i+1} = P_i + (x - a_i) P'_i - w_i P'_{i-1}, all rows at once, until
-    a step is below _NEWTON_TOL * k.  A row that has not stopped within
+    Newton on P = det(xI - L) from x = -k, P and P' from one float pass of
+    _minors_at over all rows per step, until a step is below _NEWTON_TOL * k,
+    and takes _biggs_float at the limit.  A row that has not stopped within
     _NEWTON_STEPS steps, or whose iterate is not finite, gets NaN for both
     values: it is undecided, never a fractional multiplicity.
 
@@ -377,16 +367,11 @@ def theta_min_multiplicity_float(rows) -> tuple[np.ndarray, np.ndarray]:
     <= D s.
     """
     a, b, c = _columns(rows)
-    D, n = b.shape
-    k, w = b[0], b * c  # w_i = b_{i-1} c_i
-    x, done = -k, np.zeros(n, bool)
+    k, w = b[0], b * c
+    x, done = -k, np.zeros(len(k), bool)
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
-            p_prev, p, dp_prev, dp = 1.0, x - a[0], 0.0, 1.0
-            for i in range(1, D + 1):
-                t = x - a[i]
-                p_prev, p, dp_prev, dp = (p, t * p - w[i - 1] * p_prev,
-                                          dp, p + t * dp - w[i - 1] * dp_prev)
+            p, dp = deque(_minors_at(a, w, x), 1)[0]
             step = p / dp
             x = np.where(done, x, x - step)
             done |= np.abs(step) <= _NEWTON_TOL * k
@@ -422,18 +407,30 @@ def standard_sequence(arr: IntersectionArray, theta) -> StandardSequence:
 
 
 def multiplicity(arr: IntersectionArray, theta):
-    """Biggs multiplicity v / sum k_i u_i^2; exact for exact eigenvalues."""
-    if isinstance(theta, Exact):
-        if _poly_eval_frac(charpoly(arr), Fraction(theta)) != 0:
-            raise SpectralError(f"{theta} is not an eigenvalue")
-        seq = standard_sequence(arr, theta)
-        return arr.v / sum(kk * uu * uu for kk, uu in zip(arr.kseq, seq.u))
-    seq = standard_sequence(arr, theta)
-    if seq.terminal_residual > mp.mpf("1e-8") * max(1, arr.k):
-        raise SpectralError(f"{theta} is not an eigenvalue (residual {seq.terminal_residual})")
+    """Biggs multiplicity v / sum k_i u_i^2 [BCN 4.1.1] of the eigenvalue
+    theta; exact for an exact theta, else an mpf at working precision.
+
+    With B_i = b_0...b_{i-1}, u_i = P_i(theta) / B_i (B_i times the u
+    recurrence is the minor recurrence) and k_i = B_i / (c_1...c_i), so
+    k_i u_i^2 = P_i^2 / (w_1...w_i), and at every x the confluent
+    Christoffel-Darboux identity of these monic orthogonal polynomials,
+
+        sum_{i<=D} P_i^2 / (w_1...w_i) = (P'_{D+1} P_D - P'_D P_{D+1}) / (w_1...w_D),
+
+    gives m = v w_1...w_D / (P'_{D+1} P_D - P'_D P_{D+1}).  The sum is at
+    least 1: a denominator that is not positive is cancellation between
+    eigenvalues closer than DPS digits resolve, and raises SpectralError.
+    A rational eigenvalue is an int (P_{D+1} is monic over Z): q = 1, and
+    P_{D+1} / B_D is standard_sequence's terminal residual."""
+    exact = isinstance(theta, Exact)
     with workdps():
-        ks = [as_mpf(kk) for kk in arr.kseq]
-        return as_mpf(arr.v) / sum(kk * uu * uu for kk, uu in zip(ks, seq.u))
+        (p0, d0), (p1, d1) = deque(_minors(arr, theta if exact else as_mpf(theta)), 2)
+        if abs(p1) > (0 if exact else mp.mpf("1e-8") * max(1, arr.k)) * math.prod(arr.b):
+            raise SpectralError(f"{theta} is not an eigenvalue")
+        cd = d1 * p0 - d0 * p1
+        if not cd > 0:
+            raise SpectralError(f"multiplicity of {theta} lost to cancellation at {DPS} digits")
+        return (arr.v if exact else as_mpf(arr.v)) * math.prod(arr.b) * math.prod(arr.c) / cd
 
 
 def spectrum(arr: IntersectionArray) -> Spectrum:

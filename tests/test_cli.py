@@ -289,6 +289,14 @@ def test_bound_bad_table_exit2():
     assert "error:" in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("table", ["9..5", "6..6"])
+def test_bound_table_without_an_odd_girth_exit2(table):
+    # like an empty k range for enumerate: an error, not a bare CSV header
+    r = run_cli("bound", "--table", table)
+    assert r.returncode == 2 and r.stdout == ""
+    assert f"error: no odd girth in {table}" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_bound_table_csv():
     r = run_cli("bound", "--table", "5..13")
     assert r.returncode == 0

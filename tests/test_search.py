@@ -225,32 +225,34 @@ def test_newton_rows_past_the_step_budget_are_undecided(screened_rows, monkeypat
 
 def _theta_min_rows_reference(rows):
     """theta_min_multiplicity_float in the row layout: one row per array,
-    the diagonal from np.pad, a column per step of each recurrence."""
+    the diagonal from np.pad, a column per step of the minor recurrence,
+    and the multiplicity in the Christoffel-Darboux form."""
     b, c = np.hsplit(np.asarray(rows, float), 2)
     n, D = b.shape
     k, w = b[:, 0], b * c
     a = b[:, :1] - np.pad(b, ((0, 0), (0, 1))) - np.pad(c, ((0, 0), (1, 0)))
+
+    def minors(x):  # P_D, P_{D+1}, P'_D, P'_{D+1} at x
+        p_prev, p, dp_prev, dp = 1.0, x - a[:, 0], 0.0, 1.0
+        for i in range(1, D + 1):
+            t = x - a[:, i]
+            p_prev, p, dp_prev, dp = (p, t * p - w[:, i - 1] * p_prev,
+                                      dp, p + t * dp - w[:, i - 1] * dp_prev)
+        return p_prev, p, dp_prev, dp
+
     x, done = -k, np.zeros(n, bool)
     with np.errstate(all="ignore"):
         for _ in range(spectral._NEWTON_STEPS):
-            p_prev, p, dp_prev, dp = 1.0, x - a[:, 0], 0.0, 1.0
-            for i in range(1, D + 1):
-                t = x - a[:, i]
-                p_prev, p, dp_prev, dp = (p, t * p - w[:, i - 1] * p_prev,
-                                          dp, p + t * dp - w[:, i - 1] * dp_prev)
+            _, p, _, dp = minors(x)
             step = p / dp
             x = np.where(done, x, x - step)
             done |= np.abs(step) <= spectral._NEWTON_TOL * k
             if done.all():
                 break
-        theta = np.where(done & np.isfinite(x), x, np.nan)[:, None]
-        ks = np.cumprod(np.hstack([np.ones((n, 1)), b / c]), axis=1)
-        u_prev, u = np.ones_like(theta), theta / b[:, :1]
-        norm = 1 + ks[:, [1]] * u * u
-        for j in range(1, D):
-            u_prev, u = u, ((theta - a[:, [j]]) * u - c[:, [j - 1]] * u_prev) / b[:, [j]]
-            norm += ks[:, [j + 1]] * u * u
-        return theta[:, 0], (ks.sum(axis=1, keepdims=True) / norm)[:, 0]
+        theta = np.where(done & np.isfinite(x), x, np.nan)
+        p_prev, p, dp_prev, dp = minors(theta)
+        v = np.cumprod(np.hstack([np.ones((n, 1)), b / c]), axis=1).sum(axis=1)
+        return theta, v * w.prod(axis=1) / (dp * p_prev - dp_prev * p)
 
 
 @pytest.mark.parametrize("name", SCREEN_SPACES)
@@ -264,6 +266,36 @@ def test_column_layout_matches_the_row_layout_bit_for_bit(screened_rows, monkeyp
     want_theta, want_m = _theta_min_rows_reference(rows)
     assert np.array_equal(theta, want_theta, equal_nan=True)
     assert np.array_equal(m, want_m, equal_nan=True)
+
+
+def _biggs_u_sum(rows, th):
+    """Float Biggs multiplicities v / sum k_i u_i^2 at th, an (n,) vector or
+    an (m, n) matrix of eigenvalues, from the standard-sequence recurrence
+    u_{j+1} = ((theta - a_j) u_j - c_j u_{j-1}) / b_j, independent of the
+    minor recurrence that spectral evaluates."""
+    a, b, c = _columns(rows)
+    ks = np.cumprod(np.vstack([np.ones((1, b.shape[1])), b / c]), axis=0)
+    u_prev, u = np.ones_like(th), th / b[0]
+    norm = 1 + ks[1] * u * u
+    for j in range(1, len(b)):
+        u_prev, u = u, ((th - a[j]) * u - c[j - 1] * u_prev) / b[j]
+        norm += ks[j + 1] * u * u
+    return ks.sum(axis=0) / norm
+
+
+@pytest.mark.parametrize("name", SCREEN_SPACES)
+def test_christoffel_darboux_matches_the_u_sum_on_screened_rows(screened_rows, name):
+    # theta_min's multiplicity and every eigenvalue's, on every screened row:
+    # the two forms agree within 1e-12 relative and give the same verdicts
+    for rows in screened_rows[name]:
+        theta, m = theta_min_multiplicity_float(rows)
+        eig = _jacobi_eigvals(*_columns(rows))
+        for got, want in ((m, _biggs_u_sum(rows, theta)),
+                          (multiplicities_float(rows), _biggs_u_sum(rows, eig.T).T)):
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            ok = ~np.isnan(want)
+            assert np.all(np.abs(got - want)[ok] <= 1e-12 * np.abs(want)[ok])
+            assert np.array_equal(search._fractional(got), search._fractional(want))
 
 
 def _keep_in_batches(rows, cuts):

@@ -259,12 +259,17 @@ def test_sturm_count_matches_numpy(arr):
         assert sturm_count_leq(arr, x) == int((theta <= float(x) + 1e-7).sum()), x
 
 
+def _horner(coeffs):
+    """refine_root's f for the polynomial sum coeffs[i] y^i."""
+    return lambda y: spectral.mp_horner(coeffs, y)
+
+
 def test_refine_root_when_newton_leaves_the_bracket():
     # Newton on y^3 - 2y + 2 cycles 0 -> 1 -> 0; from the midpoint 0 of
     # [-2, 2] the bracket shrinks to [-2, 0] and the step to 1 leaves it
     coeffs = [2, -2, 0, 1]
     with workdps():
-        root = refine_root(coeffs, Fraction(-2), Fraction(2))
+        root = refine_root(_horner(coeffs), Fraction(-2), Fraction(2))
         exact = mp.findroot(lambda y: y ** 3 - 2 * y + 2, -1.77)
         assert abs(root - exact) < mp.mpf(10) ** -45
 
@@ -274,14 +279,14 @@ def test_refine_root_at_a_bracket_end():
     # approach it: (y - 1)(y - 3) from 3/2 and 2 (y + 1/2)(y + 2) from -9/16;
     # at 200 digits that would take over 300 steps
     with mp.workdps(200):
-        assert refine_root([3, -4, 1], 1, 2) == 1
-        assert refine_root([2, 5, 2], Fraction(-5, 8), Fraction(-1, 2)) == mp.mpf(-0.5)
+        assert refine_root(_horner([3, -4, 1]), 1, 2) == 1
+        assert refine_root(_horner([2, 5, 2]), Fraction(-5, 8), Fraction(-1, 2)) == mp.mpf(-0.5)
 
 
 def test_refine_root_on_mpf_coefficients():
     with workdps():
         coeffs = [-mp.sqrt(2), 0, 0, 0, 1]  # y^4 = sqrt(2)
-        root = refine_root(coeffs, 0, 2)
+        root = refine_root(_horner(coeffs), 0, 2)
         assert abs(root - mp.root(2, 8)) < mp.mpf(10) ** -45
 
 
@@ -557,17 +562,18 @@ def test_near_degenerate_spectra(monkeypatch, text):
     # evaluates every minor at one point, and each halving adds one point,
     # O(log k) of them per close pair; a scan of [-k, k] would take 2k + 1
     arr = parse_array(text)
-    evals, evaluate = [], spectral._poly_eval_frac
-    monkeypatch.setattr(spectral, "_poly_eval_frac",
-                        lambda coeffs, x: evals.append(x) or evaluate(coeffs, x))
+    evals, evaluate = [], spectral._minors_at
+    monkeypatch.setattr(spectral, "_minors_at", lambda a, w, x, q=1: (
+        isinstance(x, int) and evals.append(Fraction(x, q))) or evaluate(a, w, x, q))
     sp = spectrum(arr)
+    assert evals
     assert len(set(evals)) <= 4 * (arr.D + 1) * arr.k.bit_length()
     assert len(sp.enclosures) == arr.D + 1
     for (lo, _hi), (_lo, hi_next) in zip(sp.enclosures, sp.enclosures[1:]):
         assert hi_next <= lo  # disjoint, decreasing; a shared end is no root
     for theta, (lo, hi) in zip(sp.thetas, sp.enclosures):
         if isinstance(theta, int):
-            assert lo == hi == theta and evaluate(charpoly(arr), lo) == 0
+            assert lo == hi == theta and spectral._poly_eval_frac(charpoly(arr), lo) == 0
         else:
             assert sturm_count_leq(arr, hi) - sturm_count_leq(arr, lo) == 1
     assert full_report(arr).overall == FAIL
@@ -604,3 +610,130 @@ def test_spectrum_boxes_hold_sympy_real_roots(arr):
             assert not isinstance(theta, int) and hi - lo <= Fraction(1, 2**48)
             assert P.count_roots(_rational(lo), _rational(hi)) == 1
             assert abs(float(root) - float(theta)) <= 1e-12 * arr.k
+
+
+def _large_k_arrays(k):
+    """Two shapes whose eigenvalues come in pairs about 1/k apart or closer."""
+    return [parse_array(f"{{{k},1,1,1,1;1,1,1,1,{k}}}"),
+            parse_array(f"{{{k},{k - 1},1,1,1,1,1;1,1,1,1,1,{k - 1},{k}}}")]
+
+
+def _biggs_oracle(arr, dps=120):
+    """Every Biggs multiplicity v / sum k_i u_i^2, decreasing, at dps digits:
+    the eigenvalues from sympy's real_roots of the charpoly, the u_i from
+    the standard-sequence recurrence."""
+    roots = sympy.Poly(list(reversed(charpoly(arr))), sympy.Symbol("x")).real_roots()[::-1]
+    with mp.workdps(dps):
+        ks = [mp.mpf(k.numerator) / k.denominator for k in arr.kseq]
+        out = []
+        for root in roots:
+            th = mp.mpf(int(root) if root.is_Integer else str(root.evalf(dps + 10)))
+            u = [mp.mpf(1), th / arr.k]
+            for j in range(1, arr.D):
+                u.append(((th - arr.a[j]) * u[j] - arr.c[j - 1] * u[j - 1]) / arr.b[j])
+            out.append(mp.fsum(ks) / mp.fsum(k * x * x for k, x in zip(ks, u)))
+        return out
+
+
+@pytest.mark.parametrize("e", [32, 48, 64])
+@pytest.mark.parametrize("shape", [0, 1], ids=["D5", "D7"])
+def test_large_k_eigenvalues_certify(e, shape):
+    # Newton on the minor recurrence: on the expanded charpoly, cancellation
+    # among coefficients of size k^(D+1) left the refined root outside its
+    # certificate from k = 2^32 on
+    arr = _large_k_arrays(2**e)[shape]
+    thetas = eigenvalues(arr)
+    _, enclosures = spectral._eigen_with_enclosures(arr)
+    assert len(thetas) == len(enclosures) == arr.D + 1 and thetas[0] == arr.k
+    for theta, (lo, hi) in zip(thetas, enclosures):
+        if isinstance(theta, int):
+            assert lo == hi == theta and spectral._poly_eval_frac(charpoly(arr), lo) == 0
+        else:
+            assert 0 < hi - lo <= Fraction(1, 2**48)
+            assert sturm_count_leq(arr, hi) - sturm_count_leq(arr, lo) == 1
+
+
+@pytest.mark.parametrize("e", [28, 32])
+@pytest.mark.parametrize("shape", [0, 1], ids=["D5", "D7"])
+def test_large_k_multiplicities_match_a_high_precision_oracle(e, shape):
+    # the true multiplicities include 1.7071... and 0.2929..., so the report
+    # fails multiplicity integrality and nothing else: the sum rules hold
+    arr = _large_k_arrays(2**e)[shape]
+    truth = _biggs_oracle(arr)
+    assert any(abs(m - 1.7071) < 1e-4 for m in truth)
+    assert any(abs(m - 0.2929) < 1e-4 for m in truth)
+    rep = full_report(arr)
+    assert rep.failing == ["multiplicity_integrality"] and rep.overall == FAIL
+    for got, want in zip(rep.spectrum.mults_raw, truth):
+        assert abs(as_mpf(got) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("e", [48, 64])
+@pytest.mark.parametrize("shape", [0, 1], ids=["D5", "D7"])
+def test_large_k_near_coincident_multiplicities_never_pass(e, shape):
+    # eigenvalues closer than the working precision resolves: the large
+    # multiplicities are noise (2^48; the 1.7071... one still fails them) or
+    # the Christoffel-Darboux denominator cancels to 0 (2^64, no spectrum),
+    # and neither may read as a pass
+    arr = _large_k_arrays(2**e)[shape]
+    rep = full_report(arr)
+    assert rep.overall != PASS
+    if e == 48:
+        assert rep.spectrum is not None and "multiplicity_integrality" in rep.failing
+    else:
+        with pytest.raises(spectral.SpectralError, match="cancellation"):
+            spectrum(arr)
+
+
+@pytest.mark.parametrize("arr", SEEDED, ids=str)
+def test_minors_at_matches_minor_polys(arr):
+    # the value kernel against the coefficient lists, every minor and its
+    # derivative at seeded rationals p/q, both scaled by q^i exactly
+    rng = random.Random(str(arr))
+    w = [b * c for b, c in zip(arr.b, arr.c)]
+    minors = spectral.minor_polys(arr.a, w)
+    for _ in range(8):
+        x = Fraction(rng.randint(-4 * arr.k, 4 * arr.k), rng.randint(1, 12))
+        got = list(spectral._minors_at(arr.a, w, x.numerator, x.denominator))
+        assert len(got) == len(minors) == arr.D + 2
+        for (value, slope), P in zip(got, minors):
+            dP = [i * c for i, c in enumerate(P)][1:]
+            assert value == spectral._poly_eval_frac(P, x)
+            assert slope == spectral._poly_eval_frac(dP, x)
+
+
+def _u_sum_multiplicity(arr, theta):
+    """v / sum k_i u_i^2 from standard_sequence: exact, or an mpf."""
+    u = standard_sequence(arr, theta).u
+    if isinstance(theta, int):
+        return arr.v / sum(k * x * x for k, x in zip(arr.kseq, u))
+    with workdps():
+        return as_mpf(arr.v) / mp.fsum(as_mpf(k) * x * x for k, x in zip(arr.kseq, u))
+
+
+@pytest.mark.parametrize("arr", [parse_array(t) for _n, t in oracle.CATALOG] + SEEDED, ids=str)
+def test_christoffel_darboux_matches_the_u_sum(arr):
+    sp = spectrum(arr)
+    for theta, m in zip(sp.thetas, sp.mults_raw):
+        want = _u_sum_multiplicity(arr, theta)
+        if isinstance(theta, int):
+            assert isinstance(m, Fraction) and m == want
+        else:
+            with workdps():
+                assert abs(m - want) <= mp.mpf("1e-45") * abs(want)
+
+
+@pytest.mark.parametrize("arr", [parse_array(t) for _n, t in oracle.CATALOG] + SEEDED[:12], ids=str)
+def test_spectrum_uses_only_the_value_kernel(monkeypatch, arr):
+    # no coefficient list and no Horner on one: every value of det(xI - L)
+    # that spectrum and multiplicity need comes from _minors_at
+    want = spectrum(arr)
+
+    def forbidden(*args, **kw):
+        raise AssertionError("coefficient path used")
+
+    for name in ("mp_horner", "minor_polys", "_poly_eval_frac"):
+        monkeypatch.setattr(spectral, name, forbidden)
+    sp = spectrum(arr)
+    assert sp == want
+    assert [multiplicity(arr, t) for t in sp.thetas] == list(sp.mults_raw)
