@@ -40,7 +40,9 @@ Each survivor that is not bipartite must be a witness in its stage's space.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,7 +52,7 @@ import numpy as np
 from .core import IntersectionArray, format_array, parse_array
 from .feasibility import FAIL, INCONCLUSIVE, c2_upper_bound, full_report, p_polynomials
 from .oracle import WITNESSES
-from .spectral import (SpectralError, _poly_eval_frac, _sign_changes, abs_u_lower_bounds,
+from .spectral import (SpectralError, _sign_changes, abs_u_lower_bounds,
                        implied_last_c_lower, minor_polys, multiplicities_float,
                        spectrum,  # not called here; perfbench's tracer test rebinds it
                        sqrt_bounds, theta_min_multiplicity_float)
@@ -532,43 +534,106 @@ def _has_positive_root(G) -> bool:
             > _sign_changes(s[-1] for s in chain if s))
 
 
-def _nonnegative_below_cut(F, k: int, cut: Fraction) -> bool:
-    """Is F(theta) >= 0 for some theta in (-k, cut]?  At the cut (the
-    homogenised sign), or F has a root inside: for cut = P/Q, the roots x > 0
-    of G(x) = Q^n (1+x)^n F((P - kQx)/(Q(1+x))) are those of F in (-k, cut)."""
-    if _poly_eval_frac(F, cut) >= 0:
-        return True
-    P, Q = cut.numerator, cut.denominator
+def _cut_poly(F, k: int, P: int, Q: int) -> list:
+    """G(x) = Q^n (1+x)^n F((P - kQx)/(Q(1+x))), n = deg F, low to high: its
+    roots x > 0 are those of F in (-k, P/Q), and G(0) = Q^n F(P/Q)."""
     G, Dpow = [F[-1]], [1]
     for f in reversed(F[:-1]):  # homogeneous Horner in P - kQx and Q(1+x)
         Dpow = [Q * (x + y) for x, y in zip(Dpow + [0], [0] + Dpow)]
         G = [P * x - k * Q * y + f * d for x, y, d in zip(G + [0], [0] + G, Dpow)]
-    return _has_positive_root(G)
+    return G
+
+
+def _nonnegative_below_cut(F, k: int, cut: Fraction) -> bool:
+    """Is F(theta) >= 0 for some theta in (-k, cut]?  At the cut, where G(0)
+    has F's sign, or at a root of F inside, a root x > 0 of G."""
+    G = _cut_poly(F, k, cut.numerator, cut.denominator)
+    return G[0] >= 0 or _has_positive_root(G)
+
+
+def _interpolate(values) -> list[int]:
+    """(n-1)! times the polynomial of degree < n = len(values) through the
+    (m, values[m]), low to high: Newton's sum_j (forward difference d_j) C(m, j)."""
+    n, coeffs, falling, diffs = len(values), [0] * len(values), [1], list(values)
+    for j in range(n):  # falling = m(m-1)...(m-j+1) = j! C(m, j)
+        w = diffs[0] * math.factorial(n - 1) // math.factorial(j)
+        coeffs = [c + w * x for c, x in zip(coeffs, falling + [0] * n)]
+        falling = [y - j * x for x, y in zip(falling + [0], [0] + falling)]
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+    return coeffs
+
+
+def _shift_bound(g) -> int | None:
+    """Least K >= 0 where g(K + y) has no positive coefficient, so g < 0 past K, for g
+    with a negative leading coefficient, else None.  Putting 1 + y for y keeps the
+    coefficients non-positive, so doubling then bisection finds K."""
+    if next((x for x in reversed(g) if x), 0) >= 0:
+        return None
+
+    def settled(K):  # the Taylor shift g(K + y) = sum_j y^j sum_i C(i, j) K^(i-j) g_i
+        return all(sum(math.comb(i, j) * K ** (i - j) * x for i, x in enumerate(g[j:], j)) <= 0
+                   for j in range(len(g)))
+
+    hi = 0
+    while not settled(hi):
+        hi = 2 * hi + 1
+    return bisect_left(range(hi // 2, hi + 1), True, key=settled) + hi // 2
+
+
+def _c3_top(k: int, c3_ratio_cap) -> int:
+    """The larger c_3 endpoint, floor(c3_ratio_cap * k) below k."""
+    return k - 1 if c3_ratio_cap is None else min(k - 1, int(Fraction(c3_ratio_cap) * k))
+
+
+def eta_feasible(k: int, t: int, p_values, theta_ratio, c2_values=(1, 2), c3_ratio_cap=None):
+    """eta_exclusion_cap's question at the one valency k."""
+    cut, hi = Fraction(theta_ratio) * k, _c3_top(k, c3_ratio_cap)
+    cases = {(1, c2, c3)[:t - 1] for c2 in c2_values if c2 < k and (t < 4 or c2 <= hi)
+             for c3 in (c2, hi)}  # the c_3 endpoints (dropped when t < 4)
+    return any(_nonnegative_below_cut(_eta_poly(k, p_values, cs), k, cut) for cs in cases)
+
+
+def eta_scan_end(t: int, p_values, theta_ratio, c2_values=(1, 2), c3_ratio_cap=None) -> int:
+    """K_0 of eta_exclusion_cap's proof: eta_feasible is false past it."""
+    (P, Q), K0 = Fraction(theta_ratio).as_integer_ratio(), 0
+    for c2, top in [(c2, top) for c2 in c2_values for top in (False, True)[:1 + (t == 4)]]:
+        b = Fraction(c3_ratio_cap or 1).denominator if top else 1
+        for r in range(1, b + 1):
+            G = [_cut_poly(_eta_poly(k, p_values, (1, c2, _c3_top(k, c3_ratio_cap) if top
+                                                   else c2)[:t - 1]), k, P * k, Q)
+                 for k in (b * m + r for m in range(t + 1))]
+            for i, values in enumerate(zip(*G)):
+                if (M := _shift_bound(_interpolate(values))) is None:
+                    raise CapDerivationError(f"eta scan end: x^{i} of G is >= 0 for large "
+                                             f"k = {b}m + {r} at c_2 = {c2}, top c_3 {top}")
+                K0 = max(K0, b * M + r)
+    return K0
 
 
 def eta_exclusion_cap(t: int, p_values, theta_ratio: Fraction, c2_values=(1, 2),
-                      c3_ratio_cap: Fraction | None = None,
-                      k_lo: int = 3, k_hi: int = 300):
-    """Largest k in [k_lo, k_hi] where sum_{i<=t} p_i u_i >= 0 for some theta
-    in (-k, ratio*k], c_1 = 1, c_2 in c2_values and (t = 4) integral c_3 in
+                      c3_ratio_cap: Fraction | None = None, k_lo: int = 3):
+    """Largest k >= k_lo where sum_{i<=t} p_i u_i >= 0 for some theta in
+    (-k, ratio*k], c_1 = 1, c_2 in c2_values and (t = 4) integral c_3 in
     [c_2, c3_ratio_cap*k] (below k without a cap); None if there is none.
 
     p_values are the integer cycle-polynomial values at an integral
     eigenvalue eta.  c_3 enters only u_4 = (theta u_3 - c_3 u_2)/(k - c_3),
     a Moebius function of c_3 with its pole at k, so the best c_3 is an
-    endpoint at every theta.  Each case is decided exactly (no float, no
-    tolerance) by _nonnegative_below_cut.  Feasibility is not monotone below
-    the cap (floor(c3_cap * k) jumps with k), and its absence above the cap
-    is only scanned up to k_hi, a bound without proof.
+    endpoint at every theta.  eta_feasible decides each k exactly.  It is
+    not monotone below the cap (floor(c3_cap * k) jumps with k), so every k
+    in [k_lo, K_0] is tried, and none past K_0 = eta_scan_end is feasible:
+    for ratio = P/Q, each coefficient of G = _cut_poly(F, k, Pk, Q), G(0) =
+    Q^n F(cut) among them, has degree <= n = t in k and c_3, as F's theta^j
+    coefficient has degree <= n - j.  On each class k = bm + r, r = 1..b (b
+    the cap's denominator at the top c_3, else 1), c_3 is affine in m, so
+    each is an integer polynomial g(m), exact from its values at m = 0..n
+    and negative past _shift_bound's M (if its leading coefficient is not
+    negative, CapDerivationError).  Past every bM + r, G(0) < 0 and G has
+    no root x > 0: all its coefficients are negative.
     """
-    def feasible(k: int) -> bool:
-        cut = Fraction(theta_ratio) * k
-        hi = k - 1 if c3_ratio_cap is None else min(k - 1, int(Fraction(c3_ratio_cap) * k))
-        cases = {(1, c2, c3)[:t - 1] for c2 in c2_values if c2 < k and (t < 4 or c2 <= hi)
-                 for c3 in (c2, hi)}  # the c_3 endpoints (dropped when t < 4)
-        return any(_nonnegative_below_cut(_eta_poly(k, p_values, cs), k, cut) for cs in cases)
-
-    return max((k for k in range(k_lo, k_hi + 1) if feasible(k)), default=None)
+    args = (t, p_values, theta_ratio, c2_values, c3_ratio_cap)
+    return max((k for k in range(k_lo, eta_scan_end(*args) + 1) if eta_feasible(k, *args)),
+               default=None)
 
 
 def _floor4(x: Fraction) -> Fraction:

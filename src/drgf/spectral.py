@@ -13,11 +13,11 @@ exactly at a rational x, in mpmath, or over a float array.
 * In a one-root box with float value x, the eigenvalue is the int round(x)
   if P vanishes there; else refine_root, safeguarded mpmath Newton on the
   kernel's P and P', starts from x, and the eigenvalue is round(c) of the
-  exact value c of its result if P vanishes there, else two exact signs of
-  P at c +- 2^-49, clipped to the box, certify an enclosure of width
-  <= 2^-48.  No interior cut is an integer and every eigenvalue lies in
-  [-k, k], so P (monic over Z: its rational roots are integers) vanishes at
-  no box end.  Floats only steer: every count and sign that decides is exact.
+  exact value c of its result if P vanishes there, else c clipped into an
+  enclosure, c +- 2^-49 cut to the box (width <= 2^-48), that two exact
+  signs of P certify.  No interior cut is an integer and every eigenvalue
+  lies in [-k, k], so P (monic over Z: its rational roots are integers)
+  vanishes at no box end.  Floats only steer: each deciding sign is exact.
 * Every Biggs multiplicity, exact, mpf or float, is the Christoffel-Darboux
   form in multiplicity's docstring.
 
@@ -132,14 +132,6 @@ def _sign_changes(values) -> int:
 def sturm_count_leq(arr: IntersectionArray, x) -> int:
     """Exact number of eigenvalues of L that are <= the rational x."""
     return arr.D + 1 - _sign_changes(p for p, _ in _minors(arr, Fraction(x)))
-
-
-def _poly_eval_frac(coeffs: list[int], x: Fraction) -> int:
-    """Sign-faithful integer evaluation of sum c_i x^i, scaled by den(x)^deg."""
-    acc, qpow = 0, 1
-    for coef in reversed(coeffs):
-        acc, qpow = acc * x.numerator + coef * qpow, qpow * x.denominator
-    return acc
 
 
 def _cut(lo: Fraction, hi: Fraction) -> Fraction:
@@ -264,6 +256,9 @@ def _eigen_with_enclosures(arr: IntersectionArray):
                     a, b = max(lo, c - _HALF_WIDTH), min(hi, c + _HALF_WIDTH)
                     if not (a < b and det(a)[0] * det(b)[0] < 0):
                         raise SpectralError(f"refined root {y} is not in its box ({lo}, {hi}]")
+                    if not a <= c <= b:  # y rounded past a box end: that end, dyadic, exactly
+                        num, den = min(max(c, a), b).as_integer_ratio()
+                        y = mp.make_mpf(libmp.from_man_exp(num, 1 - den.bit_length()))
                     found.append((y, (a, b)))
                     continue
             found.append((r, (Fraction(r), Fraction(r))))

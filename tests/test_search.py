@@ -18,12 +18,14 @@ from drgf.core import IntersectionArray, format_array, parse_array
 from drgf.feasibility import FAIL, full_report
 from drgf.search import (DEFAULT_CHECKS, CapDerivationError, SearchSpec,
                          SearchSpecError, _ceil4, _eta_poly, _floor4, _has_positive_root,
-                         _KSpace, _nonnegative_below_cut, _walk_group, classify_diameter,
-                         default_spec, enumerate_arrays, eta_exclusion_cap,
+                         _KSpace, _interpolate, _nonnegative_below_cut, _shift_bound,
+                         _walk_group, classify_diameter, default_spec, enumerate_arrays,
+                         eta_exclusion_cap, eta_feasible, eta_scan_end,
                          pentagon_exclusion_cap, valency_cap)
-from drgf.spectral import (SpectralError, _columns, _jacobi_eigvals, _poly_eval_frac, eigenvalues,
+from drgf.spectral import (SpectralError, _columns, _jacobi_eigvals, eigenvalues,
                            intersection_matrix, multiplicities_float, sturm_count_leq,
                            theta_min_multiplicity_float, trace_of_l_squared)
+from test_spectral import _poly_eval_frac
 
 
 D4_SPEC = SearchSpec(4, 5, 35, "000+", (1, 2), Fraction(-3, 4))
@@ -762,7 +764,7 @@ def test_eta2_cap_boundary_is_exact():
     # would wobble here, the exact path must include it
     F = _eta_poly(8, (1, 2, 2, 2), (1, 2))
     assert _poly_eval_frac(F, Fraction(-6)) == 0
-    assert eta_exclusion_cap(3, (1, 2, 2, 2), Fraction(-3, 4), (2,), k_lo=8, k_hi=8) == 8
+    assert eta_feasible(8, 3, (1, 2, 2, 2), Fraction(-3, 4), (2,))
 
 
 # The five eta_exclusion_cap calls of classify_diameter(4) and (5), each with
@@ -778,13 +780,80 @@ ETA_CALLS = [
 
 
 def _feasible_k(args):
-    return {k for k in range(3, 301) if eta_exclusion_cap(*args, k_lo=k, k_hi=k) == k}
+    return {k for k in range(3, 301) if eta_feasible(k, *args)}
 
 
 @pytest.mark.parametrize("args, expected", ETA_CALLS)
 def test_eta_exclusion_feasible_sets_exact(args, expected):
     assert _feasible_k(args) == expected
     assert eta_exclusion_cap(*args) == max(expected)
+
+
+# eta_scan_end of each of ETA_CALLS, in order
+ETA_SCAN_ENDS = [32, 4, 8, 4, 6]
+
+
+@pytest.mark.parametrize("args, expected, k0", [
+    (args, expected, k0) for (args, expected), k0 in zip(ETA_CALLS, ETA_SCAN_ENDS)])
+def test_eta_scan_end_is_past_every_feasible_k(args, expected, k0):
+    # the proven scan end against a scan past it: nothing feasible in (K_0, 1000]
+    assert eta_scan_end(*args) == k0 >= max(expected)
+    assert not any(eta_feasible(k, *args) for k in range(k0 + 1, 1001))
+
+
+def test_eta_scan_end_refuses_a_case_that_does_not_end_negative():
+    # p = (1, 0, 0, 0): F = k (k - 1)(k - c_2) > 0, so G's coefficients are
+    # positive for every k and no K_0 follows
+    args = (3, (1, 0, 0, 0), Fraction(-3, 4), (1,))
+    with pytest.raises(CapDerivationError, match="c_2 = 1"):
+        eta_scan_end(*args)
+    with pytest.raises(CapDerivationError):
+        eta_exclusion_cap(*args)
+
+
+def _taylor_shift(g, K):
+    """Coefficients of g(K + y) in y, by the binomial theorem."""
+    return [sum(math.comb(i, j) * K ** (i - j) * a for i, a in enumerate(g) if i >= j)
+            for j in range(len(g))]
+
+
+@pytest.mark.parametrize("g, least", [
+    ([5, 4, -1], 5),           # -(x - 5)(x + 1): the root is the answer
+    ([-9, 6, -1], 3),          # -(x - 3)^2: a double root
+    ([10, 0, 0, -1], 3),       # 10 - x^3: 3^3 >= 10 > 2^3
+    ([-100, 10, -1], 5),       # negative everywhere, but 10 - 2K > 0 below 5
+    ([-7], 0), ([-7, -1, 0, 0], 0),
+    ([1, 2], None), ([-3, 0, 1], None), ([0, 0], None), ([], None),
+])
+def test_shift_bound_on_hand_made_polynomials(g, least):
+    assert _shift_bound(g) == least
+    if least is not None:
+        assert all(max(_taylor_shift(g, K)) <= 0 for K in range(least, least + 4))
+        assert least == 0 or max(_taylor_shift(g, least - 1)) > 0
+
+
+def test_interpolate_scales_the_exact_coefficients():
+    rng = random.Random(21)
+    for n in range(1, 7):
+        for _ in range(20):
+            coeffs = [rng.randint(-50, 50) for _ in range(n)]
+            values = [sum(c * m ** i for i, c in enumerate(coeffs)) for m in range(n)]
+            assert _interpolate(values) == [math.factorial(n - 1) * c for c in coeffs]
+
+
+def test_eta_caps_try_no_valency_past_their_scan_ends(monkeypatch):
+    # classify_diameter(4) and (5) decide at most K_0 - k_lo + 1 valencies
+    # in each of their five eta caps: a fixed scan end would decide hundreds
+    calls, ends = [], []
+    real_feasible, real_end = search.eta_feasible, search.eta_scan_end
+    monkeypatch.setattr(search, "eta_feasible", lambda k, *a: calls.append(k)
+                        or real_feasible(k, *a))
+    monkeypatch.setattr(search, "eta_scan_end", lambda *a: ends.append(real_end(*a))
+                        or ends[-1])
+    classify_diameter(4)
+    classify_diameter(5)
+    assert sorted(ends) == sorted(ETA_SCAN_ENDS)
+    assert len(calls) <= sum(k0 - 3 + 1 for k0 in ends)
 
 
 def _eta_poly_by_w_recurrence(k, p_values, cs):
@@ -836,8 +905,7 @@ def test_eta_c3_endpoints_match_every_c3(p_values, c3_cap):
         brute = any(
             _nonnegative_below_cut(_eta_poly(k, p_values, (1, c2, c3)), k, ratio * k)
             for c2 in (1, 2) if c2 < k for c3 in range(c2, top + 1))
-        got = eta_exclusion_cap(4, p_values, ratio, (1, 2), c3_cap, k_lo=k, k_hi=k)
-        assert (got == k) == brute, k
+        assert eta_feasible(k, 4, p_values, ratio, (1, 2), c3_cap) == brute, k
 
 
 def test_eta_cap_sees_a_peak_between_grid_nodes():
@@ -852,7 +920,7 @@ def test_eta_cap_sees_a_peak_between_grid_nodes():
     assert all(_poly_eval_frac(F, th) < 0 for th in nodes)
     peak = Fraction(-369, 46)
     assert nodes[7] < peak < nodes[6] and _poly_eval_frac(F, peak) > 0
-    assert eta_exclusion_cap(2, p, ratio, (1,), k_lo=k, k_hi=k) == k
+    assert eta_feasible(k, 2, p, ratio, (1,))
 
 
 @pytest.mark.parametrize("G, has_root", [

@@ -25,6 +25,14 @@ CORPUS = ["{2;1}", "{2,1;1,1}", "{3,2;1,1}", "{2,1,1,1;1,1,1,1}",
           "{4,3,3;1,1,3}", "{5,4,4,3;1,1,2,3}"]
 
 
+def _poly_eval_frac(coeffs: list[int], x: Fraction) -> int:
+    """Sign-faithful integer evaluation of sum c_i x^i, scaled by den(x)^deg."""
+    acc, qpow = 0, 1
+    for coef in reversed(coeffs):
+        acc, qpow = acc * x.numerator + coef * qpow, qpow * x.denominator
+    return acc
+
+
 def test_intersection_matrix_9_gon():
     L = intersection_matrix(parse_array("{2,1,1,1;1,1,1,1}"))
     assert L.shape == (5, 5)
@@ -573,7 +581,7 @@ def test_near_degenerate_spectra(monkeypatch, text):
         assert hi_next <= lo  # disjoint, decreasing; a shared end is no root
     for theta, (lo, hi) in zip(sp.thetas, sp.enclosures):
         if isinstance(theta, int):
-            assert lo == hi == theta and spectral._poly_eval_frac(charpoly(arr), lo) == 0
+            assert lo == hi == theta and _poly_eval_frac(charpoly(arr), lo) == 0
         else:
             assert sturm_count_leq(arr, hi) - sturm_count_leq(arr, lo) == 1
     assert full_report(arr).overall == FAIL
@@ -635,22 +643,24 @@ def _biggs_oracle(arr, dps=120):
         return out
 
 
-@pytest.mark.parametrize("e", [32, 48, 64])
+@pytest.mark.parametrize("e", [32, 48, 56, 64])
 @pytest.mark.parametrize("shape", [0, 1], ids=["D5", "D7"])
 def test_large_k_eigenvalues_certify(e, shape):
     # Newton on the minor recurrence: on the expanded charpoly, cancellation
     # among coefficients of size k^(D+1) left the refined root outside its
-    # certificate from k = 2^32 on
+    # certificate from k = 2^32 on.  Each theta lies in its own enclosure:
+    # at 2^56 the 50-digit Newton value fell up to 3e-43 past a box end
     arr = _large_k_arrays(2**e)[shape]
     thetas = eigenvalues(arr)
     _, enclosures = spectral._eigen_with_enclosures(arr)
     assert len(thetas) == len(enclosures) == arr.D + 1 and thetas[0] == arr.k
     for theta, (lo, hi) in zip(thetas, enclosures):
         if isinstance(theta, int):
-            assert lo == hi == theta and spectral._poly_eval_frac(charpoly(arr), lo) == 0
+            assert lo == hi == theta and _poly_eval_frac(charpoly(arr), lo) == 0
         else:
             assert 0 < hi - lo <= Fraction(1, 2**48)
             assert sturm_count_leq(arr, hi) - sturm_count_leq(arr, lo) == 1
+            assert lo <= Fraction(*libmp.to_rational(theta._mpf_)) <= hi
 
 
 @pytest.mark.parametrize("e", [28, 32])
@@ -698,8 +708,8 @@ def test_minors_at_matches_minor_polys(arr):
         assert len(got) == len(minors) == arr.D + 2
         for (value, slope), P in zip(got, minors):
             dP = [i * c for i, c in enumerate(P)][1:]
-            assert value == spectral._poly_eval_frac(P, x)
-            assert slope == spectral._poly_eval_frac(dP, x)
+            assert value == _poly_eval_frac(P, x)
+            assert slope == _poly_eval_frac(dP, x)
 
 
 def _u_sum_multiplicity(arr, theta):
@@ -732,7 +742,7 @@ def test_spectrum_uses_only_the_value_kernel(monkeypatch, arr):
     def forbidden(*args, **kw):
         raise AssertionError("coefficient path used")
 
-    for name in ("mp_horner", "minor_polys", "_poly_eval_frac"):
+    for name in ("mp_horner", "minor_polys"):
         monkeypatch.setattr(spectral, name, forbidden)
     sp = spectrum(arr)
     assert sp == want
