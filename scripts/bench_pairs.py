@@ -1,18 +1,18 @@
 """Alternating parent/change pairs of perfbench/run.py, summarised as a BENCH_*.json.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \\
-        --seeds 2101-2110 [--seconds 20] [--workloads theorem2,enumerate-jobs2,audit] \\
-        [--parent-sha SHA] [--change-text TEXT]
+        --seeds 2101-2110
 
-DIR is a checkout (the directory holding src/drgf and perfbench/) of each
-side; each run goes from its own checkout with its own perfbench files, so
-both should hold the same perfbench.  For each workload, pair i runs the
-seed at position i on both sides, the parent first in odd pairs and the
-change first in even ones.  Every end-to-end metric is summarised by each
-side's median and inclusive quartiles and by the number of pairs in which
-the change read lower.  Then one traced run per side (parent first) is made
-for each workload, with the first seed.  Runs are sequential: nothing else
-of this script runs while one is timed.
+DIR is a git checkout (the directory holding src/drgf and perfbench/) of each
+side.  The script stops before any run unless both hold the same bytes in
+perfbench/ and BENCHMARK.json; the workloads and the run length are those
+of BENCHMARK.json.  For each workload, pair i runs the seed at position i on
+both sides, the parent first in odd pairs and the change first in even ones.
+Every end-to-end metric is summarised by each side's median and inclusive
+quartiles and by the number of pairs in which the change read lower.  Then
+one traced run per side (parent first) is made for each workload, with the
+first seed.  Runs are sequential: nothing else of this script runs while one
+is timed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,20 @@ import sys
 from pathlib import Path
 
 METRICS = ("op_s", "cpu_s", "setup_s", "peak_rss_mb")
-WORKLOADS = ("theorem2", "enumerate-jobs2", "audit")
+SKIPPED = {"__pycache__", ".perfbench_out"}
+
+
+def bench_files(root: Path) -> dict:
+    """The bytes of BENCHMARK.json and of every file under perfbench/, by relative path."""
+    files = [root / "BENCHMARK.json"] + [
+        p for p in sorted((root / "perfbench").rglob("*"))
+        if p.is_file() and not SKIPPED & set(p.relative_to(root).parts)]
+    return {str(p.relative_to(root)): p.read_bytes() for p in files}
+
+
+def git(root: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True,
+                          check=True).stdout.strip()
 
 
 def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -88,31 +101,34 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--seeds", type=seeds_arg, required=True, help="FIRST-LAST")
-    ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
-    ap.add_argument("--parent-sha", default="")
-    ap.add_argument("--change-text", default="")
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    workloads = args.workloads.split(",")
-    secs = f"{args.seconds:g}"
+    parent_files, change_files = (bench_files(root) for root in sides.values())
+    if parent_files != change_files:
+        differ = sorted(p for p in parent_files.keys() | change_files.keys()
+                        if parent_files.get(p) != change_files.get(p))
+        sys.exit(f"error: the checkouts differ in {', '.join(differ)}")
+    spec = json.loads(change_files["BENCHMARK.json"])
+    workloads, seconds = [w["name"] for w in spec["workloads"]], spec["run_seconds"]
     bench = {
         "what": "Parent and change medians and quartiles of the end-to-end metrics of "
                 "perfbench/run.py, from the last JSON line of each run, over "
                 f"{len(args.seeds)} alternating pairs per workload (odd pairs run the parent "
-                "first, even pairs the change); both sides ran the same perfbench files and "
-                "settings, each from its own checkout.",
+                "first, even pairs the change); each side ran from its own checkout, whose "
+                "perfbench/ and BENCHMARK.json were checked to be byte-identical first.",
         "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
-                   f"--seconds {secs} --trace 0",
-        "parent_sha": args.parent_sha, "change": args.change_text, "machine": machine(),
-        "workloads": {w: pairs(sides, w, args.seeds, args.seconds) for w in workloads},
+                   f"--seconds {seconds} --trace 0",
+        "parent_sha": git(sides["parent"], "rev-parse", "HEAD"),
+        "change": git(sides["change"], "log", "-1", "--format=%H %s"),
+        "machine": machine(),
+        "workloads": {w: pairs(sides, w, args.seeds, seconds) for w in workloads},
     }
     seed = args.seeds[0]
-    traced = {w: {s: run(root, w, seed, args.seconds, 1)["metrics"] for s, root in sides.items()}
+    traced = {w: {s: run(root, w, seed, seconds, 1)["metrics"] for s, root in sides.items()}
               for w in workloads}
     bench["traced_runs"] = {
         "what": f"One traced run per side for each --workload value (python3 perfbench/run.py "
-                f"--workload <workload> --seed {seed} --seconds {secs} --trace 1), parent "
+                f"--workload <workload> --seed {seed} --seconds {seconds} --trace 1), parent "
                 "first; a traced run traces the same operations whatever its --workload, so "
                 "the pairs are samples of one measurement. Single runs, noise not measured.",
         "workloads": {w: {name: {s: round(traced[w][s][name]["value"], 4) for s in sides}

@@ -611,8 +611,8 @@ def eta_scan_end(t: int, p_values, theta_ratio, c2_values=(1, 2), c3_ratio_cap=N
 
 
 def eta_exclusion_cap(t: int, p_values, theta_ratio: Fraction, c2_values=(1, 2),
-                      c3_ratio_cap: Fraction | None = None, k_lo: int = 3):
-    """Largest k >= k_lo where sum_{i<=t} p_i u_i >= 0 for some theta in
+                      c3_ratio_cap: Fraction | None = None):
+    """Largest k >= 3 where sum_{i<=t} p_i u_i >= 0 for some theta in
     (-k, ratio*k], c_1 = 1, c_2 in c2_values and (t = 4) integral c_3 in
     [c_2, c3_ratio_cap*k] (below k without a cap); None if there is none.
 
@@ -621,7 +621,7 @@ def eta_exclusion_cap(t: int, p_values, theta_ratio: Fraction, c2_values=(1, 2),
     a Moebius function of c_3 with its pole at k, so the best c_3 is an
     endpoint at every theta.  eta_feasible decides each k exactly.  It is
     not monotone below the cap (floor(c3_cap * k) jumps with k), so every k
-    in [k_lo, K_0] is tried, and none past K_0 = eta_scan_end is feasible:
+    in [3, K_0] is tried, and none past K_0 = eta_scan_end is feasible:
     for ratio = P/Q, each coefficient of G = _cut_poly(F, k, Pk, Q), G(0) =
     Q^n F(cut) among them, has degree <= n = t in k and c_3, as F's theta^j
     coefficient has degree <= n - j.  On each class k = bm + r, r = 1..b (b
@@ -632,7 +632,7 @@ def eta_exclusion_cap(t: int, p_values, theta_ratio: Fraction, c2_values=(1, 2),
     no root x > 0: all its coefficients are negative.
     """
     args = (t, p_values, theta_ratio, c2_values, c3_ratio_cap)
-    return max((k for k in range(k_lo, eta_scan_end(*args) + 1) if eta_feasible(k, *args)),
+    return max((k for k in range(3, eta_scan_end(*args) + 1) if eta_feasible(k, *args)),
                default=None)
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from drgf import oracle
@@ -7,3 +9,14 @@ from drgf import oracle
 def catalog_graphs():
     """All seven witness graphs, built once per session."""
     return {name: oracle.build(name) for name, _arr in oracle.CATALOG}
+
+
+@pytest.fixture(scope="session")
+def poly_eval_frac():
+    """Sign-faithful integer evaluation of sum c_i x^i, scaled by den(x)^deg."""
+    def evaluate(coeffs: list[int], x: Fraction) -> int:
+        acc, qpow = 0, 1
+        for coef in reversed(coeffs):
+            acc, qpow = acc * x.numerator + coef * qpow, qpow * x.denominator
+        return acc
+    return evaluate

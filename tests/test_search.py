@@ -25,7 +25,6 @@ from drgf.search import (DEFAULT_CHECKS, CapDerivationError, SearchSpec,
 from drgf.spectral import (SpectralError, _columns, _jacobi_eigvals, eigenvalues,
                            intersection_matrix, multiplicities_float, sturm_count_leq,
                            theta_min_multiplicity_float, trace_of_l_squared)
-from test_spectral import _poly_eval_frac
 
 
 D4_SPEC = SearchSpec(4, 5, 35, "000+", (1, 2), Fraction(-3, 4))
@@ -759,11 +758,11 @@ def test_eta2_exclusion_caps():
     assert eta_exclusion_cap(3, (1, 2, 2, 2), Fraction(-4, 5), (2,)) == 5
 
 
-def test_eta2_cap_boundary_is_exact():
+def test_eta2_cap_boundary_is_exact(poly_eval_frac):
     # at k = 8, c_2 = 2, theta = -6 the value is exactly zero; float grids
     # would wobble here, the exact path must include it
     F = _eta_poly(8, (1, 2, 2, 2), (1, 2))
-    assert _poly_eval_frac(F, Fraction(-6)) == 0
+    assert poly_eval_frac(F, Fraction(-6)) == 0
     assert eta_feasible(8, 3, (1, 2, 2, 2), Fraction(-3, 4), (2,))
 
 
@@ -842,7 +841,7 @@ def test_interpolate_scales_the_exact_coefficients():
 
 
 def test_eta_caps_try_no_valency_past_their_scan_ends(monkeypatch):
-    # classify_diameter(4) and (5) decide at most K_0 - k_lo + 1 valencies
+    # classify_diameter(4) and (5) decide at most K_0 - 3 + 1 valencies
     # in each of their five eta caps: a fixed scan end would decide hundreds
     calls, ends = [], []
     real_feasible, real_end = search.eta_feasible, search.eta_scan_end
@@ -908,7 +907,7 @@ def test_eta_c3_endpoints_match_every_c3(p_values, c3_cap):
         assert eta_feasible(k, 4, p_values, ratio, (1, 2), c3_cap) == brute, k
 
 
-def test_eta_cap_sees_a_peak_between_grid_nodes():
+def test_eta_cap_sees_a_peak_between_grid_nodes(poly_eval_frac):
     # F = 90 p_0 + 9 p_1 theta + p_2 (theta^2 - 10) on (-10, -15/2] is
     # negative at both ends and at every node of a 32-point grid, and
     # positive only near theta = -369/46, between two adjacent nodes
@@ -917,9 +916,9 @@ def test_eta_cap_sees_a_peak_between_grid_nodes():
     assert F == [90 * -19 + 10 * 23, 9 * -41, -23]
     cut = ratio * k
     nodes = [cut + (-k - cut) * Fraction(i, 32) for i in range(33)]
-    assert all(_poly_eval_frac(F, th) < 0 for th in nodes)
+    assert all(poly_eval_frac(F, th) < 0 for th in nodes)
     peak = Fraction(-369, 46)
-    assert nodes[7] < peak < nodes[6] and _poly_eval_frac(F, peak) > 0
+    assert nodes[7] < peak < nodes[6] and poly_eval_frac(F, peak) > 0
     assert eta_feasible(k, 2, p, ratio, (1,))
 
 

@@ -25,14 +25,6 @@ CORPUS = ["{2;1}", "{2,1;1,1}", "{3,2;1,1}", "{2,1,1,1;1,1,1,1}",
           "{4,3,3;1,1,3}", "{5,4,4,3;1,1,2,3}"]
 
 
-def _poly_eval_frac(coeffs: list[int], x: Fraction) -> int:
-    """Sign-faithful integer evaluation of sum c_i x^i, scaled by den(x)^deg."""
-    acc, qpow = 0, 1
-    for coef in reversed(coeffs):
-        acc, qpow = acc * x.numerator + coef * qpow, qpow * x.denominator
-    return acc
-
-
 def test_intersection_matrix_9_gon():
     L = intersection_matrix(parse_array("{2,1,1,1;1,1,1,1}"))
     assert L.shape == (5, 5)
@@ -564,7 +556,7 @@ NEAR_DEGENERATE = [f"{{{k},1,1,1,1;1,1,1,1,{k}}}" for k in (10**4, 10**6)] + [
 
 
 @pytest.mark.parametrize("text", NEAR_DEGENERATE)
-def test_near_degenerate_spectra(monkeypatch, text):
+def test_near_degenerate_spectra(monkeypatch, text, poly_eval_frac):
     # two eigenvalues within 2e-12 of each other (k = 10^4) or closer: the
     # float cuts cannot split them, the exact halving must.  A Sturm count
     # evaluates every minor at one point, and each halving adds one point,
@@ -581,7 +573,7 @@ def test_near_degenerate_spectra(monkeypatch, text):
         assert hi_next <= lo  # disjoint, decreasing; a shared end is no root
     for theta, (lo, hi) in zip(sp.thetas, sp.enclosures):
         if isinstance(theta, int):
-            assert lo == hi == theta and _poly_eval_frac(charpoly(arr), lo) == 0
+            assert lo == hi == theta and poly_eval_frac(charpoly(arr), lo) == 0
         else:
             assert sturm_count_leq(arr, hi) - sturm_count_leq(arr, lo) == 1
     assert full_report(arr).overall == FAIL
@@ -645,7 +637,7 @@ def _biggs_oracle(arr, dps=120):
 
 @pytest.mark.parametrize("e", [32, 48, 56, 64])
 @pytest.mark.parametrize("shape", [0, 1], ids=["D5", "D7"])
-def test_large_k_eigenvalues_certify(e, shape):
+def test_large_k_eigenvalues_certify(e, shape, poly_eval_frac):
     # Newton on the minor recurrence: on the expanded charpoly, cancellation
     # among coefficients of size k^(D+1) left the refined root outside its
     # certificate from k = 2^32 on.  Each theta lies in its own enclosure:
@@ -656,7 +648,7 @@ def test_large_k_eigenvalues_certify(e, shape):
     assert len(thetas) == len(enclosures) == arr.D + 1 and thetas[0] == arr.k
     for theta, (lo, hi) in zip(thetas, enclosures):
         if isinstance(theta, int):
-            assert lo == hi == theta and _poly_eval_frac(charpoly(arr), lo) == 0
+            assert lo == hi == theta and poly_eval_frac(charpoly(arr), lo) == 0
         else:
             assert 0 < hi - lo <= Fraction(1, 2**48)
             assert sturm_count_leq(arr, hi) - sturm_count_leq(arr, lo) == 1
@@ -696,7 +688,7 @@ def test_large_k_near_coincident_multiplicities_never_pass(e, shape):
 
 
 @pytest.mark.parametrize("arr", SEEDED, ids=str)
-def test_minors_at_matches_minor_polys(arr):
+def test_minors_at_matches_minor_polys(arr, poly_eval_frac):
     # the value kernel against the coefficient lists, every minor and its
     # derivative at seeded rationals p/q, both scaled by q^i exactly
     rng = random.Random(str(arr))
@@ -708,8 +700,8 @@ def test_minors_at_matches_minor_polys(arr):
         assert len(got) == len(minors) == arr.D + 2
         for (value, slope), P in zip(got, minors):
             dP = [i * c for i, c in enumerate(P)][1:]
-            assert value == _poly_eval_frac(P, x)
-            assert slope == _poly_eval_frac(dP, x)
+            assert value == poly_eval_frac(P, x)
+            assert slope == poly_eval_frac(dP, x)
 
 
 def _u_sum_multiplicity(arr, theta):
