@@ -9,7 +9,9 @@ perfbench/ and BENCHMARK.json; the workloads and the run length are those
 of BENCHMARK.json.  For each workload, pair i runs the seed at position i on
 both sides, the parent first in odd pairs and the change first in even ones.
 Every end-to-end metric is summarised by each side's median and inclusive
-quartiles and by the number of pairs in which the change read lower.  Then
+quartiles and by the number of pairs in which the change read lower, with
+two verdicts (see verdict): whether the change shows a gain, and whether its
+median is past the metric's regression bound in BENCHMARK.json.  Then
 one traced run per side (parent first) is made for each workload, with the
 first seed.  Runs are sequential: nothing else of this script runs while one
 is timed.
@@ -26,7 +28,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-METRICS = ("op_s", "cpu_s", "setup_s", "peak_rss_mb")
 SKIPPED = {"__pycache__", ".perfbench_out"}
 
 
@@ -57,6 +58,25 @@ def summary(values: list[float]) -> dict:
             "iqr": round(q3 - q1, 4)}
 
 
+def verdict(parent: list[float], change: list[float], metric: dict) -> dict:
+    """The gain rule and the regression bound for one metric of BENCHMARK.json,
+    every one of which is better lower.
+
+    A gain needs the change to read lower in at least nine tenths of the
+    pairs, a tie counting for neither side, and the medians to differ by more
+    than the parent's interquartile range.  past_bound says whether the
+    change's median exceeds the parent's times 1 + metric["bound"].
+    """
+    lower = sum(c < p for p, c in zip(parent, change))
+    p, c = summary(parent), summary(change)
+    gap = round(p["median"] - c["median"], 4)
+    return {"change_lower_in_pairs": f"{lower}/{len(parent)}",
+            "median_gap": gap, "parent_iqr": p["iqr"],
+            "gain": lower >= 0.9 * len(parent) and gap > p["iqr"],
+            "bound": metric["bound"],
+            "past_bound": c["median"] > p["median"] * (1 + metric["bound"])}
+
+
 def seeds_arg(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -73,7 +93,8 @@ def machine() -> dict:
             "mpmath": mpmath.__version__, "platform": platform.platform()}
 
 
-def pairs(sides: dict, workload: str, seeds: list[int], seconds: float) -> dict:
+def pairs(sides: dict, workload: str, seeds: list[int], seconds: float,
+          metrics: list[dict]) -> dict:
     runs = {side: [] for side in sides}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -85,12 +106,12 @@ def pairs(sides: dict, workload: str, seeds: list[int], seconds: float) -> dict:
            "correct": all(r["correct"] for rs in runs.values() for r in rs),
            "failed": {s: sum(r["failed"] for r in rs) for s, rs in runs.items()},
            "attempted": {s: sum(r["attempted"] for r in rs) for s, rs in runs.items()}}
-    for name in METRICS:
+    for metric in metrics:
+        name = metric["name"]
         values = {s: [round(r["metrics"][name]["value"], 4) for r in rs] for s, rs in runs.items()}
-        lower = sum(c < p for p, c in zip(values["parent"], values["change"]))
         out[name] = {"unit": runs["parent"][0]["metrics"][name]["unit"],
                      "parent": summary(values["parent"]), "change": summary(values["change"]),
-                     "change_lower_in_pairs": f"{lower}/{len(seeds)}",
+                     **verdict(values["parent"], values["change"], metric),
                      "parent_runs": values["parent"], "change_runs": values["change"]}
     return out
 
@@ -115,13 +136,17 @@ def main(argv=None) -> int:
                 "perfbench/run.py, from the last JSON line of each run, over "
                 f"{len(args.seeds)} alternating pairs per workload (odd pairs run the parent "
                 "first, even pairs the change); each side ran from its own checkout, whose "
-                "perfbench/ and BENCHMARK.json were checked to be byte-identical first.",
+                "perfbench/ and BENCHMARK.json were checked to be byte-identical first. "
+                "gain: lower in at least 9/10 of the pairs (ties count for neither side) and a "
+                "median gap above the parent's IQR; past_bound: the change's median above the "
+                "parent's times 1 + the BENCHMARK.json bound.",
         "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
                    f"--seconds {seconds} --trace 0",
         "parent_sha": git(sides["parent"], "rev-parse", "HEAD"),
         "change": git(sides["change"], "log", "-1", "--format=%H %s"),
         "machine": machine(),
-        "workloads": {w: pairs(sides, w, args.seeds, seconds) for w in workloads},
+        "workloads": {w: pairs(sides, w, args.seeds, seconds, spec["end_to_end"])
+                      for w in workloads},
     }
     seed = args.seeds[0]
     traced = {w: {s: run(root, w, seed, seconds, 1)["metrics"] for s, root in sides.items()}

@@ -53,17 +53,24 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        seen = set()
         for u, v in self.edges:
             if u == v:
                 raise OracleError(f"loop at {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise OracleError(f"edge ({u},{v}) out of range")
+            if (key := (u, v) if u < v else (v, u)) in seen:
+                raise OracleError(f"edge ({u},{v}) repeats")
+            seen.add(key)
+
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
 
     @cached_property
     def adjacency(self) -> np.ndarray:
         A = np.zeros((self.n, self.n), dtype=np.float64)
-        for u, v in self.edges:
-            A[u, v] = A[v, u] = 1.0
+        u, v = self._ends()
+        A[u, v] = A[v, u] = 1.0
         return A
 
     @cached_property
@@ -71,13 +78,13 @@ class Graph:
         """BFS from every vertex at once, one distance layer at a time.
 
         L_i is the 0/1 matrix of pairs at distance i and N_i = L_i A, so
-        N_i[x, y] = #{z ~ y : d(x, z) = i}; L_{i+1} is N_i > 0 less L_i and
-        L_{i-1}.  On layer i, c_i is read off N_{i-1} and b_i off N_{i+1}
+        N_i[x, y] = #{z ~ y : d(x, z) = i}; L_{i+1} is N_i > 0 less the pairs
+        reached.  On layer i, c_i is read off N_{i-1} and b_i off N_{i+1}
         [BCN 4.1]; the witness is the first layer i, c before b, then the
         lexicographically least (x, y) whose count differs from the count at
         the layer's least pair.  An edge inside layer r (L_r o N_r != 0)
         closes an odd walk of length 2r + 1, so the least such r gives the
-        odd girth.  Only layers i-1..i+1 and their products are held.
+        odd girth.  Only L_i, L_{i+1}, the pairs reached and N_{i-1..i+1} are held.
 
         The pass holds A L_i = N_i^T, the C-ordered product.  Where it reads
         a count, every earlier check has passed, so L_{i-1} and, for b_i,
@@ -85,34 +92,42 @@ class Graph:
         with it; hence c(x, y) = (L_{i-1} A)[x, y] and b(x, y) = k -
         (L_i A)[x, y] - (L_{i-1} A)[x, y] are symmetric on layer i, where
         N_i^T therefore reads as N_i.
+
+        A count N_i[x, y] is at most deg y, so A and the products use the
+        narrowest unsigned dtype holding the largest degree (one byte for
+        every witness graph).  Counts are read by masked whole-matrix
+        reductions in C order: argmax of L_i is the layer's least pair, and
+        argmax of (N != its count) & L_i the first pair that differs.
         """
         import scipy.sparse  # here, so only the graph oracles load scipy
         n = self.n
-        u, v = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        u, v = self._ends()
+        dtype = np.min_scalar_type(int(np.bincount(np.r_[u, v], minlength=n).max(initial=0)))
         A = scipy.sparse.csr_array(
-            (np.ones(2 * len(u), np.int32), (np.r_[u, v], np.r_[v, u])), shape=(n, n))
-        prev, cur = np.zeros((n, n), dtype=bool), np.eye(n, dtype=bool)
-        nt_prev, nt_cur = None, A @ cur
-        b, c, witness, odd_girth, seen = [], [], None, BIPARTITE, n
+            (np.ones(2 * len(u), dtype), (np.r_[u, v], np.r_[v, u])), shape=(n, n))
+        cur = np.eye(n, dtype=bool)
+        reached, nt_prev, nt_cur = cur.copy(), None, A @ cur.view(np.uint8)
+        b, c, witness, odd_girth = [], [], None, BIPARTITE
         for i in count():
-            if odd_girth == BIPARTITE and nt_cur[cur].any():
+            if odd_girth == BIPARTITE and np.logical_and(nt_cur, cur).any():
                 odd_girth = 2 * i + 1
-            nxt = (nt_cur > 0) & ~cur & ~prev
-            nt_next = A @ nxt if nxt.any() else None
+            nxt = (nt_cur != 0) & ~reached
+            nt_next = A @ nxt.view(np.uint8) if nxt.any() else None
             for nt, store in ((nt_prev, c), (nt_next, b)):
                 if witness is not None or nt is None:
                     continue
-                vals = nt[cur]  # in lexicographic (x, y) order
-                bad = np.flatnonzero(vals != vals[0])
-                if bad.size:
-                    x, y = divmod(int(np.flatnonzero(cur)[bad[0]]), n)
-                    witness = (x, y, i)
+                v0 = nt.flat[np.argmax(cur)]  # the count at the layer's least pair
+                differ = nt != v0
+                differ &= cur
+                bad = int(np.argmax(differ))
+                if differ.flat[bad]:
+                    witness = (*divmod(bad, n), i)
                 else:
-                    store.append(int(vals[0]))
+                    store.append(int(v0))
             if nt_next is None:
-                return BFS(seen == n * n, tuple(b), tuple(c), witness, odd_girth)
-            seen += int(np.count_nonzero(nxt))
-            prev, cur, nt_prev, nt_cur = cur, nxt, nt_cur, nt_next
+                return BFS(bool(reached.all()), tuple(b), tuple(c), witness, odd_girth)
+            reached |= nxt
+            cur, nt_prev, nt_cur = nxt, nt_cur, nt_next
 
     def edge_list_text(self) -> str:
         """One 'u v' pair per line, 0-indexed, sorted."""
@@ -131,7 +146,7 @@ def _connected_bfs(g: Graph) -> BFS:
 
 
 def _graph(name, n, edges) -> Graph:
-    g = Graph(name, n, tuple(sorted((min(u, v), max(u, v)) for u, v in edges)))
+    g = Graph(name, n, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges)))
     _connected_bfs(g)
     return g
 
@@ -146,17 +161,13 @@ def odd_graph(m: int) -> Graph:
     """Kneser graph on (m-1)-subsets of a (2m-1)-set, adjacency = disjointness."""
     if m < 2:
         raise OracleError("odd_graph needs m >= 2")
-    masks = [sum(1 << x for x in t) for t in combinations(range(2 * m - 1), m - 1)]
-    index = {mask: i for i, mask in enumerate(masks)}
-    full = (1 << (2 * m - 1)) - 1
+    masks = np.array([sum(1 << x for x in t) for t in combinations(range(2 * m - 1), m - 1)])
+    order, bits = np.argsort(masks), 1 << np.arange(2 * m - 1)
     # the subsets disjoint from a vertex are its m-set complement less one point
-    edges = []
-    for i, mask in enumerate(masks):
-        rest = full ^ mask
-        for x in range(2 * m - 1):
-            if rest >> x & 1 and i < (j := index[rest ^ (1 << x)]):
-                edges.append((i, j))
-    return _graph(f"odd_graph:{m}", len(masks), edges)
+    rest = masks[:, None] ^ ((1 << (2 * m - 1)) - 1)
+    i, x = np.nonzero(rest & bits)
+    j = order[np.searchsorted(masks[order], rest[i, 0] ^ bits[x])]
+    return _graph(f"odd_graph:{m}", len(masks), np.c_[i, j][i < j].tolist())
 
 
 def folded_cube(n: int) -> Graph:
@@ -164,18 +175,11 @@ def folded_cube(n: int) -> Graph:
     if n < 3 or n % 2 == 0:
         raise OracleError("folded_cube needs odd n >= 3")
     half = 1 << (n - 1)  # representatives: words with top bit 0
-    full = (1 << n) - 1
-
-    def rep(w: int) -> int:
-        return w if w < half else w ^ full
-
-    edges = set()
-    for w in range(half):
-        for bit in range(n):
-            x = rep(w ^ (1 << bit))
-            if x != w:
-                edges.add((min(w, x), max(w, x)))
-    return _graph(f"folded_cube:{n}", half, sorted(edges))
+    w = np.arange(half)[:, None]
+    x = w ^ (1 << np.arange(n))
+    x = np.where(x < half, x, x ^ ((1 << n) - 1))  # fold onto the antipodal word
+    w, bit = np.nonzero(w < x)
+    return _graph(f"folded_cube:{n}", half, np.c_[w, x[w, bit]].tolist())
 
 
 def coxeter() -> Graph:

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -52,6 +54,24 @@ def test_disconnected_graph_raises():
     with pytest.raises(oracle.OracleError, match="not connected"):
         oracle.odd_girth_bruteforce(two)
 
+
+@pytest.mark.parametrize("edges, bad", [
+    (((0, 1), (1, 2), (0, 2), (2, 0)), "(2,0)"),  # a triangle, K3, one edge twice
+    (((0, 1), (0, 1)), "(0,1)"),                   # K2 given twice
+    (((0, 1), (1, 0)), "(1,0)"),                   # the same edge reversed
+])
+def test_graph_rejects_repeated_edge(edges, bad):
+    with pytest.raises(oracle.OracleError, match=re.escape(f"edge {bad} repeats")):
+        oracle.Graph("repeat", 3, edges)
+
+
+def test_graph_reports_first_bad_edge_in_order():
+    with pytest.raises(oracle.OracleError, match="loop at 2"):
+        oracle.Graph("g", 3, ((0, 1), (2, 2), (1, 0)))
+    with pytest.raises(oracle.OracleError, match="out of range"):
+        oracle.Graph("g", 3, ((0, 1), (1, 3), (0, 1)))
+    with pytest.raises(oracle.OracleError, match="repeats"):
+        oracle.Graph("g", 3, ((0, 1), (1, 0), (2, 2)))
 
 def _reference_bfs(n, edges):
     """Per-root BFS in plain Python: (b, c, witness, odd girth), with the
@@ -125,6 +145,42 @@ def test_bfs_matches_plain_python_reference():
         assert oracle.odd_girth_bruteforce(g) == odd_girth, g
 
 
+
+@pytest.mark.parametrize("chord", [False, True])
+@pytest.mark.parametrize("leaves", [255, 256])
+def test_bfs_on_stars_either_side_of_the_one_byte_counts(leaves, chord):
+    """K_{1,255} has one-byte counts and K_{1,256} two-byte ones; a leaf-leaf
+    chord makes odd girth 3."""
+    edges = tuple((0, y) for y in range(1, leaves + 1)) + ((1, 2),) * chord
+    g = oracle.Graph(f"star:{leaves}", leaves + 1, edges)
+    b, c, witness, odd_girth = _reference_bfs(g.n, g.edges)
+    assert witness is not None and odd_girth == (3 if chord else oracle.BIPARTITE)
+    assert oracle.verify_distance_regular(g) == (None, witness)
+    assert oracle.odd_girth_bruteforce(g) == odd_girth
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_bfs_counts_do_not_wrap_on_complete_graphs(n):
+    """b_0 = n - 1 is read whole either side of the one-byte limit."""
+    g = oracle.Graph(f"K{n}", n, tuple(combinations(range(n), 2)))
+    arr, witness = oracle.verify_distance_regular(g)
+    assert witness is None and (arr.b, arr.c) == ((n - 1,), (1,))
+    assert oracle.odd_girth_bruteforce(g) == 3
+
+
+def test_bfs_peak_memory_on_folded_cube_11(catalog_graphs):
+    """One-byte products and masked reads keep the pass under 10 MB; int32
+    products or gathered counts read about 20 MB."""
+    g = catalog_graphs["folded_cube:11"]
+    fresh = oracle.Graph(g.name, g.n, g.edges)
+    tracemalloc.start()
+    try:
+        fresh.bfs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
+
 def test_verify_matches_networkx(catalog_graphs):
     nx = pytest.importorskip("networkx")
     graphs = list(catalog_graphs.values()) + _random_connected_graphs(200, seed=41)
@@ -163,6 +219,16 @@ def test_odd_graph_edges_match_pairwise_disjointness():
         g = oracle.odd_graph(m)
         assert g.n == len(verts) and set(g.edges) == pairwise, m
 
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+def test_folded_cube_edges_match_definition(n):
+    """Words below 2^(n-1) stand for antipodal pairs, adjacent when they or
+    their complements differ in one bit."""
+    half = 1 << (n - 1)
+    want = [(w, x) for w in range(half) for x in range(w + 1, half)
+            if (w ^ x).bit_count() in (1, n - 1)]
+    assert oracle.folded_cube(n).edges == tuple(want)
 
 def test_odd_girth_bruteforce(catalog_graphs):
     assert oracle.odd_girth_bruteforce(catalog_graphs["odd_graph:6"]) == 11
