@@ -8,22 +8,23 @@ subtrees as soon as a prefix is doomed:
 * a_1 >= 1 cannot meet theta_min <= ratio*k when ratio < -1/2;
 * c_2 above the closed-form bound (2k - 2*theta)/(4 - 3*theta - k), evaluated
   at theta = ratio*k where the bound is largest, is impossible;
-* k_i = k_{i-1} b_{i-1} / c_i must stay integral: from level 3 on the walk
-  takes only the c_i that divide k_{i-1} b_{i-1}.
+* k_i = k_{i-1} b_{i-1} / c_i must stay integral.
 
-Pruned subtrees are counted exactly (memoised completion counts), so the
-statistics cover the full search space at array granularity.  The walk
-carries tr(L^2) and the Sturm minors of L at the cut ratio*k down the tree
-in integers and stops at the leaf-parents.  At a leaf a_D = k - c_D, so
-tr(L^2) is quadratic and the last minor affine in c_D: one integer numpy
-pass per valency expands every leaf and decides the level-D prunings, the
-trace identity (k^2 + (ratio*k)^2 <= tr(L^2)) and the exact Sturm count
-(theta_min <= ratio*k) for all of them at once.  The rows it keeps, one int
-matrix per valency, wait across consecutive valencies until about
-_SCREEN_ROWS of them go through one batched float screen of the Biggs
-multiplicities (see _screen and _walk_group), which decides at theta_min
-first and sends to eigvalsh only the rows it leaves undecided or
-integral-looking there; each row's verdict is its own, whatever its batch.
+The walk takes one numpy pass per level: np.repeat expands every live prefix
+into its options, in walk order, and the level's prunings kill options as
+masks.  Each kill counts every array below the option, from a table of
+completion counts built once per valency, so the statistics cover the full
+search space at array granularity.  tr(L^2), k_i and the Sturm minors of L
+at the cut ratio*k advance by one recurrence step per level, the leaf
+(a_D = k - c_D) included, where the trace identity (k^2 + (ratio*k)^2 <=
+tr(L^2)) and the exact Sturm count (theta_min <= ratio*k) decide.  It runs
+on int64, or on Python ints where an a-priori bound on the valency's values
+reaches 2^63.  The rows it keeps, one int matrix per valency, wait across
+consecutive valencies until about _SCREEN_ROWS of them go through one
+batched float screen of the Biggs multiplicities (see _screen and
+_walk_group), which decides at theta_min first and sends to eigvalsh only
+the rows it leaves undecided or integral-looking there; each row's verdict
+is its own, whatever its batch.
 Only the rows it keeps become arrays, and each gets one full_report (one
 exact spectrum).  The first check in DEFAULT_CHECKS order that is enabled
 and that the report fails kills the array, so a c2_bound or a1_zero failure
@@ -178,7 +179,9 @@ class PruningStats:
     warnings: list = field(default_factory=list)
 
     def kill(self, name: str, n: int = 1):
-        self.killed[name] = self.killed.get(name, 0) + n
+        """Record n arrays killed by name; a kill of none leaves no entry."""
+        if n:
+            self.killed[name] = self.killed.get(name, 0) + n
 
     def merged_with(self, other: "PruningStats") -> "PruningStats":
         out = PruningStats(self.generated + other.generated, dict(self.killed),
@@ -207,8 +210,7 @@ class ClassificationResult:
 
 
 class _KSpace:
-    """Search tree for one valency; shares the choice logic between the
-    walk and the exact completion counter."""
+    """The search space at one valency, decided one level at a time (see run)."""
 
     def __init__(self, k: int, spec: SearchSpec):
         self.k = k
@@ -222,17 +224,15 @@ class _KSpace:
         self._k_integral, self._trace_cut, self._sturm_cut = (
             name in on for name in ("k_integrality", "trace_vs_ratio", "theta_ratio"))
         # cut = p/q < 0; no cut reads the placeholder -1
-        self._p, self._q = (-1, 1) if cut is None else (cut.numerator, cut.denominator)
-        self._trace_lhs = (k * self._q) ** 2 + self._p ** 2
-        # completion counts; a dict keeps no reference cycle alive past run()
-        self._memo: dict = {}
-        # the leaf space: c_D <= k (c_1 = 1 at D = 1), in the c_2 set at D = 2,
-        # a_D = k - c_D zero exactly at k; a leaf-parent has the c_D >= c_{D-1}
-        top, kind = (k if spec.D > 1 else 1), spec.a_pattern[-1]
-        self._leaf_ok = np.array([c <= top and (spec.D != 2 or c in spec.c2_set)
-                                  and (kind == FREE or (kind == ZERO) == (c == k))
-                                  for c in range(k + 1)])
-        self._leaf_count = np.cumsum(self._leaf_ok[::-1])[::-1].tolist()
+        self._p, self._q = p, q = (-1, 1) if cut is None else (cut.numerator, cut.denominator)
+        self._trace_lhs = (k * q) ** 2 + p ** 2
+        # run computes nothing larger: |phi_l| <= (|p| + kq)^l, as every leading
+        # block of L has its eigenvalues in [-k, k]; tr q^2 <= 3 (D + 1) k^2 q^2;
+        # k_l <= k^l; and a completion count <= C(k + D, D)^2 (monotone c and b)
+        D = spec.D
+        big = max((abs(p) + k * q) ** (D + 1), 3 * (D + 1) * (k * q) ** 2,
+                  math.comb(k + D, D) ** 2)
+        self.dtype = np.int64 if big < 2 ** 63 else object  # object: Python ints, exact
 
     def _closed_form_c2_cap(self):
         if ("c2_bound" not in self.spec.checks or self.ratio_cut is None
@@ -244,133 +244,88 @@ class _KSpace:
         bound = c2_upper_bound(k, self.ratio_cut)
         return bound.numerator // bound.denominator
 
-    def choices(self, level: int, c_prev: int, b_prev: int, divides: int | None = None):
-        """(c, a, b) options at an inner level (below D), before pruning
-        checks; given divides, only those whose c divides it."""
-        k = self.k
-        kind = self.spec.a_pattern[level - 1]
-        cs = (1,) if level == 1 else range(c_prev, k)
-        if level == 2:
-            cs = [c for c in cs if c in self.spec.c2_set]
-        if divides is not None:
-            cs = [c for c in cs if divides % c == 0]
-        # b = k - c - a stays in [1, b_prev]
-        if kind == ZERO:
-            return [(c, 0, k - c) for c in cs if k - c <= b_prev]
-        a_min = int(kind == NONZERO)
-        return [(c, a, k - c - a) for c in cs for a in range(max(a_min, k - c - b_prev), k - c)]
+    def _options(self, level: int):
+        """The options (c, b) of a level before the prunings, a = k - c - b,
+        in walk order: c increasing, then a increasing (b decreasing).  A
+        prefix that ends in c', b' takes those with c >= c' and b <= b'."""
+        k, kind = self.k, self.spec.a_pattern[level - 1]
+        c, b = np.arange(1, k + 1)[:, None], np.arange(k, -1, -1)
+        a = k - c - b
+        ok = ((a == 0) if kind == ZERO else (a >= (kind == NONZERO))) & (
+            (b == 0) if level == self.spec.D else (b >= 1))
+        if level <= 2:
+            ok &= np.any([c == x for x in ((1,) if level == 1 else self.spec.c2_set)], axis=0)
+        i, j = np.nonzero(ok)
+        return c[i, 0], b[j]
 
-    def _count(self, level: int, c_prev: int, b_prev: int) -> int:
-        """The arrays below a node, memoised; a leaf-parent's from the table."""
-        if level == self.spec.D:
-            return self._leaf_count[c_prev]
-        key = (level, c_prev, b_prev)
-        if key not in self._memo:
-            self._memo[key] = sum(self._count(level + 1, c, b)
-                                  for c, _a, b in self.choices(level, c_prev, b_prev))
-        return self._memo[key]
+    def _completions(self, levels: list) -> list:
+        """counts[l][c, b]: the arrays below a prefix of l - 1 levels that ends
+        in c_{l-1} = c, b_{l-1} = b (c_0 = 1, b_0 = k), before any pruning."""
+        counts = [np.ones((self.k + 1, self.k + 1), self.dtype)]  # past the leaf
+        for c, b in reversed(levels):
+            w = np.zeros_like(counts[0])
+            w[c, b] = counts[0][c, b]
+            counts.insert(0, w[::-1].cumsum(0)[::-1].cumsum(1))  # c >= c', b <= b'
+        return [None] + counts
 
     def run(self) -> tuple[np.ndarray, PruningStats]:
-        """The leaf rows at this valency that the walk and the leaf pass
-        keep, as one (n, 2D) int matrix in walk order (see _decide_leaves),
-        and the stats of their kills; the float screen comes after."""
-        self.stats = stats = PruningStats()
-        parents: list = []  # the minors start at phi_0 = 1, phi_1 = p < 0: one change
-        self._walk(1, 1, self.k, (self.k,), (), 1, 0, 1, self._p, -1, 1, parents)
-        rows = self._decide_leaves(parents)
-        stats.generated = self._count(1, 1, self.k)
-        return rows, stats
+        """The leaf rows at this valency that the prunings keep, as one (n, 2D)
+        int matrix of b_0..b_{D-1}, c_1..c_D in walk order, and the stats of
+        their kills; the float screen comes after.
 
-    def _walk(self, level, c_prev, b_prev, bs, cs, k_here, tr, phi_prev, phi, sign,
-              changes, parents):
-        """Append to parents the state of each leaf-parent below this node
-        that the prefix prunings leave.  Carried from the prefix: k_here =
-        k_{level-1}, tr = sum a_i^2 + 2 sum b_{i-1} c_i so far, the Sturm
-        minors phi_{level-1} and phi_level at cut = p/q (times q^level),
-        their last nonzero sign and the number of sign changes."""
-        if level == self.spec.D:  # b_0..b_{D-1}, c_1..c_{D-1}, then the state
-            parents.append(bs + cs + (k_here * b_prev, tr, phi_prev, phi, sign, changes))
-            return
-        k, p, q = self.k, self._p, self._q
-        if level >= 3 and self._k_integral:
-            # keep the c that divide k_{l-1} b_{l-1}; the other subtrees are one kill
-            options = self.choices(level, c_prev, b_prev, k_here * b_prev)
-            lost = self._count(level, c_prev, b_prev) - sum(
-                self._count(level + 1, c, b) for c, _a, b in options)
-            if lost:
-                self.stats.kill("k_integrality", lost)
-        else:
-            options = []
-            for c, a, b in self.choices(level, c_prev, b_prev):
-                if level == 1 and self._a1_prune and a != 0:
-                    killed = "a1_zero"
-                elif level == 2 and self._c2_cap is not None and c > self._c2_cap:
-                    killed = "c2_bound"
-                elif level == 2 and self._k_integral and (k * b_prev) % c != 0:
-                    killed = "k_integrality"  # k_2 = k b_1 / c_2
-                else:
-                    options.append((c, a, b))
-                    continue
-                self.stats.kill(killed, self._count(level + 1, c, b))
-        for c, a, b in options:
+        Level by level, np.repeat expands every live prefix into its options
+        in walk order, and the level's checks kill options as masks, in
+        DEFAULT_CHECKS order, each kill weighted by the arrays below the
+        option.  tr(L^2), k_l b_l and the Sturm minors at the cut advance by
+        one step for the options kept; at the leaf the trace and Sturm cuts
+        apply to them."""
+        k, D, p, q, dt = self.k, self.spec.D, self._p, self._q, self.dtype
+        levels = [self._options(level) for level in range(1, D + 1)]
+        counts = self._completions(levels)
+        stats = PruningStats(generated=int(counts[1][1, k]))
+        # per live prefix of l - 1 levels: its b_0.., c_0 = 1, c_1.., then
+        # k_{l-1} b_{l-1}, tr = sum a_i^2 + 2 sum b_{i-1} c_i so far, the minors
+        # phi_{l-1} and phi_l at cut = p/q (times q^l), and whether phi_0..phi_l
+        # alternate in sign with none zero, as phi_0 = 1 and phi_1 = p < 0 do
+        bs, cs = [np.array([k])], [np.array([1])]
+        kb, tr, f0, f1 = (np.array([x], dt) for x in (k, 0, 1, p))
+        alternate = np.array([True])
+
+        def drop(name, fails):  # each live option that fails, with the arrays below it
+            fails &= ok
+            stats.kill(name, int(below[c[fails], b[fails]].sum()))
+            ok[fails] = False
+
+        for level, (c_opt, b_opt) in enumerate(levels, 1):
+            # a prefix takes the options from its first c >= c_{l-1} on
+            start = np.searchsorted(c_opt, cs[-1])
+            n = len(c_opt) - start
+            at = np.repeat(np.arange(len(n)), n)
+            opt = start[at] + np.arange(len(at)) - (np.cumsum(n) - n)[at]
+            c, b = c_opt[opt], b_opt[opt]
+            below, ok = counts[level + 1], b <= bs[-1][at]  # b_l <= b_{l-1}
+            if level == 1 and self._a1_prune:
+                drop("a1_zero", c + b != k)  # a_1 != 0
+            if level == 2 and self._c2_cap is not None:
+                drop("c2_bound", c > self._c2_cap)
+            if level >= 2 and self._k_integral:  # k_l = k_{l-1} b_{l-1} / c_l
+                drop("k_integrality", kb[at] % c.astype(dt) != 0)
+            at, c, b = at[ok], c[ok], b[ok]
+            # Python ints on the object path, so that no product wraps
+            a_l, b_l, c_l, b_prev = (x.astype(dt, copy=False)
+                                     for x in (k - c - b, b, c, bs[-1][at]))
             # phi_{l+1} = (p - a_l q) phi_l - b_{l-1} c_l q^2 phi_{l-1}
-            phi_next = (p - a * q) * phi - b_prev * c * q * q * phi_prev
-            self._walk(level + 1, c, b, bs + (b,), cs + (c,), k_here * b_prev // c,
-                       tr + a * a + 2 * b_prev * c, phi, phi_next,
-                       sign if phi_next == 0 else (1 if phi_next > 0 else -1),
-                       changes + (phi_next * sign < 0), parents)
-
-    def _decide_leaves(self, parents: list) -> np.ndarray:
-        """The leaves of the leaf-parents that pass the level-D checks, as
-        one (n, 2D) int matrix of b_0..b_{D-1}, c_1..c_D, in walk order.
-
-        np.repeat expands each parent into its leaves c_D in the leaf space;
-        a1_zero (D = 1), c2_bound (D = 2), the divisor filter c_D | k_{D-1}
-        b_{D-1} (D >= 2), the trace cut and the Sturm cut then each decide
-        every leaf at once, in the walk's kill order, and count their kills
-        with one sum.  a_D = k - c_D, so tr(L^2) = tr + (k - c_D)^2 +
-        2 b_{D-1} c_D and phi_{D+1} = alpha + beta c_D."""
-        k, D, p, q = self.k, self.spec.D, self._p, self._q
-        if not parents:
-            return np.zeros((0, 2 * D), np.int64)
-        P = np.array(parents)  # int64, else float64 or object dtype
-        if P.dtype == np.int64:
-            # every intermediate below is at most k^2 q^2 + p^2, (tr + 3k^2) q^2
-            # or |phi_{D+1}| <= |p - kq| |phi_D| + (|phi_D| + kq |phi_{D-1}|) kq;
-            # this float bound on them errs by far less than 2^63 / 2^62
-            t, f_prev, f = np.abs(P[:, 2 * D:2 * D + 3].astype(float)).max(axis=0).tolist()
-            big = max(float(k * q) ** 2 + float(p) ** 2, (t + 3.0 * k * k) * q * q,
-                      abs(p - k * q) * f + (f + k * q * f_prev) * q * k)
-        if P.dtype != np.int64 or big >= 2.0 ** 62:
-            P = np.array(parents, dtype=object)  # Python ints: exact, slower
-        b_prev, (kb, tr, phi_prev, phi, sign, changes) = P[:, D - 1], P[:, 2 * D - 1:].T
-        c_lo = P[:, 2 * D - 2].astype(np.int64) if D > 1 else np.ones(len(P), np.int64)
-        n = k + 1 - c_lo
-        at = np.repeat(np.arange(len(P)), n)  # each leaf's parent
-        c = c_lo[at] + np.arange(len(at)) - (np.cumsum(n) - n)[at]
-        at, c = at[self._leaf_ok[c]], c[self._leaf_ok[c]]
-
-        def drop(name, fails):
-            nonlocal at, c
-            if fails.any():
-                self.stats.kill(name, int(fails.sum()))
-                at, c = at[~fails], c[~fails]
-
-        if D == 1 and self._a1_prune:
-            drop("a1_zero", c != k)
-        if D == 2 and self._c2_cap is not None:
-            drop("c2_bound", c > self._c2_cap)
-        if D >= 2 and self._k_integral:
-            drop("k_integrality", kb[at] % c != 0)
-        if self._trace_cut:  # k^2 + cut^2 <= tr(L^2), times q^2
-            drop("trace_vs_ratio",
-                 self._trace_lhs > (tr[at] + (k - c) ** 2 + 2 * b_prev[at] * c) * (q * q))
-        if self._sturm_cut:
-            # no eigenvalue <= cut takes D + 1 sign changes: the most that
-            # phi_0..phi_D can make, and one more at phi_{D+1}
-            alpha, beta = (p - k * q) * phi, (phi - b_prev * q * phi_prev) * q
-            drop("theta_ratio", (changes[at] == D) & ((alpha[at] + beta[at] * c) * sign[at] < 0))
-        return np.hstack([P[at, :2 * D - 1], c[:, None]])
+            f0, f1 = f1[at], (p - a_l * q) * f1[at] - b_prev * c_l * (q * q) * f0[at]
+            alternate = alternate[at] & ((f1 > 0) if level % 2 else (f1 < 0))
+            tr, kb = tr[at] + a_l * a_l + 2 * b_prev * c_l, kb[at] // c_l * b_l
+            bs, cs = [x[at] for x in bs] + [b], [x[at] for x in cs] + [c]
+            if level == D:
+                ok = np.ones(len(at), bool)
+                if self._trace_cut:  # k^2 + cut^2 <= tr(L^2), times q^2
+                    drop("trace_vs_ratio", self._trace_lhs > tr * (q * q))
+                if self._sturm_cut:  # D + 1 sign changes: no eigenvalue <= cut
+                    drop("theta_ratio", alternate)
+        return np.column_stack(bs[:D] + cs[1:])[ok], stats
 
 
 def _screen(rows: np.ndarray) -> np.ndarray:
@@ -399,8 +354,8 @@ def _fractional(m: np.ndarray) -> np.ndarray:
 def _walk_group(spec: SearchSpec,
                 ks) -> Iterator[tuple[int, list[IntersectionArray], PruningStats]]:
     """Each valency k of the sequence ks, in order, with the arrays that its
-    walk, its leaf pass and the float screen keep, in walk order, and the
-    stats of their kills.
+    level pass and the float screen keep, in walk order, and the stats of
+    their kills.
 
     The leaf rows of consecutive valencies wait in one list until it holds
     _SCREEN_ROWS rows, or ks ends, and are then screened in one _screen

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import random
@@ -369,8 +370,8 @@ def test_one_screen_batch_stays_small(screened_rows):
     assert peak < 4 * 2 ** 20
 
 
-# The walk carries tr(L^2) and the Sturm minors at the cut down the tree;
-# the reference recomputes both from scratch on every complete candidate.
+# The level pass carries tr(L^2) and the Sturm minors at the cut down the
+# levels; the reference recomputes both from scratch on every complete candidate.
 PREFIX_CHECKS = ("a1_zero", "c2_bound", "k_integrality")
 CUT_SPACES = [
     SearchSpec(2, 3, 12, "0*", (1, 2), Fraction(-1, 2)),  # the c_2 cap at a leaf
@@ -434,27 +435,117 @@ def test_fused_cuts_match_reference(spec, cuts):
         assert any(killed.get(name) for name in cuts)
 
 
-@pytest.mark.parametrize("q, dtype", [(1000, "int64"), (7000, "float64"), (10**10, "object")])
-def test_leaf_pass_stays_exact_past_int64(monkeypatch, q, dtype):
-    # at cut = -(3q - 1)/(4q) k the minors q^i phi_i outgrow int64: at
-    # q = 1000 every batch fits, but alpha + beta c_D would wrap; at 7000
-    # some batch comes out float64, and at 10^10 some holds a minor past
-    # 2^64.  Each goes to Python ints, and the verdicts stay those of
-    # sturm_count_leq and trace_of_l_squared.
+@pytest.mark.parametrize("q, dtypes", [(100, {np.int64, object}), (1000, {object}),
+                                      (10**10, {object})], ids=["100", "1000", "10^10"])
+def test_level_pass_stays_exact_past_int64(q, dtypes):
+    # at cut = -(3q - 1)/(4q) k the minors q^i phi_i outgrow int64.  At q = 100
+    # none reaches 2^63, and the a-priori bound keeps six valencies on int64
+    # and sends k = 9 and 11 to Python ints; at q = 1000 some leaf minors pass
+    # 2^63 (so no valency can run on int64), and at 10^10 most do.  Each
+    # verdict stays that of sturm_count_leq and trace_of_l_squared.
     spec = _with_cuts(SearchSpec(4, 5, 12, "000+", (1, 2), Fraction(1 - 3 * q, 4 * q)),
                       ("trace_vs_ratio", "theta_ratio"))
-    dtypes, peak, real = set(), [0], _KSpace._decide_leaves
-
-    def spy(self, parents):
-        dtypes.add(str(np.array(parents).dtype))
-        peak[0] = max([peak[0]] + [abs(x) for parent in parents for x in parent])
-        return real(self, parents)
-
-    monkeypatch.setattr(_KSpace, "_decide_leaves", spy)
+    assert {_KSpace(k, spec).dtype for k in range(5, 13)} == dtypes
+    _killed, candidates = _space_results(replace(spec, checks=PREFIX_CHECKS))
+    peak = max(abs(phi) for b, c in candidates
+               for phi, _d in spectral._minors(IntersectionArray(b, c), spec.theta_ratio * b[0]))
+    assert (peak >= 2**63) == (q > 100)
     killed, survivors = _space_results(spec)
-    assert dtype in dtypes and (peak[0] >= 2**63) == (q > 1000)
     assert (killed, survivors) == _reference_cuts(spec)
     assert killed["theta_ratio"] and killed["trace_vs_ratio"] and survivors
+
+
+# A naive enumeration of the same spaces: itertools walks every monotone c and
+# b sequence, and each array goes to the first check it fails, in walk order,
+# computed on its own from Fractions, trace_of_l_squared and sturm_count_leq.
+WALK_CHECKS = DEFAULT_CHECKS[:5]
+NAIVE_SPACES = [
+    SearchSpec(1, 2, 12, "*", (1,), Fraction(-2, 3)),
+    SearchSpec(2, 2, 14, "0*", (1, 2, 3), Fraction(-1, 2)),
+    SearchSpec(3, 2, 10, "0**", (1, 2, 3), Fraction(-2, 3)),
+    SearchSpec(4, 2, 8, "**+*", (1, 2, 3), Fraction(-3, 4)),
+    SearchSpec(4, 2, 8, "0***", (1, 2, 3), Fraction(-3, 4)),
+    SearchSpec(5, 2, 7, "*****", (1, 2), Fraction(-4, 5)),
+    SearchSpec(5, 2, 7, "0***+", (1, 2, 3), Fraction(-1, 2)),
+]
+
+
+def _naive_space(spec):
+    """Every array of spec's space in walk order ((c_1, a_1, ..., c_D, a_D)
+    increasing), each with the set of walk checks it fails."""
+    out = []
+    for k in range(spec.k_min, spec.k_max + 1):
+        cut, arrays = spec.theta_ratio * k, []
+        for cs in itertools.combinations_with_replacement(range(1, k + 1), spec.D - 1):
+            for bs in itertools.combinations_with_replacement(range(k - 1, 0, -1), spec.D - 1):
+                b, c = (k, *bs), (1, *cs)
+                if all(b_i + c_i <= k for b_i, c_i in zip(b[1:], c)):  # a_1..a_{D-1} >= 0
+                    arr = IntersectionArray(b, c)
+                    arrays += [arr] if spec.contains(arr) else []
+        arrays.sort(key=lambda arr: [x for pair in zip(arr.c, arr.a[1:]) for x in pair])
+        for arr in arrays:
+            kk, fails = Fraction(1), set()
+            for b, c in zip(arr.b, arr.c):
+                kk = kk * b / c
+                if kk.denominator != 1:
+                    fails.add("k_integrality")
+            if spec.theta_ratio < Fraction(-1, 2) and arr.a[1] != 0:
+                fails.add("a1_zero")
+            if (spec.D > 1 and spec.a_pattern[0] == "0" and -k < cut < Fraction(12 - 5 * k, 7)
+                    and arr.c[1] > (2 * k - 2 * cut) / (4 - 3 * cut - k)):
+                fails.add("c2_bound")
+            if k * k + cut * cut > trace_of_l_squared(arr):
+                fails.add("trace_vs_ratio")
+            if sturm_count_leq(arr, cut) < 1:
+                fails.add("theta_ratio")
+            out.append((arr, fails))
+    return out
+
+
+@pytest.fixture(scope="module")
+def naive_spaces():
+    return {spec: _naive_space(spec) for spec in NAIVE_SPACES}
+
+
+def _naive_kills(space, on):
+    """The kills and the surviving (b, c) rows of a naive space when the
+    walk checks in on are enabled."""
+    killed, rows = {}, []
+    for arr, fails in space:
+        first = next((name for name in on if name in fails), None)
+        if first:
+            killed[first] = killed.get(first, 0) + 1
+        else:
+            rows.append((arr.b, arr.c))
+    return killed, rows
+
+
+@pytest.mark.parametrize("off", (None,) + WALK_CHECKS)
+@pytest.mark.parametrize("spec", NAIVE_SPACES, ids=lambda s: f"D{s.D}-{s.a_pattern}")
+def test_level_pass_matches_a_naive_enumeration(naive_spaces, spec, off):
+    space = naive_spaces[spec]
+    spec = replace(spec, checks=tuple(name for name in spec.checks if name != off))
+    killed, rows, generated = {}, [], 0
+    for k in range(spec.k_min, spec.k_max + 1):
+        matrix, stats = _KSpace(k, spec).run()
+        generated += stats.generated
+        rows += [(tuple(row[:spec.D]), tuple(row[spec.D:])) for row in matrix.tolist()]
+        for name, n in stats.killed.items():
+            killed[name] = killed.get(name, 0) + n
+    assert (generated, killed, rows) == (
+        len(space), *_naive_kills(space, [name for name in WALK_CHECKS if name != off]))
+
+
+def test_every_walk_check_kills_in_the_naive_spaces(naive_spaces):
+    assert {name for space in naive_spaces.values()
+            for name in _naive_kills(space, WALK_CHECKS)[0]} == set(WALK_CHECKS)
+
+
+def test_a_kill_of_no_array_leaves_no_entry():
+    # at k = 4, c_2 >= 3 leaves b_3 = 1 and a_3 = 0, so no array lies below
+    # the level-1 options that the a_1 prune kills
+    res = enumerate_arrays(SearchSpec(5, 4, 4, "***++", (3, 4, 5), Fraction(-1)))
+    assert (res.stats.generated, res.stats.killed, res.stats.survivors) == (0, {}, 0)
 
 
 def test_fused_cuts_meet_a_zero_minor():
@@ -608,8 +699,9 @@ def test_no_more_pool_workers_than_valencies(monkeypatch):
 
 
 def test_a_valency_space_is_freed_when_run_returns():
-    # no reference cycle holds a space, its memo or its leaf batch: with the
-    # cyclic collector off, dropping the last reference frees it
+    # no reference cycle holds a space: run keeps its count table in locals,
+    # and no closure over it may hold self.  With the cyclic collector off,
+    # dropping the last reference frees it
     gc.disable()
     try:
         space = _KSpace(20, D4_SPEC)
