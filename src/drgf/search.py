@@ -228,10 +228,12 @@ class _KSpace:
         self._trace_lhs = (k * q) ** 2 + p ** 2
         # run computes nothing larger: |phi_l| <= (|p| + kq)^l, as every leading
         # block of L has its eigenvalues in [-k, k]; tr q^2 <= 3 (D + 1) k^2 q^2;
-        # k_l <= k^l; and a completion count <= C(k + D, D)^2 (monotone c and b)
-        D = spec.D
+        # k_l <= k^l; and a completion count <= C(k + D, D) C(k + F, F), for the
+        # monotone c and for the monotone b at the F levels below D where a_i
+        # may be nonzero (elsewhere b_i = k - c_i, and b_D = 0)
+        D, F = spec.D, len(spec.a_pattern[:-1].replace(ZERO, ""))
         big = max((abs(p) + k * q) ** (D + 1), 3 * (D + 1) * (k * q) ** 2,
-                  math.comb(k + D, D) ** 2)
+                  math.comb(k + D, D) * math.comb(k + F, F))
         self.dtype = np.int64 if big < 2 ** 63 else object  # object: Python ints, exact
 
     def _closed_form_c2_cap(self):

@@ -441,8 +441,8 @@ def test_level_pass_stays_exact_past_int64(q, dtypes):
     # at cut = -(3q - 1)/(4q) k the minors q^i phi_i outgrow int64.  At q = 100
     # none reaches 2^63, and the a-priori bound keeps six valencies on int64
     # and sends k = 9 and 11 to Python ints; at q = 1000 some leaf minors pass
-    # 2^63 (so no valency can run on int64), and at 10^10 most do.  Each
-    # verdict stays that of sturm_count_leq and trace_of_l_squared.
+    # 2^63 and the bound sends every valency to Python ints, as at 10^10.
+    # Each verdict stays that of sturm_count_leq and trace_of_l_squared.
     spec = _with_cuts(SearchSpec(4, 5, 12, "000+", (1, 2), Fraction(1 - 3 * q, 4 * q)),
                       ("trace_vs_ratio", "theta_ratio"))
     assert {_KSpace(k, spec).dtype for k in range(5, 13)} == dtypes
@@ -455,9 +455,16 @@ def test_level_pass_stays_exact_past_int64(q, dtypes):
     assert killed["theta_ratio"] and killed["trace_vs_ratio"] and survivors
 
 
-# A naive enumeration of the same spaces: itertools walks every monotone c and
-# b sequence, and each array goes to the first check it fails, in walk order,
-# computed on its own from Fractions, trace_of_l_squared and sturm_count_leq.
+def test_completion_counts_keep_a_zero_pattern_on_int64():
+    # b_i = k - c_i wherever a_i = 0, so the D = 4 main space's completion
+    # counts stay far below 2^63 at k = 600, where C(604, 4)^2 would not
+    assert _KSpace(600, replace(D4_SPEC, k_min=600, k_max=600)).dtype is np.int64
+
+
+# A naive enumeration apart from the level pass: itertools walks every
+# monotone c and b sequence, and each array goes to the first check it fails,
+# in walk order, computed on its own from Fractions, trace_of_l_squared and
+# sturm_count_leq.
 WALK_CHECKS = DEFAULT_CHECKS[:5]
 NAIVE_SPACES = [
     SearchSpec(1, 2, 12, "*", (1,), Fraction(-2, 3)),
@@ -542,15 +549,15 @@ def test_every_walk_check_kills_in_the_naive_spaces(naive_spaces):
 
 
 def test_a_kill_of_no_array_leaves_no_entry():
-    # at k = 4, c_2 >= 3 leaves b_3 = 1 and a_3 = 0, so no array lies below
-    # the level-1 options that the a_1 prune kills
+    # at k = 4, c_2 = 3 forces b_3 = 1 and a_3 = 0 against the pattern's
+    # a_3 != 0, so no array lies below the options the a_1 prune kills
     res = enumerate_arrays(SearchSpec(5, 4, 4, "***++", (3, 4, 5), Fraction(-1)))
     assert (res.stats.generated, res.stats.killed, res.stats.survivors) == (0, {}, 0)
 
 
 def test_fused_cuts_meet_a_zero_minor():
     # some candidate of the first cut space has a leading principal minor of
-    # cut*I - L that vanishes, so the walk's zero-skipping sign rule is used
+    # cut*I - L that vanishes, where the Sturm cut must see no sign change
     spec = replace(CUT_SPACES[0], checks=PREFIX_CHECKS)
     _killed, candidates = _space_results(spec)
 
