@@ -24,7 +24,7 @@ import numpy as np
 from mpmath import mp
 
 from .feasibility import p_polynomials
-from .spectral import as_mpf, mp_horner, refine_root, workdps
+from .spectral import SpectralError, as_mpf, refine_root, to_grid, workdps
 
 MODE_GENERAL = "general"
 MODE_SHARP_G5 = "sharp-g5"
@@ -94,16 +94,38 @@ def zeta_star(g: int, mode: str = MODE_GENERAL):
 
 
 def _leftmost_root(coeffs) -> mp.mpf | None:
-    """Smallest root of sum coeffs[i] y^i in (-1, 0): the first cell of a
-    4096-point grid with a sign change or a zero at its right end, refined
-    by refine_root."""
-    fl = np.array([float(c) for c in coeffs])
+    """Smallest root of p(y) = sum coeffs[i] y^i in (-1, 0): the first cell
+    of a 4096-point grid with a float sign change or zero at its right end,
+    refined by refine_root from three float Newton steps at the cell's
+    midpoint.  F(X) = sum C_i X^i q^(n-i) and F' = dF/dX, by Horner's rule on
+    ints (C_i the coefficients over their common binary exponent, q = 2^s,
+    n the degree), are p(X/q) and its X-derivative times one power of 2.
+    BoundError if the cell's ends have one exact sign."""
+    P = np.polynomial.Polynomial([float(c) for c in coeffs])
     ys = np.linspace(-1.0, 0.0, _GRID + 1)
-    sign = np.sign(np.polynomial.polynomial.polyval(ys, fl))
+    sign = np.sign(P(ys))
     hits = np.flatnonzero((sign[:-1] * sign[1:] < 0) | (sign[1:] == 0))
     if not hits.size:
         return None
-    return refine_root(lambda y: mp_horner(coeffs, y), ys[hits[0]], ys[hits[0] + 1])
+    y0, y1 = ys[hits[0]], ys[hits[0] + 1]
+    m = (y0 + y1) / 2
+    with np.errstate(all="ignore"):  # a seed that is NaN or outside the cell gives way to the midpoint
+        for _ in range(3):
+            m -= P(m) / P.deriv()(m)
+    s, *ends = to_grid(Fraction(y0), Fraction(y1), Fraction(m if y0 < m < y1 else (y0 + y1) / 2))
+    mans = [(-n if neg else n, e) for neg, n, e, _ in (mp.mpf(c)._mpf_ for c in coeffs)]
+    e0 = min(e for n, e in mans if n)
+    scaled = [n << e - e0 + s * i if n else 0 for i, (n, e) in enumerate(reversed(mans))]
+
+    def f(X):
+        v, d = scaled[0], 0
+        for c in scaled[1:]:
+            v, d = v * X + c, d * X + v
+        return v, d
+    try:
+        return mp.mpf((refine_root(f, *ends), -s))
+    except SpectralError as err:
+        raise BoundError(f"no exact sign change on the grid cell [{y0}, {y1}]") from err
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,14 @@ exactly at a rational x, in mpmath, or over a float array.
   and between neighbouring float eigenvalues (eigenvalues_float), then
   exact Sturm counts drop a box without a root and halve one with several.
 * In a one-root box with float value x, the eigenvalue is the int round(x)
-  if P vanishes there; else refine_root, safeguarded mpmath Newton on the
-  kernel's P and P', starts from x, and the eigenvalue is round(c) of the
-  exact value c of its result if P vanishes there, else c clipped into an
-  enclosure, c +- 2^-49 cut to the box (width <= 2^-48), that two exact
-  signs of P certify.  No interior cut is an integer and every eigenvalue
-  lies in [-k, k], so P (monic over Z: its rational roots are integers)
-  vanishes at no box end.  Floats only steer: each deciding sign is exact.
+  if P vanishes there; else refine_root, Newton in exact ints on the
+  kernel's values on the box's grid 2^-s (to_grid), starts from x, and the
+  eigenvalue is round(c) of its result c if P vanishes there, else the mpf
+  nearest c clipped into an enclosure, c +- 2^-49 cut to the box (width
+  <= 2^-48), that two exact signs of P certify.  No interior cut is an integer and
+  every eigenvalue lies in [-k, k], so P (monic over Z: its rational roots
+  are integers) vanishes at no box end.  Floats only steer: each deciding
+  sign is exact.
 * Every Biggs multiplicity, exact, mpf or float, is the Christoffel-Darboux
   form in multiplicity's docstring.
 
@@ -41,10 +42,10 @@ from .core import IntersectionArray
 
 Exact = (int, Fraction)
 
-# mpmath working precision in decimal digits: refine_root stops at a step
-# below 10^-(DPS-5) = 10^-45, far inside the 2^-49 half-width that the two
-# exact signs of the enclosure certificate test, so no refined root fails
-# that certificate for lack of digits
+# mpmath working precision in decimal digits, mp.prec = 169 bits: to_grid
+# puts refine_root's grid mp.prec bits below the width of its bracket, so a
+# refined root is far inside the 2^-49 half-width that the two exact signs
+# of the enclosure certificate test
 DPS = 50
 
 # a certified enclosure is the refined root +- _HALF_WIDTH: width <= 2^-48
@@ -117,9 +118,9 @@ def _minors_at(a, w, x, q=1):
         yield p1, d1
 
 
-def _minors(arr: IntersectionArray, x):
-    """_minors_at for arr at an int, a Fraction p/q (q^i P_i, exact) or an mpf x."""
-    x, q = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
+def _minors(arr: IntersectionArray, x, q=1):
+    """_minors_at for arr at an int x/q, a Fraction p/q (q^i P_i, exact) or an mpf x."""
+    x, q = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, q)
     return _minors_at(arr.a, [b * c for b, c in zip(arr.b, arr.c)], x, q)
 
 
@@ -143,45 +144,45 @@ def _cut(lo: Fraction, hi: Fraction) -> Fraction:
     return m
 
 
-def mp_horner(coeffs, y):
-    """sum coeffs[i] y^i (low to high degree) and its derivative at y, by
-    Horner's rule in mpmath arithmetic: refine_root's f for a polynomial."""
-    f = d = mp.mpf(0)
-    for coef in reversed(coeffs):
-        f, d = f * y + coef, d * y + f
-    return f, d
+def to_grid(lo: Fraction, hi: Fraction, *points):
+    """(s, lo, hi, *points) in units of refine_root's grid 2^-s for a bracket
+    lo < hi of dyadic rationals, points floored.  s is the least scale, to
+    one bit, that puts lo and hi on the grid with at least mp.prec bits
+    below hi - lo, 2^-s <= (hi - lo) 2^-prec: relative to the bracket, as
+    exact halving leaves boxes about 1e-58 wide at k >= 2^48."""
+    w = hi - lo
+    s = max(mp.prec + w.denominator.bit_length() - w.numerator.bit_length() + 1,
+            lo.denominator.bit_length() - 1, hi.denominator.bit_length() - 1)
+    return s, *(math.floor(y * 2 ** s) for y in (lo, hi, *points))
 
 
-def refine_root(f, lo, hi, start=None):
-    """The root in [lo, hi] of a function that has one root there and changes
-    sign or vanishes at an end; f(y) is its value and derivative at y.
+def refine_root(f, lo: int, hi: int, start=None) -> int:
+    """The root in [lo, hi] of a function with one root there, on a grid
+    2^-s: f(X) gives exact ints (F, F') at X 2^-s, F with the function's
+    sign there and F/F' its Newton step in grid units.  Returns X with
+    F(X) = 0, or the lower end of a one-unit bracket: the root lies in
+    [X, X + 1] 2^-s.  Ends of one nonzero sign raise SpectralError.
 
-    Safeguarded Newton from start (default the midpoint) at working
-    precision: the sign at each iterate shrinks the bracket, a Newton step
-    that leaves the bracket becomes a bisection step, and a step below
-    10^-(dps-5) max(1, |y|) ends the iteration.
+    Safeguarded Newton from start (default the midpoint): the exact sign at
+    each iterate shrinks the bracket, and the step, rounded away from zero
+    to whole units, becomes a bisection step where it leaves the open
+    bracket.  A step below one unit thus lands one unit past the root, so
+    Newton's quadratic convergence ends with the bracket one unit wide.
     """
-    a, b = as_mpf(lo), as_mpf(hi)
-    sa, sb = (mp.sign(f(x)[0]) for x in (a, b))
-    if sa * sb == 0:  # a root at an end
-        return b if sb == 0 else a
-    y = (a + b) / 2 if start is None else as_mpf(start)
-    tol = mp.mpf(10) ** (-(mp.dps - 5))
-    for _ in range(200):
-        v, d = f(y)
+    f_lo, f_hi = f(lo)[0], f(hi)[0]
+    if f_lo == 0 or f_hi == 0:  # a root at an end
+        return hi if f_hi == 0 else lo
+    if (f_lo > 0) == (f_hi > 0):
+        raise SpectralError(f"no sign change on [{lo}, {hi}]")
+    x = (lo + hi) // 2 if start is None else min(max(start, lo + 1), hi - 1)
+    while hi - lo > 1:
+        v, d = f(x)
         if v == 0:
-            break
-        if mp.sign(v) == sa:
-            a = y
-        else:
-            b = y
-        step = v / d if d else mp.inf
-        if not a <= y - step <= b:
-            step = y - (a + b) / 2
-        y -= step
-        if abs(step) < tol * max(1, abs(y)):
-            break
-    return y
+            return x
+        lo, hi = (x, hi) if (v > 0) == (f_lo > 0) else (lo, x)
+        y = x - (-(-v // d) if (v > 0) == (d > 0) else v // d) if d else lo
+        x = y if lo < y < hi else (lo + hi) // 2
+    return lo
 
 
 @dataclass(frozen=True)
@@ -233,8 +234,8 @@ def _eigen_with_enclosures(arr: IntersectionArray):
         boxes = list(zip(cuts, cuts[1:], counts, counts[1:]))
         found = []  # (theta, enclosure), decreasing
 
-        def det(x):  # P = det(xI - L) and P' at x; at a rational x, P's sign
-            return deque(_minors(arr, x), 1)[0]
+        def det(x, q=1):  # q^(D+1) P(x/q), P = det(xI - L), and its x-derivative
+            return deque(_minors(arr, x, q), 1)[0]
 
         def int_root(x):  # round(x) if it is the eigenvalue of the box (lo, hi]
             r = round(x)
@@ -250,14 +251,15 @@ def _eigen_with_enclosures(arr: IntersectionArray):
                 continue
             x = next((t for t in fl if lo < t <= hi), (lo + hi) / 2)
             if (r := int_root(x)) is None:
-                y = refine_root(det, lo, hi, start=x)
-                c = Fraction(*libmp.to_rational(y._mpf_))  # mpf.man_exp drops the sign
-                if (r := int_root(c)) is None:
+                s, *ends = to_grid(lo, hi, x)  # every cut, and x, is dyadic
+                X = refine_root(lambda X: det(X, 1 << s), *ends)
+                if (r := int_root(c := Fraction(X, 1 << s))) is None:
                     a, b = max(lo, c - _HALF_WIDTH), min(hi, c + _HALF_WIDTH)
                     if not (a < b and det(a)[0] * det(b)[0] < 0):
-                        raise SpectralError(f"refined root {y} is not in its box ({lo}, {hi}]")
-                    if not a <= c <= b:  # y rounded past a box end: that end, dyadic, exactly
-                        num, den = min(max(c, a), b).as_integer_ratio()
+                        raise SpectralError(f"refined root {float(c)} is not in its box ({lo}, {hi}]")
+                    y = mp.mpf((X, -s))  # the mpf nearest c, or the box end it rounds past
+                    if not a <= (t := Fraction(*libmp.to_rational(y._mpf_))) <= b:
+                        num, den = min(max(t, a), b).as_integer_ratio()
                         y = mp.make_mpf(libmp.from_man_exp(num, 1 - den.bit_length()))
                     found.append((y, (a, b)))
                     continue

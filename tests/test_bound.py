@@ -87,6 +87,56 @@ def test_epsilon1_root_solves_the_shifted_equation():
             assert abs(f_poly(p.eta, y, p.t) + p.M1 * p.zeta) < mp.mpf(10) ** -40, (g, mode)
 
 
+def _table_refines(monkeypatch):
+    """[coefficients, root, f evaluations of its refine] for each of the 49
+    roots of bound_table(5, 101)."""
+    out, leftmost, refine = [], bound._leftmost_root, bound.refine_root
+
+    def recorded(coeffs):
+        out.append([list(coeffs), None, 0])
+        out[-1][1] = leftmost(coeffs)
+        return out[-1][1]
+
+    def counted(f, *args):
+        def g(X):
+            out[-1][2] += 1
+            return f(X)
+        return refine(g, *args)
+
+    monkeypatch.setattr(bound, "_leftmost_root", recorded)
+    monkeypatch.setattr(bound, "refine_root", counted)
+    bound_table(5, 101)
+    return out
+
+
+def test_bound_roots_match_a_120_digit_oracle(monkeypatch):
+    # Newton at 120 digits on the same 50-digit coefficients, from the root
+    refines = _table_refines(monkeypatch)
+    assert len(refines) == 49
+    with mp.workdps(120):
+        for coeffs, root, _n in refines:
+            want = root
+            for _ in range(8):
+                value, slope = mp.polyval(coeffs[::-1], want, derivative=True)
+                want -= value / slope
+            assert abs(root - want) <= mp.mpf(10) ** -48 * abs(want)
+
+
+def test_bound_refines_take_six_evaluations(monkeypatch):
+    # the two end signs, the float seed (about 2^-53 from the root), two
+    # Newton steps (2^-106, then below the grid's 2^-181) and one unit step
+    # that closes the bracket
+    assert max(n for *_, n in _table_refines(monkeypatch)) <= 6
+
+
+def test_leftmost_root_raises_on_a_cell_without_an_exact_sign_change():
+    # (y + 1/2)^2 + 1e-40 is positive, but its float coefficients give
+    # exactly 0 at the grid point -1/2: the float grid takes the cell ending
+    # there, and its exact end signs, both positive, refuse it
+    with workdps(), pytest.raises(BoundError, match="no exact sign change"):
+        bound._leftmost_root([mp.mpf(1) / 4 + mp.mpf("1e-40"), 1, 1])
+
+
 def test_epsilon1_decreases_from_5_to_9():
     assert epsilon1(9).epsilon1 < epsilon1(7).epsilon1 < epsilon1(5).epsilon1
 

@@ -337,8 +337,8 @@ def test_verify_export(tmp_path):
 
 
 def test_theorem2_d5_ignores_a_precision_variable():
-    # the working precision is fixed: at 15 digits refine_root would stop at
-    # 1e-10, short of the 2^-49 that the enclosure certificate needs
+    # the working precision is fixed: at 15 digits the mpf eigenvalues and
+    # multiplicities would keep 15 digits, and no variable may change that
     r = run_cli("theorem2", "-d", "5", env={"DRGF_PRECISION": "15"})
     assert r.returncode == 0, r.stderr
     assert r.stdout == (FIXTURES / "theorem2_d5.txt").read_text()

@@ -259,9 +259,27 @@ def test_sturm_count_matches_numpy(arr):
         assert sturm_count_leq(arr, x) == int((theta <= float(x) + 1e-7).sum()), x
 
 
-def _horner(coeffs):
-    """refine_root's f for the polynomial sum coeffs[i] y^i."""
-    return lambda y: spectral.mp_horner(coeffs, y)
+def _grid_horner(coeffs, s):
+    """refine_root's f for sum coeffs[i] y^i (ints or mpf values) on the grid
+    2^-s: Horner's rule on the ints den c_i q^(n-i), den the coefficients'
+    common denominator, q = 2^s and n the degree."""
+    fr = [Fraction(*libmp.to_rational(mp.mpf(c)._mpf_)) for c in coeffs]
+    den, q, n = math.lcm(*(c.denominator for c in fr)), 1 << s, len(fr) - 1
+    ints = [int(c * den) * q ** (n - i) for i, c in enumerate(fr)]
+
+    def f(X):
+        v = d = 0
+        for c in reversed(ints):
+            v, d = v * X + c, d * X + v
+        return v, d
+    return f
+
+
+def _refine(coeffs, lo, hi):
+    """The root of sum coeffs[i] y^i that refine_root finds in [lo, hi], as a
+    Fraction on to_grid's grid."""
+    s, lo, hi = spectral.to_grid(Fraction(lo), Fraction(hi))
+    return Fraction(refine_root(_grid_horner(coeffs, s), lo, hi), 1 << s)
 
 
 def test_refine_root_when_newton_leaves_the_bracket():
@@ -269,7 +287,7 @@ def test_refine_root_when_newton_leaves_the_bracket():
     # [-2, 2] the bracket shrinks to [-2, 0] and the step to 1 leaves it
     coeffs = [2, -2, 0, 1]
     with workdps():
-        root = refine_root(_horner(coeffs), Fraction(-2), Fraction(2))
+        root = as_mpf(_refine(coeffs, -2, 2))
         exact = mp.findroot(lambda y: y ** 3 - 2 * y + 2, -1.77)
         assert abs(root - exact) < mp.mpf(10) ** -45
 
@@ -277,17 +295,24 @@ def test_refine_root_when_newton_leaves_the_bracket():
 def test_refine_root_at_a_bracket_end():
     # Newton toward the end root overshoots it, so only bisection could
     # approach it: (y - 1)(y - 3) from 3/2 and 2 (y + 1/2)(y + 2) from -9/16;
-    # at 200 digits that would take over 300 steps
+    # on the grid of 200 digits that would take over 660 halvings
     with mp.workdps(200):
-        assert refine_root(_horner([3, -4, 1]), 1, 2) == 1
-        assert refine_root(_horner([2, 5, 2]), Fraction(-5, 8), Fraction(-1, 2)) == mp.mpf(-0.5)
+        assert _refine([3, -4, 1], 1, 2) == 1
+        assert _refine([2, 5, 2], Fraction(-5, 8), Fraction(-1, 2)) == Fraction(-1, 2)
 
 
 def test_refine_root_on_mpf_coefficients():
     with workdps():
         coeffs = [-mp.sqrt(2), 0, 0, 0, 1]  # y^4 = sqrt(2)
-        root = refine_root(_horner(coeffs), 0, 2)
+        root = as_mpf(_refine(coeffs, 0, 2))
         assert abs(root - mp.root(2, 8)) < mp.mpf(10) ** -45
+
+
+def test_refine_root_raises_without_a_sign_change():
+    # (y - 1)(y - 3) is 3 at both ends of [0, 4]: Newton would find a root,
+    # but the bracket does not hold exactly one
+    with workdps(), pytest.raises(spectral.SpectralError, match="no sign change"):
+        _refine([3, -4, 1], 0, 4)
 
 
 def test_abs_u_chain_diameter4_constants():
@@ -486,15 +511,20 @@ def test_spectrum_enclosures_certified():
 
 def test_spectrum_rejects_a_refined_root_outside_its_box(monkeypatch):
     # a refiner that errs must not yield an eigenvalue, and the report on the
-    # array then has no spectrum to decide anything with.  The lower end of
-    # the bracket also fails the terminal residual; a root off by 1e-12 and
-    # theta_min, an eigenvalue but of another box, pass it, and only the
-    # two-point sign check on the clipped interval rejects them
+    # array then has no spectrum to decide anything with: the lower end of
+    # the bracket, a root off by about 1e-12 and theta_min, an eigenvalue
+    # but of another box, each fail the two exact signs on the clipped
+    # interval
     arr = parse_array("{3,2,2,1;1,1,1,2}")
     refine, theta_min = spectral.refine_root, spectrum(arr).theta_min
-    for wrong in (lambda coeffs, lo, hi, start: as_mpf(lo),
-                  lambda coeffs, lo, hi, start: refine(coeffs, lo, hi, start) + mp.mpf(1e-12),
-                  lambda coeffs, lo, hi, start: theta_min):
+
+    def at_theta_min(f, lo, hi, start):  # f(0)[0] = q^(D+1) P(0) on the grid 1/q
+        s = ((f(0)[0] // charpoly(arr)[0]).bit_length() - 1) // (arr.D + 1)
+        return math.floor(Fraction(*libmp.to_rational(theta_min._mpf_)) * 2 ** s)
+
+    for wrong in (lambda f, lo, hi, start: lo,
+                  lambda f, lo, hi, start: refine(f, lo, hi, start) + ((hi - lo) >> 40),
+                  at_theta_min):
         monkeypatch.setattr(spectral, "refine_root", wrong)
         with pytest.raises(spectral.SpectralError):
             spectrum(arr)
@@ -734,8 +764,40 @@ def test_spectrum_uses_only_the_value_kernel(monkeypatch, arr):
     def forbidden(*args, **kw):
         raise AssertionError("coefficient path used")
 
-    for name in ("mp_horner", "minor_polys"):
+    for name in ("charpoly", "minor_polys"):
         monkeypatch.setattr(spectral, name, forbidden)
     sp = spectrum(arr)
     assert sp == want
     assert [multiplicity(arr, t) for t in sp.thetas] == list(sp.mults_raw)
+
+
+@pytest.mark.parametrize("arr", [parse_array(t) for _n, t in oracle.CATALOG] + SEEDED, ids=str)
+def test_irrational_eigenvalues_match_a_120_digit_oracle(arr):
+    roots = sympy.Poly(list(reversed(charpoly(arr))), sympy.Symbol("x")).real_roots()[::-1]
+    thetas = spectrum(arr).thetas
+    assert len(roots) == len(thetas)
+    with mp.workdps(120):
+        for root, theta in zip(roots, thetas):
+            if not isinstance(theta, int):
+                want = mp.mpf(str(root.evalf(130)))
+                assert abs(theta - want) <= mp.mpf(10) ** -48 * abs(want), (str(arr), theta)
+
+
+def test_refine_root_from_the_float_value_takes_six_evaluations(monkeypatch):
+    # the two end signs, the float value (about 2^-50 from the eigenvalue,
+    # relative), two Newton steps (2^-100, then below the grid's 2^-169 of
+    # the box width) and one unit step that closes the bracket
+    counts, refine = [], spectral.refine_root
+
+    def counted(f, *args, **kw):
+        counts.append(0)
+
+        def g(X):
+            counts[-1] += 1
+            return f(X)
+        return refine(g, *args, **kw)
+
+    monkeypatch.setattr(spectral, "refine_root", counted)
+    for arr in [parse_array(t) for _n, t in oracle.CATALOG] + SEEDED:
+        spectrum(arr)
+    assert len(counts) > 100 and max(counts) <= 6
