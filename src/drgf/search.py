@@ -30,9 +30,9 @@ exact spectrum).  The first check in DEFAULT_CHECKS order that is enabled
 and that the report fails kills the array, so a c2_bound or a1_zero failure
 at the array's own theta_min counts even where the walk's cuts at ratio*k
 let it through; a survivor keeps its report.  Each valency keeps its own
-results and statistics; with jobs > 1 each pool worker takes every
-jobs-th valency, and the valencies are merged in valency order, so results
-and statistics are independent of execution order and worker count.
+results and statistics; with jobs > 1 the caller and jobs - 1 forked
+children each take every jobs-th valency, and the valencies are merged in
+valency order, so results and statistics are independent of process count.
 
 classify_diameter runs the paper's stages in one loop: k <= 4, the a_2, a_3
 and (D = 5) a_4 exclusions under their derived caps, and the main space.
@@ -386,13 +386,11 @@ def _walk_group(spec: SearchSpec,
         waiting, n = [], 0
 
 
-def _run_group(args):
-    """(k, survivors as (array, report) pairs, stats) for each valency of a
-    group, in the group's order: the first check in DEFAULT_CHECKS order
-    that is enabled and that an array's one full_report fails kills it, and
-    an odd-girth check reached with no failure but an undecided entry leaves
-    a warning."""
-    spec, ks = args
+def _run_group(spec: SearchSpec, ks) -> list:
+    """(k, survivors as (array, report) pairs, stats) for each valency of ks,
+    in order: the first check in DEFAULT_CHECKS order that is enabled and
+    that an array's one full_report fails kills it, and an odd-girth check
+    reached with no failure but an undecided entry leaves a warning."""
     parts = []
     for k, arrays, stats in _walk_group(spec, ks):
         survivors = []
@@ -414,19 +412,50 @@ def _run_group(args):
     return parts
 
 
+def _send_share(conn, spec: SearchSpec, ks) -> None:
+    """A child's share: send (True, the parts of ks) or (False, the exception)."""
+    try:
+        conn.send((True, _run_group(spec, ks)))
+    except Exception as exc:
+        conn.send((False, exc))
+
+
 def enumerate_arrays(spec: SearchSpec, jobs: int = 1) -> ClassificationResult:
     """Exhaust the search space; deterministic output order (k, c-sequence).
 
-    With jobs > 1 each pool worker takes every jobs-th valency; the
-    valencies' results are merged in valency order, as in process."""
+    With jobs > 1 (one valency runs in process) the caller walks every
+    jobs-th valency from k_min while jobs - 1 forked children, child i from
+    k_min + i, walk the rest; the results merge in valency order, as in
+    process.  A child's exception is raised here, and a child that exits
+    without sending raises RuntimeError naming its exit code.  Every child
+    is joined on every path, terminated first if alive: none outlives the call."""
     ks = range(spec.k_min, spec.k_max + 1)
-    jobs = min(jobs, len(ks))  # one valency runs in process
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            groups = pool.map(_run_group, [(spec, ks[i::jobs]) for i in range(jobs)])
-        parts = sorted((part for group in groups for part in group), key=lambda part: part[0])
-    else:
-        parts = _run_group((spec, ks))
+    jobs = min(jobs, len(ks))
+    children = []  # (process, read end of its pipe)
+    try:
+        for i in range(1, jobs):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_send_share, args=(send, spec, ks[i::jobs]))
+            child.start()
+            children.append((child, recv))
+            send.close()
+        parts = _run_group(spec, ks[0::jobs])
+        for child, recv in children:
+            try:
+                ok, out = recv.recv()
+            except EOFError:
+                child.join()
+                ok, out = False, RuntimeError(f"a child exited with code {child.exitcode} "
+                                              "before sending its valencies")
+            child.join()
+            if not ok:
+                raise out
+            parts += out
+    finally:
+        for child, _recv in children:
+            child.terminate()  # a no-op once the child has exited
+            child.join()
+    parts.sort(key=lambda part: part[0])
     stats = PruningStats()
     found: list = []
     for _k, pairs, st in parts:

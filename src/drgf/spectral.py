@@ -156,12 +156,14 @@ def to_grid(lo: Fraction, hi: Fraction, *points):
     return s, *(math.floor(y * 2 ** s) for y in (lo, hi, *points))
 
 
-def refine_root(f, lo: int, hi: int, start=None) -> int:
+def refine_root(f, lo: int, hi: int, start=None, lo_positive=None) -> int:
     """The root in [lo, hi] of a function with one root there, on a grid
     2^-s: f(X) gives exact ints (F, F') at X 2^-s, F with the function's
     sign there and F/F' its Newton step in grid units.  Returns X with
     F(X) = 0, or the lower end of a one-unit bracket: the root lies in
-    [X, X + 1] 2^-s.  Ends of one nonzero sign raise SpectralError.
+    [X, X + 1] 2^-s.  Ends of one nonzero sign raise SpectralError.  A caller
+    that knows both end signs, nonzero and opposite, passes lo_positive =
+    (F(lo) > 0), and the ends are not evaluated.
 
     Safeguarded Newton from start (default the midpoint): the exact sign at
     each iterate shrinks the bracket, and the step, rounded away from zero
@@ -169,17 +171,19 @@ def refine_root(f, lo: int, hi: int, start=None) -> int:
     bracket.  A step below one unit thus lands one unit past the root, so
     Newton's quadratic convergence ends with the bracket one unit wide.
     """
-    f_lo, f_hi = f(lo)[0], f(hi)[0]
-    if f_lo == 0 or f_hi == 0:  # a root at an end
-        return hi if f_hi == 0 else lo
-    if (f_lo > 0) == (f_hi > 0):
-        raise SpectralError(f"no sign change on [{lo}, {hi}]")
+    if lo_positive is None:
+        f_lo, f_hi = f(lo)[0], f(hi)[0]
+        if f_lo == 0 or f_hi == 0:  # a root at an end
+            return hi if f_hi == 0 else lo
+        if (f_lo > 0) == (f_hi > 0):
+            raise SpectralError(f"no sign change on [{lo}, {hi}]")
+        lo_positive = f_lo > 0
     x = (lo + hi) // 2 if start is None else min(max(start, lo + 1), hi - 1)
     while hi - lo > 1:
         v, d = f(x)
         if v == 0:
             return x
-        lo, hi = (x, hi) if (v > 0) == (f_lo > 0) else (lo, x)
+        lo, hi = (x, hi) if (v > 0) == lo_positive else (lo, x)
         y = x - (-(-v // d) if (v > 0) == (d > 0) else v // d) if d else lo
         x = y if lo < y < hi else (lo + hi) // 2
     return lo
@@ -252,7 +256,8 @@ def _eigen_with_enclosures(arr: IntersectionArray):
             x = next((t for t in fl if lo < t <= hi), (lo + hi) / 2)
             if (r := int_root(x)) is None:
                 s, *ends = to_grid(lo, hi, x)  # every cut, and x, is dyadic
-                X = refine_root(lambda X: det(X, 1 << s), *ends)
+                # P is monic with simple roots, so sign P(lo) = (-1)^(D+1-n_lo)
+                X = refine_root(lambda X: det(X, 1 << s), *ends, (arr.D + 1 - n_lo) % 2 == 0)
                 if (r := int_root(c := Fraction(X, 1 << s))) is None:
                     a, b = max(lo, c - _HALF_WIDTH), min(hi, c + _HALF_WIDTH)
                     if not (a < b and det(a)[0] * det(b)[0] < 0):

@@ -2,7 +2,11 @@ import gc
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import random
+import signal
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -679,30 +683,94 @@ def test_jobs_change_no_output_or_its_order(monkeypatch):
         assert par.stats.warnings == serial.stats.warnings
 
 
-def test_no_more_pool_workers_than_valencies(monkeypatch):
-    # a one-valency space runs in process, and a pool never outnumbers its
-    # tasks; classify_diameter(5)'s one-valency a_3 space opens no pool
-    sizes = []
+def _recorded_children(monkeypatch):
+    """The valency share of every child that enumerate_arrays starts, as a
+    list, in start order; the children are real processes."""
+    shares = []
 
-    class InProcessPool:
-        def __init__(self, n):
-            sizes.append(n)
+    class Recorded(multiprocessing.Process):
+        def start(self):
+            shares.append(list(self._args[2]))
+            super().start()
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(search.multiprocessing, "Process", Recorded)
+    return shares
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
-
-    monkeypatch.setattr(search.multiprocessing, "Pool", InProcessPool)
+def test_no_more_children_than_valencies(monkeypatch):
+    # a one-valency space forks no child, and a space of n valencies forks
+    # min(jobs, n) - 1, the caller walking the first share itself; in
+    # classify_diameter(5, jobs=2) the k <= 4, a_4 and main spaces fork one
+    # child each, and the one-valency a_3 space k in [5, 5] none
+    shares = _recorded_children(monkeypatch)
     enumerate_arrays(SearchSpec(5, 5, 5, "000+*", (1, 2), Fraction(-4, 5)), jobs=2)
+    assert shares == []
     enumerate_arrays(SearchSpec(4, 5, 7, "000+", (1, 2), Fraction(-3, 4)), jobs=8)
-    assert sizes == [3]
+    assert shares == [[6], [7]]
+    shares.clear()
     classify_diameter(5, jobs=2)
-    assert sizes == [3, 2, 2, 2]
+    assert shares == [[3], list(range(6, 25, 2)), list(range(6, 72, 2))]
+    assert multiprocessing.active_children() == []
+
+
+SMALL_SPEC = SearchSpec(4, 5, 8, "000+", (1, 2), Fraction(-3, 4))
+
+
+@pytest.fixture
+def no_hang():
+    """Fails a test that runs past 60 s instead of letting it hang."""
+    def expire(*_):
+        raise TimeoutError("enumerate_arrays hung")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def _failing_share(monkeypatch, k, fail):
+    """Patch _run_group, before any fork, to call fail() in the share that
+    starts at valency k; every other share runs as usual."""
+    run = search._run_group
+
+    def patched(spec, ks):
+        if ks[0] == k:
+            fail()
+        return run(spec, ks)
+    monkeypatch.setattr(search, "_run_group", patched)
+
+
+def test_a_childs_exception_is_raised_in_the_caller(monkeypatch, no_hang):
+    def fail():
+        raise SearchSpecError("share from k = 6")
+    _failing_share(monkeypatch, 6, fail)
+    with pytest.raises(SearchSpecError, match=r"^share from k = 6$"):
+        enumerate_arrays(SMALL_SPEC, jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_exception_in_the_callers_share_terminates_the_child(monkeypatch, no_hang):
+    # the child's share sleeps far past the test's alarm: only terminate
+    # ends it, and the caller's exception comes through unchanged
+    shares = _recorded_children(monkeypatch)
+    run = search._run_group
+
+    def patched(spec, ks):
+        if ks[0] == 5:
+            raise ZeroDivisionError("the caller's share")
+        time.sleep(600)
+        return run(spec, ks)
+    monkeypatch.setattr(search, "_run_group", patched)
+    with pytest.raises(ZeroDivisionError, match="the caller's share"):
+        enumerate_arrays(SMALL_SPEC, jobs=2)
+    assert shares == [[6, 8]] and multiprocessing.active_children() == []
+
+
+def test_a_child_that_exits_without_sending_raises(monkeypatch, no_hang):
+    _failing_share(monkeypatch, 6, lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3 before sending"):
+        enumerate_arrays(SMALL_SPEC, jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_a_valency_space_is_freed_when_run_returns():

@@ -308,6 +308,17 @@ def test_refine_root_on_mpf_coefficients():
         assert abs(root - mp.root(2, 8)) < mp.mpf(10) ** -45
 
 
+def test_refine_root_with_a_known_end_sign_evaluates_no_end():
+    # y^2 - 2 on [1, 2]: told that F(lo) < 0, the refine never evaluates lo
+    # or hi and ends where the refine that evaluates them ends
+    with workdps():
+        s, lo, hi = spectral.to_grid(Fraction(1), Fraction(2))
+        f, seen = _grid_horner([-2, 0, 1], s), []
+        X = refine_root(lambda X: seen.append(X) or f(X), lo, hi, None, False)
+        assert X == refine_root(f, lo, hi) and lo not in seen and hi not in seen
+        assert X * X < 2 << 2 * s < (X + 1) ** 2
+
+
 def test_refine_root_raises_without_a_sign_change():
     # (y - 1)(y - 3) is 3 at both ends of [0, 4]: Newton would find a root,
     # but the bracket does not hold exactly one
@@ -518,12 +529,12 @@ def test_spectrum_rejects_a_refined_root_outside_its_box(monkeypatch):
     arr = parse_array("{3,2,2,1;1,1,1,2}")
     refine, theta_min = spectral.refine_root, spectrum(arr).theta_min
 
-    def at_theta_min(f, lo, hi, start):  # f(0)[0] = q^(D+1) P(0) on the grid 1/q
+    def at_theta_min(f, lo, hi, start, lo_positive):  # f(0)[0] = q^(D+1) P(0) on the grid 1/q
         s = ((f(0)[0] // charpoly(arr)[0]).bit_length() - 1) // (arr.D + 1)
         return math.floor(Fraction(*libmp.to_rational(theta_min._mpf_)) * 2 ** s)
 
-    for wrong in (lambda f, lo, hi, start: lo,
-                  lambda f, lo, hi, start: refine(f, lo, hi, start) + ((hi - lo) >> 40),
+    for wrong in (lambda f, lo, hi, *_: lo,
+                  lambda f, lo, hi, *args: refine(f, lo, hi, *args) + ((hi - lo) >> 40),
                   at_theta_min):
         monkeypatch.setattr(spectral, "refine_root", wrong)
         with pytest.raises(spectral.SpectralError):
@@ -783,10 +794,11 @@ def test_irrational_eigenvalues_match_a_120_digit_oracle(arr):
                 assert abs(theta - want) <= mp.mpf(10) ** -48 * abs(want), (str(arr), theta)
 
 
-def test_refine_root_from_the_float_value_takes_six_evaluations(monkeypatch):
-    # the two end signs, the float value (about 2^-50 from the eigenvalue,
-    # relative), two Newton steps (2^-100, then below the grid's 2^-169 of
-    # the box width) and one unit step that closes the bracket
+def test_refine_root_from_the_float_value_takes_four_evaluations(monkeypatch):
+    # the end signs come from the box's Sturm counts; then the float value
+    # (about 2^-50 from the eigenvalue, relative), two Newton steps (2^-100,
+    # then below the grid's 2^-169 of the box width) and one unit step that
+    # closes the bracket
     counts, refine = [], spectral.refine_root
 
     def counted(f, *args, **kw):
@@ -800,4 +812,4 @@ def test_refine_root_from_the_float_value_takes_six_evaluations(monkeypatch):
     monkeypatch.setattr(spectral, "refine_root", counted)
     for arr in [parse_array(t) for _n, t in oracle.CATALOG] + SEEDED:
         spectrum(arr)
-    assert len(counts) > 100 and max(counts) <= 6
+    assert len(counts) > 100 and max(counts) <= 4
