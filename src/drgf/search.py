@@ -12,27 +12,27 @@ subtrees as soon as a prefix is doomed:
 
 The walk takes one numpy pass per level: np.repeat expands every live prefix
 into its options, in walk order, and the level's prunings kill options as
-masks.  Each kill counts every array below the option, from a table of
+masks, each kill counting every array below the option from a table of
 completion counts built once per valency, so the statistics cover the full
-search space at array granularity.  tr(L^2), k_i and the Sturm minors of L
-at the cut ratio*k advance by one recurrence step per level, the leaf
-(a_D = k - c_D) included, where the trace identity (k^2 + (ratio*k)^2 <=
-tr(L^2)) and the exact Sturm count (theta_min <= ratio*k) decide.  It runs
-on int64, or on Python ints where an a-priori bound on the valency's values
-reaches 2^63.  The rows it keeps, one int matrix per valency, wait across
-consecutive valencies until about _SCREEN_ROWS of them go through one
-batched float screen of the Biggs multiplicities (see _screen and
-_walk_group), which decides at theta_min first and sends to eigvalsh only
-the rows it leaves undecided or integral-looking there; each row's verdict
-is its own, whatever its batch.
+search space at array granularity.  A row keeps its parent's index at each
+level, and tr(L^2), k_i and the Sturm minors of L at the cut ratio*k advance
+by one recurrence step per level; at the leaf (a_D = k - c_D) the trace
+identity (k^2 + (ratio*k)^2 <= tr(L^2)) and the exact Sturm count (theta_min
+<= ratio*k) decide, and the columns of the rows kept are gathered once.  It
+runs on int64, or on Python ints where an a-priori bound on the valency's
+values reaches 2^63.  The rows it keeps wait across consecutive valencies
+until about _SCREEN_ROWS of them go through one batched float screen of the
+Biggs multiplicities (see _screen and _walk_group), which decides at
+theta_min first and sends to eigvalsh only the rows it leaves undecided or
+integral-looking there; each row's verdict is its own, whatever its batch.
 Only the rows it keeps become arrays, and each gets one full_report (one
 exact spectrum).  The first check in DEFAULT_CHECKS order that is enabled
 and that the report fails kills the array, so a c2_bound or a1_zero failure
 at the array's own theta_min counts even where the walk's cuts at ratio*k
 let it through; a survivor keeps its report.  Each valency keeps its own
 results and statistics; with jobs > 1 the caller and jobs - 1 forked
-children each take every jobs-th valency, and the valencies are merged in
-valency order, so results and statistics are independent of process count.
+children claim valencies one at a time, largest first, from a shared counter,
+and the parts merge in valency order, so no output depends on process count.
 
 classify_diameter runs the paper's stages in one loop: k <= 4, the a_2, a_3
 and (D = 5) a_4 exclusions under their derived caps, and the main space.
@@ -41,6 +41,7 @@ Each survivor that is not bipartite must be a witness in its stage's space.
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 from bisect import bisect_left
@@ -51,7 +52,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import IntersectionArray, format_array, parse_array
-from .feasibility import FAIL, INCONCLUSIVE, c2_upper_bound, full_report, p_polynomials
+from .feasibility import FAIL, INCONCLUSIVE, full_report, p_polynomials
 from .oracle import WITNESSES
 from .spectral import (SpectralError, _sign_changes, abs_u_lower_bounds,
                        implied_last_c_lower, minor_polys, multiplicities_float,
@@ -215,16 +216,19 @@ class _KSpace:
     def __init__(self, k: int, spec: SearchSpec):
         self.k = k
         self.spec = spec
-        self.ratio_cut = cut = None if spec.theta_ratio is None else spec.theta_ratio * k
+        cut = None if spec.theta_ratio is None else spec.theta_ratio * k
         self._a1_prune = (
             "a1_zero" in spec.checks
             and spec.theta_ratio is not None and spec.theta_ratio < Fraction(-1, 2))
-        self._c2_cap = self._closed_form_c2_cap()
         on = set(spec.checks) - ({"trace_vs_ratio", "theta_ratio"} if cut is None else set())
         self._k_integral, self._trace_cut, self._sturm_cut = (
             name in on for name in ("k_integrality", "trace_vs_ratio", "theta_ratio"))
         # cut = p/q < 0; no cut reads the placeholder -1
         self._p, self._q = p, q = (-1, 1) if cut is None else (cut.numerator, cut.denominator)
+        # floor(c2_upper_bound(k, cut)) in ints; inside its gate 4q - 3p - kq > 8q(k - 1)/7
+        gated = ("c2_bound" in spec.checks and cut is not None and spec.a_pattern[0] == ZERO
+                 and -k * q < p and 7 * p < (12 - 5 * k) * q)
+        self._c2_cap = (2 * k * q - 2 * p) // (4 * q - 3 * p - k * q) if gated else None
         self._trace_lhs = (k * q) ** 2 + p ** 2
         # run computes nothing larger: |phi_l| <= (|p| + kq)^l, as every leading
         # block of L has its eigenvalues in [-k, k]; tr q^2 <= 3 (D + 1) k^2 q^2;
@@ -236,29 +240,19 @@ class _KSpace:
                   math.comb(k + D, D) * math.comb(k + F, F))
         self.dtype = np.int64 if big < 2 ** 63 else object  # object: Python ints, exact
 
-    def _closed_form_c2_cap(self):
-        if ("c2_bound" not in self.spec.checks or self.ratio_cut is None
-                or self.spec.a_pattern[0] != ZERO):
-            return None
-        k = self.k
-        if not -k < self.ratio_cut < Fraction(12 - 5 * k, 7):
-            return None
-        bound = c2_upper_bound(k, self.ratio_cut)
-        return bound.numerator // bound.denominator
-
     def _options(self, level: int):
         """The options (c, b) of a level before the prunings, a = k - c - b,
         in walk order: c increasing, then a increasing (b decreasing).  A
         prefix that ends in c', b' takes those with c >= c' and b <= b'."""
-        k, kind = self.k, self.spec.a_pattern[level - 1]
-        c, b = np.arange(1, k + 1)[:, None], np.arange(k, -1, -1)
-        a = k - c - b
-        ok = ((a == 0) if kind == ZERO else (a >= (kind == NONZERO))) & (
-            (b == 0) if level == self.spec.D else (b >= 1))
-        if level <= 2:
-            ok &= np.any([c == x for x in ((1,) if level == 1 else self.spec.c2_set)], axis=0)
-        i, j = np.nonzero(ok)
-        return c[i, 0], b[j]
+        k, D, kind = self.k, self.spec.D, self.spec.a_pattern[level - 1]
+        c = (np.arange(1, k + 1) if level > 2
+             else np.array(sorted({1} if level == 1 else {*self.spec.c2_set})))
+        c = c[c <= k]
+        top = k - c - (kind == NONZERO)  # the largest b where a >= 1, or a >= 0
+        hi = np.minimum(top, k if level < D else 0)  # b_D = 0
+        lo = np.maximum(top if kind == ZERO else 0, level < D)  # a = 0 fixes b; b >= 1 above D
+        at, i = _runs(np.maximum(hi - lo + 1, 0))
+        return c[at], hi[at] - i
 
     def _completions(self, levels: list) -> list:
         """counts[l][c, b]: the arrays below a prefix of l - 1 levels that ends
@@ -278,34 +272,33 @@ class _KSpace:
         Level by level, np.repeat expands every live prefix into its options
         in walk order, and the level's checks kill options as masks, in
         DEFAULT_CHECKS order, each kill weighted by the arrays below the
-        option.  tr(L^2), k_l b_l and the Sturm minors at the cut advance by
-        one step for the options kept; at the leaf the trace and Sturm cuts
-        apply to them."""
+        option (one at the leaf).  tr(L^2), k_l b_l and the Sturm minors at
+        the cut advance by one step for the options kept, and each keeps its
+        parent's index; at the leaf the trace and Sturm cuts apply to them."""
         k, D, p, q, dt = self.k, self.spec.D, self._p, self._q, self.dtype
         levels = [self._options(level) for level in range(1, D + 1)]
         counts = self._completions(levels)
         stats = PruningStats(generated=int(counts[1][1, k]))
-        # per live prefix of l - 1 levels: its b_0.., c_0 = 1, c_1.., then
+        # per live prefix of l - 1 levels: c_{l-1}, b_{l-1} (c_0 = 1, b_0 = k),
         # k_{l-1} b_{l-1}, tr = sum a_i^2 + 2 sum b_{i-1} c_i so far, the minors
-        # phi_{l-1} and phi_l at cut = p/q (times q^l), and whether phi_0..phi_l
-        # alternate in sign with none zero, as phi_0 = 1 and phi_1 = p < 0 do
-        bs, cs = [np.array([k])], [np.array([1])]
+        # phi_{l-1}, phi_l at cut = p/q (times q^l) and whether phi_0..phi_l alternate
+        # in sign, none zero (phi_0 = 1, phi_1 = p < 0); tree[l - 1]: level l's parents, c, b
+        c, b, tree = np.array([1]), np.array([k]), []
         kb, tr, f0, f1 = (np.array([x], dt) for x in (k, 0, 1, p))
         alternate = np.array([True])
 
         def drop(name, fails):  # each live option that fails, with the arrays below it
             fails &= ok
-            stats.kill(name, int(below[c[fails], b[fails]].sum()))
+            stats.kill(name, int(fails.sum() if below is None else below[c[fails], b[fails]].sum()))
             ok[fails] = False
 
         for level, (c_opt, b_opt) in enumerate(levels, 1):
             # a prefix takes the options from its first c >= c_{l-1} on
-            start = np.searchsorted(c_opt, cs[-1])
-            n = len(c_opt) - start
-            at = np.repeat(np.arange(len(n)), n)
-            opt = start[at] + np.arange(len(at)) - (np.cumsum(n) - n)[at]
+            start = np.searchsorted(c_opt, c)
+            at, i = _runs(len(c_opt) - start)
+            opt, b_prev = start[at] + i, b[at]
             c, b = c_opt[opt], b_opt[opt]
-            below, ok = counts[level + 1], b <= bs[-1][at]  # b_l <= b_{l-1}
+            below, ok = None if level == D else counts[level + 1], b <= b_prev
             if level == 1 and self._a1_prune:
                 drop("a1_zero", c + b != k)  # a_1 != 0
             if level == 2 and self._c2_cap is not None:
@@ -313,21 +306,29 @@ class _KSpace:
             if level >= 2 and self._k_integral:  # k_l = k_{l-1} b_{l-1} / c_l
                 drop("k_integrality", kb[at] % c.astype(dt) != 0)
             at, c, b = at[ok], c[ok], b[ok]
+            tree.append((at, c, b))
             # Python ints on the object path, so that no product wraps
-            a_l, b_l, c_l, b_prev = (x.astype(dt, copy=False)
-                                     for x in (k - c - b, b, c, bs[-1][at]))
+            a_l, c_l, bc = (x.astype(dt, copy=False) for x in (k - c - b, c, b_prev[ok] * c))
             # phi_{l+1} = (p - a_l q) phi_l - b_{l-1} c_l q^2 phi_{l-1}
-            f0, f1 = f1[at], (p - a_l * q) * f1[at] - b_prev * c_l * (q * q) * f0[at]
+            f0, f1 = f1[at], (p - a_l * q) * f1[at] - bc * (q * q) * f0[at]
             alternate = alternate[at] & ((f1 > 0) if level % 2 else (f1 < 0))
-            tr, kb = tr[at] + a_l * a_l + 2 * b_prev * c_l, kb[at] // c_l * b_l
-            bs, cs = [x[at] for x in bs] + [b], [x[at] for x in cs] + [c]
-            if level == D:
-                ok = np.ones(len(at), bool)
-                if self._trace_cut:  # k^2 + cut^2 <= tr(L^2), times q^2
-                    drop("trace_vs_ratio", self._trace_lhs > tr * (q * q))
-                if self._sturm_cut:  # D + 1 sign changes: no eigenvalue <= cut
-                    drop("theta_ratio", alternate)
-        return np.column_stack(bs[:D] + cs[1:])[ok], stats
+            tr = tr[at] + a_l * a_l + 2 * bc
+            kb = kb[at] // c_l * b.astype(dt) if level < D else None  # b_D = 0
+        ok = np.ones(len(at), bool)
+        if self._trace_cut:  # k^2 + cut^2 <= tr(L^2), times q^2
+            drop("trace_vs_ratio", self._trace_lhs > tr * (q * q))
+        if self._sturm_cut:  # D + 1 sign changes: no eigenvalue <= cut
+            drop("theta_ratio", alternate)
+        rows, cols = np.flatnonzero(ok), []  # b_1, c_1, .., b_D, c_D of the rows kept
+        for at, c, b in reversed(tree):
+            cols, rows = [b[rows], c[rows]] + cols, at[rows]
+        return np.column_stack([np.full(len(rows), k)] + cols[:-2:2] + cols[1::2]), stats
+
+
+def _runs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of lengths n laid end to end, each element's run and its place in it."""
+    at = np.repeat(np.arange(len(n)), n)
+    return at, np.arange(len(at)) - (np.cumsum(n) - n)[at]
 
 
 def _screen(rows: np.ndarray) -> np.ndarray:
@@ -355,9 +356,9 @@ def _fractional(m: np.ndarray) -> np.ndarray:
 
 def _walk_group(spec: SearchSpec,
                 ks) -> Iterator[tuple[int, list[IntersectionArray], PruningStats]]:
-    """Each valency k of the sequence ks, in order, with the arrays that its
-    level pass and the float screen keep, in walk order, and the stats of
-    their kills.
+    """Each valency k that the iterable ks gives, in its order, with the
+    arrays that its level pass and the float screen keep, in walk order, and
+    the stats of their kills.
 
     The leaf rows of consecutive valencies wait in one list until it holds
     _SCREEN_ROWS rows, or ks ends, and are then screened in one _screen
@@ -365,12 +366,13 @@ def _walk_group(spec: SearchSpec,
     A row's verdict does not depend on its batch."""
     screen = "multiplicity_integrality" in spec.checks
     waiting, stack, n = [], [], 0  # the valencies and the leaf rows not yet screened
-    for i, k in enumerate(ks):
-        rows, stats = _KSpace(k, spec).run()
-        waiting.append((k, len(rows), stats))
-        stack.append(rows)
-        n += len(rows)
-        if n < _SCREEN_ROWS and i + 1 < len(ks):
+    for k in itertools.chain(ks, [None]):  # None: ks has ended
+        if k is not None:
+            rows, stats = _KSpace(k, spec).run()
+            waiting.append((k, len(rows), stats))
+            stack.append(rows)
+            n += len(rows)
+        if not waiting or n < _SCREEN_ROWS and k is not None:
             continue
         # drop the per-valency rows, so that the screen runs beside one copy
         batch, stack, rows = np.vstack(stack), [], None
@@ -412,10 +414,24 @@ def _run_group(spec: SearchSpec, ks) -> list:
     return parts
 
 
-def _send_share(conn, spec: SearchSpec, ks) -> None:
-    """A child's share: send (True, the parts of ks) or (False, the exception)."""
+def _claims(ks, counter, stalled=lambda: None) -> Iterator[int]:
+    """The valencies of ks that this process claims in turn from the shared counter, its lock
+    held for the read and the increment; stalled() runs while a holder keeps it past 0.1 s."""
+    lock = counter.get_lock()
+    while True:
+        while not lock.acquire(timeout=0.1):
+            stalled()
+        i, counter.value = counter.value, counter.value + 1
+        lock.release()
+        if i >= len(ks):
+            return
+        yield ks[i]
+
+
+def _send_share(conn, spec: SearchSpec, ks, counter) -> None:
+    """A child's share: send (True, the parts of what it claims) or (False, the exception)."""
     try:
-        conn.send((True, _run_group(spec, ks)))
+        conn.send((True, _run_group(spec, _claims(ks, counter))))
     except Exception as exc:
         conn.send((False, exc))
 
@@ -423,44 +439,48 @@ def _send_share(conn, spec: SearchSpec, ks) -> None:
 def enumerate_arrays(spec: SearchSpec, jobs: int = 1) -> ClassificationResult:
     """Exhaust the search space; deterministic output order (k, c-sequence).
 
-    With jobs > 1 (one valency runs in process) the caller walks every
-    jobs-th valency from k_min while jobs - 1 forked children, child i from
-    k_min + i, walk the rest; the results merge in valency order, as in
-    process.  A child's exception is raised here, and a child that exits
-    without sending raises RuntimeError naming its exit code.  Every child
-    is joined on every path, terminated first if alive: none outlives the call."""
+    With jobs > 1 (one valency runs in process) the caller and jobs - 1
+    forked children claim the valencies one at a time, largest first, from a
+    shared counter (a multiprocessing.Value; a process's first costs about
+    7 ms); the results merge in valency order, as in process.  A child's
+    exception is raised here, and a child that exits without sending, even
+    holding the counter's lock, raises RuntimeError naming its exit code.
+    Every child is joined on every path, terminated first if alive."""
     ks = range(spec.k_min, spec.k_max + 1)
-    jobs = min(jobs, len(ks))
-    children = []  # (process, read end of its pipe)
-    try:
-        for i in range(1, jobs):
-            recv, send = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(target=_send_share, args=(send, spec, ks[i::jobs]))
-            child.start()
-            children.append((child, recv))
-            send.close()
-        parts = _run_group(spec, ks[0::jobs])
-        for child, recv in children:
+    jobs, pipes, parts = min(jobs, len(ks)), {}, []  # pipes: read end -> child, until read
+
+    def receive(timeout=None):  # the parts of each child whose pipe is ready in time
+        for recv in multiprocessing.connection.wait(list(pipes), timeout):  # loaded by Pipe
             try:
                 ok, out = recv.recv()
-            except EOFError:
-                child.join()
-                ok, out = False, RuntimeError(f"a child exited with code {child.exitcode} "
-                                              "before sending its valencies")
-            child.join()
+            except EOFError:  # it died before sending
+                ok, out = False, None
+            (child := pipes.pop(recv)).join()
             if not ok:
-                raise out
-            parts += out
+                raise out or RuntimeError(f"a child exited with code {child.exitcode} "
+                                          "before sending its valencies")
+            parts.extend(out)
+
+    try:
+        if jobs > 1:
+            ks, counter = ks[::-1], multiprocessing.Value("i", 0)
+            for _ in range(1, jobs):
+                recv, send = multiprocessing.Pipe(duplex=False)
+                pipes[recv] = multiprocessing.Process(target=_send_share,
+                                                      args=(send, spec, ks, counter))
+                pipes[recv].start()
+                send.close()
+            ks = _claims(ks, counter, lambda: receive(0))
+        parts += _run_group(spec, ks)
+        while pipes:
+            receive()
     finally:
-        for child, _recv in children:
+        for child in pipes.values():  # each child read is joined
             child.terminate()  # a no-op once the child has exited
             child.join()
-    parts.sort(key=lambda part: part[0])
-    stats = PruningStats()
-    found: list = []
-    for _k, pairs, st in parts:
-        found.extend(pairs)
-        stats = stats.merged_with(st)
+    stats, found = PruningStats(), []
+    for _k, pairs, st in sorted(parts, key=lambda part: part[0]):
+        stats, found = stats.merged_with(st), found + pairs
     found.sort(key=lambda pair: (pair[0].k, pair[0].c, pair[0].b))
     reports = {format_array(a): report for a, report in found}
     return ClassificationResult(spec, tuple(a for a, _report in found), reports, stats)

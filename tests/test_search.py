@@ -9,6 +9,7 @@ import signal
 import time
 import tracemalloc
 import weakref
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -465,6 +466,51 @@ def test_completion_counts_keep_a_zero_pattern_on_int64():
     assert _KSpace(600, replace(D4_SPEC, k_min=600, k_max=600)).dtype is np.int64
 
 
+def _grid_options(space, level):
+    """_options from a k x (k + 1) grid of (c, b), masked by the level's
+    rules: the construction that its option lists replace."""
+    k, kind = space.k, space.spec.a_pattern[level - 1]
+    c, b = np.arange(1, k + 1)[:, None], np.arange(k, -1, -1)
+    a = k - c - b
+    ok = ((a == 0) if kind == "0" else (a >= (kind == "+"))) & (
+        (b == 0) if level == space.spec.D else (b >= 1))
+    if level <= 2:
+        ok &= np.any([c == x for x in ((1,) if level == 1 else space.spec.c2_set)], axis=0)
+    i, j = np.nonzero(ok)
+    return c[i, 0], b[j]
+
+
+def test_options_match_the_masked_grid():
+    # every a-pattern of D = 1..5, three c_2 sets and k = 2..11: 49,230
+    # (space, level) cases, each with the same options in the same order
+    cases = 0
+    for D in range(1, 6):
+        for pattern in map("".join, itertools.product("0+*", repeat=D)):
+            for c2_set in ((1,), (1, 2), (2, 3, 7)):
+                for k in range(2, 12):
+                    space = _KSpace(k, SearchSpec(D, 2, 11, pattern, c2_set))
+                    for level in range(1, D + 1):
+                        got, want = space._options(level), _grid_options(space, level)
+                        assert all(np.array_equal(x, y) and x.dtype == y.dtype
+                                   for x, y in zip(got, want)), (pattern, c2_set, k, level)
+                        cases += 1
+    assert cases == 49230
+
+
+@pytest.mark.parametrize("ratio", [Fraction(-3, 4), Fraction(-4, 5), Fraction(-1, 2)])
+def test_c2_cap_in_ints_matches_c2_upper_bound(ratio):
+    # the gate -k < cut < (12 - 5k)/7 and the floor of the bound, in ints
+    caps = []
+    for k in range(2, 401):
+        cut = ratio * k
+        want = (math.floor(feasibility.c2_upper_bound(k, cut))
+                if -k < cut < Fraction(12 - 5 * k, 7) else None)
+        caps.append(_KSpace(k, SearchSpec(4, 2, 400, "000+", (1, 2), ratio))._c2_cap)
+        assert caps[-1] == want, k
+    assert any(cap is not None for cap in caps)
+    assert (None in caps) == (ratio == Fraction(-1, 2))
+
+
 # A naive enumeration apart from the level pass: itertools walks every
 # monotone c and b sequence, and each array goes to the first check it fails,
 # in walk order, computed on its own from Fractions, trace_of_l_squared and
@@ -670,8 +716,8 @@ def test_parallel_matches_serial(d4_result):
 
 def test_jobs_change_no_output_or_its_order(monkeypatch):
     # every odd-girth entry inconclusive: warnings at k = 4..8, which the
-    # pool's groups of every jobs-th valency hold out of valency order; the
-    # merge restores it for the survivors, the kills and the warnings
+    # processes claim largest first and hold out of valency order; the merge
+    # restores it for the survivors, the kills and the warnings
     monkeypatch.setattr(feasibility, "INEQ_PASS_TOL", -1e9)
     spec = SearchSpec(3, 3, 8, "***", (1, 2), None)
     serial = enumerate_arrays(spec)
@@ -684,32 +730,72 @@ def test_jobs_change_no_output_or_its_order(monkeypatch):
 
 
 def _recorded_children(monkeypatch):
-    """The valency share of every child that enumerate_arrays starts, as a
-    list, in start order; the children are real processes."""
-    shares = []
+    """Every child process that enumerate_arrays starts, in start order; the
+    children are real processes."""
+    children = []
 
     class Recorded(multiprocessing.Process):
         def start(self):
-            shares.append(list(self._args[2]))
+            children.append(self)
             super().start()
 
     monkeypatch.setattr(search.multiprocessing, "Process", Recorded)
-    return shares
+    return children
 
 
-def test_no_more_children_than_valencies(monkeypatch):
+def _walks(monkeypatch, tmp_path):
+    """Patch _run_group, before any fork, so that every process logs each
+    valency that it walks.  The function returned reads and clears the log:
+    the count of each (space, k) walked, the spaces in the caller's order,
+    and the ids of the processes that walked them."""
+    log, run, caller, spaces = tmp_path / "walked", search._run_group, os.getpid(), []
+
+    def patched(spec, ks):
+        if os.getpid() == caller:
+            spaces.append(spec)
+
+        def logged():
+            for k in ks:
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\t{spec!r}\t{k}\n")
+                yield k
+        return run(spec, logged())
+
+    def read():
+        lines = [line.split("\t") for line in log.read_text().splitlines()]
+        log.unlink()
+        out = Counter((spec, int(k)) for _pid, spec, k in lines), list(spaces)
+        spaces.clear()
+        return (*out, {int(pid) for pid, _spec, _k in lines})
+    monkeypatch.setattr(search, "_run_group", patched)
+    return read
+
+
+def _each_valency_once(walks, children):
+    """Each valency of each space enumerated since the last call was walked
+    exactly once, by the caller or by one of its children."""
+    walked, spaces, pids = walks()
+    assert walked == Counter((repr(s), k) for s in spaces for k in range(s.k_min, s.k_max + 1))
+    assert pids <= {os.getpid()} | {child.pid for child in children}
+
+
+def test_no_more_children_than_valencies(monkeypatch, tmp_path):
     # a one-valency space forks no child, and a space of n valencies forks
-    # min(jobs, n) - 1, the caller walking the first share itself; in
+    # min(jobs, n) - 1, the caller claiming valencies too; in
     # classify_diameter(5, jobs=2) the k <= 4, a_4 and main spaces fork one
-    # child each, and the one-valency a_3 space k in [5, 5] none
-    shares = _recorded_children(monkeypatch)
+    # child each, and the one-valency a_3 space k in [5, 5] none.  However
+    # the claims fall, every valency is walked once across the processes
+    children, walks = _recorded_children(monkeypatch), _walks(monkeypatch, tmp_path)
     enumerate_arrays(SearchSpec(5, 5, 5, "000+*", (1, 2), Fraction(-4, 5)), jobs=2)
-    assert shares == []
+    assert children == []
+    _each_valency_once(walks, children)
     enumerate_arrays(SearchSpec(4, 5, 7, "000+", (1, 2), Fraction(-3, 4)), jobs=8)
-    assert shares == [[6], [7]]
-    shares.clear()
+    assert len(children) == min(8, 3) - 1
+    _each_valency_once(walks, children)
+    children.clear()
     classify_diameter(5, jobs=2)
-    assert shares == [[3], list(range(6, 25, 2)), list(range(6, 72, 2))]
+    assert len(children) == 3
+    _each_valency_once(walks, children)
     assert multiprocessing.active_children() == []
 
 
@@ -728,46 +814,72 @@ def no_hang():
     signal.signal(signal.SIGALRM, old)
 
 
-def _failing_share(monkeypatch, k, fail):
-    """Patch _run_group, before any fork, to call fail() in the share that
-    starts at valency k; every other share runs as usual."""
-    run = search._run_group
+def _failing_valency(monkeypatch, k, fail):
+    """Patch _run_group, before any fork, so that a child calls fail() when
+    it claims valency k; every other valency runs as usual.  The caller
+    claims nothing until then, so a child claims k whatever the timing."""
+    run, caller, reached = search._run_group, os.getpid(), multiprocessing.Event()
 
     def patched(spec, ks):
-        if ks[0] == k:
-            fail()
-        return run(spec, ks)
+        def claims():
+            if os.getpid() == caller:
+                reached.wait(50)
+            for x in ks:
+                if os.getpid() != caller and x == k:
+                    reached.set()
+                    fail()
+                yield x
+        return run(spec, claims())
     monkeypatch.setattr(search, "_run_group", patched)
 
 
 def test_a_childs_exception_is_raised_in_the_caller(monkeypatch, no_hang):
     def fail():
         raise SearchSpecError("share from k = 6")
-    _failing_share(monkeypatch, 6, fail)
+    _failing_valency(monkeypatch, 6, fail)
     with pytest.raises(SearchSpecError, match=r"^share from k = 6$"):
         enumerate_arrays(SMALL_SPEC, jobs=2)
     assert multiprocessing.active_children() == []
 
 
 def test_an_exception_in_the_callers_share_terminates_the_child(monkeypatch, no_hang):
-    # the child's share sleeps far past the test's alarm: only terminate
-    # ends it, and the caller's exception comes through unchanged
-    shares = _recorded_children(monkeypatch)
-    run = search._run_group
+    # the child sleeps far past the test's alarm: only terminate ends it,
+    # and the caller's exception comes through unchanged
+    children, caller, run = _recorded_children(monkeypatch), os.getpid(), search._run_group
 
     def patched(spec, ks):
-        if ks[0] == 5:
+        if os.getpid() == caller:
             raise ZeroDivisionError("the caller's share")
         time.sleep(600)
         return run(spec, ks)
     monkeypatch.setattr(search, "_run_group", patched)
     with pytest.raises(ZeroDivisionError, match="the caller's share"):
         enumerate_arrays(SMALL_SPEC, jobs=2)
-    assert shares == [[6, 8]] and multiprocessing.active_children() == []
+    assert len(children) == 1 and children[0].exitcode == -signal.SIGTERM
+    assert multiprocessing.active_children() == []
 
 
 def test_a_child_that_exits_without_sending_raises(monkeypatch, no_hang):
-    _failing_share(monkeypatch, 6, lambda: os._exit(3))
+    _failing_valency(monkeypatch, 6, lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3 before sending"):
+        enumerate_arrays(SMALL_SPEC, jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_dies_holding_the_claim_lock_raises(monkeypatch, no_hang):
+    # the child exits inside a claim, so the counter's lock is never
+    # released; the caller, whose next claim waits for the lock, finds the
+    # child gone within the alarm instead of waiting for ever
+    claims, caller, held = search._claims, os.getpid(), multiprocessing.Event()
+
+    def patched(ks, counter, *args):
+        if os.getpid() != caller:
+            counter.get_lock().acquire()
+            held.set()
+            os._exit(3)
+        held.wait(50)
+        return claims(ks, counter, *args)
+    monkeypatch.setattr(search, "_claims", patched)
     with pytest.raises(RuntimeError, match="exited with code 3 before sending"):
         enumerate_arrays(SMALL_SPEC, jobs=2)
     assert multiprocessing.active_children() == []
