@@ -372,7 +372,7 @@ def _walk_group(spec: SearchSpec,
             waiting.append((k, len(rows), stats))
             stack.append(rows)
             n += len(rows)
-        if not waiting or n < _SCREEN_ROWS and k is not None:
+        if not waiting or (n < _SCREEN_ROWS and k is not None):
             continue
         # drop the per-valency rows, so that the screen runs beside one copy
         batch, stack, rows = np.vstack(stack), [], None
