@@ -22,9 +22,10 @@ seq = standard_sequence(arr, spec.theta_min)
 print(f"u(theta_min) = {[str(u) for u in seq.u]}")
 print(f"terminal residual = {seq.terminal_residual}")
 
-# the tail bound dominates the true multiplicity for every split point j
+# the tail bound dominates the true multiplicity for every split point j:
+# it takes u_0..u_j and the tail (k_j + ... + k_D) / k_j
 for j in range(1, arr.D + 1):
-    b = multiplicity_upper_bound(arr, seq, j)
+    b = multiplicity_upper_bound(seq.u[:j + 1], sum(arr.kseq[j:]) / arr.kseq[j])
     print(f"  multiplicity bound (j={j}): {float(b):9.4f}  >=  m = 8")
 
 # mixed rational/irrational spectra work the same way

@@ -193,14 +193,16 @@ def polygon_epsilon_upper(g: int):
 
 
 def diameter_bound(t: int, zeta) -> int:
-    """ceil(4 t / zeta^2), exact for rational zeta."""
+    """ceil(4 t / zeta^2): exact for a rational zeta, at working precision
+    for an mpf one (zeta_star)."""
     if t < 1:
         raise BoundError("t must be >= 1")
-    z = Fraction(zeta) if not isinstance(zeta, Fraction) else zeta
-    if not 0 < z <= Fraction(1, 2):
-        raise BoundError("zeta must lie in (0, 1/2]")
-    val = Fraction(4 * t) / (z * z)
-    return -((-val.numerator) // val.denominator)
+    with workdps():
+        z = as_mpf(zeta) if isinstance(zeta, mp.mpf) else Fraction(zeta)
+        if not 0 < z <= 0.5:
+            raise BoundError("zeta must lie in (0, 1/2]")
+        val = 4 * t / (z * z)
+        return math.ceil(val) if isinstance(val, Fraction) else int(mp.ceil(val))
 
 
 def bound_table(g_min: int, g_max: int, mode: str = MODE_GENERAL):

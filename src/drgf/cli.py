@@ -91,11 +91,11 @@ def _spec_from_args(args) -> search.SearchSpec:
             and args.theta_ratio is None and args.c2 is None:
         return search.default_spec(args.diameter)
     D = args.diameter
-    cap = search.valency_cap(D).k_max if D in (4, 5) else None
     return search.SearchSpec(
         D=D,
         k_min=args.k_min if args.k_min is not None else 5,
-        k_max=args.k_max if args.k_max is not None else (cap or 5),
+        k_max=args.k_max if args.k_max is not None
+        else search.valency_cap(D).k_max if D in (4, 5) else 5,
         a_pattern=args.a_pattern or "0" * (D - 1) + "+",
         c2_set=args.c2 or (1, 2),
         theta_ratio=args.theta_ratio if args.theta_ratio is not None
@@ -147,8 +147,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_theorem2(args) -> int:
     try:
-        result = search.classify_diameter(args.diameter, jobs=args.jobs,
-                                          disable_checks=tuple(args.disable_check or ()))
+        result = search.classify_diameter(args.diameter, jobs=args.jobs)
     except search.SearchSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -204,13 +203,8 @@ def cmd_bound(args) -> int:
     print(f"theta/k >= {_nstr(tb)}  (conservative 2dp: {bound.conservative_2dp(tb)})")
     print(f"cycle-graph gap = {_nstr(bound.polygon_epsilon_upper(g))}"
           "  (bounds the full constant, not epsilon1)")
-    if args.zeta is not None and args.zeta > 0:
-        print(f"diameter bound = {bound.diameter_bound(params.t, args.zeta)}")
-    else:
-        with workdps():
-            z = as_mpf(params.zeta)
-            if z > 0:
-                print(f"diameter bound = {int(mp.ceil(4 * params.t / (z * z)))}")
+    if (z := params.zeta if args.zeta is None else args.zeta) > 0:
+        print(f"diameter bound = {bound.diameter_bound(params.t, z)}")
     print(f"note: {bound.EPSILON_CAVEAT}")
     return EXIT_OK
 
@@ -291,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diameter", "-d", type=int, required=True)
     p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--disable-check", action="append", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_theorem2)
 
     p = sub.add_parser("bound", help="odd-girth smallest-eigenvalue bound")

@@ -62,7 +62,7 @@ class IntersectionArray:
             ks.append(ks[-1] * self.b[i] / self.c[i])
         return tuple(ks)
 
-    @property
+    @cached_property
     def v(self) -> Fraction:
         return sum(self.kseq)
 

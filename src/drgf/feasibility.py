@@ -163,7 +163,9 @@ def _ineq_verdict(value) -> str:
 
 def check_odd_girth_inequality(arr: IntersectionArray, theta_min) -> list[CheckEntry]:
     """For each eigenvalue eta = 2 cos(2 pi j / g) of the odd-girth cycle,
-    sum_{i<=t} p_i(eta) u_i(theta_min) must be nonnegative."""
+    sum_{i<=t} p_i(eta) u_i(theta_min) must be nonnegative.  The verdict
+    reads the sum at working precision; its witness, value, is written at
+    15 significant digits."""
     t = arr.t
     if t is None:
         return [_entry("odd_girth_inequality", NA, reason="bipartite-type array")]
@@ -177,7 +179,7 @@ def check_odd_girth_inequality(arr: IntersectionArray, theta_min) -> list[CheckE
             ps = p_polynomials(t, eta)
             val = mp.fsum(ps[i] * u[i] for i in range(t + 1))
             out.append(_entry(f"odd_girth_inequality_j{j}", _ineq_verdict(val),
-                              j=j, g=g, eta=eta, value=val))
+                              j=j, g=g, eta=eta, value=_noise_str(val, 15)))
     return out
 
 
@@ -192,14 +194,13 @@ def check_sum_rules(arr: IntersectionArray, spec: Spectrum) -> CheckEntry:
         r2 = abs(mp.fsum(m * t * t for m, t in zip(ms, th)) - v * arr.k) / (v * arr.k)
         ok = max(r0, r1, r2) < SUM_RULES_TOL
         return _entry("spectrum_sum_rules", PASS if ok else FAIL,
-                      r_sum=_residual_str(r0), r_first=_residual_str(r1),
-                      r_second=_residual_str(r2))
+                      r_sum=_noise_str(r0), r_first=_noise_str(r1), r_second=_noise_str(r2))
 
 
-def _residual_str(r) -> str:
-    """A sum-rule residual at 3 significant digits, or 0 below 10^-(DPS-5),
-    where it is rounding noise of the working precision."""
-    return "0" if r < mp.mpf(10) ** (5 - DPS) else mp.nstr(r, 3)
+def _noise_str(x, digits: int = 3) -> str:
+    """An mpf at digits significant digits, or 0 where |x| is below
+    10^-(DPS-5), the rounding noise of the working precision."""
+    return "0" if abs(x) < mp.mpf(10) ** (5 - DPS) else mp.nstr(x, digits)
 
 
 def check_trace_square(arr: IntersectionArray, theta_min) -> CheckEntry:

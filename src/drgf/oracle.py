@@ -22,14 +22,11 @@ BIPARTITE = "bipartite"
 # of a Fano plane (lines {0,1,3}+i mod 7), triples adjacent when disjoint;
 # labels follow the lexicographic order of the sorted triples.  Verified by
 # verify_distance_regular, not trusted from the construction.
-_COXETER_EDGES = (
-    (0, 25), (0, 26), (0, 27), (1, 21), (1, 24), (1, 26), (2, 20),
-    (2, 21), (2, 23), (3, 20), (3, 22), (3, 25), (4, 18), (4, 19),
-    (4, 27), (5, 16), (5, 17), (5, 26), (6, 15), (6, 17), (6, 19),
-    (7, 13), (7, 14), (7, 24), (8, 14), (8, 19), (8, 23), (9, 13),
-    (9, 18), (9, 22), (10, 12), (10, 13), (10, 16), (11, 12), (11, 15),
-    (11, 20), (12, 27), (14, 25), (15, 24), (16, 23), (17, 22), (18, 21),
-)
+_FANO_LINES = {frozenset((i, (i + 1) % 7, (i + 3) % 7)) for i in range(7)}
+_COXETER_EDGES = tuple(
+    (i, j) for (i, s), (j, r) in combinations(enumerate(
+        frozenset(t) for t in combinations(range(7), 3) if frozenset(t) not in _FANO_LINES), 2)
+    if not s & r)
 
 
 class OracleError(ValueError):

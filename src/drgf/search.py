@@ -56,6 +56,7 @@ from .feasibility import FAIL, INCONCLUSIVE, full_report, p_polynomials
 from .oracle import WITNESSES
 from .spectral import (SpectralError, _sign_changes, abs_u_lower_bounds,
                        implied_last_c_lower, minor_polys, multiplicities_float,
+                       multiplicity_upper_bound,
                        spectrum,  # not called here; perfbench's tracer test rebinds it
                        sqrt_bounds, theta_min_multiplicity_float)
 
@@ -688,63 +689,57 @@ def valency_cap(D: int, branch: str = "main") -> CapDerivation:
     rounding step weakens, never strengthens, the chain.  Every raw value is
     a Fraction (low_c3_cap an int), exact or, where a square root enters
     (c4_over_k_lower, c3_over_k_upper, c5_over_k_lower), a bound on its safe
-    side within 2^-64, from the matching end of sqrt_bounds.
+    side within 2^-64, from the matching end of sqrt_bounds.  The last step
+    is multiplicity_upper_bound of the published u_i and tail bound: every
+    valency k >= anchor has m >= k, so k_max is its floor (m is integral),
+    or anchor - 1 where it falls below the anchor.
     """
     theta_ratio, c2_max = Fraction(-(D - 1), D), 2
     rho = -theta_ratio
     steps: list[CapStep] = []
+    low = 0  # the a4 branch's cap below its anchor
 
     def publish(name, raw, upper=False):
-        pub = _ceil4(raw) if upper else _floor4(raw)
-        steps.append(CapStep(name, raw, pub))
-        return pub
+        steps.append(CapStep(name, raw, _ceil4(raw) if upper else _floor4(raw)))
+        return steps[-1].published
 
     def publish_u_chain(anchor):
         lows = abs_u_lower_bounds(anchor, (rho, 1), [1, c2_max])
-        return [publish(f"u{i}_lower", lows[i]) for i in (1, 2, 3)]
+        return [1, *(publish(f"u{i}_lower", lows[i]) for i in (1, 2, 3))]
 
     if D == 4 and branch == "main":
         anchor = 36
-        u1, u2, u3 = publish_u_chain(anchor)
+        u = publish_u_chain(anchor)
         c4r = publish("c4_over_k_lower",
                       implied_last_c_lower(4, anchor, theta_ratio * anchor) / anchor)
-        mbound = max(1 / (u1 * u1), 1 / (u2 * u2), (1 / (u3 * u3)) * (1 + 1 / c4r))
-        steps.append(CapStep("multiplicity_bound", mbound, _ceil4(mbound)))
-        if not mbound < anchor:
-            raise CapDerivationError(
-                f"multiplicity_bound: expected a contradiction below k = {anchor}, "
-                f"got {float(mbound):.4f}")
-        return CapDerivation(D, branch, anchor, tuple(steps), anchor - 1)
-
-    if D == 5 and branch == "a4":
+        tail = 1 + 1 / c4r
+    elif D == 5 and branch == "a4":
         anchor = 24
-        split = eta_exclusion_cap(4, p_polynomials(4, -1), theta_ratio, tuple(range(1, c2_max + 1)),
-                                  c3_ratio_cap=Fraction(3750, 10000))
-        steps.append(CapStep("low_c3_cap", split, Fraction(split)))
-        u1, u2, u3 = publish_u_chain(anchor)
+        low = eta_exclusion_cap(4, p_polynomials(4, -1), theta_ratio, tuple(range(1, c2_max + 1)),
+                                c3_ratio_cap=Fraction(3750, 10000))
+        steps.append(CapStep("low_c3_cap", low, Fraction(low)))
+        u = publish_u_chain(anchor)
         x_hi = (1 - Fraction(3750, 10000)) / Fraction(3750, 10000)
-        mbound = max(1 / (u1 * u1), 1 / (u2 * u2), (1 / (u3 * u3)) * (1 + x_hi + x_hi * x_hi))
-        steps.append(CapStep("multiplicity_bound", mbound, _ceil4(mbound)))
-        high = max(anchor - 1, mbound.numerator // mbound.denominator)  # m integral
-        return CapDerivation(D, branch, anchor, tuple(steps), max(split, high))
-
-    if D == 5 and branch == "main":
+        tail = 1 + x_hi + x_hi * x_hi
+    elif D == 5 and branch == "main":
         anchor = 71
-        u1, u2, u3 = publish_u_chain(anchor)
+        u = publish_u_chain(anchor)
         # m >= k >= anchor forces the tail term of the multiplicity bound
         # above anchor: anchor <= (1/u3^2)(1 + x + x^2), x = (k - c3)/c3, so x
         # is at least (sqrt(4 anchor u3^2 - 3) - 1)/2, here bounded from below
-        x_lo = (sqrt_bounds(4 * anchor * u3 * u3 - 3)[0] - 1) / 2
+        x_lo = (sqrt_bounds(4 * anchor * u[3] * u[3] - 3)[0] - 1) / 2
         c3r = publish("c3_over_k_upper", 1 / (1 + x_lo), upper=True)
-        u4 = publish("u4_lower", abs_u_lower_bounds(anchor, (rho, 1), [1, c2_max, c3r * anchor])[4])
+        u.append(publish("u4_lower",
+                         abs_u_lower_bounds(anchor, (rho, 1), [1, c2_max, c3r * anchor])[4]))
         c5r = publish("c5_over_k_lower",
                       implied_last_c_lower(5, anchor, theta_ratio * anchor) / anchor)
-        mbound = max(1 / (u1 * u1), 1 / (u2 * u2), 1 / (u3 * u3), (1 / (u4 * u4)) * (1 + 1 / c5r))
-        steps.append(CapStep("multiplicity_bound", mbound, _ceil4(mbound)))
-        cap = max(anchor - 1, mbound.numerator // mbound.denominator)
-        return CapDerivation(D, branch, anchor, tuple(steps), cap)
-
-    raise CapDerivationError(f"no cap pipeline for D={D} branch={branch!r}")
+        tail = 1 + 1 / c5r
+    else:
+        raise CapDerivationError(f"no cap pipeline for D={D} branch={branch!r}")
+    mbound = multiplicity_upper_bound(u, tail)
+    publish("multiplicity_bound", mbound, upper=True)
+    return CapDerivation(D, branch, anchor, tuple(steps),
+                         max(low, anchor - 1, math.floor(mbound)))
 
 
 # ---------------------------------------------------------------------------

@@ -218,14 +218,6 @@ class Spectrum:
                         else abs(raw - r) < 1e-6 * max(1, abs(raw)))
             for raw, r in zip(self.mults_raw, self.mults))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "thetas": [num_str(t) for t in self.thetas],
-            "mults": [num_str(m) for m in self.mults_raw],
-            "mults_rounded": list(self.mults),
-            "v": num_str(self.v),
-        }
-
 
 def _eigen_with_enclosures(arr: IntersectionArray):
     """theta_0 > ... > theta_D and their enclosures (the module docstring)."""
@@ -443,26 +435,19 @@ def spectrum(arr: IntersectionArray) -> Spectrum:
     return Spectrum(tuple(thetas), raw, tuple(rounded), tuple(enclosures), v)
 
 
-def multiplicity_upper_bound(arr: IntersectionArray, seq: StandardSequence, j: int):
-    """max{1/u_1^2, ..., 1/u_{j-1}^2, (k_j + ... + k_D) / (k_j u_j^2)}.
-
-    An upper bound for the Biggs multiplicity of seq.theta whenever seq is the
-    standard sequence of an eigenvalue.
-    """
-    if not 1 <= j <= arr.D:
-        raise ValueError(f"j must be in [1, {arr.D}]")
-    u = seq.u
-    if u[j] == 0:
-        raise ValueError(f"u_{j} = 0")
-    terms = [1 / (u[i] * u[i]) for i in range(1, j) if u[i] != 0]
-    ks = arr.kseq
-    tail_num = sum(ks[j:])
-    if isinstance(u[j], Fraction):
-        tail = Fraction(tail_num) / (ks[j] * u[j] * u[j])
-    else:
-        tail = as_mpf(tail_num) / (as_mpf(ks[j]) * u[j] * u[j])
-    terms.append(tail)
-    return max(terms)
+def multiplicity_upper_bound(u, tail):
+    """max{1/u_1^2, ..., 1/u_{j-1}^2, tail/u_j^2} for u = (u_0, ..., u_j), j >= 1:
+    with tail >= (k_j + ... + k_D)/k_j, a bound [BCN 4.1] on the Biggs
+    multiplicity v / sum k_i u_i^2 of an eigenvalue whose standard sequence
+    starts with u (a ratio of sums is at most the largest ratio of their
+    parts), which holds as well where each u_i is a lower bound on |u_i|.
+    Exact for exact inputs, else an mpf; ValueError if some u_i (i >= 1) is 0."""
+    if len(u) < 2 or any(x == 0 for x in u[1:]):
+        raise ValueError(f"need u_0, ..., u_j with j >= 1 and no u_i = 0, got {u}")
+    with workdps():
+        num = Fraction if all(isinstance(x, Exact) for x in (*u, tail)) else as_mpf
+        inv = [1 / num(x) ** 2 for x in u[1:]]
+        return max([*inv[:-1], num(tail) * inv[-1]])
 
 
 def abs_u_lower_bounds(k_min: int, theta_ratio_range, c_upper) -> list[Fraction]:

@@ -198,6 +198,18 @@ def test_diameter_bound_exact():
     assert diameter_bound(2, Fraction(1, 2)) == 32
     assert diameter_bound(2, Fraction(1, 10)) == 800
     assert diameter_bound(1, Fraction(1, 2)) == 16
+    assert diameter_bound(1, 0.5) == 16  # a float is taken exactly
+
+
+@pytest.mark.parametrize("g, expected", [(5, 1341), (7, 19108),
+                                         (101, 141186730456505910036327558328179)])
+def test_diameter_bound_at_zeta_star(g, expected):
+    t, z = (g - 1) // 2, zeta_star(g)
+    with workdps():
+        assert diameter_bound(t, z) == int(mp.ceil(4 * t / (z * z))) == expected
+    assert diameter_bound(t, z) == expected  # at any ambient precision
+    with pytest.raises(BoundError):
+        diameter_bound(t, mp.mpf(0))
     with pytest.raises(BoundError):
         diameter_bound(2, Fraction(3, 4))
 

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import os
 import re
@@ -164,6 +165,17 @@ def test_enumerate_d1_without_a_ratio():
     assert doc["stats"]["generated"] == 2
 
 
+def test_enumerate_with_k_max_derives_no_cap(monkeypatch, capsys):
+    from drgf import cli, search
+
+    def no_cap(*args):
+        raise AssertionError("valency_cap called")
+
+    monkeypatch.setattr(search, "valency_cap", no_cap)
+    assert cli.main(["enumerate", "-d", "5", "--k-max", "6"]) == cli.EXIT_OK
+    assert "survivor {6,5,5,4,4;1,1,2,2,3}\n" in capsys.readouterr().out  # O_6
+
+
 def test_enumerate_without_a_cap_pipeline_exit2():
     # no valency cap exists for D = 3, and D = 0 has no ratio -(D-1)/D
     for args in (("-d", "3"), ("-d", "0", "--k-max", "4"), ("-d", "0")):
@@ -210,11 +222,14 @@ def test_theorem2_bad_diameter_exit2():
     assert run_cli("theorem2", "--diameter", "6").returncode == 2
 
 
-def test_theorem2_discrepancy_injection():
-    r = run_cli("theorem2", "--diameter", "4",
-                "--disable-check", "multiplicity_integrality")
-    assert r.returncode == 1
-    assert "DISCREPANCY" in r.stdout
+def test_theorem2_discrepancy_injection(monkeypatch, capsys):
+    # through classify_diameter's disable_checks seam: without the multiplicity
+    # check the D = 4 stages keep arrays that are no witness
+    from drgf import cli, search
+    monkeypatch.setattr(search, "classify_diameter", functools.partial(
+        search.classify_diameter, disable_checks=("multiplicity_integrality",)))
+    assert cli.main(["theorem2", "--diameter", "4"]) == cli.EXIT_FAIL
+    assert "DISCREPANCY" in capsys.readouterr().out
 
 
 def test_theorem2_json():
@@ -243,10 +258,20 @@ def test_jobs_below_one_exit2(command, jobs, capsys):
     assert "argument --jobs" in capsys.readouterr().err
 
 
-def test_theorem2_unknown_check_exit2():
-    r = run_cli("theorem2", "--diameter", "4", "--disable-check", "trace_squar")
-    assert r.returncode == 2
-    assert "unknown checks" in r.stderr and "Traceback" not in r.stderr
+def test_theorem2_unknown_check_exit2(monkeypatch, capsys):
+    from drgf import cli, search
+    monkeypatch.setattr(search, "classify_diameter", functools.partial(
+        search.classify_diameter, disable_checks=("trace_squar",)))
+    assert cli.main(["theorem2", "--diameter", "4"]) == cli.EXIT_USAGE
+    assert "unknown checks" in capsys.readouterr().err
+
+
+def test_theorem2_has_no_disable_check_flag(capsys):
+    from drgf import cli
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["theorem2", "--diameter", "4", "--disable-check", "trace_square"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --disable-check" in capsys.readouterr().err
 
 
 def test_bound_sharp_g5_remark():
@@ -295,6 +320,15 @@ def test_bound_table_without_an_odd_girth_exit2(table):
     r = run_cli("bound", "--table", table)
     assert r.returncode == 2 and r.stdout == ""
     assert f"error: no odd girth in {table}" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args, fixture", [
+    (("--table", "5..101"), "bound_table_5_101.csv"),
+    (("-g", "5", "--zeta=1/10", "--mode", "sharp-g5"), "bound_g5_sharp.txt")])
+def test_bound_matches_fixture(args, fixture):
+    r = subprocess.run([sys.executable, "-m", "drgf", "bound", *args], capture_output=True)
+    assert r.returncode == 0
+    assert r.stdout == (FIXTURES / fixture).read_bytes()
 
 
 def test_bound_table_csv():

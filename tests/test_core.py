@@ -114,8 +114,8 @@ def valid_arrays(draw):
 def test_array_properties(arr):
     # canonical text round-trips
     assert parse_array(format_array(arr)) == arr
-    # vertex count is the exact rational sum of the k_i
-    assert arr.v == sum(arr.kseq)
+    # vertex count is the exact rational sum of the k_i, computed once
+    assert arr.v == sum(arr.kseq) and arr.v is arr.v
     # odd girth, when defined, is odd and at least 3
     g = arr.g
     assert g is None or (g % 2 == 1 and g >= 3)

@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+from mpmath import mp
 
 from drgf import feasibility
 from drgf.core import parse_array
@@ -136,6 +137,24 @@ def test_odd_girth_inequality_j0_structure():
     u = (1, Fraction(-4, 5), Fraction(11, 20), Fraction(-7, 20), Fraction(1, 10))
     expect = 1 + 2 * sum(u[1:])
     assert abs(float(entries[0].witness["value"]) - float(expect)) < 1e-12
+
+
+def test_odd_girth_values_ignore_the_last_digit_of_theta_min():
+    # a value prints at 15 significant digits, and as 0 within the rounding
+    # noise of the working precision, so moving theta_min by one unit in its
+    # 50th digit leaves every witness, and every verdict, as it was
+    for text in WITNESSES + ["{5,4;1,4}", "{7,6,4,4;1,1,1,6}"]:
+        arr = parse_array(text)
+        theta = eigenvalues(arr)[-1]
+        with workdps():
+            unit = mp.mpf(10) ** (int(mp.floor(mp.log10(abs(as_mpf(theta))))) - 49)
+            moved = as_mpf(theta) + unit
+        entries = check_odd_girth_inequality(arr, theta)
+        assert [(e.name, e.verdict, e.witness) for e in entries] == [
+            (e.name, e.verdict, e.witness) for e in check_odd_girth_inequality(arr, moved)]
+        digits = [e.witness["value"].split("e")[0].strip("-").replace(".", "").lstrip("0")
+                  for e in entries]
+        assert all(len(d) <= 15 for d in digits) and max(map(len, digits)) > 1, text
 
 
 def test_odd_girth_inequality_pentagon_violation():

@@ -920,7 +920,7 @@ def test_valency_cap_d4():
     assert cap.step("u2_lower").published == Fraction(5500, 10**4)
     assert cap.step("u3_lower").published == Fraction(3926, 10**4)
     assert cap.step("c4_over_k_lower").published == Fraction(2227, 10**4)
-    assert float(cap.step("multiplicity_bound").raw) < 36
+    assert cap.step("multiplicity_bound").raw == Fraction(305675000000, 8581452763)  # < 36
 
 
 def test_valency_cap_d5_main():
@@ -931,7 +931,7 @@ def test_valency_cap_d5_main():
     assert cap.step("c3_over_k_upper").published == Fraction(2166, 10**4)
     assert cap.step("u4_lower").published == Fraction(3344, 10**4)
     assert cap.step("c5_over_k_lower").published == Fraction(1440, 10**4)
-    assert 71 <= float(cap.step("multiplicity_bound").raw) < 72
+    assert cap.step("multiplicity_bound").raw == Fraction(5078125, 71478)  # in [71, 72)
 
 
 def test_valency_cap_d5_a4_branch():
@@ -940,7 +940,24 @@ def test_valency_cap_d5_a4_branch():
     assert cap.step("low_c3_cap").published == 24
     assert cap.step("u2_lower").published == Fraction(6243, 10**4)
     assert cap.step("u3_lower").published == Fraction(4721, 10**4)
-    assert float(cap.step("multiplicity_bound").raw) < 25
+    assert cap.step("multiplicity_bound").raw == Fraction(4900000000, 200590569)  # < 25
+
+
+@pytest.mark.parametrize("D, branch", [(4, "main"), (5, "a4"), (5, "main")])
+def test_valency_cap_bound_is_multiplicity_upper_bound_of_its_steps(D, branch):
+    # the published u_i and the step before the bound give its tail:
+    # (k_j + ... + k_D) / k_j <= 1 + 1/(c_D/k) or, on the a4 branch, 1 + x + x^2
+    cap = valency_cap(D, branch)
+    j = 3 if branch == "a4" else D - 1
+    u = [1] + [cap.step(f"u{i}_lower").published for i in range(1, j + 1)]
+    x = (1 - Fraction(3750, 10000)) / Fraction(3750, 10000)
+    tail = (1 + x + x * x if branch == "a4"
+            else 1 + 1 / cap.step(f"c{D}_over_k_lower").published)
+    step = cap.step("multiplicity_bound")
+    assert step.raw == spectral.multiplicity_upper_bound(u, tail)
+    assert step.published >= step.raw > step.published - Fraction(1, 10**4)
+    assert cap.k_max == max(cap.anchor - 1, math.floor(step.raw),
+                            *(s.raw for s in cap.steps if s.name == "low_c3_cap"))
 
 
 def test_valency_cap_rejects_unknown_branch():

@@ -181,6 +181,11 @@ def test_multiplicity_rejects_non_eigenvalue():
         multiplicity(arr, mp.mpf("-3.3"))
 
 
+def _k_tail(arr, j):
+    """(k_j + ... + k_D) / k_j, exact."""
+    return sum(arr.kseq[j:]) / arr.kseq[j]
+
+
 def test_multiplicity_upper_bound_dominates():
     for text in ("{5,4,4,3;1,1,2,2}", "{3,2,2,1;1,1,1,2}", "{9,8,7,6;1,2,3,4}"):
         arr = parse_array(text)
@@ -188,17 +193,22 @@ def test_multiplicity_upper_bound_dominates():
         for theta, m in zip(spec.thetas[1:], spec.mults_raw[1:]):
             seq = standard_sequence(arr, theta)
             for j in range(1, arr.D + 1):
-                if seq.u[j] == 0:
+                if 0 in seq.u[1:j + 1]:
                     continue
-                bound = multiplicity_upper_bound(arr, seq, j)
+                bound = multiplicity_upper_bound(seq.u[:j + 1], _k_tail(arr, j))
+                assert isinstance(bound, Fraction) == isinstance(theta, int)
                 assert as_mpf(bound) >= as_mpf(m) - mp.mpf("1e-20"), (text, j)
+                # lower bounds on |u_i| and an upper bound on the tail keep it a bound
+                looser = multiplicity_upper_bound(
+                    [abs(x) * Fraction(99, 100) for x in seq.u[:j + 1]], _k_tail(arr, j) + 1)
+                assert as_mpf(looser) >= as_mpf(bound)
 
 
 def test_multiplicity_upper_bound_single_term():
     # D = 1: the tail collapses to 1/u_1^2 = k^2/theta^2
     arr = parse_array("{2;1}")
     seq = standard_sequence(arr, -1)
-    assert multiplicity_upper_bound(arr, seq, 1) == 4
+    assert multiplicity_upper_bound(seq.u, _k_tail(arr, 1)) == 4
     assert multiplicity(arr, -1) == 2
 
 
@@ -206,7 +216,11 @@ def test_multiplicity_upper_bound_rejects_zero_u():
     arr = parse_array("{2,1;1,1}")  # pentagon
     seq = standard_sequence(arr, mp.mpf(0))
     with pytest.raises(ValueError):
-        multiplicity_upper_bound(arr, spectral.StandardSequence(0, (1, 0, -1), 0), 1)
+        multiplicity_upper_bound((1, 0), 2)
+    with pytest.raises(ValueError):  # an earlier zero leaves no finite bound either
+        multiplicity_upper_bound((1, 0, -1), 2)
+    with pytest.raises(ValueError):
+        multiplicity_upper_bound((1,), 2)
     assert seq  # sequence itself is fine
 
 
@@ -506,10 +520,11 @@ def test_bipartite_spectrum_symmetric():
 
 
 def test_spectrum_json():
-    d = spectrum(parse_array("{5,4,4,3;1,1,2,2}")).to_json_dict()
-    assert d["thetas"] == ["5", "3", "1", "-2", "-4"]
-    assert d["mults_rounded"] == [1, 27, 42, 48, 8]
-    assert d["v"] == "126"
+    # the fields a caller would serialise, exact for an integral spectrum
+    spec = spectrum(parse_array("{5,4,4,3;1,1,2,2}"))
+    assert spec.thetas == (5, 3, 1, -2, -4) and all(type(t) is int for t in spec.thetas)
+    assert spec.mults_raw == spec.mults == (1, 27, 42, 48, 8)
+    assert spec.v == 126 and type(spec.v) is int
 
 
 def test_spectrum_enclosures_certified():
