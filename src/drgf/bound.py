@@ -24,7 +24,7 @@ import numpy as np
 from mpmath import mp
 
 from .feasibility import p_polynomials
-from .spectral import SpectralError, as_mpf, refine_root, to_grid, workdps
+from .spectral import _sign_changes, as_mpf, moebius, refine_root, to_grid, workdps
 
 MODE_GENERAL = "general"
 MODE_SHARP_G5 = "sharp-g5"
@@ -33,9 +33,6 @@ MODES = (MODE_GENERAL, MODE_SHARP_G5)
 EPSILON_CAVEAT = ("epsilon1 covers the c_t <= zeta*k branch only; the full "
                   "constant is a minimum over further finite graph families "
                   "that are not computed here")
-
-_GRID = 4096
-
 
 class BoundError(ValueError):
     pass
@@ -94,38 +91,37 @@ def zeta_star(g: int, mode: str = MODE_GENERAL):
 
 
 def _leftmost_root(coeffs) -> mp.mpf | None:
-    """Smallest root of p(y) = sum coeffs[i] y^i in (-1, 0): the first cell
-    of a 4096-point grid with a float sign change or zero at its right end,
-    refined by refine_root from three float Newton steps at the cell's
-    midpoint.  F(X) = sum C_i X^i q^(n-i) and F' = dF/dX, by Horner's rule on
-    ints (C_i the coefficients over their common binary exponent, q = 2^s,
-    n the degree), are p(X/q) and its X-derivative times one power of 2.
-    BoundError if the cell's ends have one exact sign."""
-    P = np.polynomial.Polynomial([float(c) for c in coeffs])
-    ys = np.linspace(-1.0, 0.0, _GRID + 1)
-    sign = np.sign(P(ys))
-    hits = np.flatnonzero((sign[:-1] * sign[1:] < 0) | (sign[1:] == 0))
-    if not hits.size:
-        return None
-    y0, y1 = ys[hits[0]], ys[hits[0] + 1]
-    m = (y0 + y1) / 2
-    with np.errstate(all="ignore"):  # a seed that is NaN or outside the cell gives way to the midpoint
-        for _ in range(3):
-            m -= P(m) / P.deriv()(m)
-    s, *ends = to_grid(Fraction(y0), Fraction(y1), Fraction(m if y0 < m < y1 else (y0 + y1) / 2))
+    """The root of p(y) = sum coeffs[i] y^i in (-1, 0), None without one.
+    With C_i the coefficients as ints over their common binary exponent,
+    G = moebius(C, -1, 0, 1) has one positive root for each root of p in
+    (-1, 0), and Descartes' rule bounds their number by G's coefficient
+    sign changes, with its parity: none gives None, one a simple root, and
+    more raise BoundError.  The one root is refined by refine_root from six
+    float Newton steps at y = -1, with the sign of p just right of -1, that
+    of G's first nonzero coefficient, so no end is evaluated.  F(X) =
+    sum C_i X^i q^(n-i) and F' = dF/dX, by Horner's rule on ints (q = 2^s,
+    n the degree), are p(X/q) and its X-derivative times one power of 2."""
     mans = [(-n if neg else n, e) for neg, n, e, _ in (mp.mpf(c)._mpf_ for c in coeffs)]
     e0 = min(e for n, e in mans if n)
-    scaled = [n << e - e0 + s * i if n else 0 for i, (n, e) in enumerate(reversed(mans))]
+    C = [n << e - e0 if n else 0 for n, e in mans]
+    G = moebius(C, -1, 0, 1)
+    if (changes := _sign_changes(G)) != 1:
+        if changes:
+            raise BoundError(f"{changes} sign changes: p may have several roots in (-1, 0)")
+        return None
+    P, m = np.polynomial.Polynomial([float(c) for c in coeffs]), -1.0
+    with np.errstate(all="ignore"):  # a seed that is NaN or outside (-1, 0) gives way to -1/2
+        for _ in range(6):
+            m -= P(m) / P.deriv()(m)
+    s, *ends = to_grid(Fraction(-1), Fraction(0), Fraction(m if -1 < m < 0 else -0.5))
+    scaled = [c << s * i for i, c in enumerate(reversed(C))]
 
     def f(X):
         v, d = scaled[0], 0
         for c in scaled[1:]:
             v, d = v * X + c, d * X + v
         return v, d
-    try:
-        return mp.mpf((refine_root(f, *ends), -s))
-    except SpectralError as err:
-        raise BoundError(f"no exact sign change on the grid cell [{y0}, {y1}]") from err
+    return mp.mpf((refine_root(f, *ends, next(g for g in G if g) > 0), -s))
 
 
 @dataclass(frozen=True)
@@ -150,8 +146,8 @@ def epsilon1(g: int, mode: str = MODE_GENERAL, zeta=None) -> BoundParameters:
     smallest root of f(eta, y) + M1 zeta in (-1, 0).
 
     With zeta = zeta_star the bracket is guaranteed: the value at y = -1 is
-    -M2 + M1 zeta <= -M2/2 < 0 and at y = 0 it is 1 + M1 zeta > 0; both facts
-    are checked before root hunting, and BoundError is raised if one fails.
+    -M2 + M1 zeta <= -M2/2 < 0, which is checked before root hunting
+    (BoundError if it fails), and at y = 0 it is 1 + M1 zeta >= 1.
     """
     with workdps():
         at_star = zeta is None
@@ -166,9 +162,6 @@ def epsilon1(g: int, mode: str = MODE_GENERAL, zeta=None) -> BoundParameters:
         coeffs[0] += M1 * z
         M2 = m2_constant(g)
         at_m1 = mp.fsum(c * (-1) ** i for i, c in enumerate(coeffs))
-        at_0 = coeffs[0]
-        if not at_0 > 0:
-            raise BoundError("f(eta,0) + M1 zeta must be positive")
         # at zeta_star the bracket is forced: value -M2 + M1 zeta <= -M2/2
         if at_star and not at_m1 <= -M2 / 2 + mp.mpf("1e-30"):
             raise BoundError("bracketing sign fact failed at zeta*")

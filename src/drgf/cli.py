@@ -85,17 +85,11 @@ def _spec_from_args(args) -> search.SearchSpec:
             return search.SearchSpec.from_json_dict(json.load(fh))
     if args.diameter is None:
         raise search.SearchSpecError("need --spec FILE or --diameter D")
-    if args.diameter < 1:
-        raise search.SearchSpecError("D must be >= 1")
-    if args.k_min is None and args.k_max is None and args.a_pattern is None \
-            and args.theta_ratio is None and args.c2 is None:
-        return search.default_spec(args.diameter)
     D = args.diameter
     return search.SearchSpec(
         D=D,
         k_min=args.k_min if args.k_min is not None else 5,
-        k_max=args.k_max if args.k_max is not None
-        else search.valency_cap(D).k_max if D in (4, 5) else 5,
+        k_max=args.k_max if args.k_max is not None else search.valency_cap(D).k_max,
         a_pattern=args.a_pattern or "0" * (D - 1) + "+",
         c2_set=args.c2 or (1, 2),
         theta_ratio=args.theta_ratio if args.theta_ratio is not None

@@ -55,7 +55,7 @@ from .core import IntersectionArray, format_array, parse_array
 from .feasibility import FAIL, INCONCLUSIVE, full_report, p_polynomials
 from .oracle import WITNESSES
 from .spectral import (SpectralError, _sign_changes, abs_u_lower_bounds,
-                       implied_last_c_lower, minor_polys, multiplicities_float,
+                       implied_last_c_lower, minor_polys, moebius, multiplicities_float,
                        multiplicity_upper_bound,
                        spectrum,  # not called here; perfbench's tracer test rebinds it
                        sqrt_bounds, theta_min_multiplicity_float)
@@ -192,9 +192,6 @@ class PruningStats:
         for k, v in other.killed.items():
             out.killed[k] = out.killed.get(k, 0) + v
         return out
-
-    def consistent(self) -> bool:
-        return self.generated == self.survivors + sum(self.killed.values())
 
     def to_json_dict(self) -> dict:
         return {"generated": self.generated,
@@ -541,20 +538,10 @@ def _has_positive_root(G) -> bool:
             > _sign_changes(s[-1] for s in chain if s))
 
 
-def _cut_poly(F, k: int, P: int, Q: int) -> list:
-    """G(x) = Q^n (1+x)^n F((P - kQx)/(Q(1+x))), n = deg F, low to high: its
-    roots x > 0 are those of F in (-k, P/Q), and G(0) = Q^n F(P/Q)."""
-    G, Dpow = [F[-1]], [1]
-    for f in reversed(F[:-1]):  # homogeneous Horner in P - kQx and Q(1+x)
-        Dpow = [Q * (x + y) for x, y in zip(Dpow + [0], [0] + Dpow)]
-        G = [P * x - k * Q * y + f * d for x, y, d in zip(G + [0], [0] + G, Dpow)]
-    return G
-
-
 def _nonnegative_below_cut(F, k: int, cut: Fraction) -> bool:
     """Is F(theta) >= 0 for some theta in (-k, cut]?  At the cut, where G(0)
     has F's sign, or at a root of F inside, a root x > 0 of G."""
-    G = _cut_poly(F, k, cut.numerator, cut.denominator)
+    G = moebius(F, cut.numerator, -k * cut.denominator, cut.denominator)
     return G[0] >= 0 or _has_positive_root(G)
 
 
@@ -606,8 +593,8 @@ def eta_scan_end(t: int, p_values, theta_ratio, c2_values=(1, 2), c3_ratio_cap=N
     for c2, top in [(c2, top) for c2 in c2_values for top in (False, True)[:1 + (t == 4)]]:
         b = Fraction(c3_ratio_cap or 1).denominator if top else 1
         for r in range(1, b + 1):
-            G = [_cut_poly(_eta_poly(k, p_values, (1, c2, _c3_top(k, c3_ratio_cap) if top
-                                                   else c2)[:t - 1]), k, P * k, Q)
+            G = [moebius(_eta_poly(k, p_values, (1, c2, _c3_top(k, c3_ratio_cap) if top
+                                                 else c2)[:t - 1]), P * k, -k * Q, Q)
                  for k in (b * m + r for m in range(t + 1))]
             for i, values in enumerate(zip(*G)):
                 if (M := _shift_bound(_interpolate(values))) is None:
@@ -629,7 +616,7 @@ def eta_exclusion_cap(t: int, p_values, theta_ratio: Fraction, c2_values=(1, 2),
     endpoint at every theta.  eta_feasible decides each k exactly.  It is
     not monotone below the cap (floor(c3_cap * k) jumps with k), so every k
     in [3, K_0] is tried, and none past K_0 = eta_scan_end is feasible:
-    for ratio = P/Q, each coefficient of G = _cut_poly(F, k, Pk, Q), G(0) =
+    for ratio = P/Q, each coefficient of G = moebius(F, Pk, -kQ, Q), G(0) =
     Q^n F(cut) among them, has degree <= n = t in k and c_3, as F's theta^j
     coefficient has degree <= n - j.  On each class k = bm + r, r = 1..b (b
     the cap's denominator at the top c_3, else 1), c_3 is affine in m, so
@@ -694,6 +681,8 @@ def valency_cap(D: int, branch: str = "main") -> CapDerivation:
     valency k >= anchor has m >= k, so k_max is its floor (m is integral),
     or anchor - 1 where it falls below the anchor.
     """
+    if (D, branch) not in ((4, "main"), (5, "a4"), (5, "main")):
+        raise CapDerivationError(f"no cap pipeline for D={D} branch={branch!r}")
     theta_ratio, c2_max = Fraction(-(D - 1), D), 2
     rho = -theta_ratio
     steps: list[CapStep] = []
@@ -707,13 +696,13 @@ def valency_cap(D: int, branch: str = "main") -> CapDerivation:
         lows = abs_u_lower_bounds(anchor, (rho, 1), [1, c2_max])
         return [1, *(publish(f"u{i}_lower", lows[i]) for i in (1, 2, 3))]
 
-    if D == 4 and branch == "main":
+    if D == 4:
         anchor = 36
         u = publish_u_chain(anchor)
         c4r = publish("c4_over_k_lower",
                       implied_last_c_lower(4, anchor, theta_ratio * anchor) / anchor)
         tail = 1 + 1 / c4r
-    elif D == 5 and branch == "a4":
+    elif branch == "a4":
         anchor = 24
         low = eta_exclusion_cap(4, p_polynomials(4, -1), theta_ratio, tuple(range(1, c2_max + 1)),
                                 c3_ratio_cap=Fraction(3750, 10000))
@@ -721,7 +710,7 @@ def valency_cap(D: int, branch: str = "main") -> CapDerivation:
         u = publish_u_chain(anchor)
         x_hi = (1 - Fraction(3750, 10000)) / Fraction(3750, 10000)
         tail = 1 + x_hi + x_hi * x_hi
-    elif D == 5 and branch == "main":
+    else:
         anchor = 71
         u = publish_u_chain(anchor)
         # m >= k >= anchor forces the tail term of the multiplicity bound
@@ -734,8 +723,6 @@ def valency_cap(D: int, branch: str = "main") -> CapDerivation:
         c5r = publish("c5_over_k_lower",
                       implied_last_c_lower(5, anchor, theta_ratio * anchor) / anchor)
         tail = 1 + 1 / c5r
-    else:
-        raise CapDerivationError(f"no cap pipeline for D={D} branch={branch!r}")
     mbound = multiplicity_upper_bound(u, tail)
     publish("multiplicity_bound", mbound, upper=True)
     return CapDerivation(D, branch, anchor, tuple(steps),

@@ -92,11 +92,6 @@ def minor_polys(a, w) -> list[list[int]]:
     return P
 
 
-def charpoly(arr: IntersectionArray) -> list[int]:
-    """Coefficients (low to high degree) of det(xI - L), exact integers."""
-    return minor_polys(arr.a, [b * c for b, c in zip(arr.b, arr.c)])[-1]
-
-
 def _minors_at(a, w, x, q=1):
     """Yields (R_i, R'_i), i = 0..n: R_i = q^i P_i(x/q) for the minors P_i of
     minor_polys, R'_i its x-derivative; R_0 = 1, R_1 = x - q a_0 and, with
@@ -128,6 +123,18 @@ def _sign_changes(values) -> int:
     """Sign changes along values, zeros skipped."""
     signs = [v > 0 for v in values if v != 0]
     return sum(s != r for s, r in zip(signs, signs[1:]))
+
+
+def moebius(F, A: int, B: int, Q: int) -> list:
+    """G(x) = Q^n (1+x)^n F((A + Bx)/(Q(1+x))), n = deg F, low to high, for
+    integer ends A/Q and B/Q: G(0) = Q^n F(A/Q), and G's roots x > 0 are F's
+    roots strictly between the ends, so by Descartes' rule [CA] G's
+    coefficient sign changes bound their number and have its parity."""
+    G, Dpow = [F[-1]], [1]
+    for f in reversed(F[:-1]):  # homogeneous Horner in A + Bx and Q(1+x)
+        Dpow = [Q * (x + y) for x, y in zip(Dpow + [0], [0] + Dpow)]
+        G = [A * x + B * y + f * d for x, y, d in zip(G + [0], [0] + G, Dpow)]
+    return G
 
 
 def sturm_count_leq(arr: IntersectionArray, x) -> int:

@@ -20,3 +20,10 @@ def poly_eval_frac():
             acc, qpow = acc * x.numerator + coef * qpow, qpow * x.denominator
         return acc
     return evaluate
+
+
+@pytest.fixture(scope="session")
+def consistent():
+    """Whether a PruningStats accounts for every array it generated: each
+    one either survives or is killed by exactly one check."""
+    return lambda st: st.generated == st.survivors + sum(st.killed.values())

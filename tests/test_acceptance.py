@@ -197,13 +197,13 @@ def test_criterion_6_oracle_equivalence():
         assert wall < 60, f"took {wall:.1f} s"
 
 
-def test_d5_main_space_pruning_stats(survivors_d5):
+def test_d5_main_space_pruning_stats(survivors_d5, consistent):
     st = survivors_d5.stats
     assert st.generated == 2117200
     assert st.killed == {"c2_bound": 205, "k_integrality": 2033779,
                          "multiplicity_integrality": 43079, "theta_ratio": 19797,
                          "trace_vs_ratio": 20338}
-    assert st.survivors == 2 and st.consistent()
+    assert st.survivors == 2 and consistent(st)
 
 
 def test_criterion_7_property_suites(survivors_d4, survivors_d5):

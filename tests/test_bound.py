@@ -2,13 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import libmp, mp
 
 from drgf import bound
 from drgf.bound import (MODE_GENERAL, MODE_SHARP_G5, BoundError, bound_table,
                         conservative_2dp, diameter_bound, epsilon1, f_poly,
                         polygon_epsilon_upper, schedule_n, zeta_star)
-from drgf.spectral import workdps
+from drgf.spectral import _sign_changes, moebius, workdps
 
 
 def test_f_poly_at_zero_y():
@@ -122,19 +122,46 @@ def test_bound_roots_match_a_120_digit_oracle(monkeypatch):
             assert abs(root - want) <= mp.mpf(10) ** -48 * abs(want)
 
 
-def test_bound_refines_take_six_evaluations(monkeypatch):
-    # the two end signs, the float seed (about 2^-53 from the root), two
-    # Newton steps (2^-106, then below the grid's 2^-181) and one unit step
-    # that closes the bracket
-    assert max(n for *_, n in _table_refines(monkeypatch)) <= 6
+def test_bound_refines_take_four_evaluations(monkeypatch):
+    # the float seed (about 2^-53 from the root), two Newton steps (2^-106,
+    # then below the grid's 2^-170) and one unit step that closes the
+    # bracket; the sign just right of -1 comes from the Descartes count
+    assert max(n for *_, n in _table_refines(monkeypatch)) <= 4
 
 
-def test_leftmost_root_raises_on_a_cell_without_an_exact_sign_change():
-    # (y + 1/2)^2 + 1e-40 is positive, but its float coefficients give
-    # exactly 0 at the grid point -1/2: the float grid takes the cell ending
-    # there, and its exact end signs, both positive, refuse it
-    with workdps(), pytest.raises(BoundError, match="no exact sign change"):
-        bound._leftmost_root([mp.mpf(1) / 4 + mp.mpf("1e-40"), 1, 1])
+def test_leftmost_root_raises_on_two_sign_changes():
+    # Descartes' rule cannot tell two roots in (-1, 0) from none: (y + 1/2)^2
+    # + 1e-40 has no real root, but its Moebius image (1/4 + d) - (1/2 - 2d) x
+    # + (1/4 + d) x^2 has two sign changes; (y + 0.30001)(y + 0.30002) has
+    # both roots in one cell of a 4096-point grid, whose float signs at the
+    # cell's ends agree
+    with workdps():
+        a, b = mp.mpf("0.30001"), mp.mpf("0.30002")
+        for coeffs in ([mp.mpf(1) / 4 + mp.mpf("1e-40"), 1, 1], [a * b, a + b, 1]):
+            with pytest.raises(BoundError, match="2 sign changes"):
+                bound._leftmost_root(coeffs)
+
+
+def test_bound_polynomials_have_at_most_one_sign_change(monkeypatch):
+    # every polynomial the bound solves, at every odd girth 5..101 and zeta in
+    # {0, zeta*, 1/2}, and for the sharp girth-5 schedule, has a Moebius
+    # image with 0 or 1 sign changes: the root is found or provably absent
+    seen, leftmost = [], bound._leftmost_root
+
+    def recorded(coeffs):
+        seen.append(coeffs)
+        return leftmost(coeffs)
+
+    monkeypatch.setattr(bound, "_leftmost_root", recorded)
+    for zeta in (0, None, Fraction(1, 2)):
+        for g in range(5, 102, 2):
+            epsilon1(g, MODE_GENERAL, zeta)
+        epsilon1(5, MODE_SHARP_G5, zeta)
+    epsilon1(5, MODE_SHARP_G5, Fraction(1, 10))
+    assert len(seen) == 3 * 50 + 1
+    counts = [_sign_changes(moebius([Fraction(*libmp.to_rational(mp.mpf(c)._mpf_))
+                                     for c in coeffs], -1, 0, 1)) for coeffs in seen]
+    assert set(counts) <= {0, 1} and 1 in counts
 
 
 def test_epsilon1_decreases_from_5_to_9():

@@ -177,8 +177,10 @@ def test_enumerate_with_k_max_derives_no_cap(monkeypatch, capsys):
 
 
 def test_enumerate_without_a_cap_pipeline_exit2():
-    # no valency cap exists for D = 3, and D = 0 has no ratio -(D-1)/D
-    for args in (("-d", "3"), ("-d", "0", "--k-max", "4"), ("-d", "0")):
+    # no valency cap exists for D = 3, with or without other bounds, and
+    # D = 0 has no ratio -(D-1)/D
+    for args in (("-d", "3"), ("-d", "3", "--k-min", "5"), ("-d", "0", "--k-max", "4"),
+                 ("-d", "0")):
         r = run_cli("enumerate", *args)
         assert r.returncode == 2, args
         assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr

@@ -109,9 +109,9 @@ def test_d4_main_enumeration(d4_result):
     assert [format_array(a) for a in d4_result.survivors] == D4_EXPECT
 
 
-def test_d4_stats_consistent(d4_result):
+def test_d4_stats_consistent(d4_result, consistent):
     st = d4_result.stats
-    assert st.consistent()
+    assert consistent(st)
     assert st.survivors == 2
     assert st.generated > 10000
     assert st.killed["k_integrality"] > 0
@@ -154,10 +154,10 @@ WALK_PINS = [
 
 @pytest.mark.parametrize("spec, expected", WALK_PINS,
                          ids=[f"D{spec.D}-{spec.a_pattern}" for spec, _expected in WALK_PINS])
-def test_walk_counts_pinned(spec, expected):
+def test_walk_counts_pinned(spec, expected, consistent):
     st = enumerate_arrays(spec).stats
     assert (st.generated, st.killed, st.survivors) == expected
-    assert st.warnings == [] and st.consistent()
+    assert st.warnings == [] and consistent(st)
 
 
 # The rows that reach the float screen in the D = 4 and D = 5 main spaces and
@@ -907,10 +907,10 @@ def test_jobs_do_not_change_the_classification(classified):
         (s.name, s.lines, s.stats) for s in serial.stages]
 
 
-def test_exclusion_branch_d4_a3():
+def test_exclusion_branch_d4_a3(consistent):
     res = enumerate_arrays(SearchSpec(4, 5, 8, "00+*", (2,), Fraction(-3, 4)))
     assert res.survivors == ()
-    assert res.stats.consistent()
+    assert consistent(res.stats)
 
 
 def test_valency_cap_d4():
@@ -1231,22 +1231,22 @@ def test_positive_root_decision(G, has_root):
     assert _has_positive_root(G) is has_root
 
 
-def test_diameter_one_spaces_hold_only_complete_graphs():
+def test_diameter_one_spaces_hold_only_complete_graphs(consistent):
     # level 1 is the leaf: c_1 = 1 only, so {k; 1} is the one array per k
     res = enumerate_arrays(SearchSpec(1, 2, 6, "+", (1, 2), None))
     assert [format_array(a) for a in res.survivors] == [f"{{{k};1}}" for k in range(2, 7)]
-    assert res.stats.generated == 5 and res.stats.consistent()
+    assert res.stats.generated == 5 and consistent(res.stats)
     res = enumerate_arrays(SearchSpec(1, 2, 6, "*", (1, 2), Fraction(-1, 2)))
     assert [format_array(a) for a in res.survivors] == ["{2;1}"]
     assert res.stats.killed == {"trace_vs_ratio": 4} and res.stats.generated == 5
 
 
-def test_enumeration_without_integrality_passes_zero_eigenvalue():
+def test_enumeration_without_integrality_passes_zero_eigenvalue(consistent):
     # {6,5,5,4,2;1,1,2,2,3} has eigenvalues 6, 0 and four irrational ones;
     # its spectrum must come out exactly when the screen does not kill it
     checks = tuple(c for c in DEFAULT_CHECKS if c != "multiplicity_integrality")
     res = enumerate_arrays(SearchSpec(5, 5, 6, "000+*", (1, 2), None, checks))
-    assert res.stats.consistent()
+    assert consistent(res.stats)
     assert "{6,5,5,4,2;1,1,2,2,3}" in [format_array(a) for a in res.survivors]
 
 
@@ -1295,14 +1295,14 @@ def test_classify_diameter_4(classified):
     assert any("main enumeration" in n for n in names)
 
 
-def test_enumerating_stages_carry_consistent_stats(classified):
+def test_enumerating_stages_carry_consistent_stats(classified, consistent):
     for result in classified.values():
         for stage in result.stages:
             runs = [ln for ln in stage.lines if ln.startswith("enumeration")]
             first = stage is result.stages[0]  # it names its arrays instead of counting
             assert (stage.stats is not None) == (bool(runs) or first), stage.name
             if stage.stats is not None:
-                assert stage.stats.consistent(), stage.name
+                assert consistent(stage.stats), stage.name
                 assert stage.stats.generated > 0, stage.name
                 reported = len(stage.lines) if first else sum(
                     int(ln.rsplit(": ", 1)[1].split()[0]) for ln in runs)

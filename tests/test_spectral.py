@@ -10,9 +10,9 @@ from mpmath import libmp, mp
 from drgf import oracle, spectral
 from drgf.core import IntersectionArray, parse_array
 from drgf.feasibility import FAIL, INCONCLUSIVE, PASS, check_trace_square, full_report
-from drgf.spectral import (abs_u_lower_bounds, as_mpf, charpoly, eigenvalues,
+from drgf.spectral import (abs_u_lower_bounds, as_mpf, eigenvalues,
                            eigenvalues_float, implied_last_c_lower,
-                           intersection_matrix, multiplicity,
+                           intersection_matrix, minor_polys, multiplicity,
                            multiplicities_float, multiplicity_upper_bound,
                            refine_root, spectrum, sqrt_bounds, standard_sequence,
                            sturm_count_leq, theta_min_multiplicity_float,
@@ -250,6 +250,11 @@ def _seeded_arrays(n=42, seed=4155, d_max=6, k_max=12):
 
 
 SEEDED = _seeded_arrays()
+
+
+def charpoly(arr: IntersectionArray) -> list[int]:
+    """det(xI - L), low to high: the last leading principal minor."""
+    return minor_polys(arr.a, [b * c for b, c in zip(arr.b, arr.c)])[-1]
 
 
 @pytest.mark.parametrize("arr", SEEDED, ids=str)
@@ -743,6 +748,29 @@ def test_large_k_near_coincident_multiplicities_never_pass(e, shape):
             spectrum(arr)
 
 
+@pytest.mark.parametrize("A, B, Q", [(-12, 6, 2), (6, -12, 2), (4, 14, 2), (-1, 0, 1)])
+def test_moebius_maps_the_open_interval_to_the_positive_axis(A, B, Q):
+    # G's positive roots are x = (A - Q r)/(Q r - B) for the roots r of F
+    # strictly between A/Q and B/Q (an end root, 2 at (4, 14, 2), is not
+    # one), G(0) and its leading coefficient are Q^n F at the ends, and its
+    # sign changes bound the count with its parity
+    x = sympy.Symbol("x")
+    roots = [Fraction(-5), Fraction(1, 3), Fraction(2), Fraction(7, 2)]
+    F = [int(c) for c in reversed(sympy.Poly((x + 5) * (3 * x - 1) * (x - 2) * (2 * x - 7),
+                                             x).all_coeffs())]
+    G = spectral.moebius(F, A, B, Q)
+
+    def at(y):  # Q^n F(y), n = 4
+        return Q ** 4 * sum(c * y ** i for i, c in enumerate(F))
+    assert (G[0], G[-1]) == (at(Fraction(A, Q)), at(Fraction(B, Q)))
+    lo, hi = sorted((Fraction(A, Q), Fraction(B, Q)))
+    want = sorted((A - Q * r) / (Q * r - B) for r in roots if lo < r < hi)
+    assert sorted(Fraction(int(r.p), int(r.q)) for r in sympy.Poly(G[::-1], x).real_roots()
+                  if r > 0) == want
+    changes = spectral._sign_changes(G)
+    assert changes >= len(want) and (changes - len(want)) % 2 == 0
+
+
 @pytest.mark.parametrize("arr", SEEDED, ids=str)
 def test_minors_at_matches_minor_polys(arr, poly_eval_frac):
     # the value kernel against the coefficient lists, every minor and its
@@ -790,8 +818,7 @@ def test_spectrum_uses_only_the_value_kernel(monkeypatch, arr):
     def forbidden(*args, **kw):
         raise AssertionError("coefficient path used")
 
-    for name in ("charpoly", "minor_polys"):
-        monkeypatch.setattr(spectral, name, forbidden)
+    monkeypatch.setattr(spectral, "minor_polys", forbidden)
     sp = spectrum(arr)
     assert sp == want
     assert [multiplicity(arr, t) for t in sp.thetas] == list(sp.mults_raw)
