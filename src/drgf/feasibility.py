@@ -19,7 +19,7 @@ from mpmath import mp
 
 from .core import IntersectionArray, format_array
 from .spectral import (DPS, Exact, Spectrum, as_mpf, num_str, spectrum, standard_sequence,
-                       sturm_count_leq, trace_of_l_squared, workdps)
+                       theta_min_cmp, trace_of_l_squared, workdps)
 
 PASS = "pass"
 FAIL = "fail"
@@ -90,26 +90,18 @@ def _structure_checks(arr: IntersectionArray) -> list[CheckEntry]:
                    kseq=str([str(x) for x in arr.kseq]))]
 
 
-def check_a1_zero(arr: IntersectionArray, theta_min) -> CheckEntry:
+def check_a1_zero(arr: IntersectionArray) -> CheckEntry:
     """A smallest eigenvalue below -k/2 forces a_1 = 0."""
-    half = Fraction(-arr.k, 2)
-    applicable = theta_min < half if isinstance(theta_min, Exact) else \
-        as_mpf(theta_min) < as_mpf(half)
-    if not applicable:
-        return _entry("a1_zero", NA, theta_min=theta_min, gate=num_str(half))
-    return _entry("a1_zero", PASS if arr.a[1] == 0 else FAIL,
-                  a1=arr.a[1], theta_min=theta_min)
+    gate = Fraction(-arr.k, 2)
+    verdict = NA if theta_min_cmp(arr, gate) >= 0 else PASS if arr.a[1] == 0 else FAIL
+    return _entry("a1_zero", verdict, a1=arr.a[1], gate=gate)
 
 
-def c2_upper_bound(k: int, theta):
-    """(2k - 2*theta) / (4 - 3*theta - k), exact when theta is."""
-    with workdps():
-        th = Fraction(theta) if isinstance(theta, Exact) else as_mpf(theta)
-        return (2 * k - 2 * th) / (4 - 3 * th - k)
-
-
-def check_c2_bound(arr: IntersectionArray, theta_min) -> CheckEntry:
-    """Gated bound on c_2: applicable when a_1 = 0 and -k < theta_min < (12-5k)/7.
+def check_c2_bound(arr: IntersectionArray) -> CheckEntry:
+    """c_2 <= (2k - 2 theta_min) / (4 - 3 theta_min - k), gated on a_1 = 0 and
+    -k < theta_min < (12 - 5k)/7.  Inside the gate the denominator exceeds
+    8(k - 1)/7 > 0, so the bound holds exactly when theta_min is at least
+    (4 c_2 - (c_2 + 2) k) / (3 c_2 - 2): one exact comparison.
 
     The closed form divides by u_1 + u_2, which vanishes at theta_min = -k;
     bipartite-type arrays (theta_min = -k exactly) are out of its reach, as
@@ -119,20 +111,12 @@ def check_c2_bound(arr: IntersectionArray, theta_min) -> CheckEntry:
     gate = Fraction(12 - 5 * k, 7)
     if arr.a[1] != 0:
         return _entry("c2_bound", NA, reason="a1 != 0")
-    if isinstance(theta_min, Exact):
-        gated = -k < theta_min < gate
-    else:
-        gated = -k < as_mpf(theta_min) < as_mpf(gate)
-    if not gated:
-        return _entry("c2_bound", NA, theta_min=theta_min, gate=num_str(gate))
-    bound = c2_upper_bound(k, theta_min)
-    if isinstance(bound, Fraction):
-        cap = bound.numerator // bound.denominator
-    else:
-        cap = int(mp.floor(bound))
+    if theta_min_cmp(arr, -k) <= 0 or theta_min_cmp(arr, gate) >= 0:
+        return _entry("c2_bound", NA, gate=f"({-k}, {gate})")
     c2 = arr.c[1] if arr.D >= 2 else 1
-    return _entry("c2_bound", PASS if c2 <= cap else FAIL,
-                  c2=c2, bound=bound, cap=cap)
+    least = Fraction(4 * c2 - (c2 + 2) * k, 3 * c2 - 2)
+    return _entry("c2_bound", PASS if theta_min_cmp(arr, least) >= 0 else FAIL,
+                  c2=c2, least_theta_min=least)
 
 
 def p_polynomials(t: int, x):
@@ -216,8 +200,7 @@ def check_trace_square(arr: IntersectionArray, theta_min) -> CheckEntry:
 def check_theta_ratio(arr: IntersectionArray, spec: Spectrum, ratio: Fraction) -> CheckEntry:
     """theta_min <= ratio * k (exactness matters on the boundary)."""
     x = Fraction(ratio) * arr.k
-    ok = sturm_count_leq(arr, x) >= 1
-    return _entry("theta_ratio", PASS if ok else FAIL,
+    return _entry("theta_ratio", PASS if theta_min_cmp(arr, x) <= 0 else FAIL,
                   ratio=str(Fraction(ratio)), theta_min=spec.theta_min, cutoff=x)
 
 
@@ -238,7 +221,7 @@ def full_report(arr: IntersectionArray,
     checks = [*_structure_checks(arr),
               _entry("multiplicity_integrality", PASS if spec.multiplicities_integral else FAIL,
                      mults=str([num_str(m) for m in spec.mults_raw])),
-              check_a1_zero(arr, tmin), check_c2_bound(arr, tmin),
+              check_a1_zero(arr), check_c2_bound(arr),
               *check_odd_girth_inequality(arr, tmin),
               check_sum_rules(arr, spec), check_trace_square(arr, tmin)]
     if theta_ratio is not None:

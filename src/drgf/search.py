@@ -165,14 +165,6 @@ def _json_ints(key: str, value, n: int | None = None) -> list[int]:
     return value
 
 
-def default_spec(D: int) -> SearchSpec:
-    """The main-branch space: all a_i zero below the diameter, a_D nonzero,
-    c_2 in {1, 2}, theta_min <= -(D-1)/D k, valency capped by valency_cap."""
-    cap = valency_cap(D).k_max
-    return SearchSpec(D, 5, cap, ZERO * (D - 1) + NONZERO,
-                      (1, 2), Fraction(-(D - 1), D))
-
-
 @dataclass
 class PruningStats:
     generated: int = 0
@@ -223,10 +215,15 @@ class _KSpace:
             name in on for name in ("k_integrality", "trace_vs_ratio", "theta_ratio"))
         # cut = p/q < 0; no cut reads the placeholder -1
         self._p, self._q = p, q = (-1, 1) if cut is None else (cut.numerator, cut.denominator)
-        # floor(c2_upper_bound(k, cut)) in ints; inside its gate 4q - 3p - kq > 8q(k - 1)/7
+        # the c_2 bound (2k - 2 cut)/(4 - 3 cut - k), floored in ints: it rises
+        # with theta_min, so it caps c_2 wherever -k < theta_min <= cut <
+        # (12 - 5k)/7; inside that gate 4q - 3p - kq > 8q(k - 1)/7
         gated = ("c2_bound" in spec.checks and cut is not None and spec.a_pattern[0] == ZERO
                  and -k * q < p and 7 * p < (12 - 5 * k) * q)
         self._c2_cap = (2 * k * q - 2 * p) // (4 * q - 3 * p - k * q) if gated else None
+        # theta_min = -k exactly when every a_i is 0: a "+" in the pattern
+        # rules that out, and else the level-2 option's a_2 != 0 does
+        self._c2_not_bipartite = NONZERO in spec.a_pattern
         self._trace_lhs = (k * q) ** 2 + p ** 2
         # run computes nothing larger: |phi_l| <= (|p| + kq)^l, as every leading
         # block of L has its eigenvalues in [-k, k]; tr q^2 <= 3 (D + 1) k^2 q^2;
@@ -300,7 +297,7 @@ class _KSpace:
             if level == 1 and self._a1_prune:
                 drop("a1_zero", c + b != k)  # a_1 != 0
             if level == 2 and self._c2_cap is not None:
-                drop("c2_bound", c > self._c2_cap)
+                drop("c2_bound", (c > self._c2_cap) & ((c + b != k) | self._c2_not_bipartite))
             if level >= 2 and self._k_integral:  # k_l = k_{l-1} b_{l-1} / c_l
                 drop("k_integrality", kb[at] % c.astype(dt) != 0)
             at, c, b = at[ok], c[ok], b[ok]

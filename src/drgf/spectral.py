@@ -142,6 +142,15 @@ def sturm_count_leq(arr: IntersectionArray, x) -> int:
     return arr.D + 1 - _sign_changes(p for p, _ in _minors(arr, Fraction(x)))
 
 
+def theta_min_cmp(arr: IntersectionArray, x) -> int:
+    """The sign of theta_min - x for a rational x, exact: 1 if no eigenvalue
+    is <= x (the Sturm count of the minors at x), 0 if one is and P(x) = 0,
+    else -1."""
+    minors = [p for p, _ in _minors(arr, Fraction(x))]
+    n = arr.D + 1 - _sign_changes(minors)
+    return 1 if n == 0 else 0 if n == 1 and minors[-1] == 0 else -1
+
+
 def _cut(lo: Fraction, hi: Fraction) -> Fraction:
     """A non-integer point of (lo, hi): (lo + hi)/2, moved toward hi while
     it is an integer."""
@@ -163,28 +172,20 @@ def to_grid(lo: Fraction, hi: Fraction, *points):
     return s, *(math.floor(y * 2 ** s) for y in (lo, hi, *points))
 
 
-def refine_root(f, lo: int, hi: int, start=None, lo_positive=None) -> int:
+def refine_root(f, lo: int, hi: int, start, lo_positive: bool) -> int:
     """The root in [lo, hi] of a function with one root there, on a grid
     2^-s: f(X) gives exact ints (F, F') at X 2^-s, F with the function's
-    sign there and F/F' its Newton step in grid units.  Returns X with
+    sign there and F/F' its Newton step in grid units, and lo_positive says
+    whether F > 0 left of the root; no end is evaluated.  Returns X with
     F(X) = 0, or the lower end of a one-unit bracket: the root lies in
-    [X, X + 1] 2^-s.  Ends of one nonzero sign raise SpectralError.  A caller
-    that knows both end signs, nonzero and opposite, passes lo_positive =
-    (F(lo) > 0), and the ends are not evaluated.
+    [X, X + 1] 2^-s.
 
-    Safeguarded Newton from start (default the midpoint): the exact sign at
+    Safeguarded Newton from start (None: the midpoint): the exact sign at
     each iterate shrinks the bracket, and the step, rounded away from zero
     to whole units, becomes a bisection step where it leaves the open
     bracket.  A step below one unit thus lands one unit past the root, so
     Newton's quadratic convergence ends with the bracket one unit wide.
     """
-    if lo_positive is None:
-        f_lo, f_hi = f(lo)[0], f(hi)[0]
-        if f_lo == 0 or f_hi == 0:  # a root at an end
-            return hi if f_hi == 0 else lo
-        if (f_lo > 0) == (f_hi > 0):
-            raise SpectralError(f"no sign change on [{lo}, {hi}]")
-        lo_positive = f_lo > 0
     x = (lo + hi) // 2 if start is None else min(max(start, lo + 1), hi - 1)
     while hi - lo > 1:
         v, d = f(x)

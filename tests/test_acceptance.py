@@ -55,14 +55,21 @@ def trunc4(x) -> float:
     return math.floor(float(x) * 10**4) / 10**4
 
 
+def _main_space(D: int) -> search.SearchSpec:
+    """All a_i zero below the diameter, a_D nonzero, c_2 in {1, 2},
+    theta_min <= -(D-1)/D k, valency capped by valency_cap."""
+    return search.SearchSpec(D, 5, search.valency_cap(D).k_max, "0" * (D - 1) + "+",
+                             (1, 2), Fraction(-(D - 1), D))
+
+
 @pytest.fixture(scope="module")
 def survivors_d4():
-    return search.enumerate_arrays(search.default_spec(4))
+    return search.enumerate_arrays(_main_space(4))
 
 
 @pytest.fixture(scope="module")
 def survivors_d5():
-    return search.enumerate_arrays(search.default_spec(5))
+    return search.enumerate_arrays(_main_space(5))
 
 
 def test_criterion_1_theorem2_d4():

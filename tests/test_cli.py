@@ -83,6 +83,22 @@ def test_check_theta_ratio_flag():
     assert r.returncode == 1  # theta_min = -4 > -4.5
 
 
+# the seven witness graphs of the classification, then arrays on either side
+# of the a1_zero and c2_bound gates
+CHECK_JSON_ARRAYS = [
+    "{3,2,2,1;1,1,1,2}", "{2,1,1,1;1,1,1,1}", "{5,4,4,3;1,1,2,2}", "{9,8,7,6;1,2,3,4}",
+    "{2,1,1,1,1;1,1,1,1,1}", "{6,5,5,4,4;1,1,2,2,3}", "{11,10,9,8,7;1,2,3,4,5}",
+    "{2;1}", "{3,1;1,3}", "{3,2;1,3}", "{5,4;1,2}", "{7,6;1,3}", "{8,7,5;1,1,4}"]
+
+
+def test_check_json_matches_fixture(capsys):
+    # every verdict and witness of check --json, byte for byte, one line each
+    from drgf import cli
+    for text in CHECK_JSON_ARRAYS:
+        cli.main(["check", "--json", "--theta-ratio=-1/2", text])
+    assert capsys.readouterr().out == (FIXTURES / "check_json.txt").read_text()
+
+
 def test_enumerate_d4_default():
     r = run_cli("enumerate", "-d", "4")
     assert r.returncode == 0

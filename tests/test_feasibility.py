@@ -55,38 +55,44 @@ def test_regression_perturbed_o5_fails():
 
 
 def test_a1_zero_gate():
-    arr = parse_array("{5,4,4,3;1,1,2,2}")
-    assert check_a1_zero(arr, -4).verdict == PASS
-    # triangle: theta_min = -1 = -k/2 sits on the gate, not inside it
-    tri = parse_array("{2;1}")
-    assert check_a1_zero(tri, -1).verdict == NA
-    # injected deep eigenvalue against a_1 != 0
-    bad = parse_array("{4,1,1;1,1,4}")
-    assert bad.a[1] != 0
-    assert check_a1_zero(bad, Fraction(-5, 2)).verdict == FAIL
+    # theta_min = -4 < -5/2 with a_1 = 0
+    e = check_a1_zero(parse_array("{5,4,4,3;1,1,2,2}"))
+    assert e.verdict == PASS and e.witness == {"a1": 0, "gate": "-5/2"}
+    # theta_min = -k/2 sits on the gate, not inside it: the triangle (-1)
+    # and {8,7,5;1,1,4} (-4)
+    assert check_a1_zero(parse_array("{2;1}")).verdict == NA
+    assert check_a1_zero(parse_array("{8,7,5;1,1,4}")).verdict == NA
+    # theta_min = -2 < -3/2 against a_1 = 1
+    e = check_a1_zero(parse_array("{3,1;1,3}"))
+    assert e.verdict == FAIL and e.witness == {"a1": 1, "gate": "-3/2"}
 
 
 def test_c2_bound_values():
-    # k = 9, theta = -7: bound is exactly 2, so c_2 = 2 passes
-    arr = parse_array("{9,8,7,6;1,2,3,4}")
-    e = check_c2_bound(arr, -7)
-    assert e.verdict == PASS and e.witness["cap"] == 2
-    # k = 5, theta = -4: bound 18/11 < 2 forbids c_2 = 3
-    synthetic = parse_array("{5,4,2,1;1,3,3,4}")
-    e = check_c2_bound(synthetic, -4)
-    assert e.verdict == FAIL and e.witness["cap"] == 1
+    # the bound meets c_2 = 2 with equality: theta_min = -3 at k = 5 and -7
+    # at k = 9 are the least theta_min it allows
+    for text, least in (("{5,4;1,2}", "-3"), ("{9,8,7,6;1,2,3,4}", "-7")):
+        arr = parse_array(text)
+        assert spectrum(arr).theta_min == int(least)
+        e = check_c2_bound(arr)
+        assert e.verdict == PASS and e.witness == {"c2": 2, "least_theta_min": least}
+    # k = 7, theta_min = -4: c_2 = 3 needs theta_min >= -23/7 (bound 22/9 < 3)
+    e = check_c2_bound(parse_array("{7,6;1,3}"))
+    assert e.verdict == FAIL and e.witness == {"c2": 3, "least_theta_min": "-23/7"}
 
 
 def test_c2_bound_gates():
-    arr = parse_array("{5,4,2,1;1,3,3,4}")
-    # boundary theta = (12 - 5k)/7 is not inside the gate
-    assert check_c2_bound(arr, Fraction(12 - 25, 7)).verdict == NA
+    # theta_min = (12 - 5k)/7 = -4 at k = 8 is on the gate, not inside it
+    arr = parse_array("{8,7,5;1,1,4}")
+    assert spectrum(arr).theta_min == -4
+    assert check_c2_bound(arr).witness == {"gate": "(-8, -4)"}
+    assert check_c2_bound(arr).verdict == NA
     # theta_min = -k (bipartite-type) is excluded: K_{3,3} is real with c_2 = 3
     k33 = parse_array("{3,2;1,3}")
-    assert check_c2_bound(k33, -3).verdict == NA
+    assert check_c2_bound(k33).verdict == NA
     assert full_report(k33).overall == PASS
     # a_1 != 0 gate
-    assert check_c2_bound(parse_array("{4,1,1;1,1,4}"), -3).verdict == NA
+    e = check_c2_bound(parse_array("{3,1;1,3}"))
+    assert e.verdict == NA and e.witness == {"reason": "a1 != 0"}
 
 
 def test_hypercubes_pass():
@@ -217,16 +223,19 @@ def test_report_json_schema():
 
 
 def test_verdict_independent_of_check_order():
-    arr = parse_array("{5,4,4,3;1,1,2,3}")
-    tmin = eigenvalues(arr)[-1]
-    spec = spectrum(arr)
-    entries = ([e for e in full_report(arr).checks if e.name in CLASSICAL]
-               + [check_a1_zero(arr, tmin), check_c2_bound(arr, tmin)]
-               + check_odd_girth_inequality(arr, tmin)
-               + [check_sum_rules(arr, spec), check_trace_square(arr, tmin)])
-    forward = any(e.verdict == FAIL for e in entries)
-    backward = any(e.verdict == FAIL for e in reversed(entries))
-    assert forward == backward == (full_report(arr).overall == FAIL)
+    # an irrational theta_min failing multiplicity_integrality, and the
+    # arrays that fail a1_zero and c2_bound
+    for text in ("{5,4,4,3;1,1,2,3}", "{3,1;1,3}", "{7,6;1,3}"):
+        arr = parse_array(text)
+        tmin = eigenvalues(arr)[-1]
+        spec = spectrum(arr)
+        entries = ([e for e in full_report(arr).checks if e.name in CLASSICAL]
+                   + [check_a1_zero(arr), check_c2_bound(arr)]
+                   + check_odd_girth_inequality(arr, tmin)
+                   + [check_sum_rules(arr, spec), check_trace_square(arr, tmin)])
+        forward = any(e.verdict == FAIL for e in entries)
+        backward = any(e.verdict == FAIL for e in reversed(entries))
+        assert forward == backward == (full_report(arr).overall == FAIL), text
 
 
 def test_overall_is_three_state():

@@ -25,7 +25,7 @@ from drgf.feasibility import FAIL, full_report
 from drgf.search import (DEFAULT_CHECKS, CapDerivationError, SearchSpec,
                          SearchSpecError, _ceil4, _eta_poly, _floor4, _has_positive_root,
                          _KSpace, _interpolate, _nonnegative_below_cut, _shift_bound,
-                         _walk_group, classify_diameter, default_spec, enumerate_arrays,
+                         _walk_group, classify_diameter, enumerate_arrays,
                          eta_exclusion_cap, eta_feasible, eta_scan_end,
                          pentagon_exclusion_cap, valency_cap)
 from drgf.spectral import (SpectralError, _columns, _jacobi_eigvals, eigenvalues,
@@ -499,16 +499,31 @@ def test_options_match_the_masked_grid():
 
 @pytest.mark.parametrize("ratio", [Fraction(-3, 4), Fraction(-4, 5), Fraction(-1, 2)])
 def test_c2_cap_in_ints_matches_c2_upper_bound(ratio):
-    # the gate -k < cut < (12 - 5k)/7 and the floor of the bound, in ints
+    # the gate -k < cut < (12 - 5k)/7, and inside it c <= the cap exactly
+    # where the cut is at least the least theta_min that c_2 = c allows
     caps = []
     for k in range(2, 401):
         cut = ratio * k
-        want = (math.floor(feasibility.c2_upper_bound(k, cut))
-                if -k < cut < Fraction(12 - 5 * k, 7) else None)
         caps.append(_KSpace(k, SearchSpec(4, 2, 400, "000+", (1, 2), ratio))._c2_cap)
-        assert caps[-1] == want, k
+        if not -k < cut < Fraction(12 - 5 * k, 7):
+            assert caps[-1] is None, k
+            continue
+        for c in range(1, k + 1):
+            assert (c <= caps[-1]) == (cut >= Fraction(4 * c - (c + 2) * k, 3 * c - 2)), (k, c)
     assert any(cap is not None for cap in caps)
     assert (None in caps) == (ratio == Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("spec, bipartite", [
+    (SearchSpec(2, 3, 3, "00", (1, 2, 3), Fraction(-4, 5)), "{3,2;1,3}"),  # K_{3,3}
+    (SearchSpec(3, 3, 3, "000", (1, 2, 3), Fraction(-4, 5)), "{3,2,1;1,2,3}"),  # 3-cube
+])
+def test_c2_cap_keeps_bipartite_arrays(spec, bipartite):
+    # theta_min = -k lies outside the c_2 bound's gate, so a pattern without
+    # a "+" keeps c_2 above the cap where a_2 = 0, as check passes the array
+    result = enumerate_arrays(spec)
+    assert bipartite in map(format_array, result.survivors)
+    assert full_report(parse_array(bipartite), spec.theta_ratio).overall == "pass"
 
 
 # A naive enumeration apart from the level pass: itertools walks every
@@ -549,6 +564,7 @@ def _naive_space(spec):
             if spec.theta_ratio < Fraction(-1, 2) and arr.a[1] != 0:
                 fails.add("a1_zero")
             if (spec.D > 1 and spec.a_pattern[0] == "0" and -k < cut < Fraction(12 - 5 * k, 7)
+                    and (arr.a[2] != 0 or "+" in spec.a_pattern)  # theta_min > -k
                     and arr.c[1] > (2 * k - 2 * cut) / (4 - 3 * cut - k)):
                 fails.add("c2_bound")
             if k * k + cut * cut > trace_of_l_squared(arr):
@@ -1370,8 +1386,3 @@ def test_classify_rejects_unknown_disabled_checks():
         classify_diameter(4, disable_checks=("trace_squar",))
 
 
-def test_default_spec():
-    spec = default_spec(4)
-    assert (spec.k_min, spec.k_max) == (5, 35)
-    assert spec.a_pattern == "000+"
-    assert spec.theta_ratio == Fraction(-3, 4)

@@ -15,7 +15,7 @@ from drgf.spectral import (abs_u_lower_bounds, as_mpf, eigenvalues,
                            intersection_matrix, minor_polys, multiplicity,
                            multiplicities_float, multiplicity_upper_bound,
                            refine_root, spectrum, sqrt_bounds, standard_sequence,
-                           sturm_count_leq, theta_min_multiplicity_float,
+                           sturm_count_leq, theta_min_cmp, theta_min_multiplicity_float,
                            trace_of_l_squared, workdps)
 
 CORPUS = ["{2;1}", "{2,1;1,1}", "{3,2;1,1}", "{2,1,1,1;1,1,1,1}",
@@ -232,6 +232,34 @@ def test_sturm_count_boundary_exact():
     assert sturm_count_leq(arr, Fraction(5)) == 5
 
 
+def _oracle_cmp(theta, x: Fraction) -> int:
+    """The sign of theta - x for one of sympy's real_roots: exact for a
+    rational root, else at 60 digits, far finer than any gap below."""
+    d = theta - sympy.Rational(x.numerator, x.denominator)
+    if not theta.is_Rational:
+        d = d.evalf(60)
+        assert abs(d) > 1e-40
+    return 1 if d > 0 else -1 if d < 0 else 0
+
+
+def test_theta_min_cmp_matches_sympy_real_roots():
+    # at every integer eigenvalue, the a1_zero and c2_bound gates -k/2, -k
+    # and (12 - 5k)/7, and rationals within 1e-6 of an irrational theta_min,
+    # on the catalog arrays and the seeded ones
+    signs = []
+    for arr in [parse_array(t) for _n, t in oracle.CATALOG] + SEEDED:
+        roots = sympy.Poly(charpoly(arr)[::-1], sympy.Symbol("x")).real_roots()
+        points = [Fraction(int(r)) for r in roots if r.is_Integer]
+        points += [Fraction(-arr.k, 2), Fraction(-arr.k), Fraction(12 - 5 * arr.k, 7)]
+        if not roots[0].is_Rational:
+            near = Fraction(str(roots[0].evalf(30)))
+            points += [near, near - Fraction(1, 10**7), near + Fraction(1, 10**7)]
+        for x in points:
+            signs.append(theta_min_cmp(arr, x))
+            assert signs[-1] == _oracle_cmp(roots[0], x), (str(arr), x)
+    assert all(signs.count(s) > 20 for s in (-1, 0, 1))
+
+
 def _seeded_arrays(n=42, seed=4155, d_max=6, k_max=12):
     """n arrays with D = 1..d_max in turn, k in [2, k_max], c non-decreasing
     and b non-increasing; neither k_i nor the multiplicities need be integral."""
@@ -296,9 +324,12 @@ def _grid_horner(coeffs, s):
 
 def _refine(coeffs, lo, hi):
     """The root of sum coeffs[i] y^i that refine_root finds in [lo, hi], as a
-    Fraction on to_grid's grid."""
+    Fraction on to_grid's grid, given the exact sign left of the root: that
+    of the value at lo, or minus the slope where lo is a root."""
     s, lo, hi = spectral.to_grid(Fraction(lo), Fraction(hi))
-    return Fraction(refine_root(_grid_horner(coeffs, s), lo, hi), 1 << s)
+    f = _grid_horner(coeffs, s)
+    v, d = f(lo)
+    return Fraction(refine_root(f, lo, hi, None, (v or -d) > 0), 1 << s)
 
 
 def test_refine_root_when_newton_leaves_the_bracket():
@@ -314,10 +345,12 @@ def test_refine_root_when_newton_leaves_the_bracket():
 def test_refine_root_at_a_bracket_end():
     # Newton toward the end root overshoots it, so only bisection could
     # approach it: (y - 1)(y - 3) from 3/2 and 2 (y + 1/2)(y + 2) from -9/16;
-    # on the grid of 200 digits that would take over 660 halvings
+    # on the grid of 200 digits that would take over 660 halvings.  No end
+    # is evaluated, so the root at hi comes back as the bracket one unit below
     with mp.workdps(200):
         assert _refine([3, -4, 1], 1, 2) == 1
-        assert _refine([2, 5, 2], Fraction(-5, 8), Fraction(-1, 2)) == Fraction(-1, 2)
+        s, lo, hi = spectral.to_grid(Fraction(-5, 8), Fraction(-1, 2))
+        assert _refine([2, 5, 2], Fraction(-5, 8), Fraction(-1, 2)) == Fraction(hi - 1, 1 << s)
 
 
 def test_refine_root_on_mpf_coefficients():
@@ -329,20 +362,13 @@ def test_refine_root_on_mpf_coefficients():
 
 def test_refine_root_with_a_known_end_sign_evaluates_no_end():
     # y^2 - 2 on [1, 2]: told that F(lo) < 0, the refine never evaluates lo
-    # or hi and ends where the refine that evaluates them ends
+    # or hi and ends on the one-unit bracket of sqrt(2)
     with workdps():
         s, lo, hi = spectral.to_grid(Fraction(1), Fraction(2))
         f, seen = _grid_horner([-2, 0, 1], s), []
         X = refine_root(lambda X: seen.append(X) or f(X), lo, hi, None, False)
-        assert X == refine_root(f, lo, hi) and lo not in seen and hi not in seen
+        assert lo not in seen and hi not in seen
         assert X * X < 2 << 2 * s < (X + 1) ** 2
-
-
-def test_refine_root_raises_without_a_sign_change():
-    # (y - 1)(y - 3) is 3 at both ends of [0, 4]: Newton would find a root,
-    # but the bracket does not hold exactly one
-    with workdps(), pytest.raises(spectral.SpectralError, match="no sign change"):
-        _refine([3, -4, 1], 0, 4)
 
 
 def test_abs_u_chain_diameter4_constants():
