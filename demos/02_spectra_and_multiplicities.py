@@ -6,8 +6,11 @@ coefficients) and are extracted exactly; the rest are isolated by exact Sturm
 counts and polished to the working precision of 50 digits.
 """
 
-from drgf import parse_array, spectrum, standard_sequence
-from drgf.spectral import intersection_matrix, multiplicity_upper_bound
+import math
+from fractions import Fraction
+
+from drgf import parse_array, spectrum
+from drgf.spectral import intersection_matrix, minor_polys, multiplicity_upper_bound
 
 arr = parse_array("{5,4,4,3;1,1,2,2}")   # the Odd graph O_5
 print("L =")
@@ -17,15 +20,19 @@ spec = spectrum(arr)
 print(f"eigenvalues: {spec.thetas}")
 print(f"multiplicities: {spec.mults}  (sum = {sum(spec.mults)} = v)")
 
-# the standard sequence of the smallest eigenvalue alternates in sign
-seq = standard_sequence(arr, spec.theta_min)
-print(f"u(theta_min) = {[str(u) for u in seq.u]}")
-print(f"terminal residual = {seq.terminal_residual}")
+# the standard sequence of the smallest eigenvalue, u_i = P_i(theta_min) / B_i
+# with P_i the leading principal minors of xI - L and B_i = b_0...b_{i-1},
+# alternates in sign; P_{D+1} = det(xI - L) vanishes there
+P = [sum(c * spec.theta_min ** n for n, c in enumerate(p))
+     for p in minor_polys(arr.a, [b * c for b, c in zip(arr.b, arr.c)])]
+u = [Fraction(p, math.prod(arr.b[:i])) for i, p in enumerate(P[:-1])]
+print(f"u(theta_min) = {[str(x) for x in u]}")
+print(f"P_(D+1)(theta_min) = {P[-1]}")
 
 # the tail bound dominates the true multiplicity for every split point j:
 # it takes u_0..u_j and the tail (k_j + ... + k_D) / k_j
 for j in range(1, arr.D + 1):
-    b = multiplicity_upper_bound(seq.u[:j + 1], sum(arr.kseq[j:]) / arr.kseq[j])
+    b = multiplicity_upper_bound(u[:j + 1], sum(arr.kseq[j:]) / arr.kseq[j])
     print(f"  multiplicity bound (j={j}): {float(b):9.4f}  >=  m = 8")
 
 # mixed rational/irrational spectra work the same way

@@ -44,18 +44,6 @@ def _require_odd_girth(g: int) -> int:
     return (g - 1) // 2
 
 
-def f_poly(x, y, t: int):
-    """sum_{i=0}^t p_i(x) y^i via the recurrence (the rational closed form is
-    singular where lambda y = 1, so it is only used in tests)."""
-    if t < 2:
-        raise BoundError("f_poly needs t >= 2")
-    ps = p_polynomials(t, x)
-    acc = ps[-1] * (y ** 0)
-    for p in reversed(ps[:-1]):
-        acc = acc * y + p
-    return acc
-
-
 def schedule_n(g: int, mode: str = MODE_GENERAL, zeta=None) -> list:
     """N_0..N_t of the mode; the one place that validates the mode.  The
     sharp girth-5 schedule needs zeta, which the general one ignores."""

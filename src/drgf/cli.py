@@ -210,18 +210,18 @@ def cmd_verify(args) -> int:
         g = oracle.build(args.graph)
         if args.export:
             g.write_edge_list(args.export)
+        print(f"graph {g.name}: {g.n} vertices, {len(g.edges)} edges")
+        arr, witness = oracle.verify_distance_regular(g)
+        if arr is None:
+            print(f"not distance-regular: witness (x, y, i) = {witness}")
+            return EXIT_FAIL
+        print(f"intersection array (BFS): {format_array(arr)}")
+        og = oracle.odd_girth_bruteforce(g)
+        print(f"odd girth (BFS): {og}")
+        vals, mults = oracle.spectrum_bruteforce(g)  # dense: OracleError past its size
     except (oracle.OracleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"graph {g.name}: {g.n} vertices, {len(g.edges)} edges")
-    arr, witness = oracle.verify_distance_regular(g)
-    if arr is None:
-        print(f"not distance-regular: witness (x, y, i) = {witness}")
-        return EXIT_FAIL
-    print(f"intersection array (BFS): {format_array(arr)}")
-    og = oracle.odd_girth_bruteforce(g)
-    print(f"odd girth (BFS): {og}")
-    vals, mults = oracle.spectrum_bruteforce(g)
     print("spectrum (dense): " + ", ".join(
         f"{v:.6f}^{m}" for v, m in zip(vals, mults)))
 

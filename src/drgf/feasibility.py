@@ -12,13 +12,15 @@ the whole battery in a fixed order and aggregates the verdicts.  Verdicts:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from mpmath import mp
 
 from .core import IntersectionArray, format_array
-from .spectral import (DPS, Exact, Spectrum, as_mpf, num_str, spectrum, standard_sequence,
+from .spectral import (DPS, Exact, Spectrum, _minors, as_mpf, num_str, spectrum,
                        theta_min_cmp, trace_of_l_squared, workdps)
 
 PASS = "pass"
@@ -137,27 +139,29 @@ def p_polynomials(t: int, x):
 
 
 def _ineq_verdict(value) -> str:
-    val = float(value) if isinstance(value, Exact) else value
-    if val >= -INEQ_PASS_TOL:
+    if value >= -INEQ_PASS_TOL:
         return PASS
-    if val <= -INEQ_FAIL_TOL:
+    if value <= -INEQ_FAIL_TOL:
         return FAIL
     return INCONCLUSIVE
 
 
 def check_odd_girth_inequality(arr: IntersectionArray, theta_min) -> list[CheckEntry]:
     """For each eigenvalue eta = 2 cos(2 pi j / g) of the odd-girth cycle,
-    sum_{i<=t} p_i(eta) u_i(theta_min) must be nonnegative.  The verdict
-    reads the sum at working precision; its witness, value, is written at
-    15 significant digits."""
+    sum_{i<=t} p_i(eta) u_i(theta_min) must be nonnegative, with u_i =
+    P_i(theta_min) / (b_0...b_{i-1}) from the minors P_i of _minors [BCN
+    4.1].  At an int theta_min the recurrence is exact while its terms
+    stay below 2^mp.prec, and u_i is then the correctly rounded quotient of
+    two exact ints.  The verdict reads the sum at working precision; its
+    witness, value, is written at 15 significant digits."""
     t = arr.t
     if t is None:
         return [_entry("odd_girth_inequality", NA, reason="bipartite-type array")]
     g = 2 * t + 1
-    seq = standard_sequence(arr, theta_min)
     out = []
     with workdps():
-        u = [as_mpf(x) for x in seq.u]
+        minors = islice(_minors(arr, as_mpf(theta_min)), t + 1)
+        u = [as_mpf(p) / math.prod(arr.b[:i]) for i, (p, _) in enumerate(minors)]
         for j in range(t + 1):
             eta = 2 * mp.cos(2 * mp.pi * j / g)
             ps = p_polynomials(t, eta)

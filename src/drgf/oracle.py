@@ -17,6 +17,7 @@ import numpy as np
 from .core import IntersectionArray
 
 BIPARTITE = "bipartite"
+CLUSTER_TOL = 1e-7  # spectrum_bruteforce merges eigenvalues closer than this
 
 # Coxeter graph: vertices are the 28 triples from a 7-set that are not lines
 # of a Fano plane (lines {0,1,3}+i mod 7), triples adjacent when disjoint;
@@ -216,12 +217,12 @@ class ClusteringError(RuntimeError):
     pass
 
 
-def spectrum_bruteforce(g: Graph, tol: float = 1e-7):
+def spectrum_bruteforce(g: Graph):
     """Dense symmetric eigendecomposition, clustered into distinct eigenvalues.
 
     Returns (values, mults) sorted by decreasing eigenvalue; mults are exact
     integers summing to n.  Raises ClusteringError when adjacent clusters are
-    not separated by at least tol.
+    not separated by at least 10 CLUSTER_TOL.
     """
     if g.n > 4096:
         raise OracleError("graph too large for the dense oracle")
@@ -229,10 +230,10 @@ def spectrum_bruteforce(g: Graph, tol: float = 1e-7):
     w = scipy.linalg.eigvalsh(g.adjacency)[::-1]
     values, mults = [], []
     for x in w:
-        if values and abs(x - values[-1]) < tol:
+        if values and abs(x - values[-1]) < CLUSTER_TOL:
             mults[-1] += 1
             continue
-        if values and abs(x - values[-1]) < 10 * tol:
+        if values and abs(x - values[-1]) < 10 * CLUSTER_TOL:
             raise ClusteringError(f"ambiguous eigenvalue gap near {x}")
         values.append(float(x))
         mults.append(1)

@@ -1,4 +1,4 @@
-"""Spectra of intersection matrices: eigenvalues, standard sequences, multiplicities.
+"""Spectra of intersection matrices: eigenvalues and multiplicities.
 
 The tridiagonal intersection matrix L of an intersection array has D+1 real,
 simple eigenvalues.  Every value of P = det(xI - L) at a point comes from one
@@ -20,7 +20,8 @@ exactly at a rational x, in mpmath, or over a float array.
   are integers) vanishes at no box end.  Floats only steer: each deciding
   sign is exact.
 * Every Biggs multiplicity, exact, mpf or float, is the Christoffel-Darboux
-  form in multiplicity's docstring.
+  form in multiplicity's docstring, and the odd-girth check's standard
+  sequence is u_i = P_i(theta_min) / (b_0...b_{i-1}).
 
 The enumeration's float screen works on a transposed copy of a batch
 (_columns), a_i, b_i and c_i each one contiguous row over all arrays:
@@ -180,13 +181,13 @@ def refine_root(f, lo: int, hi: int, start, lo_positive: bool) -> int:
     F(X) = 0, or the lower end of a one-unit bracket: the root lies in
     [X, X + 1] 2^-s.
 
-    Safeguarded Newton from start (None: the midpoint): the exact sign at
-    each iterate shrinks the bracket, and the step, rounded away from zero
-    to whole units, becomes a bisection step where it leaves the open
-    bracket.  A step below one unit thus lands one unit past the root, so
-    Newton's quadratic convergence ends with the bracket one unit wide.
+    Safeguarded Newton from start: the exact sign at each iterate shrinks
+    the bracket, and the step, rounded away from zero to whole units,
+    becomes a bisection step where it leaves the open bracket.  A step
+    below one unit thus lands one unit past the root, so Newton's quadratic
+    convergence ends with the bracket one unit wide.
     """
-    x = (lo + hi) // 2 if start is None else min(max(start, lo + 1), hi - 1)
+    x = min(max(start, lo + 1), hi - 1)
     while hi - lo > 1:
         v, d = f(x)
         if v == 0:
@@ -383,31 +384,6 @@ def theta_min_multiplicity_float(rows) -> tuple[np.ndarray, np.ndarray]:
         return theta, _biggs_float(a, b, c, theta)
 
 
-@dataclass(frozen=True)
-class StandardSequence:
-    theta: object
-    u: tuple
-    terminal_residual: object
-
-
-def standard_sequence(arr: IntersectionArray, theta) -> StandardSequence:
-    """u_0 = 1, u_1 = theta/k, then the three-term recurrence.
-
-    Exact rationals when theta is exact, else mpf at working precision.  The
-    terminal identity c_D u_{D-1} + a_D u_D = theta u_D holds (residual below
-    1e-8) precisely when theta is an eigenvalue of L.
-    """
-    k, D, a = arr.k, arr.D, arr.a
-    exact = isinstance(theta, Exact)
-    with workdps():
-        th = Fraction(theta) if exact else as_mpf(theta)
-        u = [Fraction(1) if exact else mp.mpf(1), th / k]
-        for j in range(1, D):
-            u.append(((th - a[j]) * u[j] - arr.c[j - 1] * u[j - 1]) / arr.b[j])
-        res = abs(arr.c[D - 1] * u[D - 1] + (a[D] - th) * u[D])
-        return StandardSequence(th, tuple(u), res)
-
-
 def multiplicity(arr: IntersectionArray, theta):
     """Biggs multiplicity v / sum k_i u_i^2 [BCN 4.1.1] of the eigenvalue
     theta; exact for an exact theta, else an mpf at working precision.
@@ -422,8 +398,7 @@ def multiplicity(arr: IntersectionArray, theta):
     gives m = v w_1...w_D / (P'_{D+1} P_D - P'_D P_{D+1}).  The sum is at
     least 1: a denominator that is not positive is cancellation between
     eigenvalues closer than DPS digits resolve, and raises SpectralError.
-    A rational eigenvalue is an int (P_{D+1} is monic over Z): q = 1, and
-    P_{D+1} / B_D is standard_sequence's terminal residual."""
+    A rational eigenvalue is an int (P_{D+1} is monic over Z): q = 1."""
     exact = isinstance(theta, Exact)
     with workdps():
         (p0, d0), (p1, d1) = deque(_minors(arr, theta if exact else as_mpf(theta)), 2)

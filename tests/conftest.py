@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
 from drgf import oracle
 
@@ -27,3 +28,19 @@ def consistent():
     """Whether a PruningStats accounts for every array it generated: each
     one either survives or is killed by exactly one check."""
     return lambda st: st.generated == st.survivors + sum(st.killed.values())
+
+
+@pytest.fixture(scope="session")
+def standard_u():
+    """The standard sequence u_0, ..., u_D of theta by its own recurrence
+    [BCN 4.1], apart from drgf's minor kernel: u_0 = 1, u_1 = theta/k and
+    b_i u_{i+1} = (theta - a_i) u_i - c_i u_{i-1}; exact Fractions at an int
+    or Fraction theta, else mpf values at 50 digits."""
+    def sequence(arr, theta) -> tuple:
+        with mp.workdps(50):
+            th = Fraction(theta) if isinstance(theta, (int, Fraction)) else mp.mpf(theta)
+            u = [th ** 0, th / arr.k]
+            for i in range(1, arr.D):
+                u.append(((th - arr.a[i]) * u[i] - arr.c[i - 1] * u[i - 1]) / arr.b[i])
+            return tuple(u)
+    return sequence

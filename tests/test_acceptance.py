@@ -24,7 +24,7 @@ from mpmath import mp
 from drgf import bound, oracle, search
 from drgf.core import format_array, parse_array
 from drgf.feasibility import check_odd_girth_inequality, p_polynomials
-from drgf.spectral import as_mpf, eigenvalues, spectrum, standard_sequence
+from drgf.spectral import as_mpf, eigenvalues, spectrum
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -180,7 +180,7 @@ def test_criterion_5c_closed_form_identity():
             t = (g - 1) // 2
             for j in range(g):
                 eta = 2 * mp.cos(2 * mp.pi * j / g)
-                lhs = bound.f_poly(eta, mp.mpf(-1), t)
+                lhs = mp.fsum(p * (-1) ** i for i, p in enumerate(p_polynomials(t, eta)))
                 rhs = (-1) ** (t + j) / mp.cos(j * mp.pi / g)
                 assert abs(lhs - rhs) < 1e-10, (g, j)
 
@@ -213,7 +213,7 @@ def test_d5_main_space_pruning_stats(survivors_d5, consistent):
     assert st.survivors == 2 and consistent(st)
 
 
-def test_criterion_7_property_suites(survivors_d4, survivors_d5):
+def test_criterion_7_property_suites(survivors_d4, survivors_d5, standard_u):
     with criterion("7", "sum rules, sign alternation, |p_i| <= 2, cycle inequality"):
         survivors = list(survivors_d4.survivors) + list(survivors_d5.survivors)
         assert len(survivors) == 4
@@ -230,9 +230,9 @@ def test_criterion_7_property_suites(survivors_d4, survivors_d5):
             assert abs(sum(m * t * t for m, t in zip(ms, th)) - v * k) < 1e-6 * v * k
         # standard-sequence shape at theta_min
         for arr in survivors + catalog:
-            seq = standard_sequence(arr, eigenvalues(arr)[-1])
-            assert max(abs(as_mpf(u)) for u in seq.u) <= 1 + mp.mpf("1e-20")
-            for x, y in zip(seq.u, seq.u[1:]):
+            u = standard_u(arr, eigenvalues(arr)[-1])
+            assert max(abs(as_mpf(x)) for x in u) <= 1 + mp.mpf("1e-20")
+            for x, y in zip(u, u[1:]):
                 if x != 0 and y != 0:
                     assert (x > 0) != (y > 0)
         # cycle polynomials stay in [-2, 2] on a 1000-point grid

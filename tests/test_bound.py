@@ -6,30 +6,36 @@ from mpmath import libmp, mp
 
 from drgf import bound
 from drgf.bound import (MODE_GENERAL, MODE_SHARP_G5, BoundError, bound_table,
-                        conservative_2dp, diameter_bound, epsilon1, f_poly,
+                        conservative_2dp, diameter_bound, epsilon1,
                         polygon_epsilon_upper, schedule_n, zeta_star)
+from drgf.feasibility import p_polynomials
 from drgf.spectral import _sign_changes, moebius, workdps
 
 
-def test_f_poly_at_zero_y():
+def f(x, y, t: int):
+    """f(x, y) = sum_{i<=t} p_i(x) y^i, the bound's polynomial."""
+    return mp.fsum(p * y ** i for i, p in enumerate(p_polynomials(t, x)))
+
+
+def test_f_at_zero_y():
     for t in (2, 3, 7):
-        assert f_poly(mp.mpf("0.37"), mp.mpf(0), t) == 1
+        assert f(mp.mpf("0.37"), mp.mpf(0), t) == 1
 
 
-def test_f_poly_t2_closed_form():
+def test_f_t2_closed_form():
     for x in (-1.5, 0.2, 1.9):
         for y in (-0.9, -0.3, 0.5):
-            got = f_poly(mp.mpf(x), mp.mpf(y), 2)
+            got = f(mp.mpf(x), mp.mpf(y), 2)
             assert abs(got - (1 + x * y + (x * x - 2) * y * y)) < 1e-12
 
 
-def test_f_poly_alternating_sum_identity():
+def test_f_alternating_sum_identity():
     # f(2cos(2 pi j / g), -1) = (-1)^(t+j) / cos(j pi / g) for all j
     for g in (5, 7, 9, 11, 13, 15):
         t = (g - 1) // 2
         for j in range(g):
             eta = 2 * mp.cos(2 * mp.pi * j / g)
-            lhs = f_poly(eta, mp.mpf(-1), t)
+            lhs = f(eta, mp.mpf(-1), t)
             rhs = (-1) ** (t + j) / mp.cos(j * mp.pi / g)
             assert abs(lhs - rhs) < 1e-10, (g, j)
 
@@ -76,15 +82,15 @@ def test_epsilon1_girth5():
 
 
 def test_epsilon1_root_solves_the_shifted_equation():
-    # y = epsilon1 - 1 is a root of f(eta, y) + M1 zeta, with the M1 and
-    # zeta that epsilon1 returns
+    # y = epsilon1 - 1 is a root of f(eta, y) + M1 zeta, epsilon1's
+    # coefficients p_i(eta) with M1 zeta added to the constant one
     cases = [(5, MODE_GENERAL, None), (7, MODE_GENERAL, None), (101, MODE_GENERAL, None),
              (5, MODE_SHARP_G5, None), (5, MODE_SHARP_G5, Fraction(1, 10))]
     with workdps():
         for g, mode, zeta in cases:
             p = epsilon1(g, mode, zeta)
             y = p.epsilon1 - 1
-            assert abs(f_poly(p.eta, y, p.t) + p.M1 * p.zeta) < mp.mpf(10) ** -40, (g, mode)
+            assert abs(f(p.eta, y, p.t) + p.M1 * p.zeta) < mp.mpf(10) ** -40, (g, mode)
 
 
 def _table_refines(monkeypatch):

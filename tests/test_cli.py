@@ -381,6 +381,16 @@ def test_verify_unknown_exit2():
     assert run_cli("verify", "petersen").returncode == 2
 
 
+def test_verify_past_the_dense_oracle_exit2(capsys):
+    # odd_graph:8 has 6435 vertices, past the dense oracle's 4096: the BFS
+    # lines, then one error line and no traceback
+    from drgf import cli
+    assert cli.main(["verify", "odd_graph:8"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert "intersection array (BFS): {8,7,7,6,6,5,5;1,1,2,2,3,3,4}" in out
+    assert err == "error: graph too large for the dense oracle\n"
+
+
 def test_verify_export(tmp_path):
     out = tmp_path / "edges.txt"
     r = run_cli("verify", "cycle:9", "--export", str(out))

@@ -7,14 +7,15 @@ import pytest
 import sympy
 from mpmath import libmp, mp
 
-from drgf import oracle, spectral
+from drgf import feasibility, oracle, spectral
 from drgf.core import IntersectionArray, parse_array
-from drgf.feasibility import FAIL, INCONCLUSIVE, PASS, check_trace_square, full_report
+from drgf.feasibility import (FAIL, INCONCLUSIVE, PASS, check_odd_girth_inequality,
+                              check_trace_square, full_report, p_polynomials)
 from drgf.spectral import (abs_u_lower_bounds, as_mpf, eigenvalues,
                            eigenvalues_float, implied_last_c_lower,
                            intersection_matrix, minor_polys, multiplicity,
                            multiplicities_float, multiplicity_upper_bound,
-                           refine_root, spectrum, sqrt_bounds, standard_sequence,
+                           refine_root, spectrum, sqrt_bounds,
                            sturm_count_leq, theta_min_cmp, theta_min_multiplicity_float,
                            trace_of_l_squared, workdps)
 
@@ -119,37 +120,50 @@ def test_theta_min_multiplicity_float_matches_exact():
             assert abs(mult - exact) <= 1e-9 * max(1, exact), str(arr)
 
 
+def _minor_values(arr, x) -> list:
+    """P_0(x), ..., P_{D+1}(x) from the minor kernel."""
+    return [p for p, _ in spectral._minors(arr, x)]
+
+
 def test_standard_sequence_perron():
+    # u_i(k) = 1: the minors at k are B_i, and P_{D+1}(k) = 0
     for text in ("{5,4,4,3;1,1,2,2}", "{2;1}", "{11,10,9,8,7;1,2,3,4,5}"):
         arr = parse_array(text)
-        seq = standard_sequence(arr, arr.k)
-        assert all(u == 1 for u in seq.u)
+        assert _minor_values(arr, arr.k) == [*(math.prod(arr.b[:i]) for i in range(arr.D + 1)), 0]
 
 
-def test_standard_sequence_o5_exact():
-    # by-hand recurrence with exact rationals; the terminal identity is the oracle
-    seq = standard_sequence(parse_array("{5,4,4,3;1,1,2,2}"), -4)
-    assert seq.u == (1, Fraction(-4, 5), Fraction(11, 20), Fraction(-7, 20),
-                     Fraction(1, 10))
-    assert seq.terminal_residual == 0
+def test_standard_sequence_o5_exact(standard_u):
+    # u_i = P_i(-4) / B_i, B_i = b_0...b_{i-1}, from the kernel against the
+    # by-hand u recurrence
+    arr = parse_array("{5,4,4,3;1,1,2,2}")
+    *minors, last = _minor_values(arr, -4)
+    u = (1, Fraction(-4, 5), Fraction(11, 20), Fraction(-7, 20), Fraction(1, 10))
+    assert tuple(Fraction(p, math.prod(arr.b[:i])) for i, p in enumerate(minors)) == u
+    assert standard_u(arr, -4) == u and last == 0
 
 
 def test_terminal_identity_iff_eigenvalue():
-    arr = parse_array("{5,4,4,3;1,1,2,2}")
-    for theta in eigenvalues(arr):
-        assert standard_sequence(arr, theta).terminal_residual < 1e-8
-    for theta in (-3.5, 0.5, 2.0, 4.0):
-        assert standard_sequence(arr, mp.mpf(theta)).terminal_residual > 1e-8
+    # c_D u_{D-1} + (a_D - theta) u_D = -P_{D+1}(theta) / B_D: exactly 0 at
+    # an int eigenvalue, below 1e-8 at an mpf one, above it elsewhere
+    o5, cox = parse_array("{5,4,4,3;1,1,2,2}"), parse_array("{3,2,2,1;1,1,1,2}")
+    with workdps():
+        for arr in (o5, cox):
+            for theta in eigenvalues(arr):
+                last = _minor_values(arr, theta)[-1]
+                assert last == 0 if isinstance(theta, int) else abs(last) / math.prod(arr.b) < 1e-8
+        assert any(not isinstance(theta, int) for theta in eigenvalues(cox))
+        for theta in (-3.5, 0.5, 2.0, 4.0):
+            assert abs(_minor_values(o5, mp.mpf(theta))[-1]) / math.prod(o5.b) > 1e-8
 
 
-def test_sign_alternation_at_theta_min():
+def test_sign_alternation_at_theta_min(standard_u):
     for text in CORPUS:
         arr = parse_array(text)
-        seq = standard_sequence(arr, eigenvalues(arr)[-1])
-        for x, y in zip(seq.u, seq.u[1:]):
+        u = standard_u(arr, eigenvalues(arr)[-1])
+        for x, y in zip(u, u[1:]):
             if x != 0 and y != 0:
                 assert (x > 0) != (y > 0), text
-        assert max(abs(as_mpf(u)) for u in seq.u) <= 1 + mp.mpf("1e-30"), text
+        assert max(abs(as_mpf(x)) for x in u) <= 1 + mp.mpf("1e-30"), text
 
 
 def test_multiplicity_trivial_eigenvalue():
@@ -186,42 +200,40 @@ def _k_tail(arr, j):
     return sum(arr.kseq[j:]) / arr.kseq[j]
 
 
-def test_multiplicity_upper_bound_dominates():
+def test_multiplicity_upper_bound_dominates(standard_u):
     for text in ("{5,4,4,3;1,1,2,2}", "{3,2,2,1;1,1,1,2}", "{9,8,7,6;1,2,3,4}"):
         arr = parse_array(text)
         spec = spectrum(arr)
         for theta, m in zip(spec.thetas[1:], spec.mults_raw[1:]):
-            seq = standard_sequence(arr, theta)
+            u = standard_u(arr, theta)
             for j in range(1, arr.D + 1):
-                if 0 in seq.u[1:j + 1]:
+                if 0 in u[1:j + 1]:
                     continue
-                bound = multiplicity_upper_bound(seq.u[:j + 1], _k_tail(arr, j))
+                bound = multiplicity_upper_bound(u[:j + 1], _k_tail(arr, j))
                 assert isinstance(bound, Fraction) == isinstance(theta, int)
                 assert as_mpf(bound) >= as_mpf(m) - mp.mpf("1e-20"), (text, j)
                 # lower bounds on |u_i| and an upper bound on the tail keep it a bound
                 looser = multiplicity_upper_bound(
-                    [abs(x) * Fraction(99, 100) for x in seq.u[:j + 1]], _k_tail(arr, j) + 1)
+                    [abs(x) * Fraction(99, 100) for x in u[:j + 1]], _k_tail(arr, j) + 1)
                 assert as_mpf(looser) >= as_mpf(bound)
 
 
-def test_multiplicity_upper_bound_single_term():
+def test_multiplicity_upper_bound_single_term(standard_u):
     # D = 1: the tail collapses to 1/u_1^2 = k^2/theta^2
     arr = parse_array("{2;1}")
-    seq = standard_sequence(arr, -1)
-    assert multiplicity_upper_bound(seq.u, _k_tail(arr, 1)) == 4
+    assert multiplicity_upper_bound(standard_u(arr, -1), _k_tail(arr, 1)) == 4
     assert multiplicity(arr, -1) == 2
 
 
-def test_multiplicity_upper_bound_rejects_zero_u():
-    arr = parse_array("{2,1;1,1}")  # pentagon
-    seq = standard_sequence(arr, mp.mpf(0))
+def test_multiplicity_upper_bound_rejects_zero_u(standard_u):
+    u = standard_u(parse_array("{2,1;1,1}"), 0)  # the pentagon's sequence at 0
+    assert u == (1, 0, -1)
     with pytest.raises(ValueError):
-        multiplicity_upper_bound((1, 0), 2)
+        multiplicity_upper_bound(u[:2], 2)
     with pytest.raises(ValueError):  # an earlier zero leaves no finite bound either
-        multiplicity_upper_bound((1, 0, -1), 2)
+        multiplicity_upper_bound(u, 2)
     with pytest.raises(ValueError):
         multiplicity_upper_bound((1,), 2)
-    assert seq  # sequence itself is fine
 
 
 def test_sturm_count_boundary_exact():
@@ -329,7 +341,7 @@ def _refine(coeffs, lo, hi):
     s, lo, hi = spectral.to_grid(Fraction(lo), Fraction(hi))
     f = _grid_horner(coeffs, s)
     v, d = f(lo)
-    return Fraction(refine_root(f, lo, hi, None, (v or -d) > 0), 1 << s)
+    return Fraction(refine_root(f, lo, hi, (lo + hi) // 2, (v or -d) > 0), 1 << s)
 
 
 def test_refine_root_when_newton_leaves_the_bracket():
@@ -366,7 +378,7 @@ def test_refine_root_with_a_known_end_sign_evaluates_no_end():
     with workdps():
         s, lo, hi = spectral.to_grid(Fraction(1), Fraction(2))
         f, seen = _grid_horner([-2, 0, 1], s), []
-        X = refine_root(lambda X: seen.append(X) or f(X), lo, hi, None, False)
+        X = refine_root(lambda X: seen.append(X) or f(X), lo, hi, (lo + hi) // 2, False)
         assert lo not in seen and hi not in seen
         assert X * X < 2 << 2 * s < (X + 1) ** 2
 
@@ -390,7 +402,7 @@ def test_abs_u_chain_diameter5_constants():
     assert math.floor(lows[4] * 10**4) == 3344
 
 
-def test_abs_u_chain_never_exceeds_true_values():
+def test_abs_u_chain_never_exceeds_true_values(standard_u):
     # random admissible instances: chain bounds stay below the true |u_i|
     rng = random.Random(7)
     tried = 0
@@ -410,8 +422,7 @@ def test_abs_u_chain_never_exceeds_true_values():
             continue
         tried += 1
         lows = abs_u_lower_bounds(k, (Fraction(3, 4), 1), [1, 2, c3])
-        seq = standard_sequence(arr, tmin)
-        for lo, u in zip(lows, seq.u):
+        for lo, u in zip(lows, standard_u(arr, tmin)):
             assert as_mpf(lo) <= abs(as_mpf(u)) + mp.mpf("1e-25")
 
 
@@ -814,9 +825,8 @@ def test_minors_at_matches_minor_polys(arr, poly_eval_frac):
             assert slope == poly_eval_frac(dP, x)
 
 
-def _u_sum_multiplicity(arr, theta):
-    """v / sum k_i u_i^2 from standard_sequence: exact, or an mpf."""
-    u = standard_sequence(arr, theta).u
+def _u_sum_multiplicity(arr, theta, u):
+    """v / sum k_i u_i^2 for the standard sequence u of theta: exact, or an mpf."""
     if isinstance(theta, int):
         return arr.v / sum(k * x * x for k, x in zip(arr.kseq, u))
     with workdps():
@@ -824,15 +834,36 @@ def _u_sum_multiplicity(arr, theta):
 
 
 @pytest.mark.parametrize("arr", [parse_array(t) for _n, t in oracle.CATALOG] + SEEDED, ids=str)
-def test_christoffel_darboux_matches_the_u_sum(arr):
+def test_christoffel_darboux_matches_the_u_sum(arr, standard_u):
     sp = spectrum(arr)
     for theta, m in zip(sp.thetas, sp.mults_raw):
-        want = _u_sum_multiplicity(arr, theta)
+        want = _u_sum_multiplicity(arr, theta, standard_u(arr, theta))
         if isinstance(theta, int):
             assert isinstance(m, Fraction) and m == want
         else:
             with workdps():
                 assert abs(m - want) <= mp.mpf("1e-45") * abs(want)
+
+
+@pytest.mark.parametrize("arr", [parse_array(t) for _n, t in oracle.CATALOG] + SEEDED, ids=str)
+def test_odd_girth_values_match_the_u_recurrence(monkeypatch, arr, standard_u):
+    # each value sum_i p_i(eta_j) u_i(theta_min) that the check decides on,
+    # against the u recurrence: bit for bit at an int theta_min, where the
+    # oracle's exact u_i round to the same mpf, else within 10^-45
+    values, verdict = [], feasibility._ineq_verdict
+    monkeypatch.setattr(feasibility, "_ineq_verdict", lambda v: values.append(v) or verdict(v))
+    tmin = spectrum(arr).theta_min
+    entries = check_odd_girth_inequality(arr, tmin)
+    if arr.t is None:
+        assert values == [] and len(entries) == 1
+        return
+    with workdps():
+        u = [as_mpf(x) for x in standard_u(arr, tmin)]
+        for j, value in enumerate(values):
+            ps = p_polynomials(arr.t, 2 * mp.cos(2 * mp.pi * j / arr.g))
+            want = mp.fsum(p * x for p, x in zip(ps, u))
+            assert value == want if isinstance(tmin, int) else abs(value - want) < mp.mpf(10) ** -45
+    assert len(values) == arr.t + 1
 
 
 @pytest.mark.parametrize("arr", [parse_array(t) for _n, t in oracle.CATALOG] + SEEDED[:12], ids=str)
