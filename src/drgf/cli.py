@@ -211,6 +211,8 @@ def cmd_verify(args) -> int:
         if args.export:
             g.write_edge_list(args.export)
         print(f"graph {g.name}: {g.n} vertices, {len(g.edges)} edges")
+        if g.n > oracle.DENSE_MAX_VERTICES:  # before the BFS passes, which would run in vain
+            raise oracle.OracleError("graph too large for the dense oracle")
         arr, witness = oracle.verify_distance_regular(g)
         if arr is None:
             print(f"not distance-regular: witness (x, y, i) = {witness}")
@@ -218,7 +220,7 @@ def cmd_verify(args) -> int:
         print(f"intersection array (BFS): {format_array(arr)}")
         og = oracle.odd_girth_bruteforce(g)
         print(f"odd girth (BFS): {og}")
-        vals, mults = oracle.spectrum_bruteforce(g)  # dense: OracleError past its size
+        vals, mults = oracle.spectrum_bruteforce(g)
     except (oracle.OracleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,6 +18,7 @@ from .core import IntersectionArray
 
 BIPARTITE = "bipartite"
 CLUSTER_TOL = 1e-7  # spectrum_bruteforce merges eigenvalues closer than this
+DENSE_MAX_VERTICES = 4096  # spectrum_bruteforce's limit: its n x n eigvalsh past it
 
 # Coxeter graph: vertices are the 28 triples from a 7-set that are not lines
 # of a Fano plane (lines {0,1,3}+i mod 7), triples adjacent when disjoint;
@@ -224,7 +225,7 @@ def spectrum_bruteforce(g: Graph):
     integers summing to n.  Raises ClusteringError when adjacent clusters are
     not separated by at least 10 CLUSTER_TOL.
     """
-    if g.n > 4096:
+    if g.n > DENSE_MAX_VERTICES:
         raise OracleError("graph too large for the dense oracle")
     import scipy.linalg
     w = scipy.linalg.eigvalsh(g.adjacency)[::-1]

@@ -10,16 +10,20 @@ subtrees as soon as a prefix is doomed:
   at theta = ratio*k where the bound is largest, is impossible;
 * k_i = k_{i-1} b_{i-1} / c_i must stay integral.
 
-The walk takes one numpy pass per level: np.repeat expands every live prefix
-into its options, in walk order, and the level's prunings kill options as
-masks, each kill counting every array below the option from a table of
-completion counts built once per valency, so the statistics cover the full
-search space at array granularity.  A row keeps its parent's index at each
-level, and tr(L^2), k_i and the Sturm minors of L at the cut ratio*k advance
-by one recurrence step per level; at the leaf (a_D = k - c_D) the trace
-identity (k^2 + (ratio*k)^2 <= tr(L^2)) and the exact Sturm count (theta_min
-<= ratio*k) decide, and the columns of the rows kept are gathered once.  It
-runs on int64, or on Python ints where an a-priori bound on the valency's
+The walk takes one numpy pass per level over a run of consecutive valencies,
+k a row column: np.repeat expands every live prefix into its options, in
+walk order, and the level's prunings kill options as masks, each kill
+counting every array below the option, at the option's valency, from
+completion counts indexed by each level's option list and built once per
+run, so the statistics cover the full search space at array granularity.  A
+level expands the prefixes of whole valencies in groups of at most
+_PASS_ROWS options (or one valency's), each walked down to the leaf before
+the next.  A row keeps its parent's index at each level, and tr(L^2), k_i and
+the Sturm minors of L at the cut ratio*k advance by one recurrence step per
+level; at the leaf (a_D = k - c_D) the trace identity (k^2 + (ratio*k)^2 <=
+tr(L^2)) and the exact Sturm count (theta_min <= ratio*k) decide, and the
+columns of the rows kept are gathered once.  A run holds the valencies of
+one dtype: int64, or Python ints where an a-priori bound on the valency's
 values reaches 2^63.  The rows it keeps wait across consecutive valencies
 until about _SCREEN_ROWS of them go through one batched float screen of the
 Biggs multiplicities (see _screen and _walk_group), which decides at
@@ -30,9 +34,10 @@ exact spectrum).  The first check in DEFAULT_CHECKS order that is enabled
 and that the report fails kills the array, so a c2_bound or a1_zero failure
 at the array's own theta_min counts even where the walk's cuts at ratio*k
 let it through; a survivor keeps its report.  Each valency keeps its own
-results and statistics; with jobs > 1 the caller and jobs - 1 forked
-children claim valencies one at a time, largest first, from a shared counter,
-and the parts merge in valency order, so no output depends on process count.
+results and statistics; with jobs > 1 the caller and up to jobs - 1 forked
+children claim runs of up to 8 valencies one at a time, largest first, from a
+shared counter, and the parts merge in valency order, so no output depends
+on process count or on how the valencies are grouped.
 
 classify_diameter runs the paper's stages in one loop: k <= 4, the a_2, a_3
 and (D = 5) a_4 exclusions under their derived caps, and the main space.
@@ -69,8 +74,14 @@ SCREEN_MARGIN = 1e-4
 
 # The float screen takes the leaf rows of consecutive valencies in batches of
 # about this many rows: numpy's per-call cost is spread over many rows while
-# a batch's float temporaries stay near a megabyte.
-_SCREEN_ROWS = 4096
+# a batch's float temporaries stay near a megabyte, beside the level pass's
+# columns, which stay held while it screens.
+_SCREEN_ROWS = 2048
+
+# The level pass expands the prefixes of consecutive valencies together, up to
+# this many options at a level: numpy's per-call cost is spread over a run of
+# valencies while the pass's columns stay near a megabyte.
+_PASS_ROWS = 1 << 14
 
 DEFAULT_CHECKS = ("a1_zero", "c2_bound", "k_integrality", "trace_vs_ratio",
                   "theta_ratio", "multiplicity_integrality",
@@ -200,124 +211,261 @@ class ClassificationResult:
     stats: PruningStats
 
 
-class _KSpace:
-    """The search space at one valency, decided one level at a time (see run)."""
+def _dtype(spec: SearchSpec, k: int):
+    """np.int64 where no value of the level pass at valency k can reach 2^63,
+    else object (Python ints, exact).
 
-    def __init__(self, k: int, spec: SearchSpec):
-        self.k = k
-        self.spec = spec
-        cut = None if spec.theta_ratio is None else spec.theta_ratio * k
+    With cut = P k / Q on the ratio's own denominator Q, which the valencies
+    of a run share (P = 0 without a cut), the pass computes nothing larger:
+    |phi_l| Q^l <= ((|P| + Q) k)^l, as every leading block of L has its
+    eigenvalues in [-k, k]; tr Q^2 <= 3 (D + 1) (kQ)^2; k_l <= k^l; and a
+    completion count <= C(k + D, D) C(k + F, F), for the monotone c and for
+    the monotone b at the F levels below D where a_i may be nonzero
+    (elsewhere b_i = k - c_i, and b_D = 0).  The bound
+    rises with k, so the int64 valencies of a space come first.  Every
+    classification valency fits: the largest bound, at D = 5 and k = 71, is
+    about 0.0074 * 2^63."""
+    (P, Q), D = (spec.theta_ratio or 0).as_integer_ratio(), spec.D
+    F = len(spec.a_pattern[:-1].replace(ZERO, ""))
+    big = max(((abs(P) + Q) * k) ** (D + 1), 3 * (D + 1) * (k * Q) ** 2,
+              math.comb(k + D, D) * math.comb(k + F, F))
+    return np.int64 if big < 2 ** 63 else object
+
+
+def _c2_cap(spec: SearchSpec, k: int) -> int | None:
+    """The walk's cap on c_2 at valency k, or None where it makes no cut.
+
+    The c_2 bound (2k - 2 cut)/(4 - 3 cut - k), floored in ints: it rises
+    with theta_min, so it caps c_2 wherever -k < theta_min <= cut <
+    (12 - 5k)/7; inside that gate 4Q - 3p - kQ > 8Q(k - 1)/7 for p = Pk."""
+    P, Q = (spec.theta_ratio or 0).as_integer_ratio()
+    p = P * k
+    gated = ("c2_bound" in spec.checks and spec.theta_ratio is not None
+             and spec.a_pattern[0] == ZERO and -k * Q < p and 7 * p < (12 - 5 * k) * Q)
+    return (2 * k * Q - 2 * p) // (4 * Q - 3 * p - k * Q) if gated else None
+
+
+class _KSpace:
+    """The search space at a run of consecutive valencies of one dtype (see
+    _dtype), decided one level at a time (see run)."""
+
+    def __init__(self, spec: SearchSpec, ks):
+        self.spec, self.k = spec, np.asarray(ks, np.int64)
+        self.dtype = dt = _dtype(spec, int(self.k[-1]))
         self._a1_prune = (
             "a1_zero" in spec.checks
             and spec.theta_ratio is not None and spec.theta_ratio < Fraction(-1, 2))
-        on = set(spec.checks) - ({"trace_vs_ratio", "theta_ratio"} if cut is None else set())
+        on = set(spec.checks) - (
+            {"trace_vs_ratio", "theta_ratio"} if spec.theta_ratio is None else set())
         self._k_integral, self._trace_cut, self._sturm_cut = (
             name in on for name in ("k_integrality", "trace_vs_ratio", "theta_ratio"))
-        # cut = p/q < 0; no cut reads the placeholder -1
-        self._p, self._q = p, q = (-1, 1) if cut is None else (cut.numerator, cut.denominator)
-        # the c_2 bound (2k - 2 cut)/(4 - 3 cut - k), floored in ints: it rises
-        # with theta_min, so it caps c_2 wherever -k < theta_min <= cut <
-        # (12 - 5k)/7; inside that gate 4q - 3p - kq > 8q(k - 1)/7
-        gated = ("c2_bound" in spec.checks and cut is not None and spec.a_pattern[0] == ZERO
-                 and -k * q < p and 7 * p < (12 - 5 * k) * q)
-        self._c2_cap = (2 * k * q - 2 * p) // (4 * q - 3 * p - k * q) if gated else None
+        # per valency: the cut's numerator p = P k over Q, k^2 + cut^2 times
+        # Q^2 and the c_2 cap (k where there is none)
+        (P, self._Q), k = (spec.theta_ratio or 0).as_integer_ratio(), self.k.astype(dt)
+        self._p, self._trace_lhs = P * k, (k * self._Q) ** 2 + (P * k) ** 2
+        caps = [(x, _c2_cap(spec, x)) for x in self.k.tolist()]
+        self._c2_cap = np.array([x if cap is None else cap for x, cap in caps])
         # theta_min = -k exactly when every a_i is 0: a "+" in the pattern
         # rules that out, and else the level-2 option's a_2 != 0 does
         self._c2_not_bipartite = NONZERO in spec.a_pattern
-        self._trace_lhs = (k * q) ** 2 + p ** 2
-        # run computes nothing larger: |phi_l| <= (|p| + kq)^l, as every leading
-        # block of L has its eigenvalues in [-k, k]; tr q^2 <= 3 (D + 1) k^2 q^2;
-        # k_l <= k^l; and a completion count <= C(k + D, D) C(k + F, F), for the
-        # monotone c and for the monotone b at the F levels below D where a_i
-        # may be nonzero (elsewhere b_i = k - c_i, and b_D = 0)
-        D, F = spec.D, len(spec.a_pattern[:-1].replace(ZERO, ""))
-        big = max((abs(p) + k * q) ** (D + 1), 3 * (D + 1) * (k * q) ** 2,
-                  math.comb(k + D, D) * math.comb(k + F, F))
-        self.dtype = np.int64 if big < 2 ** 63 else object  # object: Python ints, exact
+        # each level's options, their (v, c) keys v * stride + c in walk order,
+        # and the end of each valency's options
+        self._stride = s = int(self.k[-1]) + 1
+        self._levels, past = [], s * np.arange(1, len(k) + 1)  # the key past each valency's
+        for level in range(1, spec.D + 1):
+            v, c, b = self._options(level)
+            keys = v * s + c
+            self._levels.append((v, c, b, keys, np.searchsorted(keys, past)))
 
     def _options(self, level: int):
-        """The options (c, b) of a level before the prunings, a = k - c - b,
-        in walk order: c increasing, then a increasing (b decreasing).  A
-        prefix that ends in c', b' takes those with c >= c' and b <= b'."""
-        k, D, kind = self.k, self.spec.D, self.spec.a_pattern[level - 1]
-        c = (np.arange(1, k + 1) if level > 2
-             else np.array(sorted({1} if level == 1 else {*self.spec.c2_set})))
-        c = c[c <= k]
+        """The options (v, c, b) of a level before the prunings, a = k - c - b,
+        v the valency's place in the run, in walk order: v, then c increasing,
+        then a increasing (b decreasing).  A prefix that ends in c', b' takes
+        those of its valency with c >= c' and b <= b'."""
+        ks, D, kind = self.k, self.spec.D, self.spec.a_pattern[level - 1]
+        if level > 2:
+            v, c = _runs(ks)
+            c = c + 1
+        else:
+            cs = np.array(sorted({1} if level == 1 else {*self.spec.c2_set}))
+            v, c = np.repeat(np.arange(len(ks)), len(cs)), np.tile(cs, len(ks))
+            v, c = v[c <= ks[v]], c[c <= ks[v]]  # both read the v before the assignment
+        k = ks[v]
         top = k - c - (kind == NONZERO)  # the largest b where a >= 1, or a >= 0
         hi = np.minimum(top, k if level < D else 0)  # b_D = 0
         lo = np.maximum(top if kind == ZERO else 0, level < D)  # a = 0 fixes b; b >= 1 above D
         at, i = _runs(np.maximum(hi - lo + 1, 0))
-        return c[at], hi[at] - i
+        return v[at], c[at], hi[at] - i
 
-    def _completions(self, levels: list) -> list:
-        """counts[l][c, b]: the arrays below a prefix of l - 1 levels that ends
-        in c_{l-1} = c, b_{l-1} = b (c_0 = 1, b_0 = k), before any pruning."""
-        counts = [np.ones((self.k + 1, self.k + 1), self.dtype)]  # past the leaf
-        for c, b in reversed(levels):
-            w = np.zeros_like(counts[0])
-            w[c, b] = counts[0][c, b]
-            counts.insert(0, w[::-1].cumsum(0)[::-1].cumsum(1))  # c >= c', b <= b'
-        return [None] + counts
+    def _first(self, level: int, v, c, b):
+        """For prefixes of valencies v that end in c, b: the place of the first
+        option of the level that one may take (c' >= c, and for a = 0, where b'
+        = k - c', c' >= k - b), and the end of its valency's options."""
+        keys, ends = self._levels[level - 1][3:]
+        if self.spec.a_pattern[level - 1] == ZERO:
+            c = np.maximum(c, self.k[v] - b)
+        return np.searchsorted(keys, v * self._stride + c), ends[v]
 
-    def run(self) -> tuple[np.ndarray, PruningStats]:
-        """The leaf rows at this valency that the prunings keep, as one (n, 2D)
-        int matrix of b_0..b_{D-1}, c_1..c_D in walk order, and the stats of
-        their kills; the float screen comes after.
+    def _completions(self):
+        """below[l - 1]: the arrays below each option of level l (one at the
+        leaf), and the arrays at each valency, all before any pruning.
 
-        Level by level, np.repeat expands every live prefix into its options
+        An option (c, b) of level l - 1 has below it the arrays below the
+        options (c', b') of level l with c' >= c and b' <= b.  Down a row of
+        options (one c) b falls, and the last b of a row falls with c, so the
+        first row c* that the prefix may take and b* = min(b, its first b)
+        name one option, and that sum is T(c*, b*), T the sum over c' >= c*,
+        b' <= b*: for a = 0 (one option per c) the suffix sum in walk order,
+        else, with b >= 1 on every row, the sum over b' <= b* along its row of
+        the sums over c' >= c* down each column."""
+        dt, D = self.dtype, self.spec.D
+        w, below = np.ones(len(self._levels[-1][0]), dt), []
+        for level in range(D, 0, -1):
+            v, c, b, keys, ends = self._levels[level - 1]
+            if self.spec.a_pattern[level - 1] == ZERO:
+                T = _suffix_sums(w, ends[v])
+            else:
+                col, T = np.lexsort((c, b, v)), np.empty_like(w)
+                column = (v * self._stride + b)[col]
+                T[col] = _suffix_sums(w[col], np.searchsorted(column, column, "right"))
+                T = _suffix_sums(T, np.searchsorted(keys, keys, "right"))
+            below.insert(0, w)
+            qv, qc, qb = (self._levels[level - 2][:3] if level > 1
+                          else (np.arange(len(self.k)), np.ones_like(self.k), self.k))
+            j, end = self._first(level, qv, qc, qb)
+            w, on = np.zeros(len(qv), dt), j < end
+            j = j[on]
+            w[on] = T[j + np.maximum(b[j] - qb[on], 0)]
+        return below, w
+
+    def run(self) -> Iterator[tuple[int, np.ndarray, PruningStats]]:
+        """Each valency of the run, in order, with its leaf rows that the
+        prunings keep, as an (n, 2D) int matrix of b_0..b_{D-1}, c_1..c_D in
+        walk order, and the PruningStats of their kills; the float screen
+        comes after.
+
+        Level by level, np.repeat expands the live prefixes into their options
         in walk order, and the level's checks kill options as masks, in
         DEFAULT_CHECKS order, each kill weighted by the arrays below the
-        option (one at the leaf).  tr(L^2), k_l b_l and the Sturm minors at
-        the cut advance by one step for the options kept, and each keeps its
-        parent's index; at the leaf the trace and Sturm cuts apply to them."""
-        k, D, p, q, dt = self.k, self.spec.D, self._p, self._q, self.dtype
-        levels = [self._options(level) for level in range(1, D + 1)]
-        counts = self._completions(levels)
-        stats = PruningStats(generated=int(counts[1][1, k]))
-        # per live prefix of l - 1 levels: c_{l-1}, b_{l-1} (c_0 = 1, b_0 = k),
-        # k_{l-1} b_{l-1}, tr = sum a_i^2 + 2 sum b_{i-1} c_i so far, the minors
-        # phi_{l-1}, phi_l at cut = p/q (times q^l) and whether phi_0..phi_l alternate
-        # in sign, none zero (phi_0 = 1, phi_1 = p < 0); tree[l - 1]: level l's parents, c, b
-        c, b, tree = np.array([1]), np.array([k]), []
-        kb, tr, f0, f1 = (np.array([x], dt) for x in (k, 0, 1, p))
-        alternate = np.array([True])
+        option (one at the leaf) and counted at the option's valency.
+        tr(L^2), k_l b_l and the Sturm minors at the cut advance by one step
+        for the options kept, and each keeps its parent's index; at the leaf
+        the trace and Sturm cuts apply to them.  A level expands the prefixes
+        of consecutive whole valencies together, up to _PASS_ROWS options or
+        one valency's, and walks each such group down to the leaf before the
+        next, so a valency is done when its leaf group is."""
+        below, generated = self._completions()
+        kills, n, done = {}, len(self.k), 0
+        # per live prefix of l - 1 levels: its valency's place v, c_{l-1}, b_{l-1}
+        # (c_0 = 1, b_0 = k), k_{l-1} b_{l-1}, tr = sum a_i^2 + 2 sum b_{i-1} c_i
+        # so far, the minors phi_{l-1}, phi_l at cut = p/Q (times Q^l) and
+        # whether phi_0..phi_l alternate in sign, none zero (phi_0 = 1, phi_1 = p)
+        live = (np.arange(n), np.ones(n, np.int64), self.k, self.k.astype(self.dtype),
+                np.zeros(n, self.dtype), np.ones(n, self.dtype), self._p, np.ones(n, bool))
+        for last, rows in itertools.chain(self._descend(1, live, [], below, kills),
+                                          [(n - 1, np.zeros((0, 2 * self.spec.D), np.int64))]):
+            # one piece per valency, each popped as it goes, so that none stays held here
+            pieces = np.split(rows, np.searchsorted(rows[:, 0], self.k[done:last], "right"))[::-1]
+            del rows
+            for v in range(done, last + 1):
+                stats = PruningStats(generated=int(generated[v]))
+                for name in DEFAULT_CHECKS:  # each valency's walk kills in this order
+                    stats.kill(name, int(kills[name][v]) if name in kills else 0)
+                yield int(self.k[v]), pieces.pop(), stats
+            done = last + 1
+
+    def _descend(self, level, live, tree, below, kills):
+        """Expand the live prefixes at level, a group of valencies at a time,
+        and walk each group on to the leaf; yield, for each leaf group, its
+        last valency's place and its kept rows.  tree[l - 1]: level l's
+        parents, c, b."""
+        start, end = self._first(level, *live[:3])
+        n = end - start
+        for lo, hi in _groups(live[0], n):
+            step = self._step(level, live, start[lo:hi], n[lo:hi], lo, below[level - 1], kills)
+            if level == self.spec.D:  # nothing of the group but its rows held across the yield
+                yield live[0][hi - 1], self._leaf(*step, tree, kills)
+                continue
+            at, nxt = step
+            yield from self._descend(level + 1, nxt, tree + [(at, *nxt[1:3])], below, kills)
+
+    def _step(self, level, live, start, n, lo, below, kills):
+        """The options of the live prefixes lo, lo + 1, .. that take n options
+        each from start, less those the level's checks kill, as their
+        parents' places and the next level's live prefixes."""
+        k, D, Q, dt = self.k, self.spec.D, self._Q, self.dtype
+        v, c_prev, b_prev, kb, tr, f0, f1, alternate = live
+        c_opt, b_opt = self._levels[level - 1][1:3]
+        at, i = _runs(n)
+        opt = start[at] + i
+        at += lo
+        vr, c, b = v[at], c_opt[opt], b_opt[opt]
+        ok = b <= b_prev[at]
 
         def drop(name, fails):  # each live option that fails, with the arrays below it
-            fails &= ok
-            stats.kill(name, int(fails.sum() if below is None else below[c[fails], b[fails]].sum()))
-            ok[fails] = False
+            self._drop(kills, name, fails, ok, vr, below, opt)
 
-        for level, (c_opt, b_opt) in enumerate(levels, 1):
-            # a prefix takes the options from its first c >= c_{l-1} on
-            start = np.searchsorted(c_opt, c)
-            at, i = _runs(len(c_opt) - start)
-            opt, b_prev = start[at] + i, b[at]
-            c, b = c_opt[opt], b_opt[opt]
-            below, ok = None if level == D else counts[level + 1], b <= b_prev
-            if level == 1 and self._a1_prune:
-                drop("a1_zero", c + b != k)  # a_1 != 0
-            if level == 2 and self._c2_cap is not None:
-                drop("c2_bound", (c > self._c2_cap) & ((c + b != k) | self._c2_not_bipartite))
-            if level >= 2 and self._k_integral:  # k_l = k_{l-1} b_{l-1} / c_l
-                drop("k_integrality", kb[at] % c.astype(dt) != 0)
-            at, c, b = at[ok], c[ok], b[ok]
-            tree.append((at, c, b))
-            # Python ints on the object path, so that no product wraps
-            a_l, c_l, bc = (x.astype(dt, copy=False) for x in (k - c - b, c, b_prev[ok] * c))
-            # phi_{l+1} = (p - a_l q) phi_l - b_{l-1} c_l q^2 phi_{l-1}
-            f0, f1 = f1[at], (p - a_l * q) * f1[at] - bc * (q * q) * f0[at]
-            alternate = alternate[at] & ((f1 > 0) if level % 2 else (f1 < 0))
-            tr = tr[at] + a_l * a_l + 2 * bc
-            kb = kb[at] // c_l * b.astype(dt) if level < D else None  # b_D = 0
-        ok = np.ones(len(at), bool)
-        if self._trace_cut:  # k^2 + cut^2 <= tr(L^2), times q^2
-            drop("trace_vs_ratio", self._trace_lhs > tr * (q * q))
+        if level == 1 and self._a1_prune:
+            drop("a1_zero", c + b != k[vr])  # a_1 != 0
+        if level == 2 and "c2_bound" in self.spec.checks:
+            drop("c2_bound", (c > self._c2_cap[vr]) & ((c + b != k[vr]) | self._c2_not_bipartite))
+        if level >= 2 and self._k_integral:  # k_l = k_{l-1} b_{l-1} / c_l
+            drop("k_integrality", kb[at] % c.astype(dt) != 0)
+        at, vr, c, b = at[ok], vr[ok], c[ok], b[ok]
+        # Python ints on the object path, so that no product wraps
+        a_l, c_l, bc = (x.astype(dt, copy=False) for x in (k[vr] - c - b, c, b_prev[at] * c))
+        # phi_{l+1} = (p - a_l Q) phi_l - b_{l-1} c_l Q^2 phi_{l-1}
+        g1 = (self._p[vr] - a_l * Q) * f1[at] - bc * (Q * Q) * f0[at]
+        kb = kb[at] // c_l * b.astype(dt) if level < D else None  # b_D = 0
+        return at, (vr, c, b, kb, tr[at] + a_l * a_l + 2 * bc, f1[at], g1,
+                    alternate[at] & ((g1 > 0) if level % 2 else (g1 < 0)))
+
+    def _leaf(self, at, live, tree, kills) -> np.ndarray:
+        """The rows of the complete arrays live (parents at) that the trace
+        and Sturm cuts keep, gathered up the tree."""
+        v, tr, alternate, Q = live[0], live[4], live[7], self._Q
+        tree = tree + [(at, *live[1:3])]
+        ok = np.ones(len(v), bool)
+        if self._trace_cut:  # k^2 + cut^2 <= tr(L^2), times Q^2
+            self._drop(kills, "trace_vs_ratio", self._trace_lhs[v] > tr * (Q * Q), ok, v)
         if self._sturm_cut:  # D + 1 sign changes: no eigenvalue <= cut
-            drop("theta_ratio", alternate)
+            self._drop(kills, "theta_ratio", alternate, ok, v)
         rows, cols = np.flatnonzero(ok), []  # b_1, c_1, .., b_D, c_D of the rows kept
         for at, c, b in reversed(tree):
             cols, rows = [b[rows], c[rows]] + cols, at[rows]
-        return np.column_stack([np.full(len(rows), k)] + cols[:-2:2] + cols[1::2]), stats
+        return np.column_stack([self.k[rows]] + cols[:-2:2] + cols[1::2])
+
+    def _drop(self, kills, name, fails, ok, v, below=None, opt=None) -> None:
+        """Kill the live options that fail (ok, cleared there): each counts at
+        its valency's place v in kills[name], with the arrays below it,
+        below[opt], or as one array where below is None."""
+        fails &= ok
+        np.add.at(kills.setdefault(name, np.zeros(len(self.k), self.dtype)), v[fails],
+                  1 if below is None else below[opt[fails]])
+        ok[fails] = False
+
+
+def _groups(v: np.ndarray, n: np.ndarray) -> list:
+    """Row ranges [lo, hi) of the prefixes v (valency places, in order), each
+    of whole valencies whose options n sum to at most _PASS_ROWS, or of one."""
+    if not len(v) or v[0] == v[-1] or n.sum() <= _PASS_ROWS:
+        return [(0, len(v))] if len(v) else []
+    firsts = np.flatnonzero(np.diff(v, prepend=-1))
+    bounds, held = [0], 0
+    for first, m in zip(firsts.tolist(), np.add.reduceat(n, firsts).tolist()):
+        if held and held + m > _PASS_ROWS:
+            bounds.append(first)
+            held = 0
+        held += m
+    return list(zip(bounds, bounds[1:] + [len(v)]))
+
+
+def _suffix_sums(x: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Each element's sum of x from it up to its end (exclusive).  An int64
+    sum over several valencies may wrap, but each one taken is a count of
+    one valency, below 2^63, so it is exact modulo 2^64."""
+    total = np.append(np.cumsum(x[::-1])[::-1], x[:0].sum())
+    return total[:-1] - total[end]
 
 
 def _runs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -350,20 +498,21 @@ def _fractional(m: np.ndarray) -> np.ndarray:
 
 
 def _walk_group(spec: SearchSpec,
-                ks) -> Iterator[tuple[int, list[IntersectionArray], PruningStats]]:
-    """Each valency k that the iterable ks gives, in its order, with the
-    arrays that its level pass and the float screen keep, in walk order, and
-    the stats of their kills.
+                runs) -> Iterator[tuple[int, list[IntersectionArray], PruningStats]]:
+    """Each valency of the runs (lists of consecutive valencies of one dtype)
+    that the iterable runs gives, in its order, with the arrays that its
+    run's level pass and the float screen keep, in walk order, and the stats
+    of their kills.
 
     The leaf rows of consecutive valencies wait in one list until it holds
-    _SCREEN_ROWS rows, or ks ends, and are then screened in one _screen
+    _SCREEN_ROWS rows, or runs ends, and are then screened in one _screen
     call, so a batch holds fewer than _SCREEN_ROWS rows plus one valency's.
     A row's verdict does not depend on its batch."""
     screen = "multiplicity_integrality" in spec.checks
     waiting, stack, n = [], [], 0  # the valencies and the leaf rows not yet screened
-    for k in itertools.chain(ks, [None]):  # None: ks has ended
-        if k is not None:
-            rows, stats = _KSpace(k, spec).run()
+    passes = itertools.chain.from_iterable(_KSpace(spec, run).run() for run in runs)
+    for k, rows, stats in itertools.chain(passes, [(None, None, None)]):
+        if k is not None:  # None: runs has ended
             waiting.append((k, len(rows), stats))
             stack.append(rows)
             n += len(rows)
@@ -383,13 +532,13 @@ def _walk_group(spec: SearchSpec,
         waiting, n = [], 0
 
 
-def _run_group(spec: SearchSpec, ks) -> list:
-    """(k, survivors as (array, report) pairs, stats) for each valency of ks,
-    in order: the first check in DEFAULT_CHECKS order that is enabled and
+def _run_group(spec: SearchSpec, runs) -> list:
+    """(k, survivors as (array, report) pairs, stats) for each valency of the
+    runs, in order: the first check in DEFAULT_CHECKS order that is enabled and
     that an array's one full_report fails kills it, and an odd-girth check
     reached with no failure but an undecided entry leaves a warning."""
     parts = []
-    for k, arrays, stats in _walk_group(spec, ks):
+    for k, arrays, stats in _walk_group(spec, runs):
         survivors = []
         for arr in arrays:
             report = full_report(arr, spec.theta_ratio)
@@ -409,40 +558,55 @@ def _run_group(spec: SearchSpec, ks) -> list:
     return parts
 
 
-def _claims(ks, counter, stalled=lambda: None) -> Iterator[int]:
-    """The valencies of ks that this process claims in turn from the shared counter, its lock
-    held for the read and the increment; stalled() runs while a holder keeps it past 0.1 s."""
+def _claims(runs, counter, stalled=lambda: None) -> Iterator[list]:
+    """The runs that this process claims in turn from the shared counter, its lock held
+    for the read and the increment; stalled() runs while a holder keeps it past 0.1 s."""
     lock = counter.get_lock()
     while True:
         while not lock.acquire(timeout=0.1):
             stalled()
         i, counter.value = counter.value, counter.value + 1
         lock.release()
-        if i >= len(ks):
+        if i >= len(runs):
             return
-        yield ks[i]
+        yield runs[i]
 
 
-def _send_share(conn, spec: SearchSpec, ks, counter) -> None:
+def _send_share(conn, spec: SearchSpec, runs, counter) -> None:
     """A child's share: send (True, the parts of what it claims) or (False, the exception)."""
     try:
-        conn.send((True, _run_group(spec, _claims(ks, counter))))
+        conn.send((True, _run_group(spec, _claims(runs, counter))))
     except Exception as exc:
         conn.send((False, exc))
+
+
+def _dtype_runs(spec: SearchSpec, ks) -> list[list[int]]:
+    """The valencies of ks of each dtype, as one run each."""
+    return [list(run) for _dt, run in itertools.groupby(ks, lambda k: _dtype(spec, k))]
+
+
+def _shares(spec: SearchSpec, ks) -> list[list[int]]:
+    """The runs that processes claim: each dtype's valencies in runs of 8,
+    the largest valencies first.  A run's cost rises steeply with k, so the
+    small runs claimed last even out the processes' loads."""
+    return [run[i:i + 8] for run in _dtype_runs(spec, ks) for i in range(0, len(run), 8)][::-1]
 
 
 def enumerate_arrays(spec: SearchSpec, jobs: int = 1) -> ClassificationResult:
     """Exhaust the search space; deterministic output order (k, c-sequence).
 
-    With jobs > 1 (one valency runs in process) the caller and jobs - 1
-    forked children claim the valencies one at a time, largest first, from a
-    shared counter (a multiprocessing.Value; a process's first costs about
-    7 ms); the results merge in valency order, as in process.  A child's
-    exception is raised here, and a child that exits without sending, even
-    holding the counter's lock, raises RuntimeError naming its exit code.
-    Every child is joined on every path, terminated first if alive."""
+    In process each dtype's valencies are one run.  With jobs > 1 the caller
+    and up to jobs - 1 forked children claim the runs of _shares one at a
+    time, largest valencies first, from a shared counter (a
+    multiprocessing.Value; a process's first costs about 7 ms), one process
+    per run at most; the results merge in valency order, as in process.  A
+    child's exception is raised here, and a child that exits without
+    sending, even holding the counter's lock, raises RuntimeError naming its
+    exit code.  Every child is joined on every path, terminated first if
+    alive."""
     ks = range(spec.k_min, spec.k_max + 1)
-    jobs, pipes, parts = min(jobs, len(ks)), {}, []  # pipes: read end -> child, until read
+    runs = _shares(spec, ks) if jobs > 1 else _dtype_runs(spec, ks)
+    jobs, pipes, parts = min(jobs, len(runs)), {}, []  # pipes: read end -> child, until read
 
     def receive(timeout=None):  # the parts of each child whose pipe is ready in time
         for recv in multiprocessing.connection.wait(list(pipes), timeout):  # loaded by Pipe
@@ -458,15 +622,15 @@ def enumerate_arrays(spec: SearchSpec, jobs: int = 1) -> ClassificationResult:
 
     try:
         if jobs > 1:
-            ks, counter = ks[::-1], multiprocessing.Value("i", 0)
+            counter = multiprocessing.Value("i", 0)
             for _ in range(1, jobs):
                 recv, send = multiprocessing.Pipe(duplex=False)
                 pipes[recv] = multiprocessing.Process(target=_send_share,
-                                                      args=(send, spec, ks, counter))
+                                                      args=(send, spec, runs, counter))
                 pipes[recv].start()
                 send.close()
-            ks = _claims(ks, counter, lambda: receive(0))
-        parts += _run_group(spec, ks)
+            runs = _claims(runs, counter, lambda: receive(0))
+        parts += _run_group(spec, runs)
         while pipes:
             receive()
     finally:

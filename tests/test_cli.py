@@ -382,12 +382,12 @@ def test_verify_unknown_exit2():
 
 
 def test_verify_past_the_dense_oracle_exit2(capsys):
-    # odd_graph:8 has 6435 vertices, past the dense oracle's 4096: the BFS
-    # lines, then one error line and no traceback
+    # odd_graph:8 has 6435 vertices, past the dense oracle's 4096: the graph
+    # line, then one error line and no traceback, with no BFS pass run first
     from drgf import cli
     assert cli.main(["verify", "odd_graph:8"]) == cli.EXIT_USAGE
     out, err = capsys.readouterr()
-    assert "intersection array (BFS): {8,7,7,6,6,5,5;1,1,2,2,3,3,4}" in out
+    assert out == "graph odd_graph:8: 6435 vertices, 25740 edges\n"
     assert err == "error: graph too large for the dense oracle\n"
 
 

@@ -85,7 +85,7 @@ def test_spec_json_rejects_what_it_would_misread(key, value):
 
 def _valencies(spec):
     """Each valency of spec with its walked and screened arrays and stats."""
-    return _walk_group(spec, range(spec.k_min, spec.k_max + 1))
+    return _walk_group(spec, search._dtype_runs(spec, range(spec.k_min, spec.k_max + 1)))
 
 
 def test_spec_contains_what_its_walk_generates():
@@ -345,9 +345,9 @@ def test_screen_batches_stay_bounded(monkeypatch):
         return real_enumerate(spec, jobs)
 
     def run_spy(self):
-        rows, stats = real_run(self)
-        valency_rows.append(len(rows))
-        return rows, stats
+        for k, rows, stats in real_run(self):
+            valency_rows.append(len(rows))
+            yield k, rows, stats
 
     monkeypatch.setattr(search, "enumerate_arrays", enumerate_spy)
     monkeypatch.setattr(search, "_screen", lambda rows: spaces[-1][1].append(len(rows))
@@ -444,13 +444,14 @@ def test_fused_cuts_match_reference(spec, cuts):
                                       (10**10, {object})], ids=["100", "1000", "10^10"])
 def test_level_pass_stays_exact_past_int64(q, dtypes):
     # at cut = -(3q - 1)/(4q) k the minors q^i phi_i outgrow int64.  At q = 100
-    # none reaches 2^63, and the a-priori bound keeps six valencies on int64
-    # and sends k = 9 and 11 to Python ints; at q = 1000 some leaf minors pass
-    # 2^63 and the bound sends every valency to Python ints, as at 10^10.
-    # Each verdict stays that of sturm_count_leq and trace_of_l_squared.
+    # none reaches 2^63, and the a-priori bound, on the ratio's own
+    # denominator 4q, keeps k = 5..8 on int64 and sends k = 9..12 to Python
+    # ints; at q = 1000 some leaf minors pass 2^63 and the bound sends every
+    # valency to Python ints, as at 10^10.  Each verdict stays that of
+    # sturm_count_leq and trace_of_l_squared.
     spec = _with_cuts(SearchSpec(4, 5, 12, "000+", (1, 2), Fraction(1 - 3 * q, 4 * q)),
                       ("trace_vs_ratio", "theta_ratio"))
-    assert {_KSpace(k, spec).dtype for k in range(5, 13)} == dtypes
+    assert {search._dtype(spec, k) for k in range(5, 13)} == dtypes
     _killed, candidates = _space_results(replace(spec, checks=PREFIX_CHECKS))
     peak = max(abs(phi) for b, c in candidates
                for phi, _d in spectral._minors(IntersectionArray(b, c), spec.theta_ratio * b[0]))
@@ -463,35 +464,39 @@ def test_level_pass_stays_exact_past_int64(q, dtypes):
 def test_completion_counts_keep_a_zero_pattern_on_int64():
     # b_i = k - c_i wherever a_i = 0, so the D = 4 main space's completion
     # counts stay far below 2^63 at k = 600, where C(604, 4)^2 would not
-    assert _KSpace(600, replace(D4_SPEC, k_min=600, k_max=600)).dtype is np.int64
+    assert search._dtype(D4_SPEC, 600) is np.int64
 
 
-def _grid_options(space, level):
-    """_options from a k x (k + 1) grid of (c, b), masked by the level's
-    rules: the construction that its option lists replace."""
-    k, kind = space.k, space.spec.a_pattern[level - 1]
+def _grid_options(spec, k, level):
+    """_options at one valency from a k x (k + 1) grid of (c, b), masked by
+    the level's rules: the construction that its option lists replace."""
+    kind = spec.a_pattern[level - 1]
     c, b = np.arange(1, k + 1)[:, None], np.arange(k, -1, -1)
     a = k - c - b
     ok = ((a == 0) if kind == "0" else (a >= (kind == "+"))) & (
-        (b == 0) if level == space.spec.D else (b >= 1))
+        (b == 0) if level == spec.D else (b >= 1))
     if level <= 2:
-        ok &= np.any([c == x for x in ((1,) if level == 1 else space.spec.c2_set)], axis=0)
+        ok &= np.any([c == x for x in ((1,) if level == 1 else spec.c2_set)], axis=0)
     i, j = np.nonzero(ok)
     return c[i, 0], b[j]
 
 
 def test_options_match_the_masked_grid():
-    # every a-pattern of D = 1..5, three c_2 sets and k = 2..11: 49,230
-    # (space, level) cases, each with the same options in the same order
+    # every a-pattern of D = 1..5, three c_2 sets and k = 2..11, the valencies
+    # of one run: 49,230 (space, k, level) cases, each with the same options
+    # in the same order, and the run's options in valency order
     cases = 0
     for D in range(1, 6):
         for pattern in map("".join, itertools.product("0+*", repeat=D)):
             for c2_set in ((1,), (1, 2), (2, 3, 7)):
-                for k in range(2, 12):
-                    space = _KSpace(k, SearchSpec(D, 2, 11, pattern, c2_set))
-                    for level in range(1, D + 1):
-                        got, want = space._options(level), _grid_options(space, level)
-                        assert all(np.array_equal(x, y) and x.dtype == y.dtype
+                spec = SearchSpec(D, 2, 11, pattern, c2_set)
+                space = _KSpace(spec, range(2, 12))
+                for level in range(1, D + 1):
+                    v, *got = space._options(level)
+                    assert np.all(np.diff(v) >= 0)
+                    for place, k in enumerate(range(2, 12)):
+                        want = _grid_options(spec, k, level)
+                        assert all(np.array_equal(x[v == place], y) and x.dtype == y.dtype
                                    for x, y in zip(got, want)), (pattern, c2_set, k, level)
                         cases += 1
     assert cases == 49230
@@ -504,7 +509,7 @@ def test_c2_cap_in_ints_matches_c2_upper_bound(ratio):
     caps = []
     for k in range(2, 401):
         cut = ratio * k
-        caps.append(_KSpace(k, SearchSpec(4, 2, 400, "000+", (1, 2), ratio))._c2_cap)
+        caps.append(search._c2_cap(SearchSpec(4, 2, 400, "000+", (1, 2), ratio), k))
         if not -k < cut < Fraction(12 - 5 * k, 7):
             assert caps[-1] is None, k
             continue
@@ -593,20 +598,86 @@ def _naive_kills(space, on):
     return killed, rows
 
 
+# How the level pass takes a naive space's valencies: one run per valency;
+# the whole k range as one run, in one group at every level; and the whole
+# range as one run under a budget of 8 options, which every naive space
+# passes at some level, so that its groups split the range there (into
+# groups of up to 3 to 8 valencies).
+PASSES = {"one valency": ("each", 1 << 15), "one run": ("all", 1 << 30), "split": ("all", 8)}
+
+
 @pytest.mark.parametrize("off", (None,) + WALK_CHECKS)
 @pytest.mark.parametrize("spec", NAIVE_SPACES, ids=lambda s: f"D{s.D}-{s.a_pattern}")
-def test_level_pass_matches_a_naive_enumeration(naive_spaces, spec, off):
+def test_level_pass_matches_a_naive_enumeration(naive_spaces, monkeypatch, spec, off):
     space = naive_spaces[spec]
     spec = replace(spec, checks=tuple(name for name in spec.checks if name != off))
-    killed, rows, generated = {}, [], 0
-    for k in range(spec.k_min, spec.k_max + 1):
-        matrix, stats = _KSpace(k, spec).run()
-        generated += stats.generated
-        rows += [(tuple(row[:spec.D]), tuple(row[spec.D:])) for row in matrix.tolist()]
-        for name, n in stats.killed.items():
-            killed[name] = killed.get(name, 0) + n
-    assert (generated, killed, rows) == (
-        len(space), *_naive_kills(space, [name for name in WALK_CHECKS if name != off]))
+    want = (len(space), *_naive_kills(space, [name for name in WALK_CHECKS if name != off]))
+    ks, real_groups = list(range(spec.k_min, spec.k_max + 1)), search._groups
+    assert {search._dtype(spec, k) for k in ks} == {np.int64}
+    for passes, (runs, budget) in PASSES.items():
+        monkeypatch.setattr(search, "_PASS_ROWS", budget)
+        groups = []
+        monkeypatch.setattr(search, "_groups", lambda v, n: groups.append(
+            len(real_groups(v, n))) or real_groups(v, n))
+        killed, rows, generated, walked = {}, [], 0, []
+        for run in ([[k] for k in ks] if runs == "each" else [ks]):
+            for k, matrix, stats in _KSpace(spec, run).run():
+                walked.append(k)
+                generated += stats.generated
+                rows += [(tuple(row[:spec.D]), tuple(row[spec.D:])) for row in matrix.tolist()]
+                for name, n in stats.killed.items():
+                    killed[name] = killed.get(name, 0) + n
+        assert walked == ks
+        assert (max(groups) > 1) == (passes == "split")
+        assert (generated, killed, rows) == want, passes
+
+
+def _dense_completions(spec, k):
+    """counts[l][c, b]: the arrays below a prefix of l - 1 levels at valency
+    k that ends in c_{l-1} = c, b_{l-1} = b, before any pruning, from a dense
+    (k + 1) x (k + 1) table per level: the construction that the
+    option-indexed counts replace."""
+    counts = [np.ones((k + 1, k + 1), np.int64)]  # past the leaf
+    for level in range(spec.D, 0, -1):
+        c, b = _grid_options(spec, k, level)
+        w = np.zeros_like(counts[0])
+        w[c, b] = counts[0][c, b]
+        counts.insert(0, w[::-1].cumsum(0)[::-1].cumsum(1))  # c >= c', b <= b'
+    return [None] + counts
+
+
+@pytest.mark.parametrize("spec", NAIVE_SPACES + [replace(SCREEN_SPACES["D5 main"][0], k_min=40)],
+                         ids=lambda s: f"D{s.D}-{s.a_pattern}-k{s.k_min}..{s.k_max}")
+def test_option_indexed_counts_match_dense_tables(spec):
+    # below each option of every level, and at each valency, the counts of a
+    # run are those of each valency's dense tables; for the D = 5 main space,
+    # the valencies 40..71 as one run
+    space = _KSpace(spec, range(spec.k_min, spec.k_max + 1))
+    below, generated = space._completions()
+    for place, k in enumerate(range(spec.k_min, spec.k_max + 1)):
+        dense = _dense_completions(spec, k)
+        assert generated[place] == dense[1][1, k]
+        for level in range(1, spec.D + 1):
+            v, c, b = space._options(level)
+            mine = v == place
+            assert np.array_equal(below[level - 1][mine], dense[level + 1][c[mine], b[mine]])
+    assert generated.sum() > 0
+
+
+def test_option_indexed_counts_cut_the_peak_at_k_1200():
+    # D = 4, k = 1200 in the main pattern: the dense tables of one valency's
+    # walk peaked at 80.8 MB under tracemalloc; the option-indexed counts are
+    # O(k) a level, so the walk's own columns set the peak, at least four
+    # times lower
+    spec = replace(D4_SPEC, k_min=1200, k_max=1200)
+    tracemalloc.start()
+    try:
+        (k, rows, stats), = _KSpace(spec, [1200]).run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (k, len(rows), stats.generated) == (1200, 1118, 1437601)
+    assert peak < 80.8 * 2 ** 20 / 4
 
 
 def test_every_walk_check_kills_in_the_naive_spaces(naive_spaces):
@@ -731,13 +802,15 @@ def test_parallel_matches_serial(d4_result):
 
 
 def test_jobs_change_no_output_or_its_order(monkeypatch):
-    # every odd-girth entry inconclusive: warnings at k = 4..8, which the
-    # processes claim largest first and hold out of valency order; the merge
-    # restores it for the survivors, the kills and the warnings
+    # every odd-girth entry inconclusive: warnings at k = 4..12, in two runs
+    # of valencies, which the processes claim largest first and hold out of
+    # valency order; the merge restores it for the survivors, the kills and
+    # the warnings
     monkeypatch.setattr(feasibility, "INEQ_PASS_TOL", -1e9)
-    spec = SearchSpec(3, 3, 8, "***", (1, 2), None)
+    spec = SearchSpec(3, 3, 12, "***", (1, 2), None)
+    assert search._shares(spec, range(3, 13)) == [[11, 12], [*range(3, 11)]]
     serial = enumerate_arrays(spec)
-    assert {int(w[1:w.index(",")]) for w in serial.stats.warnings} == {4, 5, 6, 7, 8}
+    assert {int(w[1:w.index(",")]) for w in serial.stats.warnings} == {*range(4, 13)}
     for jobs in (2, 3):
         par = enumerate_arrays(spec, jobs=jobs)
         assert par.survivors == serial.survivors and list(par.reports) == list(serial.reports)
@@ -761,20 +834,20 @@ def _recorded_children(monkeypatch):
 
 def _walks(monkeypatch, tmp_path):
     """Patch _run_group, before any fork, so that every process logs each
-    valency that it walks.  The function returned reads and clears the log:
-    the count of each (space, k) walked, the spaces in the caller's order,
-    and the ids of the processes that walked them."""
+    valency of each run that it walks.  The function returned reads and
+    clears the log: the count of each (space, k) walked, the spaces in the
+    caller's order, and the ids of the processes that walked them."""
     log, run, caller, spaces = tmp_path / "walked", search._run_group, os.getpid(), []
 
-    def patched(spec, ks):
+    def patched(spec, runs):
         if os.getpid() == caller:
             spaces.append(spec)
 
         def logged():
-            for k in ks:
+            for ks in runs:
                 with open(log, "a") as fh:
-                    fh.write(f"{os.getpid()}\t{spec!r}\t{k}\n")
-                yield k
+                    fh.writelines(f"{os.getpid()}\t{spec!r}\t{k}\n" for k in ks)
+                yield ks
         return run(spec, logged())
 
     def read():
@@ -796,26 +869,30 @@ def _each_valency_once(walks, children):
 
 
 def test_no_more_children_than_valencies(monkeypatch, tmp_path):
-    # a one-valency space forks no child, and a space of n valencies forks
-    # min(jobs, n) - 1, the caller claiming valencies too; in
-    # classify_diameter(5, jobs=2) the k <= 4, a_4 and main spaces fork one
-    # child each, and the one-valency a_3 space k in [5, 5] none.  However
-    # the claims fall, every valency is walked once across the processes
+    # a one-valency space forks no child, and a space cut into n runs of up
+    # to 8 valencies forks min(jobs, n) - 1, the caller claiming runs too:
+    # here k in [5, 30] makes four runs; in classify_diameter(5, jobs=2) the
+    # a_4 and main spaces fork one child each, and the k <= 4 space and the
+    # one-valency a_3 space k in [5, 5], one run each, none.  However the
+    # claims fall, every valency is walked once across the processes
     children, walks = _recorded_children(monkeypatch), _walks(monkeypatch, tmp_path)
     enumerate_arrays(SearchSpec(5, 5, 5, "000+*", (1, 2), Fraction(-4, 5)), jobs=2)
     assert children == []
     _each_valency_once(walks, children)
-    enumerate_arrays(SearchSpec(4, 5, 7, "000+", (1, 2), Fraction(-3, 4)), jobs=8)
-    assert len(children) == min(8, 3) - 1
+    spec = SearchSpec(4, 5, 30, "000+", (1, 2), Fraction(-3, 4))
+    assert search._shares(spec, range(5, 31)) == [[29, 30], [*range(21, 29)],
+                                                   [*range(13, 21)], [*range(5, 13)]]
+    enumerate_arrays(spec, jobs=8)
+    assert len(children) == min(8, 4) - 1
     _each_valency_once(walks, children)
     children.clear()
     classify_diameter(5, jobs=2)
-    assert len(children) == 3
+    assert len(children) == 2
     _each_valency_once(walks, children)
     assert multiprocessing.active_children() == []
 
 
-SMALL_SPEC = SearchSpec(4, 5, 8, "000+", (1, 2), Fraction(-3, 4))
+SMALL_SPEC = SearchSpec(4, 5, 16, "000+", (1, 2), Fraction(-3, 4))  # two runs: 13..16, 5..12
 
 
 @pytest.fixture
@@ -832,19 +909,20 @@ def no_hang():
 
 def _failing_valency(monkeypatch, k, fail):
     """Patch _run_group, before any fork, so that a child calls fail() when
-    it claims valency k; every other valency runs as usual.  The caller
-    claims nothing until then, so a child claims k whatever the timing."""
+    it claims the run of valency k; every other run goes as usual.  The
+    caller claims nothing until then, so a child claims k whatever the
+    timing."""
     run, caller, reached = search._run_group, os.getpid(), multiprocessing.Event()
 
-    def patched(spec, ks):
+    def patched(spec, runs):
         def claims():
             if os.getpid() == caller:
                 reached.wait(50)
-            for x in ks:
-                if os.getpid() != caller and x == k:
+            for ks in runs:
+                if os.getpid() != caller and k in ks:
                     reached.set()
                     fail()
-                yield x
+                yield ks
         return run(spec, claims())
     monkeypatch.setattr(search, "_run_group", patched)
 
@@ -863,11 +941,11 @@ def test_an_exception_in_the_callers_share_terminates_the_child(monkeypatch, no_
     # and the caller's exception comes through unchanged
     children, caller, run = _recorded_children(monkeypatch), os.getpid(), search._run_group
 
-    def patched(spec, ks):
+    def patched(spec, runs):
         if os.getpid() == caller:
             raise ZeroDivisionError("the caller's share")
         time.sleep(600)
-        return run(spec, ks)
+        return run(spec, runs)
     monkeypatch.setattr(search, "_run_group", patched)
     with pytest.raises(ZeroDivisionError, match="the caller's share"):
         enumerate_arrays(SMALL_SPEC, jobs=2)
@@ -888,13 +966,13 @@ def test_a_child_that_dies_holding_the_claim_lock_raises(monkeypatch, no_hang):
     # child gone within the alarm instead of waiting for ever
     claims, caller, held = search._claims, os.getpid(), multiprocessing.Event()
 
-    def patched(ks, counter, *args):
+    def patched(runs, counter, *args):
         if os.getpid() != caller:
             counter.get_lock().acquire()
             held.set()
             os._exit(3)
         held.wait(50)
-        return claims(ks, counter, *args)
+        return claims(runs, counter, *args)
     monkeypatch.setattr(search, "_claims", patched)
     with pytest.raises(RuntimeError, match="exited with code 3 before sending"):
         enumerate_arrays(SMALL_SPEC, jobs=2)
@@ -907,13 +985,37 @@ def test_a_valency_space_is_freed_when_run_returns():
     # dropping the last reference frees it
     gc.disable()
     try:
-        space = _KSpace(20, D4_SPEC)
+        space = _KSpace(D4_SPEC, range(20, 23))
         ref = weakref.ref(space)
-        assert space.run()[1].generated
+        assert all(stats.generated for _k, _rows, stats in space.run())
         del space
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("budget", [0, 1 << 16], ids=["one valency", "runs"])
+def test_pass_grouping_changes_no_output(classified, monkeypatch, budget):
+    # one valency per group at every level, and a budget 4 times the
+    # default, which still cuts the D = 5 main space's leaf level into at
+    # least three groups, several of them runs of valencies: the same
+    # arrays, stage lines, stats and warnings
+    monkeypatch.setattr(search, "_PASS_ROWS", budget)
+    groups, leaf = [], _KSpace._leaf
+
+    def spy(self, at, live, tree, kills):
+        groups.append((self.spec.a_pattern, len(set(live[0].tolist()))))
+        return leaf(self, at, live, tree, kills)
+
+    monkeypatch.setattr(_KSpace, "_leaf", spy)
+    for D in (4, 5):
+        again, before = classify_diameter(D), classified[D]
+        assert again.arrays == before.arrays and again.discrepancies == before.discrepancies
+        assert [(s.name, s.lines, s.stats) for s in again.stages] == [
+            (s.name, s.lines, s.stats) for s in before.stages]
+    main = [n for pattern, n in groups if pattern == "0000+"]
+    assert max(n for _pattern, n in groups) == 1 if budget == 0 else (
+        len(main) >= 3 and max(main) > 1)
 
 
 def test_jobs_do_not_change_the_classification(classified):
