@@ -1,7 +1,9 @@
 """Necessary feasibility conditions for intersection arrays.
 
-Each check is a pure function producing CheckEntry records; full_report runs
-the whole battery in a fixed order and aggregates the verdicts.  Verdicts:
+Each check is a pure function producing CheckEntry records.  ArrayChecks
+runs them for one array one at a time, each once, finding theta_min and
+the spectrum only when a check reads them; full_report runs the whole
+battery in a fixed order and aggregates the verdicts.  Verdicts:
 
 * pass / fail      -- the condition is decided;
 * not-applicable   -- the check's gate condition does not hold;
@@ -12,16 +14,18 @@ the whole battery in a fixed order and aggregates the verdicts.  Verdicts:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from functools import cached_property
 
 from mpmath import mp
 
 from .core import IntersectionArray, format_array
-from .spectral import (DPS, Exact, Spectrum, _minors, as_mpf, num_str, spectrum,
-                       theta_min_cmp, trace_of_l_squared, workdps)
+from .spectral import (DPS, Exact, Spectrum, _minors, _roots, as_mpf, multiplicity,
+                       multiplicity_integral, num_str, spectrum, theta_min_cmp,
+                       trace_of_l_squared, workdps)
 
 PASS = "pass"
 FAIL = "fail"
@@ -160,7 +164,7 @@ def check_odd_girth_inequality(arr: IntersectionArray, theta_min) -> list[CheckE
     g = 2 * t + 1
     out = []
     with workdps():
-        minors = islice(_minors(arr, as_mpf(theta_min)), t + 1)
+        minors = itertools.islice(_minors(arr, as_mpf(theta_min)), t + 1)
         u = [as_mpf(p) / math.prod(arr.b[:i]) for i, (p, _) in enumerate(minors)]
         for j in range(t + 1):
             eta = 2 * mp.cos(2 * mp.pi * j / g)
@@ -201,33 +205,87 @@ def check_trace_square(arr: IntersectionArray, theta_min) -> CheckEntry:
     return _entry("trace_square", PASS if lhs <= tr else FAIL, lhs=lhs, trace=tr, slack=slack)
 
 
-def check_theta_ratio(arr: IntersectionArray, spec: Spectrum, ratio: Fraction) -> CheckEntry:
+def check_theta_ratio(arr: IntersectionArray, theta_min, ratio: Fraction) -> CheckEntry:
     """theta_min <= ratio * k (exactness matters on the boundary)."""
     x = Fraction(ratio) * arr.k
     return _entry("theta_ratio", PASS if theta_min_cmp(arr, x) <= 0 else FAIL,
-                  ratio=str(Fraction(ratio)), theta_min=spec.theta_min, cutoff=x)
+                  ratio=str(Fraction(ratio)), theta_min=theta_min, cutoff=x)
 
 
-def full_report(arr: IntersectionArray,
-                theta_ratio: Fraction | None = None) -> FeasibilityReport:
-    """Run the whole battery in deterministic order.
+class ArrayChecks:
+    """One array's checks, each run once and only when asked for, and the
+    spectral data they read, each found once and only when read: theta_min
+    alone, the lowest box of spectrum's isolation, and the whole spectrum
+    built on it.  multiplicity_integrality reads theta_min's multiplicity
+    first, with the predicate that Spectrum.multiplicities_integral applies
+    to each, and fails there without the rest of the spectrum when it is
+    not integral."""
+
+    # each check's entries, in full_report's order (k_integrality's come with
+    # the two monotonicity checks); a name the battery does not run has none
+    _RUN = {
+        "k_integrality": lambda self: _structure_checks(self.arr),
+        "multiplicity_integrality": lambda self: self._multiplicities(),
+        "a1_zero": lambda self: [check_a1_zero(self.arr)],
+        "c2_bound": lambda self: [check_c2_bound(self.arr)],
+        "odd_girth_inequality": lambda self: check_odd_girth_inequality(self.arr, self.theta_min),
+        "spectrum_sum_rules": lambda self: [check_sum_rules(self.arr, self.spectrum)],
+        "trace_square": lambda self: [check_trace_square(self.arr, self.theta_min)],
+        "theta_ratio": lambda self: ([] if self.theta_ratio is None else
+                                     [check_theta_ratio(self.arr, self.theta_min, self.theta_ratio)]),
+    }
+
+    def __init__(self, arr: IntersectionArray, theta_ratio: Fraction | None = None):
+        self.arr, self.theta_ratio = arr, theta_ratio
+        self._entries = {}
+        self._higher = None  # spectral._roots(arr) once theta_min is taken from it
+
+    @cached_property
+    def _lowest(self):
+        """theta_min's record of spectral._roots."""
+        self._higher = _roots(self.arr)
+        return next(self._higher)
+
+    @property
+    def theta_min(self):
+        return self._lowest[0]
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        return spectrum(self.arr, itertools.chain([self._lowest], self._higher))
+
+    def _multiplicities(self) -> list[CheckEntry]:
+        if "spectrum" not in self.__dict__ and not multiplicity_integral(
+                multiplicity(self.arr, *self._lowest[2])):
+            return [_entry("multiplicity_integrality", FAIL,
+                           reason="theta_min's multiplicity is not integral")]
+        spec = self.spectrum
+        return [_entry("multiplicity_integrality", PASS if spec.multiplicities_integral else FAIL,
+                       mults=str([num_str(m) for m in spec.mults_raw]))]
+
+    def entries(self, name: str) -> tuple[CheckEntry, ...]:
+        if name not in self._entries:
+            self._entries[name] = tuple(self._RUN.get(name, lambda self: ())(self))
+        return self._entries[name]
+
+    def verdict(self, name: str) -> str | None:
+        return FeasibilityReport(self.arr, self.entries(name)).verdict(name)
+
+
+def full_report(arr: IntersectionArray, theta_ratio: Fraction | None = None,
+                checks: ArrayChecks | None = None) -> FeasibilityReport:
+    """Run the whole battery in deterministic order, reusing what checks,
+    an ArrayChecks(arr, theta_ratio), has found already.
 
     Numerical-precision failures inside a check surface as inconclusive
     entries rather than exceptions.
     """
+    checks = ArrayChecks(arr, theta_ratio) if checks is None else checks
     try:
-        spec = spectrum(arr)
+        spec = checks.spectrum
     except Exception as exc:  # defensive: no spectrum decides no multiplicity
         return FeasibilityReport(arr, (
             _entry("spectrum", INCONCLUSIVE, error=str(exc)), *_structure_checks(arr),
             _entry("multiplicity_integrality", INCONCLUSIVE, reason="no spectrum")))
-    tmin = spec.theta_min
-    checks = [*_structure_checks(arr),
-              _entry("multiplicity_integrality", PASS if spec.multiplicities_integral else FAIL,
-                     mults=str([num_str(m) for m in spec.mults_raw])),
-              check_a1_zero(arr), check_c2_bound(arr),
-              *check_odd_girth_inequality(arr, tmin),
-              check_sum_rules(arr, spec), check_trace_square(arr, tmin)]
-    if theta_ratio is not None:
-        checks.append(check_theta_ratio(arr, spec, theta_ratio))
-    return FeasibilityReport(arr, tuple(checks), spec)
+    return FeasibilityReport(arr, tuple(e for name in ArrayChecks._RUN
+                                        for e in checks.entries(name)), spec)

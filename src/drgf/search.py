@@ -29,11 +29,15 @@ until about _SCREEN_ROWS of them go through one batched float screen of the
 Biggs multiplicities (see _screen and _walk_group), which decides at
 theta_min first and sends to eigvalsh only the rows it leaves undecided or
 integral-looking there; each row's verdict is its own, whatever its batch.
-Only the rows it keeps become arrays, and each gets one full_report (one
-exact spectrum).  The first check in DEFAULT_CHECKS order that is enabled
-and that the report fails kills the array, so a c2_bound or a1_zero failure
-at the array's own theta_min counts even where the walk's cuts at ratio*k
-let it through; a survivor keeps its report.  Each valency keeps its own
+Only the rows it keeps become arrays.  Each array's enabled checks are
+decided one at a time in DEFAULT_CHECKS order (feasibility.ArrayChecks),
+and the first that fails kills it, so a c2_bound or a1_zero failure at the
+array's own theta_min counts even where the walk's cuts at ratio*k let it
+through.  theta_min alone serves the checks that read only theta_min, and
+theta_min's multiplicity, where it is not integral, fails
+multiplicity_integrality before the rest of the spectrum is isolated; a
+survivor gets one full_report built on what its checks found, and keeps
+it.  Each valency keeps its own
 results and statistics; with jobs > 1 the caller and up to jobs - 1 forked
 children claim runs of up to 8 valencies one at a time, largest first, from a
 shared counter, and the parts merge in valency order, so no output depends
@@ -57,7 +61,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import IntersectionArray, format_array, parse_array
-from .feasibility import FAIL, INCONCLUSIVE, full_report, p_polynomials
+from .feasibility import FAIL, INCONCLUSIVE, ArrayChecks, full_report, p_polynomials
 from .oracle import WITNESSES
 from .spectral import (SpectralError, _sign_changes, abs_u_lower_bounds,
                        implied_last_c_lower, minor_polys, moebius, multiplicities_float,
@@ -534,25 +538,34 @@ def _walk_group(spec: SearchSpec,
 
 def _run_group(spec: SearchSpec, runs) -> list:
     """(k, survivors as (array, report) pairs, stats) for each valency of the
-    runs, in order: the first check in DEFAULT_CHECKS order that is enabled and
-    that an array's one full_report fails kills it, and an odd-girth check
-    reached with no failure but an undecided entry leaves a warning."""
-    parts = []
+    runs, in order.  Each array's enabled checks are decided one at a time in
+    DEFAULT_CHECKS order on one ArrayChecks, and the first that fails kills
+    it: theta_min alone decides the checks that read only theta_min, and
+    theta_min's multiplicity, where it is not integral, fails
+    multiplicity_integrality without the rest of the spectrum.  An
+    odd-girth check reached with no failure but an undecided entry leaves a
+    warning.  A survivor's full_report is built on what its checks found."""
+    parts, enabled = [], [c for c in DEFAULT_CHECKS if c in spec.checks]
     for k, arrays, stats in _walk_group(spec, runs):
         survivors = []
         for arr in arrays:
-            report = full_report(arr, spec.theta_ratio)
-            if report.spectrum is None:
-                raise SpectralError(f"{format_array(arr)}: {report.checks[0].witness['error']}")
-            for name in (c for c in DEFAULT_CHECKS if c in spec.checks):
-                verdict = report.verdict(name)
-                if verdict == FAIL:
-                    stats.kill(name)
-                    break
-                if name == "odd_girth_inequality" and verdict == INCONCLUSIVE:
-                    stats.warnings.append(f"{format_array(arr)}: odd-girth inequality inconclusive")
-            else:
-                survivors.append((arr, report))
+            checks = ArrayChecks(arr, spec.theta_ratio)
+            try:
+                for name in enabled:
+                    verdict = checks.verdict(name)
+                    if verdict == FAIL:
+                        stats.kill(name)
+                        break
+                    if name == "odd_girth_inequality" and verdict == INCONCLUSIVE:
+                        stats.warnings.append(
+                            f"{format_array(arr)}: odd-girth inequality inconclusive")
+                else:
+                    report = full_report(arr, spec.theta_ratio, checks)
+                    if report.spectrum is None:
+                        raise SpectralError(report.checks[0].witness["error"])
+                    survivors.append((arr, report))
+            except SpectralError as exc:
+                raise SpectralError(f"{format_array(arr)}: {exc}") from exc
         stats.survivors = len(survivors)
         parts.append((k, survivors, stats))
     return parts

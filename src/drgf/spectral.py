@@ -7,9 +7,11 @@ exactly at a rational x, in mpmath, or over a float array.
 
 * Sturm counts: the minors at x form a Sturm sequence; with zeros skipped,
   (D+1) minus their sign changes is #{eigenvalues <= x}.
-* One loop isolates every eigenvalue in a box (lo, hi]: cuts at -k-1, k+1
-  and between neighbouring float eigenvalues (eigenvalues_float), then
-  exact Sturm counts drop a box without a root and halve one with several.
+* One loop (_roots) isolates every eigenvalue in a box (lo, hi], lowest
+  first and lazily, so that theta_min alone costs only the lowest box:
+  cuts at -k-1, k+1 and between neighbouring float eigenvalues
+  (eigenvalues_float), then exact Sturm counts drop a box without a root
+  and halve one with several.
 * In a one-root box with float value x, the eigenvalue is the int round(x)
   if P vanishes there; else refine_root, Newton in exact ints on the
   kernel's values on the box's grid 2^-s (to_grid), starts from x, and the
@@ -19,8 +21,10 @@ exactly at a rational x, in mpmath, or over a float array.
   every eigenvalue lies in [-k, k], so P (monic over Z: its rational roots
   are integers) vanishes at no box end.  Floats only steer: each deciding
   sign is exact.
-* Every Biggs multiplicity, exact, mpf or float, is the Christoffel-Darboux
-  form in multiplicity's docstring, and the odd-girth check's standard
+* Every Biggs multiplicity, exact or float, is the Christoffel-Darboux
+  form in multiplicity's docstring, from the kernel's minors: exact at an
+  int eigenvalue, and for an irrational one exact at refine_root's grid
+  point c and then rounded once to an mpf.  The odd-girth check's standard
   sequence is u_i = P_i(theta_min) / (b_0...b_{i-1}).
 
 The enumeration's float screen works on a transposed copy of a batch
@@ -31,6 +35,7 @@ and multiplicities_float takes every eigenvalue from one eigvalsh call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -198,6 +203,18 @@ def refine_root(f, lo: int, hi: int, start, lo_positive: bool) -> int:
     return lo
 
 
+def multiplicity_integral(raw) -> bool:
+    """Whether a raw Biggs multiplicity is a positive integer: its rounding
+    is >= 1 and equals it, exactly, or within 1e-6 (relative) for an mpf."""
+    r = _nearest(raw)
+    return r >= 1 and (Fraction(raw) == r if isinstance(raw, Exact)
+                       else abs(raw - r) < 1e-6 * max(1, abs(raw)))
+
+
+def _nearest(m) -> int:
+    return round(Fraction(m)) if isinstance(m, Exact) else int(mp.nint(m))
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Distinct eigenvalues theta_0 > ... > theta_D with Biggs multiplicities.
@@ -220,62 +237,65 @@ class Spectrum:
 
     @property
     def multiplicities_integral(self) -> bool:
-        """The rounded multiplicities are >= 1 and sum to v, and each raw one
-        equals its rounding: exactly, or within 1e-6 (relative) for an mpf."""
-        return sum(self.mults) == self.v and all(
-            r >= 1 and (Fraction(raw) == r if isinstance(raw, Exact)
-                        else abs(raw - r) < 1e-6 * max(1, abs(raw)))
-            for raw, r in zip(self.mults_raw, self.mults))
+        """Every raw multiplicity is integral (multiplicity_integral), and
+        the rounded ones sum to v."""
+        return sum(self.mults) == self.v and all(map(multiplicity_integral, self.mults_raw))
 
 
-def _eigen_with_enclosures(arr: IntersectionArray):
-    """theta_0 > ... > theta_D and their enclosures (the module docstring)."""
-    with workdps():
-        fl = sorted(Fraction(t) for t in eigenvalues_float(arr))
-        inner = sorted({_cut(s, t) for s, t in zip(fl, fl[1:]) if -arr.k - 1 < s < t < arr.k + 1})
-        cuts = [Fraction(-arr.k - 1), *inner, Fraction(arr.k + 1)]
-        # L is nonnegative with row sums k: every eigenvalue lies in [-k, k]
-        counts = [0, *(sturm_count_leq(arr, x) for x in inner), arr.D + 1]
-        boxes = list(zip(cuts, cuts[1:], counts, counts[1:]))
-        found = []  # (theta, enclosure), decreasing
+def _box_root(arr: IntersectionArray, fl, lo: Fraction, hi: Fraction, n_lo: int):
+    """(theta, enclosure, (x, q)) for the eigenvalue of the one-root box
+    (lo, hi], n_lo eigenvalues <= lo (the module docstring), with x/q the
+    point its multiplicity is read at: the eigenvalue itself if it is an
+    int (q = 1), else refine_root's grid point X 2^-s (q = 2^s)."""
 
-        def det(x, q=1):  # q^(D+1) P(x/q), P = det(xI - L), and its x-derivative
-            return deque(_minors(arr, x, q), 1)[0]
+    def det(x, q=1):  # q^(D+1) P(x/q), P = det(xI - L), and its x-derivative
+        return deque(_minors(arr, x, q), 1)[0]
 
-        def int_root(x):  # round(x) if it is the eigenvalue of the box (lo, hi]
-            r = round(x)
-            return r if lo < r <= hi and det(r)[0] == 0 else None
+    def int_root(x):  # round(x) if it is the eigenvalue of the box
+        r = round(x)
+        return r if lo < r <= hi and det(r)[0] == 0 else None
 
-        while boxes:  # the highest box first
-            lo, hi, n_lo, n_hi = boxes.pop()
-            if n_hi - n_lo > 1:
-                m = _cut(lo, hi)
+    x = next((t for t in fl if lo < t <= hi), (lo + hi) / 2)
+    if (r := int_root(x)) is None:
+        s, *ends = to_grid(lo, hi, x)  # every cut, and x, is dyadic
+        # P is monic with simple roots, so sign P(lo) = (-1)^(D+1-n_lo)
+        X = refine_root(lambda X: det(X, 1 << s), *ends, (arr.D + 1 - n_lo) % 2 == 0)
+        if (r := int_root(c := Fraction(X, 1 << s))) is None:
+            a, b = max(lo, c - _HALF_WIDTH), min(hi, c + _HALF_WIDTH)
+            if not (a < b and det(a)[0] * det(b)[0] < 0):
+                raise SpectralError(f"refined root {float(c)} is not in its box ({lo}, {hi}]")
+            y = mp.mpf((X, -s))  # the mpf nearest c, or the box end it rounds past
+            if not a <= (t := Fraction(*libmp.to_rational(y._mpf_))) <= b:
+                num, den = min(max(t, a), b).as_integer_ratio()
+                y = mp.make_mpf(libmp.from_man_exp(num, 1 - den.bit_length()))
+            return y, (a, b), (X, 1 << s)
+    return r, (Fraction(r), Fraction(r)), (r, 1)
+
+
+def _roots(arr: IntersectionArray):
+    """spectrum's isolation, lazily and lowest first: yields (theta,
+    enclosure, (x, q)) of _box_root for each eigenvalue, so that theta_min
+    alone costs the lowest box: the Sturm count at its top cut, its
+    halvings and one refine_root.  Taking the records in any number of
+    steps gives the same boxes, counts and roots."""
+    fl = sorted(Fraction(t) for t in eigenvalues_float(arr))
+    # increasing, as each lies strictly between its two float eigenvalues
+    inner = (_cut(s, t) for s, t in itertools.pairwise(fl) if -arr.k - 1 < s < t < arr.k + 1)
+    # L is nonnegative with row sums k: every eigenvalue lies in [-k, k]
+    lo, n = Fraction(-arr.k - 1), 0  # n eigenvalues are <= lo
+    for hi, n_hi in itertools.chain(((x, sturm_count_leq(arr, x)) for x in inner),
+                                    [(Fraction(arr.k + 1), arr.D + 1)]):
+        boxes, lo, n = [(lo, hi, n, n_hi)], hi, n_hi
+        while boxes:  # the lowest box first
+            a, b, n_a, n_b = boxes.pop()
+            if n_b - n_a > 1:
+                m = _cut(a, b)
                 n_m = sturm_count_leq(arr, m)
-                boxes += [(lo, m, n_lo, n_m), (m, hi, n_m, n_hi)]
-            if n_hi - n_lo != 1:
-                continue
-            x = next((t for t in fl if lo < t <= hi), (lo + hi) / 2)
-            if (r := int_root(x)) is None:
-                s, *ends = to_grid(lo, hi, x)  # every cut, and x, is dyadic
-                # P is monic with simple roots, so sign P(lo) = (-1)^(D+1-n_lo)
-                X = refine_root(lambda X: det(X, 1 << s), *ends, (arr.D + 1 - n_lo) % 2 == 0)
-                if (r := int_root(c := Fraction(X, 1 << s))) is None:
-                    a, b = max(lo, c - _HALF_WIDTH), min(hi, c + _HALF_WIDTH)
-                    if not (a < b and det(a)[0] * det(b)[0] < 0):
-                        raise SpectralError(f"refined root {float(c)} is not in its box ({lo}, {hi}]")
-                    y = mp.mpf((X, -s))  # the mpf nearest c, or the box end it rounds past
-                    if not a <= (t := Fraction(*libmp.to_rational(y._mpf_))) <= b:
-                        num, den = min(max(t, a), b).as_integer_ratio()
-                        y = mp.make_mpf(libmp.from_man_exp(num, 1 - den.bit_length()))
-                    found.append((y, (a, b)))
-                    continue
-            found.append((r, (Fraction(r), Fraction(r))))
-        roots, enclosures = map(list, zip(*found))
-        if len(roots) != arr.D + 1:
-            raise SpectralError("root count mismatch")
-        if roots[0] != arr.k:
-            raise SpectralError("theta_0 != k")
-        return roots, enclosures
+                boxes += [(m, b, n_m, n_b), (a, m, n_a, n_m)]
+            elif n_b - n_a == 1:
+                with workdps():
+                    found = _box_root(arr, fl, a, b, n_a)
+                yield found
 
 
 def eigenvalues(arr: IntersectionArray) -> list:
@@ -284,7 +304,7 @@ def eigenvalues(arr: IntersectionArray) -> list:
     Integer eigenvalues come back as ints; irrational ones as mpf at the
     working precision.
     """
-    return _eigen_with_enclosures(arr)[0]
+    return list(spectrum(arr).thetas)
 
 
 def _columns(rows):
@@ -384,9 +404,12 @@ def theta_min_multiplicity_float(rows) -> tuple[np.ndarray, np.ndarray]:
         return theta, _biggs_float(a, b, c, theta)
 
 
-def multiplicity(arr: IntersectionArray, theta):
-    """Biggs multiplicity v / sum k_i u_i^2 [BCN 4.1.1] of the eigenvalue
-    theta; exact for an exact theta, else an mpf at working precision.
+def multiplicity(arr: IntersectionArray, x: int, q: int = 1):
+    """Biggs multiplicity v / sum k_i u_i^2 [BCN 4.1.1] at x/q for ints x
+    and q > 0: exact at an eigenvalue x (q = 1; P_{D+1} is monic over Z, so
+    a rational eigenvalue is an int), and at refine_root's grid point x 2^-s
+    (q = 2^s) of an irrational one the exact value there, rounded once to
+    an mpf at working precision.
 
     With B_i = b_0...b_{i-1}, u_i = P_i(theta) / B_i (B_i times the u
     recurrence is the minor recurrence) and k_i = B_i / (c_1...c_i), so
@@ -395,27 +418,37 @@ def multiplicity(arr: IntersectionArray, theta):
 
         sum_{i<=D} P_i^2 / (w_1...w_i) = (P'_{D+1} P_D - P'_D P_{D+1}) / (w_1...w_D),
 
-    gives m = v w_1...w_D / (P'_{D+1} P_D - P'_D P_{D+1}).  The sum is at
-    least 1: a denominator that is not positive is cancellation between
-    eigenvalues closer than DPS digits resolve, and raises SpectralError.
-    A rational eigenvalue is an int (P_{D+1} is monic over Z): q = 1."""
-    exact = isinstance(theta, Exact)
+    gives m = v w_1...w_D / (P'_{D+1} P_D - P'_D P_{D+1}); in the minors
+    R_i = q^i P_i(x/q) of _minors_at, m = v w_1...w_D q^(2D) / (R'_{D+1} R_D
+    - R'_D R_{D+1}).  The sum is at least 1, so a denominator that is not
+    positive raises SpectralError, as does q = 1 with P(x) != 0."""
+    (p0, d0), (p1, d1) = deque(_minors(arr, x, q), 2)
+    if q == 1 and p1:
+        raise SpectralError(f"{x} is not an eigenvalue")
+    cd = d1 * p0 - d0 * p1
+    if not cd > 0:
+        raise SpectralError(f"multiplicity at {x}/{q}: Christoffel-Darboux denominator {cd}")
+    num = arr.v.numerator * math.prod(arr.b) * math.prod(arr.c) * q ** (2 * arr.D)
+    if q == 1:
+        return Fraction(num, arr.v.denominator * cd)
     with workdps():
-        (p0, d0), (p1, d1) = deque(_minors(arr, theta if exact else as_mpf(theta)), 2)
-        if abs(p1) > (0 if exact else mp.mpf("1e-8") * max(1, arr.k)) * math.prod(arr.b):
-            raise SpectralError(f"{theta} is not an eigenvalue")
-        cd = d1 * p0 - d0 * p1
-        if not cd > 0:
-            raise SpectralError(f"multiplicity of {theta} lost to cancellation at {DPS} digits")
-        return (arr.v if exact else as_mpf(arr.v)) * math.prod(arr.b) * math.prod(arr.c) / cd
+        return mp.make_mpf(libmp.from_rational(num, arr.v.denominator * cd, mp.prec,
+                                               libmp.round_nearest))
 
 
-def spectrum(arr: IntersectionArray) -> Spectrum:
-    thetas, enclosures = _eigen_with_enclosures(arr)
-    raw = tuple(multiplicity(arr, t) for t in thetas)
-    rounded = [round(Fraction(m)) if isinstance(m, Exact) else int(mp.nint(m)) for m in raw]
+def spectrum(arr: IntersectionArray, roots=None) -> Spectrum:
+    """The eigenvalues and their Biggs multiplicities; roots, if given, is
+    _roots(arr) with the records already taken from it put back in front,
+    so that no eigenvalue is isolated twice."""
+    found = list(_roots(arr) if roots is None else roots)[::-1]
+    if len(found) != arr.D + 1:
+        raise SpectralError("root count mismatch")
+    if found[0][0] != arr.k:
+        raise SpectralError("theta_0 != k")
+    thetas, enclosures, points = zip(*found)
+    raw = tuple(multiplicity(arr, *at) for at in points)
     v = arr.v.numerator if arr.v.denominator == 1 else arr.v
-    return Spectrum(tuple(thetas), raw, tuple(rounded), tuple(enclosures), v)
+    return Spectrum(thetas, raw, tuple(map(_nearest, raw)), enclosures, v)
 
 
 def multiplicity_upper_bound(u, tail):

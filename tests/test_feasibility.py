@@ -208,9 +208,9 @@ def test_sum_rule_residuals_print_at_three_digits():
 
 def test_theta_ratio_check():
     arr = parse_array("{5,4,4,3;1,1,2,2}")
-    spec = spectrum(arr)
-    assert check_theta_ratio(arr, spec, Fraction(-3, 4)).verdict == PASS
-    assert check_theta_ratio(arr, spec, Fraction(-9, 10)).verdict == FAIL
+    tmin = spectrum(arr).theta_min
+    assert check_theta_ratio(arr, tmin, Fraction(-3, 4)).verdict == PASS
+    assert check_theta_ratio(arr, tmin, Fraction(-9, 10)).verdict == FAIL
 
 
 def test_report_json_schema():
@@ -276,7 +276,7 @@ def test_forced_inconclusive_report_is_not_pass(monkeypatch):
 def test_full_report_without_a_spectrum_is_inconclusive(monkeypatch):
     # a spectrum that cannot be computed decides no multiplicity: the report
     # must not fail an array that nothing has ruled out
-    def broken(arr):
+    def broken(arr, roots=None):
         raise SpectralError("no spectrum")
 
     monkeypatch.setattr(feasibility, "spectrum", broken)

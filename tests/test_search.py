@@ -19,10 +19,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drgf import feasibility, oracle, search, spectral
+from drgf import bound, feasibility, oracle, search, spectral
 from drgf.core import IntersectionArray, format_array, parse_array
-from drgf.feasibility import FAIL, full_report
-from drgf.search import (DEFAULT_CHECKS, CapDerivationError, SearchSpec,
+from drgf.feasibility import FAIL, INCONCLUSIVE, full_report
+from drgf.search import (DEFAULT_CHECKS, CapDerivationError, PruningStats, SearchSpec,
                          SearchSpecError, _ceil4, _eta_poly, _floor4, _has_positive_root,
                          _KSpace, _interpolate, _nonnegative_below_cut, _shift_bound,
                          _walk_group, classify_diameter, enumerate_arrays,
@@ -709,28 +709,39 @@ def test_fused_cuts_meet_a_zero_minor():
 
 @pytest.mark.parametrize("ratio", [Fraction(-4, 5), None])
 def test_one_spectrum_per_array_on_the_exact_path(monkeypatch, ratio):
-    calls, reports = [], []
-    real_spectrum, real_report = feasibility.spectrum, search.full_report
+    # the exact path decides check by check: a survivor gets one full_report
+    # and a killed array none, no array's spectrum is built twice, and no
+    # box of an array's isolation, theta_min's lowest one included, is
+    # refined twice
+    spectra, reports, boxes = [], [], []
+    real_spectrum, real_report, real_box = (feasibility.spectrum, search.full_report,
+                                            spectral._box_root)
 
-    def counting_spectrum(arr):
-        calls.append(arr)
-        return real_spectrum(arr)
+    def counting_spectrum(arr, roots=None):
+        spectra.append(arr)
+        return real_spectrum(arr, roots)
 
-    def counting_report(arr, theta_ratio=None):
+    def counting_report(arr, theta_ratio=None, checks=None):
         reports.append(arr)
-        return real_report(arr, theta_ratio)
+        return real_report(arr, theta_ratio, checks)
+
+    def counting_box(arr, fl, lo, hi, n_lo):
+        boxes.append((arr, lo, hi))
+        return real_box(arr, fl, lo, hi, n_lo)
 
     monkeypatch.setattr(feasibility, "spectrum", counting_spectrum)
     monkeypatch.setattr(search, "full_report", counting_report)
+    monkeypatch.setattr(spectral, "_box_root", counting_box)
     checks = tuple(c for c in DEFAULT_CHECKS if c != "multiplicity_integrality")
     res = enumerate_arrays(SearchSpec(5, 5, 8, "000+*", (1, 2), ratio, checks))
     st = res.stats
-    # with no ratio the walk has no c_2 cap, so every c2_bound kill is the report's
-    exact_path = (st.survivors + st.killed.get("odd_girth_inequality", 0)
-                  + st.killed.get("trace_square", 0)
-                  + (st.killed.get("c2_bound", 0) if ratio is None else 0))
-    assert len(calls) == exact_path == len(set(calls))
-    assert reports == calls
+    assert sorted(format_array(a) for a in reports) == sorted(res.reports)
+    assert spectra == reports  # the survivors' reports build the only spectra
+    assert len(boxes) == len(set(boxes))
+    # theta_min is isolated for each array that reaches a check reading it:
+    # odd_girth_inequality and trace_square kill from it alone
+    assert len({arr for arr, _lo, _hi in boxes}) == (
+        st.survivors + st.killed.get("odd_girth_inequality", 0) + st.killed.get("trace_square", 0))
     assert (st.killed, st.survivors) == {
         Fraction(-4, 5): ({"c2_bound": 319, "k_integrality": 301,
                            "odd_girth_inequality": 61, "theta_ratio": 241}, 10),
@@ -774,12 +785,133 @@ def test_search_warns_on_inconclusive_odd_girth(monkeypatch):
 
 def test_search_raises_when_a_spectrum_fails(monkeypatch):
     # a report without a spectrum stops the search; it never counts as a kill
-    def broken(arr):
+    def broken(arr, roots=None):
         raise SpectralError("no spectrum")
 
     monkeypatch.setattr(feasibility, "spectrum", broken)
     with pytest.raises(SpectralError, match="no spectrum"):
         enumerate_arrays(SearchSpec(4, 5, 5, "000+", (1, 2), Fraction(-3, 4)))
+
+
+def _report_decision(report, checks):
+    """The first check of checks, in DEFAULT_CHECKS order, that the report
+    fails (None if none does), and whether an odd-girth check with an
+    undecided entry is reached before it."""
+    warned = False
+    for name in (c for c in DEFAULT_CHECKS if c in checks):
+        verdict = report.verdict(name)
+        if verdict == FAIL:
+            return name, warned
+        warned |= name == "odd_girth_inequality" and verdict == INCONCLUSIVE
+    return None, warned
+
+
+def _lazy_decisions_match_full_reports(monkeypatch, cases) -> set:
+    """Decide each (spec, array) of cases on the exact path alone, and check
+    the kill (or survival) and the odd-girth warning against the first
+    failure read off the array's full_report; the decisions seen."""
+    reports, seen = {}, set()
+    monkeypatch.setattr(search, "_walk_group", lambda spec, runs: iter(runs))
+    # a survivor's report is the one already read (the fixtures pin its bytes)
+    monkeypatch.setattr(search, "full_report", lambda arr, ratio, checks: reports[arr, ratio])
+    for spec, arr in cases:
+        if (arr, spec.theta_ratio) not in reports:
+            reports[arr, spec.theta_ratio] = full_report(arr, spec.theta_ratio)
+        want = _report_decision(reports[arr, spec.theta_ratio], spec.checks)
+        (_k, _kept, stats), = search._run_group(spec, [(arr.k, [arr], PruningStats())])
+        assert (next(iter(stats.killed), None), bool(stats.warnings)) == want, (spec, arr)
+        seen.add(want)
+    return seen
+
+
+def _exact_path_cases(specs):
+    """(spec, array) for each array that the walk and the screen keep in specs."""
+    return [(spec, arr) for spec in specs
+            for _k, arrays, _stats in _walk_group(
+                spec, search._dtype_runs(spec, range(spec.k_min, spec.k_max + 1)))
+            for arr in arrays]
+
+
+# {4,3,3,2;1,1,2,4}: theta_min = -4 has multiplicity 1, and +-sqrt(5) and 0
+# have 72/5 and 66/5, so the check reads the whole spectrum;
+# {3,2,2;1,1,2}: odd_girth_inequality kills it from theta_min alone when
+# the multiplicities are not checked
+INTEGRAL_AT_THETA_MIN = ("{4,3,3,2;1,1,2,4}", SearchSpec(4, 2, 8, "0***", (1, 2, 3), Fraction(-3, 4)))
+ODD_GIRTH_FROM_THETA_MIN = ("{3,2,2;1,1,2}", SearchSpec(
+    3, 2, 10, "0**", (1, 2, 3), Fraction(-2, 3),
+    tuple(c for c in DEFAULT_CHECKS if c != "multiplicity_integrality")))
+
+
+def test_lazy_exact_path_matches_full_reports(monkeypatch):
+    # every array that reaches the exact path in classify_diameter(4) and
+    # (5), and in each naive space with each check disabled in turn
+    specs, real = [], search.enumerate_arrays
+    monkeypatch.setattr(search, "enumerate_arrays",
+                        lambda spec, jobs=1: specs.append(spec) or real(spec, jobs))
+    for D in (4, 5):
+        classify_diameter(D)
+    monkeypatch.setattr(search, "enumerate_arrays", real)
+    cases = _exact_path_cases(specs)
+    assert len(cases) == 24  # theorem2's exact path
+    cases += _exact_path_cases([replace(spec, checks=tuple(c for c in DEFAULT_CHECKS if c != off))
+                                for spec in NAIVE_SPACES for off in DEFAULT_CHECKS])
+    cases += [(spec, parse_array(text)) for text, spec in (INTEGRAL_AT_THETA_MIN,
+                                                          ODD_GIRTH_FROM_THETA_MIN)]
+    seen = _lazy_decisions_match_full_reports(monkeypatch, cases)
+    # a1_zero and theta_ratio, decided by the walk's exact cuts, kill no
+    # array that reaches the exact path
+    assert {kill for kill, _warned in seen} == {
+        None, "c2_bound", "multiplicity_integrality", "odd_girth_inequality"}
+
+
+def test_lazy_exact_path_warns_as_full_reports_do(monkeypatch):
+    # a pass band no value can reach: every odd-girth entry is undecided
+    monkeypatch.setattr(feasibility, "INEQ_PASS_TOL", -1e9)
+    seen = _lazy_decisions_match_full_reports(monkeypatch, _exact_path_cases(NAIVE_SPACES[2:3]))
+    assert (None, True) in seen
+
+
+def test_lazy_multiplicity_check_past_an_integral_theta_min(monkeypatch):
+    text, spec = INTEGRAL_AT_THETA_MIN
+    arr, spectra, real = parse_array(text), [], feasibility.spectrum
+    monkeypatch.setattr(feasibility, "spectrum",
+                        lambda arr, roots=None: spectra.append(arr) or real(arr, roots))
+    checks = feasibility.ArrayChecks(arr, spec.theta_ratio)
+    theta_min, _enclosure, at = next(spectral._roots(arr))
+    assert spectral.multiplicity_integral(spectral.multiplicity(arr, *at))
+    assert checks.verdict("multiplicity_integrality") == FAIL and spectra == [arr]
+    assert not checks.spectrum.multiplicities_integral and checks.spectrum.theta_min == theta_min
+
+
+def test_odd_girth_kills_from_theta_min_alone(monkeypatch):
+    def no_spectrum(arr, roots=None):
+        raise AssertionError("the whole spectrum was built")
+
+    text, spec = ODD_GIRTH_FROM_THETA_MIN
+    monkeypatch.setattr(feasibility, "spectrum", no_spectrum)
+    arr = parse_array(text)
+    monkeypatch.setattr(search, "_walk_group", lambda spec, runs: iter(runs))
+    (_k, kept, stats), = search._run_group(spec, [(arr.k, [arr], PruningStats())])
+    assert (kept, stats.killed) == ([], {"odd_girth_inequality": 1})
+
+
+def test_the_girth_5_bound_meets_the_enumerator(monkeypatch):
+    # the odd-girth bound against the classification's machinery: on the
+    # g = 5 branch (D = 3, a_1 = 0, a_2 != 0, c_2 = 1 <= zeta* k from k = 13)
+    # no array has theta_min <= ratio k for a rational ratio just below
+    # -(1 - epsilon1(5)), and the odd-girth check does the work, from
+    # theta_min alone: no spectrum is built
+    def no_spectrum(arr, roots=None):
+        raise AssertionError("the whole spectrum was built")
+
+    monkeypatch.setattr(feasibility, "spectrum", no_spectrum)
+    branch = bound.epsilon1(5)
+    assert 12 < 1 / branch.zeta < 13
+    ratio = Fraction(math.floor(branch.theta_over_k * 10**6), 10**6)
+    assert float(ratio) < branch.theta_over_k < float(ratio) + 1e-6
+    res = enumerate_arrays(SearchSpec(3, 13, 60, "0+*", (1,), ratio,
+                                      ("k_integrality", "theta_ratio", "odd_girth_inequality")))
+    assert res.stats.survivors == 0 and res.stats.killed["odd_girth_inequality"] > 0
 
 
 def test_survivors_pass_full_report(d4_result):
