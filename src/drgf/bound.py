@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from .feasibility import p_polynomials
+from .feasibility import cycle_eigenvalue
 from .spectral import _sign_changes, as_mpf, moebius, refine_root, to_grid, workdps
 
 MODE_GENERAL = "general"
@@ -145,8 +145,8 @@ def epsilon1(g: int, mode: str = MODE_GENERAL, zeta=None) -> BoundParameters:
         N = tuple(schedule_n(g, mode, z))
         M1 = 2 * mp.fsum(N)
         t = len(N) - 1
-        eta = 2 * mp.cos(2 * mp.pi * (t - 1) / g)
-        coeffs = [mp.mpf(p) for p in p_polynomials(t, eta)]
+        eta, ps = cycle_eigenvalue(g, t - 1)
+        coeffs = list(ps)
         coeffs[0] += M1 * z
         M2 = m2_constant(g)
         at_m1 = mp.fsum(c * (-1) ** i for i, c in enumerate(coeffs))

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from mpmath import mp
 
@@ -142,6 +142,17 @@ def p_polynomials(t: int, x):
     return ps
 
 
+@cache
+def cycle_eigenvalue(g: int, j: int) -> tuple:
+    """eta_j = 2 cos(2 pi j / g), an eigenvalue of the g-cycle, with the
+    cycle polynomials (p_0(eta_j), .., p_t(eta_j)), t = (g - 1)/2, at
+    working precision, built once per (g, j).  Keyed by j, not by g alone:
+    epsilon1 reads one j per g, and bound_table asks for every odd g to 101."""
+    with workdps():
+        eta = 2 * mp.cos(2 * mp.pi * j / g)
+        return eta, tuple(p_polynomials((g - 1) // 2, eta))
+
+
 def _ineq_verdict(value) -> str:
     if value >= -INEQ_PASS_TOL:
         return PASS
@@ -167,9 +178,8 @@ def check_odd_girth_inequality(arr: IntersectionArray, theta_min) -> list[CheckE
         minors = itertools.islice(_minors(arr, as_mpf(theta_min)), t + 1)
         u = [as_mpf(p) / math.prod(arr.b[:i]) for i, (p, _) in enumerate(minors)]
         for j in range(t + 1):
-            eta = 2 * mp.cos(2 * mp.pi * j / g)
-            ps = p_polynomials(t, eta)
-            val = mp.fsum(ps[i] * u[i] for i in range(t + 1))
+            eta, ps = cycle_eigenvalue(g, j)
+            val = mp.fsum(p * x for p, x in zip(ps, u))
             out.append(_entry(f"odd_girth_inequality_j{j}", _ineq_verdict(val),
                               j=j, g=g, eta=eta, value=_noise_str(val, 15)))
     return out

@@ -22,26 +22,25 @@ the next.  A row keeps its parent's index at each level, and tr(L^2), k_i and
 the Sturm minors of L at the cut ratio*k advance by one recurrence step per
 level; at the leaf (a_D = k - c_D) the trace identity (k^2 + (ratio*k)^2 <=
 tr(L^2)) and the exact Sturm count (theta_min <= ratio*k) decide, and the
-columns of the rows kept are gathered once.  A run holds the valencies of
-one dtype: int64, or Python ints where an a-priori bound on the valency's
-values reaches 2^63.  The rows it keeps wait across consecutive valencies
-until about _SCREEN_ROWS of them go through one batched float screen of the
-Biggs multiplicities (see _screen and _walk_group), which decides at
-theta_min first and sends to eigvalsh only the rows it leaves undecided or
-integral-looking there; each row's verdict is its own, whatever its batch.
-Only the rows it keeps become arrays.  Each array's enabled checks are
-decided one at a time in DEFAULT_CHECKS order (feasibility.ArrayChecks),
-and the first that fails kills it, so a c2_bound or a1_zero failure at the
-array's own theta_min counts even where the walk's cuts at ratio*k let it
-through.  theta_min alone serves the checks that read only theta_min, and
-theta_min's multiplicity, where it is not integral, fails
-multiplicity_integrality before the rest of the spectrum is isolated; a
-survivor gets one full_report built on what its checks found, and keeps
-it.  Each valency keeps its own
-results and statistics; with jobs > 1 the caller and up to jobs - 1 forked
-children claim runs of up to 8 valencies one at a time, largest first, from a
-shared counter, and the parts merge in valency order, so no output depends
-on process count or on how the valencies are grouped.
+columns of the rows kept are gathered once and go, as the leaf's last cut,
+through one batched float screen of the Biggs multiplicities per leaf group
+(see _screen), which decides at theta_min first and sends to eigvalsh only
+the rows it leaves undecided or integral-looking there; each row's verdict
+is its own, whatever its batch.  A run holds the valencies of one dtype:
+int64, or Python ints where an a-priori bound on the valency's values
+reaches 2^63.  Only the rows the screen keeps become arrays.  Each array's
+enabled checks are decided one at a time in DEFAULT_CHECKS order
+(feasibility.ArrayChecks), and the first that fails kills it, so a c2_bound
+or a1_zero failure at the array's own theta_min counts even where the
+walk's cuts at ratio*k let it through.  theta_min alone serves the checks
+that read only theta_min, and theta_min's multiplicity, where it is not
+integral, fails multiplicity_integrality before the rest of the spectrum is
+isolated; a survivor gets one full_report built on what its checks found,
+and keeps it.  Each valency keeps its own results and statistics; with
+jobs > 1 the caller and up to jobs - 1 forked children claim runs of up to
+8 valencies one at a time, largest first, from a shared counter, and the
+parts merge in valency order, so no output depends on process count or on
+how the valencies are grouped.
 
 classify_diameter runs the paper's stages in one loop: k <= 4, the a_2, a_3
 and (D = 5) a_4 exclusions under their derived caps, and the main space.
@@ -75,12 +74,6 @@ ZERO, NONZERO, FREE = "0", "+", "*"
 # survivors' multiplicities come out within ~1e-10 of integers, and borderline
 # values fall through to the exact spectrum.
 SCREEN_MARGIN = 1e-4
-
-# The float screen takes the leaf rows of consecutive valencies in batches of
-# about this many rows: numpy's per-call cost is spread over many rows while
-# a batch's float temporaries stay near a megabyte, beside the level pass's
-# columns, which stay held while it screens.
-_SCREEN_ROWS = 2048
 
 # The level pass expands the prefixes of consecutive valencies together, up to
 # this many options at a level: numpy's per-call cost is spread over a run of
@@ -159,12 +152,15 @@ class SearchSpec:
             if type(obj["D"]) is not int:
                 raise TypeError(f"D must be an integer, got {obj['D']!r}")
             k_min, k_max = _json_ints("k_range", obj["k_range"], 2)
+            if type(obj["a_pattern"]) is not str:
+                raise TypeError(f"a_pattern must be a string, got {obj['a_pattern']!r}")
+            checks = obj.get("checks", list(DEFAULT_CHECKS))
+            if not isinstance(checks, list) or any(type(c) is not str for c in checks):
+                raise TypeError(f"checks must be a list of strings, got {checks!r}")
             return cls(
-                D=obj["D"], k_min=k_min, k_max=k_max,
-                a_pattern=str(obj["a_pattern"]),
+                D=obj["D"], k_min=k_min, k_max=k_max, a_pattern=obj["a_pattern"],
                 c2_set=tuple(sorted(_json_ints("c2_set", obj.get("c2_set", [1, 2])))),
-                theta_ratio=ratio,
-                checks=tuple(obj.get("checks", DEFAULT_CHECKS)),
+                theta_ratio=ratio, checks=tuple(checks),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SearchSpecError(f"bad search spec: {exc}") from exc
@@ -261,8 +257,9 @@ class _KSpace:
             and spec.theta_ratio is not None and spec.theta_ratio < Fraction(-1, 2))
         on = set(spec.checks) - (
             {"trace_vs_ratio", "theta_ratio"} if spec.theta_ratio is None else set())
-        self._k_integral, self._trace_cut, self._sturm_cut = (
-            name in on for name in ("k_integrality", "trace_vs_ratio", "theta_ratio"))
+        self._k_integral, self._trace_cut, self._sturm_cut, self._screen_cut = (
+            name in on for name in ("k_integrality", "trace_vs_ratio", "theta_ratio",
+                                    "multiplicity_integrality"))
         # per valency: the cut's numerator p = P k over Q, k^2 + cut^2 times
         # Q^2 and the c_2 cap (k where there is none)
         (P, self._Q), k = (spec.theta_ratio or 0).as_integer_ratio(), self.k.astype(dt)
@@ -344,9 +341,9 @@ class _KSpace:
 
     def run(self) -> Iterator[tuple[int, np.ndarray, PruningStats]]:
         """Each valency of the run, in order, with its leaf rows that the
-        prunings keep, as an (n, 2D) int matrix of b_0..b_{D-1}, c_1..c_D in
-        walk order, and the PruningStats of their kills; the float screen
-        comes after.
+        prunings and the float screen keep, as an (n, 2D) int matrix of
+        b_0..b_{D-1}, c_1..c_D in walk order, and the PruningStats of their
+        kills.
 
         Level by level, np.repeat expands the live prefixes into their options
         in walk order, and the level's checks kill options as masks, in
@@ -354,7 +351,8 @@ class _KSpace:
         option (one at the leaf) and counted at the option's valency.
         tr(L^2), k_l b_l and the Sturm minors at the cut advance by one step
         for the options kept, and each keeps its parent's index; at the leaf
-        the trace and Sturm cuts apply to them.  A level expands the prefixes
+        the trace and Sturm cuts apply to them, then the float screen, one
+        _screen call per leaf group.  A level expands the prefixes
         of consecutive whole valencies together, up to _PASS_ROWS options or
         one valency's, and walks each such group down to the leaf before the
         next, so a valency is done when its leaf group is."""
@@ -426,7 +424,8 @@ class _KSpace:
 
     def _leaf(self, at, live, tree, kills) -> np.ndarray:
         """The rows of the complete arrays live (parents at) that the trace
-        and Sturm cuts keep, gathered up the tree."""
+        and Sturm cuts keep, gathered up the tree, less those the float
+        screen kills."""
         v, tr, alternate, Q = live[0], live[4], live[7], self._Q
         tree = tree + [(at, *live[1:3])]
         ok = np.ones(len(v), bool)
@@ -435,9 +434,16 @@ class _KSpace:
         if self._sturm_cut:  # D + 1 sign changes: no eigenvalue <= cut
             self._drop(kills, "theta_ratio", alternate, ok, v)
         rows, cols = np.flatnonzero(ok), []  # b_1, c_1, .., b_D, c_D of the rows kept
+        v = v[rows]
         for at, c, b in reversed(tree):
             cols, rows = [b[rows], c[rows]] + cols, at[rows]
-        return np.column_stack([self.k[rows]] + cols[:-2:2] + cols[1::2])
+        rows = np.column_stack([self.k[rows]] + cols[:-2:2] + cols[1::2])
+        del cols  # so that the screen runs beside one copy of the rows
+        if self._screen_cut and len(rows):
+            ok = np.ones(len(rows), bool)
+            self._drop(kills, "multiplicity_integrality", ~_screen(rows), ok, v)
+            rows = rows[ok]
+        return rows
 
     def _drop(self, kills, name, fails, ok, v, below=None, opt=None) -> None:
         """Kill the live options that fail (ok, cleared there): each counts at
@@ -505,35 +511,11 @@ def _walk_group(spec: SearchSpec,
                 runs) -> Iterator[tuple[int, list[IntersectionArray], PruningStats]]:
     """Each valency of the runs (lists of consecutive valencies of one dtype)
     that the iterable runs gives, in its order, with the arrays that its
-    run's level pass and the float screen keep, in walk order, and the stats
-    of their kills.
-
-    The leaf rows of consecutive valencies wait in one list until it holds
-    _SCREEN_ROWS rows, or runs ends, and are then screened in one _screen
-    call, so a batch holds fewer than _SCREEN_ROWS rows plus one valency's.
-    A row's verdict does not depend on its batch."""
-    screen = "multiplicity_integrality" in spec.checks
-    waiting, stack, n = [], [], 0  # the valencies and the leaf rows not yet screened
-    passes = itertools.chain.from_iterable(_KSpace(spec, run).run() for run in runs)
-    for k, rows, stats in itertools.chain(passes, [(None, None, None)]):
-        if k is not None:  # None: runs has ended
-            waiting.append((k, len(rows), stats))
-            stack.append(rows)
-            n += len(rows)
-        if not waiting or (n < _SCREEN_ROWS and k is not None):
-            continue
-        # drop the per-valency rows, so that the screen runs beside one copy
-        batch, stack, rows = np.vstack(stack), [], None
-        keep = _screen(batch) if screen and n else np.ones(n, bool)
-        at = 0
-        for k, count, stats in waiting:
-            rows, kept, at = batch[at:at + count], keep[at:at + count], at + count
-            if not kept.all():
-                stats.kill("multiplicity_integrality", int((~kept).sum()))
-                rows = rows[kept]
+    run's level pass keeps, in walk order, and the stats of their kills."""
+    for run in runs:
+        for k, rows, stats in _KSpace(spec, run).run():
             yield k, [IntersectionArray(tuple(row[:spec.D]), tuple(row[spec.D:]))
                       for row in rows.tolist()], stats
-        waiting, n = [], 0
 
 
 def _run_group(spec: SearchSpec, runs) -> list:

@@ -8,13 +8,29 @@ from drgf import bound
 from drgf.bound import (MODE_GENERAL, MODE_SHARP_G5, BoundError, bound_table,
                         conservative_2dp, diameter_bound, epsilon1,
                         polygon_epsilon_upper, schedule_n, zeta_star)
-from drgf.feasibility import p_polynomials
+from drgf.feasibility import cycle_eigenvalue, p_polynomials
 from drgf.spectral import _sign_changes, moebius, workdps
 
 
 def f(x, y, t: int):
     """f(x, y) = sum_{i<=t} p_i(x) y^i, the bound's polynomial."""
     return mp.fsum(p * y ** i for i, p in enumerate(p_polynomials(t, x)))
+
+
+@pytest.mark.parametrize("g, mode", [(5, MODE_GENERAL), (5, MODE_SHARP_G5), (7, MODE_GENERAL),
+                                     (101, MODE_GENERAL)])
+def test_epsilon1_reads_the_shared_cycle_eigenvalues(g, mode):
+    # eta_j = 2 cos(2 pi j / g) and p_0..p_t(eta_j) at working precision, the
+    # same values on every call; epsilon1 takes eta_{t-1} from them and adds
+    # M1 zeta to a copy of its p_i, leaving the shared values as they were
+    t = (g - 1) // 2
+    with workdps():
+        want = [(eta, tuple(p_polynomials(t, eta)))
+                for eta in (2 * mp.cos(2 * mp.pi * j / g) for j in range(t + 1))]
+    shared = [cycle_eigenvalue(g, j) for j in range(t + 1)]
+    assert shared == want
+    assert epsilon1(g, mode).eta == want[t - 1][0]
+    assert cycle_eigenvalue(g, t - 1) is shared[t - 1] and shared == want
 
 
 def test_f_at_zero_y():

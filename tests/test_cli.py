@@ -162,7 +162,7 @@ def test_enumerate_bad_spec_exit2(tmp_path):
     spec_file.write_text('{"D": 4, "k_range": [5, 8], "a_pattern": "000+", '
                          '"checks": "theta_ratio"}')
     r = run_cli("enumerate", "--spec", str(spec_file))
-    assert r.returncode == 2 and "unknown checks" in r.stderr
+    assert r.returncode == 2 and "checks must be a list of strings" in r.stderr
 
 
 def test_enumerate_bad_c2_exit2():

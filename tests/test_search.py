@@ -64,9 +64,11 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("checks", ["theta_ratio", ["trace_squar"], ["theta_ratio", "x"]])
 def test_spec_rejects_unknown_checks(checks):
-    # a bare string would split into characters and silently disable every check
+    # a bare string would split into characters and silently disable every
+    # check; in a JSON spec it is no list, and is rejected as such
     obj = {"D": 4, "k_range": [5, 8], "a_pattern": "000+", "checks": checks}
-    with pytest.raises(SearchSpecError, match="unknown checks"):
+    json_error = "checks must be a list of strings" if isinstance(checks, str) else "unknown checks"
+    with pytest.raises(SearchSpecError, match=json_error):
         SearchSpec.from_json_dict(obj)
     with pytest.raises(SearchSpecError, match="unknown checks"):
         SearchSpec(4, 5, 8, "000+", checks=tuple(checks))
@@ -74,11 +76,15 @@ def test_spec_rejects_unknown_checks(checks):
 
 @pytest.mark.parametrize("key, value", [
     ("k_range", "58"), ("c2_set", "12"), ("D", 4.9), ("D", True), ("D", "4"),
-    ("k_range", [5.5, 8]), ("k_range", [5, 8, 99]), ("k_range", [5]), ("c2_set", [1, 2.0])])
+    ("k_range", [5.5, 8]), ("k_range", [5, 8, 99]), ("k_range", [5]), ("c2_set", [1, 2.0]),
+    ("checks", ""), ("checks", {"a1_zero": 1}), ("checks", "k_integrality"),
+    ("checks", ["a1_zero", 1]), ("a_pattern", 0)])
 def test_spec_json_rejects_what_it_would_misread(key, value):
-    # int() and indexing would misread each: as [5, 8], {1, 2}, D = 4 or 1,
-    # or by truncating or dropping an entry
-    obj = {"D": 4, "k_range": [5, 8], "a_pattern": "000+", key: value}
+    # int(), str(), tuple() and indexing would misread each: as [5, 8],
+    # {1, 2}, D = 4 or 1, no check at all, a dict's keys, a string's letters,
+    # a check named 1, the pattern "0" of this D = 1 space, or by truncating
+    # or dropping an entry
+    obj = {"D": 1, "k_range": [5, 8], "a_pattern": "+", key: value}
     with pytest.raises(SearchSpecError, match=f"bad search spec: {key} must be"):
         SearchSpec.from_json_dict(obj)
 
@@ -172,8 +178,8 @@ SCREEN_SPACES = {
 
 @pytest.fixture(scope="module")
 def screened_rows():
-    """name -> the (n, 2D) int matrices of b_0..b_{D-1}, c_1..c_D that
-    _walk_group screens, one per batch of consecutive valencies."""
+    """name -> the (n, 2D) int matrices of b_0..b_{D-1}, c_1..c_D that the
+    level pass screens, one per leaf group of consecutive valencies."""
     batches, real = {}, search._screen
     with pytest.MonkeyPatch.context() as patch:
         for name, (spec, _decided, _kills) in SCREEN_SPACES.items():
@@ -334,38 +340,44 @@ def test_one_row_batches_change_no_verdict(screened_rows, name):
 
 
 def test_screen_batches_stay_bounded(monkeypatch):
-    # classify_diameter(5) screens no batch of more than _SCREEN_ROWS rows
-    # plus one valency's, and the D = 5 main space's 43,081 rows take at
-    # most ceil(43,081 / _SCREEN_ROWS) + 1 calls, not one per valency
-    spaces, valency_rows = [], []
-    real_screen, real_run, real_enumerate = search._screen, _KSpace.run, search.enumerate_arrays
+    # the screen is the leaf's last cut: one _screen call per leaf group that
+    # the trace and Sturm cuts leave rows in, so a batch is a group of the
+    # level pass, at most _PASS_ROWS rows here.  classify_diameter(4) and (5)
+    # make 34 calls; the D = 5 main space's 43,081 rows take 22, not one per
+    # valency, the largest holding 4,299
+    spaces, leaves = [], []
+    real_screen, real_leaf, real_enumerate = search._screen, _KSpace._leaf, search.enumerate_arrays
 
     def enumerate_spy(spec, jobs=1):
         spaces.append((spec, []))
         return real_enumerate(spec, jobs)
 
-    def run_spy(self):
-        for k, rows, stats in real_run(self):
-            valency_rows.append(len(rows))
-            yield k, rows, stats
+    def leaf_spy(self, *args):  # the batches screened in the leaf, and the rows it keeps
+        before = len(spaces[-1][1])
+        rows = real_leaf(self, *args)
+        leaves.append((spaces[-1][1][before:], len(rows)))
+        return rows
 
     monkeypatch.setattr(search, "enumerate_arrays", enumerate_spy)
     monkeypatch.setattr(search, "_screen", lambda rows: spaces[-1][1].append(len(rows))
                         or real_screen(rows))
-    monkeypatch.setattr(_KSpace, "run", run_spy)
+    monkeypatch.setattr(_KSpace, "_leaf", leaf_spy)
+    classify_diameter(4)
     classify_diameter(5)
-    assert max(n for _spec, sizes in spaces for n in sizes) <= search._SCREEN_ROWS + max(
-        valency_rows)
+    assert all(len(batches) <= 1 and (batches or kept == 0) for batches, kept in leaves)
+    sizes = [n for _spec, sizes in spaces for n in sizes]
+    assert len(sizes) == 34 and 0 < min(sizes) and max(sizes) <= search._PASS_ROWS
     main = [sizes for spec, sizes in spaces if spec.a_pattern == "0000+"]
     assert len(main) == 1 and sum(main[0]) == 43081
-    assert len(main[0]) <= math.ceil(43081 / search._SCREEN_ROWS) + 1
+    assert len(main[0]) == 22 and max(main[0]) == 4299
 
 
 def test_one_screen_batch_stays_small(screened_rows):
-    # the float temporaries of one _SCREEN_ROWS-row batch stay below 4 MB;
-    # the D = 5 main space screened at once peaks near 14 MB
-    rows = np.vstack(screened_rows["D5 main"])[:search._SCREEN_ROWS]
-    assert len(rows) == search._SCREEN_ROWS
+    # the float temporaries of the largest batch that the D = 5 main walk
+    # screens, 4,299 rows, stay below 4 MB; the D = 5 main space screened at
+    # once peaks near 14 MB
+    rows = max(screened_rows["D5 main"], key=len)
+    assert len(rows) == 4299
     tracemalloc.start()
     try:
         search._screen(rows)
@@ -373,6 +385,21 @@ def test_one_screen_batch_stays_small(screened_rows):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+def test_no_screen_without_the_multiplicity_check(monkeypatch):
+    # with multiplicity_integrality off the walk makes no _screen call: every
+    # leaf row of the D = 4 main space becomes an array, the 1,199 that the
+    # screen kills included
+    def no_screen(rows):
+        raise AssertionError("the walk screened")
+
+    monkeypatch.setattr(search, "_screen", no_screen)
+    spec = replace(D4_SPEC, checks=tuple(c for c in DEFAULT_CHECKS
+                                         if c != "multiplicity_integrality"))
+    valencies = list(_valencies(spec))
+    assert sum(len(arrays) for _k, arrays, _stats in valencies) == 1199 + 2
+    assert not any("multiplicity_integrality" in stats.killed for _k, _a, stats in valencies)
 
 
 # The level pass carries tr(L^2) and the Sturm minors at the cut down the
@@ -598,6 +625,21 @@ def _naive_kills(space, on):
     return killed, rows
 
 
+def _naive_screened(killed, rows):
+    """killed and rows of _naive_kills after the float screen, which takes
+    each valency's rows in one _screen call and kills as
+    multiplicity_integrality; a row's verdict does not depend on its batch."""
+    killed, kept = dict(killed), []
+    for _k, valency in itertools.groupby(rows, key=lambda row: row[0][0]):
+        valency = list(valency)
+        keep = search._screen(np.array([b + c for b, c in valency]))
+        kept += [row for row, ok in zip(valency, keep) if ok]
+        if not keep.all():
+            killed["multiplicity_integrality"] = (
+                killed.get("multiplicity_integrality", 0) + int((~keep).sum()))
+    return killed, kept
+
+
 # How the level pass takes a naive space's valencies: one run per valency;
 # the whole k range as one run, in one group at every level; and the whole
 # range as one run under a budget of 8 options, which every naive space
@@ -611,7 +653,9 @@ PASSES = {"one valency": ("each", 1 << 15), "one run": ("all", 1 << 30), "split"
 def test_level_pass_matches_a_naive_enumeration(naive_spaces, monkeypatch, spec, off):
     space = naive_spaces[spec]
     spec = replace(spec, checks=tuple(name for name in spec.checks if name != off))
-    want = (len(space), *_naive_kills(space, [name for name in WALK_CHECKS if name != off]))
+    assert "multiplicity_integrality" in spec.checks
+    want = (len(space), *_naive_screened(
+        *_naive_kills(space, [name for name in WALK_CHECKS if name != off])))
     ks, real_groups = list(range(spec.k_min, spec.k_max + 1)), search._groups
     assert {search._dtype(spec, k) for k in ks} == {np.int64}
     for passes, (runs, budget) in PASSES.items():
@@ -668,7 +712,8 @@ def test_option_indexed_counts_cut_the_peak_at_k_1200():
     # D = 4, k = 1200 in the main pattern: the dense tables of one valency's
     # walk peaked at 80.8 MB under tracemalloc; the option-indexed counts are
     # O(k) a level, so the walk's own columns set the peak, at least four
-    # times lower
+    # times lower.  The float screen, the leaf's last cut, keeps 2 of the
+    # 1,118 rows that the trace and Sturm cuts leave
     spec = replace(D4_SPEC, k_min=1200, k_max=1200)
     tracemalloc.start()
     try:
@@ -676,7 +721,8 @@ def test_option_indexed_counts_cut_the_peak_at_k_1200():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (k, len(rows), stats.generated) == (1200, 1118, 1437601)
+    assert (k, len(rows), stats.generated) == (1200, 2, 1437601)
+    assert stats.killed["multiplicity_integrality"] == 1116
     assert peak < 80.8 * 2 ** 20 / 4
 
 
