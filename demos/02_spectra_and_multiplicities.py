@@ -10,11 +10,18 @@ import math
 from fractions import Fraction
 
 from drgf import parse_array, spectrum
-from drgf.spectral import intersection_matrix, minor_polys, multiplicity_upper_bound
+from drgf.spectral import minor_polys, multiplicity_upper_bound
 
 arr = parse_array("{5,4,4,3;1,1,2,2}")   # the Odd graph O_5
+# the intersection matrix L: a_i on the diagonal, b_i above it, c_(i+1) below it
+L = [[0] * (arr.D + 1) for _ in range(arr.D + 1)]
+for i, a in enumerate(arr.a):
+    L[i][i] = a
+for i, (b, c) in enumerate(zip(arr.b, arr.c)):
+    L[i][i + 1], L[i + 1][i] = b, c
 print("L =")
-print(intersection_matrix(arr))
+for row in L:
+    print(" ".join(f"{x:2d}" for x in row))
 
 spec = spectrum(arr)
 print(f"eigenvalues: {spec.thetas}")

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 from mpmath import mp
 
 from .feasibility import cycle_eigenvalue
@@ -85,10 +84,11 @@ def _leftmost_root(coeffs) -> mp.mpf | None:
     (-1, 0), and Descartes' rule bounds their number by G's coefficient
     sign changes, with its parity: none gives None, one a simple root, and
     more raise BoundError.  The one root is refined by refine_root from six
-    float Newton steps at y = -1, with the sign of p just right of -1, that
-    of G's first nonzero coefficient, so no end is evaluated.  F(X) =
-    sum C_i X^i q^(n-i) and F' = dF/dX, by Horner's rule on ints (q = 2^s,
-    n the degree), are p(X/q) and its X-derivative times one power of 2."""
+    float Newton steps at y = -1 (p and p' by Horner's rule on Python
+    floats), with the sign of p just right of -1, that of G's first nonzero
+    coefficient, so no end is evaluated.  F(X) = sum C_i X^i q^(n-i) and
+    F' = dF/dX, by Horner's rule on ints (q = 2^s, n the degree), are p(X/q)
+    and its X-derivative times one power of 2."""
     mans = [(-n if neg else n, e) for neg, n, e, _ in (mp.mpf(c)._mpf_ for c in coeffs)]
     e0 = min(e for n, e in mans if n)
     C = [n << e - e0 if n else 0 for n, e in mans]
@@ -97,10 +97,12 @@ def _leftmost_root(coeffs) -> mp.mpf | None:
         if changes:
             raise BoundError(f"{changes} sign changes: p may have several roots in (-1, 0)")
         return None
-    P, m = np.polynomial.Polynomial([float(c) for c in coeffs]), -1.0
-    with np.errstate(all="ignore"):  # a seed that is NaN or outside (-1, 0) gives way to -1/2
-        for _ in range(6):
-            m -= P(m) / P.deriv()(m)
+    floats, m = [float(c) for c in reversed(coeffs)], -1.0
+    for _ in range(6):  # a seed that is NaN or outside (-1, 0) gives way to -1/2
+        v = d = 0.0
+        for c in floats:
+            v, d = v * m + c, d * m + v
+        m = m - v / d if d else math.nan
     s, *ends = to_grid(Fraction(-1), Fraction(0), Fraction(m if -1 < m < 0 else -0.5))
     scaled = [c << s * i for i, c in enumerate(reversed(C))]
 

@@ -52,7 +52,6 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
-from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -701,33 +700,21 @@ def _nonnegative_below_cut(F, k: int, cut: Fraction) -> bool:
     return G[0] >= 0 or _has_positive_root(G)
 
 
-def _interpolate(values) -> list[int]:
-    """(n-1)! times the polynomial of degree < n = len(values) through the
-    (m, values[m]), low to high: Newton's sum_j (forward difference d_j) C(m, j)."""
-    n, coeffs, falling, diffs = len(values), [0] * len(values), [1], list(values)
-    for j in range(n):  # falling = m(m-1)...(m-j+1) = j! C(m, j)
-        w = diffs[0] * math.factorial(n - 1) // math.factorial(j)
-        coeffs = [c + w * x for c, x in zip(coeffs, falling + [0] * n)]
-        falling = [y - j * x for x, y in zip(falling + [0], [0] + falling)]
-        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
-    return coeffs
-
-
-def _shift_bound(g) -> int | None:
-    """Least K >= 0 where g(K + y) has no positive coefficient, so g < 0 past K, for g
-    with a negative leading coefficient, else None.  Putting 1 + y for y keeps the
-    coefficients non-positive, so doubling then bisection finds K."""
-    if next((x for x in reversed(g) if x), 0) >= 0:
+def _negative_from(values) -> int | None:
+    """Least M >= 0 where the integer polynomial g with g(m) = values[m], of
+    degree < len(values), is negative and has no positive forward
+    difference; None if its top nonzero difference is not negative.  By
+    Newton's forward form g(M + y) = sum_j (difference j at M) C(y, j), g < 0
+    then holds at every integer y >= 0."""
+    d = list(values)
+    for j in range(1, len(d)):  # d[j] becomes difference j at 0
+        d[j:] = [y - x for x, y in zip(d[j - 1:], d[j:])]
+    if next((x for x in reversed(d) if x), 0) >= 0:
         return None
-
-    def settled(K):  # the Taylor shift g(K + y) = sum_j y^j sum_i C(i, j) K^(i-j) g_i
-        return all(sum(math.comb(i, j) * K ** (i - j) * x for i, x in enumerate(g[j:], j)) <= 0
-                   for j in range(len(g)))
-
-    hi = 0
-    while not settled(hi):
-        hi = 2 * hi + 1
-    return bisect_left(range(hi // 2, hi + 1), True, key=settled) + hi // 2
+    M = 0
+    while d[0] >= 0 or max(d[1:], default=0) > 0:  # the differences at M + 1
+        d, M = [x + y for x, y in zip(d, d[1:])] + d[-1:], M + 1
+    return M
 
 
 def _c3_top(k: int, c3_ratio_cap) -> int:
@@ -744,7 +731,8 @@ def eta_feasible(k: int, t: int, p_values, theta_ratio, c2_values=(1, 2), c3_rat
 
 
 def eta_scan_end(t: int, p_values, theta_ratio, c2_values=(1, 2), c3_ratio_cap=None) -> int:
-    """K_0 of eta_exclusion_cap's proof: eta_feasible is false past it."""
+    """K_0 of eta_exclusion_cap's proof, the largest b(M - 1) + r over the
+    classes k = bm + r and G's coefficients: eta_feasible is false past it."""
     (P, Q), K0 = Fraction(theta_ratio).as_integer_ratio(), 0
     for c2, top in [(c2, top) for c2 in c2_values for top in (False, True)[:1 + (t == 4)]]:
         b = Fraction(c3_ratio_cap or 1).denominator if top else 1
@@ -753,10 +741,10 @@ def eta_scan_end(t: int, p_values, theta_ratio, c2_values=(1, 2), c3_ratio_cap=N
                                                  else c2)[:t - 1]), P * k, -k * Q, Q)
                  for k in (b * m + r for m in range(t + 1))]
             for i, values in enumerate(zip(*G)):
-                if (M := _shift_bound(_interpolate(values))) is None:
+                if (M := _negative_from(values)) is None:
                     raise CapDerivationError(f"eta scan end: x^{i} of G is >= 0 for large "
                                              f"k = {b}m + {r} at c_2 = {c2}, top c_3 {top}")
-                K0 = max(K0, b * M + r)
+                K0 = max(K0, b * (M - 1) + r)
     return K0
 
 
@@ -776,10 +764,11 @@ def eta_exclusion_cap(t: int, p_values, theta_ratio: Fraction, c2_values=(1, 2),
     Q^n F(cut) among them, has degree <= n = t in k and c_3, as F's theta^j
     coefficient has degree <= n - j.  On each class k = bm + r, r = 1..b (b
     the cap's denominator at the top c_3, else 1), c_3 is affine in m, so
-    each is an integer polynomial g(m), exact from its values at m = 0..n
-    and negative past _shift_bound's M (if its leading coefficient is not
-    negative, CapDerivationError).  Past every bM + r, G(0) < 0 and G has
-    no root x > 0: all its coefficients are negative.
+    each is an integer polynomial g(m) given by its values at m = 0..n, and
+    g(m) < 0 from _negative_from's M on (if its top nonzero forward
+    difference is not negative, CapDerivationError).  Past every
+    b(M - 1) + r, G(0) < 0 and G has no root x > 0: all its coefficients
+    are negative.
     """
     args = (t, p_values, theta_ratio, c2_values, c3_ratio_cap)
     return max((k for k in range(3, eta_scan_end(*args) + 1) if eta_feasible(k, *args)),

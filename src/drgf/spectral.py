@@ -78,12 +78,6 @@ def num_str(x) -> str:
     return str(x) if isinstance(x, Exact) else mp.nstr(as_mpf(x), DPS)
 
 
-def intersection_matrix(arr: IntersectionArray) -> np.ndarray:
-    """L as a dense (D+1)x(D+1) integer matrix: diag a_i, super b_i, sub c_i."""
-    return sum(np.diag(np.array(x, dtype=np.int64), d)
-               for x, d in ((arr.a, 0), (arr.b, 1), (arr.c, -1)))
-
-
 def minor_polys(a, w) -> list[list[int]]:
     """Leading principal minors P_0, ..., P_n of xI - L for the Jacobi matrix L
     with diagonal a_0..a_{n-1} and off-diagonal products w = (w_1, ...,

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp
 
@@ -21,6 +22,14 @@ def poly_eval_frac():
             acc, qpow = acc * x.numerator + coef * qpow, qpow * x.denominator
         return acc
     return evaluate
+
+
+@pytest.fixture(scope="session")
+def intersection_matrix():
+    """L as a dense (D+1)x(D+1) integer matrix: diag a_i, super b_i, sub c_i,
+    for oracles that take a whole matrix (sympy's charpoly, numpy's eigvals)."""
+    return lambda arr: sum(np.diag(np.array(x, dtype=np.int64), d)
+                           for x, d in ((arr.a, 0), (arr.b, 1), (arr.c, -1)))
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import libmp, mp
@@ -149,6 +151,26 @@ def test_bound_refines_take_four_evaluations(monkeypatch):
     # then below the grid's 2^-170) and one unit step that closes the
     # bracket; the sign just right of -1 comes from the Descartes count
     assert max(n for *_, n in _table_refines(monkeypatch)) <= 4
+
+
+def test_leftmost_root_seed_survives_a_zero_derivative():
+    # p = (y + 1)^2 - 1/4 has p'(-1) = 0, so the first float Newton step
+    # gives NaN and the refine starts from -1/2, here the root itself
+    with workdps():
+        assert bound._leftmost_root([mp.mpf(3) / 4, 2, 1]) == mp.mpf(-1) / 2
+
+
+def test_only_the_walk_the_float_screen_and_the_oracle_import_numpy():
+    # bound, core, feasibility and cli import no numpy of their own; numpy
+    # stays with search's walk, spectral's float screen and the graph oracle
+    importers = set()
+    for path in (Path(__file__).resolve().parent.parent / "src" / "drgf").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.stem)
+    assert "search" in importers and importers <= {"search", "spectral", "oracle"}
 
 
 def test_leftmost_root_raises_on_two_sign_changes():

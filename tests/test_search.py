@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -24,13 +25,13 @@ from drgf.core import IntersectionArray, format_array, parse_array
 from drgf.feasibility import FAIL, INCONCLUSIVE, full_report
 from drgf.search import (DEFAULT_CHECKS, CapDerivationError, PruningStats, SearchSpec,
                          SearchSpecError, _ceil4, _eta_poly, _floor4, _has_positive_root,
-                         _KSpace, _interpolate, _nonnegative_below_cut, _shift_bound,
+                         _KSpace, _negative_from, _nonnegative_below_cut,
                          _walk_group, classify_diameter, enumerate_arrays,
                          eta_exclusion_cap, eta_feasible, eta_scan_end,
                          pentagon_exclusion_cap, valency_cap)
 from drgf.spectral import (SpectralError, _columns, _jacobi_eigvals, eigenvalues,
-                           intersection_matrix, multiplicities_float, sturm_count_leq,
-                           theta_min_multiplicity_float, trace_of_l_squared)
+                           multiplicities_float, sturm_count_leq, theta_min_multiplicity_float,
+                           trace_of_l_squared)
 
 
 D4_SPEC = SearchSpec(4, 5, 35, "000+", (1, 2), Fraction(-3, 4))
@@ -738,7 +739,7 @@ def test_a_kill_of_no_array_leaves_no_entry():
     assert (res.stats.generated, res.stats.killed, res.stats.survivors) == (0, {}, 0)
 
 
-def test_fused_cuts_meet_a_zero_minor():
+def test_fused_cuts_meet_a_zero_minor(intersection_matrix):
     # some candidate of the first cut space has a leading principal minor of
     # cut*I - L that vanishes, where the Sturm cut must see no sign change
     spec = replace(CUT_SPACES[0], checks=PREFIX_CHECKS)
@@ -958,6 +959,34 @@ def test_the_girth_5_bound_meets_the_enumerator(monkeypatch):
     res = enumerate_arrays(SearchSpec(3, 13, 60, "0+*", (1,), ratio,
                                       ("k_integrality", "theta_ratio", "odd_girth_inequality")))
     assert res.stats.survivors == 0 and res.stats.killed["odd_girth_inequality"] > 0
+
+
+def test_the_bound_at_each_arrays_own_zeta():
+    # seeded arrays on the bound's branch (D = t, a_i = 0 below t, c_t <= k/2)
+    # that pass the odd-girth inequality at eta_{t-1}: theta_min >= -(1 -
+    # epsilon1(g, zeta = c_t/k)) k wherever epsilon1 has a root, decided exactly
+    # at a rational at or below the bound; c_t is drawn twice, toward small
+    # zeta, where epsilon1 has one
+    rng, bounds, checked = random.Random(3401), {}, 0
+    for _ in range(1000):
+        g = rng.choice((5, 7, 9, 11))
+        t, k = (g - 1) // 2, rng.randint(3, 400)
+        top = rng.randint(1, rng.randint(1, k // 2))
+        c = [1] + sorted(rng.randint(1, top) for _ in range(t - 2)) + [top]
+        arr = IntersectionArray(tuple([k] + [k - x for x in c[:-1]]), tuple(c))
+        theta_min = feasibility.ArrayChecks(arr).theta_min
+        entry = feasibility.check_odd_girth_inequality(arr, theta_min)[t - 1]
+        if entry.verdict != feasibility.PASS:
+            continue
+        zeta = Fraction(top, k)
+        if (g, zeta) not in bounds:
+            bounds[g, zeta] = bound.epsilon1(g, bound.MODE_GENERAL, zeta).theta_over_k
+        if bounds[g, zeta] is not None:
+            with spectral.workdps():
+                x = Fraction(int(mpmath.mp.floor(bounds[g, zeta] * k * 2**64)), 2**64)
+            assert spectral.theta_min_cmp(arr, x) >= 0, format_array(arr)
+            checked += 1
+    assert checked >= 200
 
 
 def test_survivors_pass_full_report(d4_result):
@@ -1381,7 +1410,7 @@ def test_eta_exclusion_feasible_sets_exact(args, expected):
 
 
 # eta_scan_end of each of ETA_CALLS, in order
-ETA_SCAN_ENDS = [32, 4, 8, 4, 6]
+ETA_SCAN_ENDS = [24, 4, 8, 3, 5]
 
 
 @pytest.mark.parametrize("args, expected, k0", [
@@ -1408,28 +1437,59 @@ def _taylor_shift(g, K):
             for j in range(len(g))]
 
 
-@pytest.mark.parametrize("g, least", [
-    ([5, 4, -1], 5),           # -(x - 5)(x + 1): the root is the answer
-    ([-9, 6, -1], 3),          # -(x - 3)^2: a double root
-    ([10, 0, 0, -1], 3),       # 10 - x^3: 3^3 >= 10 > 2^3
-    ([-100, 10, -1], 5),       # negative everywhere, but 10 - 2K > 0 below 5
-    ([-7], 0), ([-7, -1, 0, 0], 0),
-    ([1, 2], None), ([-3, 0, 1], None), ([0, 0], None), ([], None),
+def _through(values):
+    """The polynomial of degree < len(values) through (m, values[m]), by Lagrange's form."""
+    n = len(values)
+    return lambda x: sum(v * math.prod(Fraction(x - j, i - j) for j in range(n) if j != i)
+                         for i, v in enumerate(values))
+
+
+def _settled(f, n, M):
+    """_negative_from's criterion at M for f of degree < n: f(M) < 0 and none of
+    its forward differences at M, each an alternating sum of f's values, is positive."""
+    d = [sum((-1) ** (j - i) * math.comb(j, i) * f(M + i) for i in range(j + 1))
+         for j in range(n)]
+    return d[0] < 0 and max(d[1:], default=0) <= 0
+
+
+@pytest.mark.parametrize("values, least", [
+    ([5, 8, 9], 6),            # -(x - 5)(x + 1): g(5) = 0, so one past the root
+    ([-9, -4, -1], 4),         # -(x - 3)^2: a double root, g(3) = 0
+    ([10, 9, 2, -17], 3),      # 10 - x^3: 3^3 > 10 > 2^3
+    ([-100, -91, -84], 5),     # -100 + 10x - x^2: negative everywhere, rising below 5
+    ([-7], 0), ([-7, -8, -9, -10], 0),  # -7, and -7 - x given as a cubic
+    ([1, 3], None),            # 1 + 2x
+    ([-3, -2, 1], None),       # -3 + x^2
+    ([0, 0], None), ([], None),
 ])
-def test_shift_bound_on_hand_made_polynomials(g, least):
-    assert _shift_bound(g) == least
+def test_negative_from_on_hand_made_polynomials(values, least):
+    assert _negative_from(values) == least
     if least is not None:
-        assert all(max(_taylor_shift(g, K)) <= 0 for K in range(least, least + 4))
-        assert least == 0 or max(_taylor_shift(g, least - 1)) > 0
+        g, n = _through(values), len(values)
+        assert all(g(m) < 0 for m in range(least, least + 201))
+        assert _settled(g, n, least) and not any(_settled(g, n, M) for M in range(least))
 
 
-def test_interpolate_scales_the_exact_coefficients():
-    rng = random.Random(21)
-    for n in range(1, 7):
-        for _ in range(20):
+def test_negative_from_against_brute_force():
+    # seeded integer polynomials of degree <= 6: None exactly where the leading
+    # coefficient is not negative; else g < 0 on [M, M + 200], M is the least
+    # point of the difference criterion, and M - 1 is at most the least Taylor
+    # shift K with no positive coefficient, the scan end this criterion replaced
+    rng = random.Random(34)
+    for n in range(1, 8):
+        for _ in range(60):
             coeffs = [rng.randint(-50, 50) for _ in range(n)]
-            values = [sum(c * m ** i for i, c in enumerate(coeffs)) for m in range(n)]
-            assert _interpolate(values) == [math.factorial(n - 1) * c for c in coeffs]
+
+            def g(x):
+                return sum(a * x ** i for i, a in enumerate(coeffs))
+            M = _negative_from([g(m) for m in range(n)])
+            if next((a for a in reversed(coeffs) if a), 0) >= 0:
+                assert M is None
+                continue
+            assert all(g(m) < 0 for m in range(M, M + 201))
+            assert _settled(g, n, M) and not any(_settled(g, n, m) for m in range(M))
+            K = next(K for K in itertools.count() if max(_taylor_shift(coeffs, K)) <= 0)
+            assert M - 1 <= K
 
 
 def test_eta_caps_try_no_valency_past_their_scan_ends(monkeypatch):

@@ -12,8 +12,7 @@ from drgf.core import IntersectionArray, parse_array
 from drgf.feasibility import (FAIL, INCONCLUSIVE, PASS, check_odd_girth_inequality,
                               check_trace_square, full_report, p_polynomials)
 from drgf.spectral import (abs_u_lower_bounds, as_mpf, eigenvalues,
-                           eigenvalues_float, implied_last_c_lower,
-                           intersection_matrix, minor_polys, multiplicity,
+                           eigenvalues_float, implied_last_c_lower, minor_polys, multiplicity,
                            multiplicities_float, multiplicity_upper_bound,
                            refine_root, spectrum, sqrt_bounds,
                            sturm_count_leq, theta_min_cmp, theta_min_multiplicity_float,
@@ -26,20 +25,20 @@ CORPUS = ["{2;1}", "{2,1;1,1}", "{3,2;1,1}", "{2,1,1,1;1,1,1,1}",
           "{4,3,3;1,1,3}", "{5,4,4,3;1,1,2,3}"]
 
 
-def test_intersection_matrix_9_gon():
+def test_intersection_matrix_9_gon(intersection_matrix):
     L = intersection_matrix(parse_array("{2,1,1,1;1,1,1,1}"))
     assert L.shape == (5, 5)
     assert list(np.diag(L)) == [0, 0, 0, 0, 1]
 
 
-def test_intersection_matrix_folded_9_cube():
+def test_intersection_matrix_folded_9_cube(intersection_matrix):
     L = intersection_matrix(parse_array("{9,8,7,6;1,2,3,4}"))
     assert list(np.diag(L)) == [0, 0, 0, 0, 5]
     assert list(np.diag(L, 1)) == [9, 8, 7, 6]
     assert list(np.diag(L, -1)) == [1, 2, 3, 4]
 
 
-def test_intersection_matrix_triangle():
+def test_intersection_matrix_triangle(intersection_matrix):
     L = intersection_matrix(parse_array("{2;1}"))
     assert L.tolist() == [[0, 2], [1, 1]]
 
@@ -296,7 +295,7 @@ def charpoly(arr: IntersectionArray) -> list[int]:
 
 
 @pytest.mark.parametrize("arr", SEEDED, ids=str)
-def test_charpoly_matches_sympy(arr):
+def test_charpoly_matches_sympy(arr, intersection_matrix):
     x = sympy.Symbol("x")
     M = sympy.Matrix(intersection_matrix(arr).tolist())
     P = M.charpoly(x)
@@ -304,7 +303,7 @@ def test_charpoly_matches_sympy(arr):
 
 
 @pytest.mark.parametrize("arr", SEEDED, ids=str)
-def test_sturm_count_matches_numpy(arr):
+def test_sturm_count_matches_numpy(arr, intersection_matrix):
     # every integer in [-k-1, k+1], where minors and integer eigenvalues
     # vanish, and seeded rationals with small denominators
     theta = np.linalg.eigvals(intersection_matrix(arr).astype(float)).real
