@@ -62,14 +62,14 @@ class Graph:
                 raise OracleError(f"edge ({u},{v}) repeats")
             seen.add(key)
 
-    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:  # every edge from both ends: (y, z ~ y)
+        u, v = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        return np.r_[u, v], np.r_[v, u]
 
     @cached_property
     def adjacency(self) -> np.ndarray:
         A = np.zeros((self.n, self.n), dtype=np.float64)
-        u, v = self._ends()
-        A[u, v] = A[v, u] = 1.0
+        A[self._ends()] = 1.0
         return A
 
     @cached_property
@@ -92,26 +92,38 @@ class Graph:
         (L_i A)[x, y] - (L_{i-1} A)[x, y] are symmetric on layer i, where
         N_i^T therefore reads as N_i.
 
-        A count N_i[x, y] is at most deg y, so A and the products use the
-        narrowest unsigned dtype holding the largest degree (one byte for
-        every witness graph).  Counts are read by masked whole-matrix
-        reductions in C order: argmax of L_i is the layer's least pair, and
-        argmax of (N != its count) & L_i the first pair that differs.
+        Row y of A L sums L's rows at y's neighbours.  Ranked by degree, the
+        vertices of degree > j come first and slot j lists their j-th
+        neighbours, so each edge end adds one gathered row, into 256 KB of
+        rank-ordered sums (in cache) at a time.  Counts take the narrowest
+        unsigned dtype of the largest degree (one byte on every witness) and
+        are read by masked reductions in C order: argmax of L_i is the layer's
+        least pair, argmax of (N != its count) & L_i the first that differs.
         """
-        import scipy.sparse  # here, so only the graph oracles load scipy
-        n = self.n
-        u, v = self._ends()
-        dtype = np.min_scalar_type(int(np.bincount(np.r_[u, v], minlength=n).max(initial=0)))
-        A = scipy.sparse.csr_array(
-            (np.ones(2 * len(u), dtype), (np.r_[u, v], np.r_[v, u])), shape=(n, n))
+        n, (ends, nbr) = self.n, self._ends()
+        deg = np.bincount(ends, minlength=n)
+        dtype = np.min_scalar_type(int(deg.max(initial=0)))
+        rank = np.argsort(np.argsort(-deg, kind="stable"))
+        e = np.argsort(ends, kind="stable")
+        slot = np.arange(len(e)) - np.repeat(np.cumsum(deg) - deg, deg)  # place among y's ends
+        nbr, size = nbr[e][np.argsort(slot * n + rank[ends[e]])], np.bincount(slot).tolist()
+        step = 1 + (1 << 18) // max(n, 1)  # rows of about 256 KB
+        blocks = [(r0, min(c, r0 + step), nbr[lo + r0:lo + min(c, r0 + step)])
+                  for r0 in range(0, n, step) for lo, c in zip(np.cumsum([0] + size), size) if c > r0]
+        def times_a(L):  # A @ L for a 0/1 uint8 L
+            S = np.zeros((n, n), dtype)  # rows in rank order
+            for r0, r1, at in blocks:
+                S[r0:r1] += L[at]
+            return S[rank]
+
         cur = np.eye(n, dtype=bool)
-        reached, nt_prev, nt_cur = cur.copy(), None, A @ cur.view(np.uint8)
+        reached, nt_prev, nt_cur = cur.copy(), None, times_a(cur.view(np.uint8))
         b, c, witness, odd_girth = [], [], None, BIPARTITE
         for i in count():
             if odd_girth == BIPARTITE and np.logical_and(nt_cur, cur).any():
                 odd_girth = 2 * i + 1
             nxt = (nt_cur != 0) & ~reached
-            nt_next = A @ nxt.view(np.uint8) if nxt.any() else None
+            nt_next = times_a(nxt.view(np.uint8)) if nxt.any() else None
             for nt, store in ((nt_prev, c), (nt_next, b)):
                 if witness is not None or nt is None:
                     continue
@@ -146,7 +158,15 @@ def _connected_bfs(g: Graph) -> BFS:
 
 def _graph(name, n, edges) -> Graph:
     g = Graph(name, n, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges)))
-    _connected_bfs(g)
+    adj = [[] for _ in range(n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = front = {0}  # one BFS from vertex 0, O(n + m): the all-sources pass waits
+    while front := {z for y in front for z in adj[y]} - seen:
+        seen |= front
+    if len(seen) < n:
+        raise OracleError(f"{name} is not connected")
     return g
 
 
@@ -181,10 +201,6 @@ def folded_cube(n: int) -> Graph:
     return _graph(f"folded_cube:{n}", half, np.c_[w, x[w, bit]].tolist())
 
 
-def coxeter() -> Graph:
-    return _graph("coxeter", 28, _COXETER_EDGES)
-
-
 def build(name: str) -> Graph:
     """Build a named graph: cycle:N, odd_graph:M, folded_cube:N, or coxeter."""
     base, _, param = name.partition(":")
@@ -192,7 +208,7 @@ def build(name: str) -> Graph:
     if base == "coxeter":
         if param:
             raise OracleError("coxeter takes no parameter")
-        return coxeter()
+        return _graph("coxeter", 28, _COXETER_EDGES)
     if base in makers:
         try:
             p = int(param)
@@ -227,10 +243,8 @@ def spectrum_bruteforce(g: Graph):
     """
     if g.n > DENSE_MAX_VERTICES:
         raise OracleError("graph too large for the dense oracle")
-    import scipy.linalg
-    w = scipy.linalg.eigvalsh(g.adjacency)[::-1]
     values, mults = [], []
-    for x in w:
+    for x in np.linalg.eigvalsh(g.adjacency)[::-1]:
         if values and abs(x - values[-1]) < CLUSTER_TOL:
             mults[-1] += 1
             continue
@@ -242,11 +256,7 @@ def spectrum_bruteforce(g: Graph):
 
 
 def odd_girth_bruteforce(g: Graph):
-    """Length of the shortest odd cycle via BFS layers, or 'bipartite'.
-
-    An edge inside BFS layer r of root x closes an odd walk of length 2r + 1
-    through x; minimising over roots and edges gives the odd girth.
-    """
+    """Length of the shortest odd cycle via BFS layers (see Graph.bfs), or 'bipartite'."""
     return _connected_bfs(g).odd_girth
 
 

@@ -173,6 +173,18 @@ def test_only_the_walk_the_float_screen_and_the_oracle_import_numpy():
     assert "search" in importers and importers <= {"search", "spectral", "oracle"}
 
 
+def test_no_module_imports_scipy():
+    # the graph oracle's products and dense spectrum run on numpy alone, and
+    # pyproject.toml lists no scipy
+    root = Path(__file__).resolve().parent.parent
+    for path in (root / "src" / "drgf").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert all(name.split(".")[0] != "scipy" for name in names), path.name
+    assert "scipy" not in (root / "pyproject.toml").read_text()
+
+
 def test_leftmost_root_raises_on_two_sign_changes():
     # Descartes' rule cannot tell two roots in (-1, 0) from none: (y + 1/2)^2
     # + 1e-40 has no real root, but its Moebius image (1/4 + d) - (1/2 - 2d) x

@@ -214,7 +214,7 @@ def test_unwritable_output_path_exit2(args):
 
 
 def test_cli_import_loads_no_scipy():
-    # only verify's graph oracles need scipy; they import it themselves
+    # drgf depends on numpy and mpmath only; the graph oracles run on numpy
     code = ("import sys, drgf.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -381,14 +381,18 @@ def test_verify_unknown_exit2():
     assert run_cli("verify", "petersen").returncode == 2
 
 
-def test_verify_past_the_dense_oracle_exit2(capsys):
+def test_verify_past_the_dense_oracle_exit2(capsys, monkeypatch):
     # odd_graph:8 has 6435 vertices, past the dense oracle's 4096: the graph
-    # line, then one error line and no traceback, with no BFS pass run first
-    from drgf import cli
+    # line, then one error line and no traceback, with no all-sources BFS
+    # pass run first (build checks connectivity from one vertex only)
+    from drgf import cli, oracle
+    passes = []
+    monkeypatch.setattr(oracle.Graph, "bfs", property(lambda g: passes.append(g.name)))
     assert cli.main(["verify", "odd_graph:8"]) == cli.EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == "graph odd_graph:8: 6435 vertices, 25740 edges\n"
     assert err == "error: graph too large for the dense oracle\n"
+    assert passes == []
 
 
 def test_verify_export(tmp_path):

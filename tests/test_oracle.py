@@ -159,6 +159,19 @@ def test_bfs_on_stars_either_side_of_the_one_byte_counts(leaves, chord):
     assert oracle.odd_girth_bruteforce(g) == odd_girth
 
 
+def test_bfs_on_a_large_star_with_a_chord():
+    """K_{1,1200} and one leaf-leaf chord: one vertex of degree 1200, two of
+    degree 2 and the rest of degree 1, so the neighbour slots past the
+    second cover the hub alone."""
+    leaves = 1200
+    g = oracle.Graph("star+chord", leaves + 1,
+                     tuple((0, y) for y in range(1, leaves + 1)) + ((leaves - 1, leaves),))
+    b, c, witness, odd_girth = _reference_bfs(g.n, g.edges)
+    assert witness == (1, 1, 0) and odd_girth == 3
+    assert g.bfs == (True, tuple(b), tuple(c), witness, odd_girth)
+    assert oracle.verify_distance_regular(g) == (None, witness)
+
+
 @pytest.mark.parametrize("n", [256, 257])
 def test_bfs_counts_do_not_wrap_on_complete_graphs(n):
     """b_0 = n - 1 is read whole either side of the one-byte limit."""
