@@ -162,7 +162,7 @@ def _graph(name, n, edges) -> Graph:
     for u, v in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    seen = front = {0}  # one BFS from vertex 0, O(n + m): the all-sources pass waits
+    seen = front = {0}  # one BFS from vertex 0, O(n + m); Graph.bfs waits for a reader
     while front := {z for y in front for z in adj[y]} - seen:
         seen |= front
     if len(seen) < n:
