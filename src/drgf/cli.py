@@ -81,6 +81,9 @@ def cmd_check(args) -> int:
 
 def _spec_from_args(args) -> search.SearchSpec:
     if args.spec:
+        flags = ("diameter", "k_min", "k_max", "a_pattern", "c2", "theta_ratio")
+        if given := ["--" + f.replace("_", "-") for f in flags if getattr(args, f) is not None]:
+            raise search.SearchSpecError(f"--spec FILE sets the whole space: drop {', '.join(given)}")
         with open(args.spec) as fh:
             return search.SearchSpec.from_json_dict(json.load(fh))
     if args.diameter is None:
@@ -176,6 +179,8 @@ def cmd_bound(args) -> int:
     g = args.girth
     try:
         if args.table:
+            if args.zeta is not None:
+                raise bound.BoundError("--zeta goes with --girth, not --table")
             rows = bound.bound_table(*args.table, args.mode)
             print("g,zeta_star,epsilon1,theta_over_k")
             for gg, z, e, th in rows:
@@ -260,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("array", help="intersection array, e.g. '{3,2;1,1}'")
     p.add_argument("--json", action="store_true")
     p.add_argument("--theta-ratio", type=_fraction, default=None,
-                   help="also require theta_min <= RATIO * k (e.g. -3/4)")
+                   help="also require theta_min <= RATIO * k (e.g. --theta-ratio=-3/4)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("enumerate", help="exhaust a search space of arrays")
@@ -271,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-pattern", help="one char per a_1..a_D: 0 zero, + nonzero, * free")
     p.add_argument("--c2", type=_int_list,
                    help="comma list of allowed c_2 values (default 1,2)")
-    p.add_argument("--theta-ratio", type=_fraction, default=None)
+    p.add_argument("--theta-ratio", type=_fraction, default=None,
+                   help="require theta_min <= RATIO * k (e.g. --theta-ratio=-3/4)")
     p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", help="write survivors to a CSV file")

@@ -157,17 +157,7 @@ def _connected_bfs(g: Graph) -> BFS:
 
 
 def _graph(name, n, edges) -> Graph:
-    g = Graph(name, n, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges)))
-    adj = [[] for _ in range(n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = front = {0}  # one BFS from vertex 0, O(n + m); Graph.bfs waits for a reader
-    while front := {z for y in front for z in adj[y]} - seen:
-        seen |= front
-    if len(seen) < n:
-        raise OracleError(f"{name} is not connected")
-    return g
+    return Graph(name, n, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges)))
 
 
 def cycle(n: int) -> Graph:

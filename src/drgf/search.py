@@ -88,12 +88,6 @@ class SearchSpecError(ValueError):
     pass
 
 
-def _require_known_checks(names):
-    unknown = sorted(set(names) - set(DEFAULT_CHECKS))
-    if unknown:
-        raise SearchSpecError(f"unknown checks {unknown}; known: {', '.join(DEFAULT_CHECKS)}")
-
-
 class CapDerivationError(RuntimeError):
     """A valency-cap replay failed to close; the message names the step."""
 
@@ -125,7 +119,8 @@ class SearchSpec:
             raise SearchSpecError("c2_set must hold positive integers")
         if self.theta_ratio is not None and not -1 <= self.theta_ratio < 0:
             raise SearchSpecError("theta_ratio must lie in [-1, 0)")
-        _require_known_checks(self.checks)
+        if unknown := sorted(set(self.checks) - set(DEFAULT_CHECKS)):
+            raise SearchSpecError(f"unknown checks {unknown}; known: {', '.join(DEFAULT_CHECKS)}")
 
     def contains(self, arr: IntersectionArray) -> bool:
         """Whether arr lies in this space, before the ratio cut and checks."""
@@ -877,11 +872,6 @@ def valency_cap(D: int, branch: str = "main") -> CapDerivation:
 # ---------------------------------------------------------------------------
 # the classification pipeline
 
-# k = 5, c_2 = 2, a_3 != 0, D = 5 admits no graph (classification of known
-# small-valency results).  Under the default checks c2_bound already kills all
-# 30 arrays of that space; the line stays as the paper's argument.
-_CATALOG_EXCLUSION_D5_K5 = "no graph exists with D=5, k=5, c_2=2, a_3 != 0"
-
 GRAPH_NAMES = {text: name for _graph, text, name in WITNESSES}
 
 
@@ -907,23 +897,20 @@ class DiameterClassification:
     discrepancies: tuple[str, ...]
 
 
-def classify_diameter(D: int, jobs: int = 1,
-                      disable_checks: tuple[str, ...] = ()) -> DiameterClassification:
+def classify_diameter(D: int, jobs: int = 1) -> DiameterClassification:
     """Full case analysis for theta_min <= -(D-1)/D k, D in {4, 5}: one loop
     over the stages, each a list of its lines and the spaces it enumerates.
 
     One rule sorts every survivor: a bipartite one (every a_i = 0) is set
-    aside as killed["bipartite"], the a_3 catalog exclusion gets its line,
-    and any other joins the stage's arrays, as a discrepancy unless it is a
-    witness of diameter D in the space.  A missing witness is one too."""
+    aside as killed["bipartite"], and any other joins the stage's arrays, as
+    a discrepancy unless it is a witness of diameter D in the space.  A
+    missing witness is one too."""
     if D not in (4, 5):
         raise SearchSpecError("classification covers D in {4, 5}")
-    _require_known_checks(disable_checks)
     ratio = Fraction(-(D - 1), D)
-    checks = tuple(c for c in DEFAULT_CHECKS if c not in disable_checks)
 
     def space(k_min, k_max, a_pattern, c2_set=(1, 2)):
-        return SearchSpec(D, k_min, k_max, a_pattern, c2_set, ratio, checks)
+        return SearchSpec(D, k_min, k_max, a_pattern, c2_set, ratio)
 
     def capped(branch, a_pattern, suffix=""):
         cap = valency_cap(D, branch)
@@ -938,7 +925,11 @@ def classify_diameter(D: int, jobs: int = 1,
         if cap3 is not None and cap3 >= 5:
             a3.append(space(5, cap3, ZERO * 2 + NONZERO + FREE * (D - 3), (c2,)))
     if D == 5:
-        a3.append("k = 5 case covered by the catalog exclusion: " + _CATALOG_EXCLUSION_D5_K5)
+        # k = 5, c_2 = 2, a_3 != 0, D = 5 admits no graph (classification of known
+        # small-valency results).  Under the default checks c2_bound already kills
+        # all 30 arrays of that space; the line stays as the paper's argument.
+        a3.append("k = 5 case covered by the catalog exclusion: "
+                  "no graph exists with D=5, k=5, c_2=2, a_3 != 0")
     plans = [
         ("k <= 4", "small-valency catalog (k <= 4)", [space(2, 4, FREE * D, (1, 2, 3, 4))]),
         ("a2", "a_2 != 0 excluded", [
@@ -968,15 +959,12 @@ def classify_diameter(D: int, jobs: int = 1,
                 only_c2 = f", c_2 = {item.c2_set[0]}" if len(item.c2_set) == 1 else ""
                 lines.append(f"enumeration k in [{item.k_min},{item.k_max}]{only_c2}: "
                              f"{run.survivors} survivors")
-            expected, unexpected = [w for w in witnesses if item.contains(w)], []
-            for arr in kept:
-                if key == "a3" and D == 5 and arr.k == 5 and arr.c[1] == 2:
-                    lines.append(f"{format_array(arr)} excluded: " + _CATALOG_EXCLUSION_D5_K5)
-                elif arr not in expected:
-                    unexpected.append(arr)
-                    discrepancies.append(f"{key} stage: unexpected survivor {format_array(arr)}")
-            discrepancies.extend(f"{key} stage: missing {format_array(w)}"
-                                 for w in expected if w not in kept)
+            expected = [w for w in witnesses if item.contains(w)]
+            unexpected = [arr for arr in kept if arr not in expected]
+            discrepancies += [f"{key} stage: unexpected survivor {format_array(arr)}"
+                              for arr in unexpected]
+            discrepancies += [f"{key} stage: missing {format_array(w)}"
+                              for w in expected if w not in kept]
             arrays += [w for w in expected if w in kept] + unexpected
             stats = run if stats is None else stats.merged_with(run)
         if key == "k <= 4":

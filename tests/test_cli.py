@@ -1,5 +1,4 @@
 import csv
-import functools
 import json
 import os
 import re
@@ -165,6 +164,21 @@ def test_enumerate_bad_spec_exit2(tmp_path):
     assert r.returncode == 2 and "checks must be a list of strings" in r.stderr
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--k-max", "30", "--theta-ratio=-1/2"], "--k-max, --theta-ratio"),
+    (["-d", "5"], "--diameter"), (["--k-min", "6"], "--k-min"),
+    (["--a-pattern", "00++"], "--a-pattern"), (["--c2", "1"], "--c2")])
+def test_enumerate_spec_with_space_flags_exit2(tmp_path, capsys, flags, named):
+    # the file sets the whole space, so a flag beside it would be ignored
+    from drgf import cli
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text('{"D": 4, "k_range": [5, 8], "a_pattern": "000+", '
+                         '"theta_ratio": "-3/4"}')
+    assert cli.main(["enumerate", "--spec", str(spec_file), *flags]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --spec FILE sets the whole space: drop {named}\n"
+
+
 def test_enumerate_bad_c2_exit2():
     r = run_cli("enumerate", "-d", "4", "--c2", "a,b")
     assert r.returncode == 2
@@ -241,13 +255,14 @@ def test_theorem2_bad_diameter_exit2():
 
 
 def test_theorem2_discrepancy_injection(monkeypatch, capsys):
-    # through classify_diameter's disable_checks seam: without the multiplicity
-    # check the D = 4 stages keep arrays that are no witness
+    # without the Coxeter graph in the witness table, its array survives the
+    # k <= 4 stage unexpected
     from drgf import cli, search
-    monkeypatch.setattr(search, "classify_diameter", functools.partial(
-        search.classify_diameter, disable_checks=("multiplicity_integrality",)))
+    monkeypatch.setattr(search, "WITNESSES",
+                        tuple(row for row in search.WITNESSES if row[0] != "coxeter"))
     assert cli.main(["theorem2", "--diameter", "4"]) == cli.EXIT_FAIL
-    assert "DISCREPANCY" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "DISCREPANCY: k <= 4 stage: unexpected survivor {3,2,2,1;1,1,1,2}\n" in out
 
 
 def test_theorem2_json():
@@ -274,14 +289,6 @@ def test_jobs_below_one_exit2(command, jobs, capsys):
         cli.main([*command, "--jobs", jobs])
     assert exc.value.code == 2
     assert "argument --jobs" in capsys.readouterr().err
-
-
-def test_theorem2_unknown_check_exit2(monkeypatch, capsys):
-    from drgf import cli, search
-    monkeypatch.setattr(search, "classify_diameter", functools.partial(
-        search.classify_diameter, disable_checks=("trace_squar",)))
-    assert cli.main(["theorem2", "--diameter", "4"]) == cli.EXIT_USAGE
-    assert "unknown checks" in capsys.readouterr().err
 
 
 def test_theorem2_has_no_disable_check_flag(capsys):
@@ -330,6 +337,14 @@ def test_bound_bad_table_exit2():
     r = run_cli("bound", "--table", "5..x")
     assert r.returncode == 2
     assert "error:" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_bound_table_with_zeta_exit2():
+    # the table prints zeta* for each girth, so a --zeta would be ignored
+    r = run_cli("bound", "--table", "5..7", "--zeta", "1/4")
+    assert r.returncode == 2 and r.stdout == ""
+    assert "error: --zeta goes with --girth, not --table" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("table", ["9..5", "6..6"])

@@ -55,6 +55,15 @@ def test_disconnected_graph_raises():
         oracle.odd_girth_bruteforce(two)
 
 
+@pytest.mark.parametrize("name", [
+    *(f"cycle:{n}" for n in range(3, 13)), *(f"odd_graph:{m}" for m in range(2, 6)),
+    *(f"folded_cube:{n}" for n in (3, 5, 7, 9)), "coxeter"])
+def test_build_makes_connected_graphs(name):
+    # build runs no connectivity check of its own: every maker's graph is
+    # connected by construction, and the all-sources pass confirms it
+    assert oracle.build(name).bfs.connected
+
+
 @pytest.mark.parametrize("edges, bad", [
     (((0, 1), (1, 2), (0, 2), (2, 0)), "(2,0)"),  # a triangle, K3, one edge twice
     (((0, 1), (0, 1)), "(0,1)"),                   # K2 given twice

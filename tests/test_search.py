@@ -1675,35 +1675,31 @@ def test_classify_rejects_other_diameters():
 
 def test_disabling_a_check_creates_discrepancies():
     # {3,2,2,1;1,1,1,1} is not bipartite and fails only the multiplicity
-    # check, so the k <= 4 stage, which enumerates, must report it.  The
-    # three main-space arrays fail c2_bound at their own theta_min, which the
-    # report decides although the walk's cap at ratio*k lets them through.
-    result = classify_diameter(4, disable_checks=("multiplicity_integrality",))
-    assert "k <= 4 stage: unexpected survivor {3,2,2,1;1,1,1,1}" in result.discrepancies
-    assert len(result.discrepancies) == 88
+    # check, so without it the k <= 4 space, which theorem2 enumerates, keeps
+    # it.  Without it the D = 4 main space keeps 81 arrays that are no
+    # witness, but not the three that fail c2_bound at their own theta_min,
+    # which the report decides although the walk's cap at ratio*k lets them
+    # through.
+    checks = tuple(c for c in DEFAULT_CHECKS if c != "multiplicity_integrality")
+    small = enumerate_arrays(SearchSpec(4, 2, 4, "****", (1, 2, 3, 4), Fraction(-3, 4), checks))
+    assert "{3,2,2,1;1,1,1,1}" in map(format_array, small.survivors)
+    assert "{3,2,2,1;1,1,1,1}" not in (text for _graph, text, _name in search.WITNESSES)
+    main = enumerate_arrays(replace(D4_SPEC, checks=checks))
+    kept = [format_array(a) for a in main.survivors]
+    assert len(kept) == 83 and set(D4_EXPECT) <= set(kept)
+    assert main.stats.killed["c2_bound"] == 336
     for text in ("{8,7,6,6;1,2,2,4}", "{8,7,6,5;1,2,3,4}", "{10,9,8,6;1,2,4,5}"):
-        assert f"main stage: unexpected survivor {text}" not in result.discrepancies
-        assert full_report(parse_array(text), Fraction(-3, 4)).verdict("c2_bound") == FAIL
+        arr = parse_array(text)
+        assert D4_SPEC.contains(arr) and text not in kept
+        assert full_report(arr, Fraction(-3, 4)).verdict("c2_bound") == FAIL
 
 
-def test_a3_catalog_exclusion_closes_what_c2_bound_would(monkeypatch):
-    # c2_bound kills the whole D = 5, k = 5, c_2 = 2, a_3 != 0 space by
-    # default; without it and multiplicity_integrality one array survives
-    # the battery, and only the catalog exclusion closes it.  The a_4 and main
-    # caps are lowered to k <= 5 to keep the test short.
-    real_cap = search.valency_cap
-    monkeypatch.setattr(search, "valency_cap",
-                        lambda *args, **kw: replace(real_cap(*args, **kw), k_max=5))
-    result = classify_diameter(5, disable_checks=("c2_bound", "multiplicity_integrality"))
-    a3 = result.stages[2]
-    assert a3.name == "a_3 != 0 excluded"
-    assert a3.stats.to_json_dict() == {
-        "generated": 30, "killed": {"k_integrality": 21, "odd_girth_inequality": 8},
-        "survivors": 1, "warnings": []}
-    assert ("{5,4,3,1,1;1,2,2,3,5} excluded: no graph exists with D=5, k=5, c_2=2, a_3 != 0"
-            in a3.lines)
-    assert a3.arrays == ()
-    assert not [d for d in result.discrepancies if d.startswith("a3 stage")]
+def test_a3_d5_k5_space_dies_by_c2_bound():
+    # the space the catalog exclusion line closes in theorem2 -d 5 has no
+    # survivor under the default checks: c2_bound kills every array of it
+    stats = enumerate_arrays(SearchSpec(5, 5, 5, "00+**", (2,), Fraction(-4, 5))).stats
+    assert stats.to_json_dict() == {
+        "generated": 30, "killed": {"c2_bound": 30}, "survivors": 0, "warnings": []}
 
 
 def test_classify_reports_unexpected_and_missing_arrays(monkeypatch):
@@ -1719,10 +1715,5 @@ def test_classify_reports_unexpected_and_missing_arrays(monkeypatch):
         "main stage: missing {7,6,6,5;1,1,2,2}")
     assert [format_array(a) for a in result.arrays] == [
         "{2,1,1,1;1,1,1,1}", "{3,2,2,1;1,1,1,2}", "{9,8,7,6;1,2,3,4}", "{5,4,4,3;1,1,2,2}"]
-
-
-def test_classify_rejects_unknown_disabled_checks():
-    with pytest.raises(SearchSpecError, match="unknown checks"):
-        classify_diameter(4, disable_checks=("trace_squar",))
 
 
