@@ -140,9 +140,12 @@ class SearchSpec:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SearchSpec":
         try:
-            ratio = obj.get("theta_ratio")
-            if ratio is not None:
-                ratio = Fraction(str(ratio))
+            if not isinstance(obj, dict):
+                raise TypeError(f"the top level must be a JSON object, got {obj!r}")
+            known = {"D", "k_range", "a_pattern", "c2_set", "theta_ratio", "checks"}
+            if unknown := sorted(set(obj) - known):
+                raise ValueError(f"unknown keys {unknown}; known: {', '.join(sorted(known))}")
+            ratio = None if obj.get("theta_ratio") is None else Fraction(str(obj["theta_ratio"]))
             if type(obj["D"]) is not int:
                 raise TypeError(f"D must be an integer, got {obj['D']!r}")
             k_min, k_max = _json_ints("k_range", obj["k_range"], 2)
@@ -156,7 +159,7 @@ class SearchSpec:
                 c2_set=tuple(sorted(_json_ints("c2_set", obj.get("c2_set", [1, 2])))),
                 theta_ratio=ratio, checks=tuple(checks),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise SearchSpecError(f"bad search spec: {exc}") from exc
 
 

@@ -9,18 +9,17 @@ exactly at a rational x, in mpmath, or over a float array.
   (D+1) minus their sign changes is #{eigenvalues <= x}.
 * One loop (_roots) isolates every eigenvalue in a box (lo, hi], lowest
   first and lazily, so that theta_min alone costs only the lowest box:
-  cuts at -k-1, k+1 and between neighbouring float eigenvalues
-  (eigenvalues_float), then exact Sturm counts drop a box without a root
-  and halve one with several.
-* In a one-root box with float value x, the eigenvalue is the int round(x)
+  from (-k-1, k+1], exact Sturm counts at halving cuts drop a box without
+  a root and halve one with several.
+* In a one-root box with midpoint x, the eigenvalue is the int round(x)
   if P vanishes there; else refine_root, Newton in exact ints on the
   kernel's values on the box's grid 2^-s (to_grid), starts from x, and the
   eigenvalue is round(c) of its result c if P vanishes there, else the mpf
-  nearest c clipped into an enclosure, c +- 2^-49 cut to the box (width
-  <= 2^-48), that two exact signs of P certify.  No interior cut is an integer and
-  every eigenvalue lies in [-k, k], so P (monic over Z: its rational roots
-  are integers) vanishes at no box end.  Floats only steer: each deciding
-  sign is exact.
+  nearest c clipped into an enclosure, c +- max(2^-49, 2^-s) cut to the
+  box (covering refine_root's last bracket [c, c + 2^-s]), that two exact
+  signs of P certify.  No interior cut is an integer and every eigenvalue
+  lies in [-k, k], so P (monic over Z: its rational roots are integers)
+  vanishes at no box end.  No float enters: each deciding sign is exact.
 * Every Biggs multiplicity, exact or float, is the Christoffel-Darboux
   form in multiplicity's docstring, from the kernel's minors: exact at an
   int eigenvalue, and for an irrational one exact at refine_root's grid
@@ -35,7 +34,6 @@ and multiplicities_float takes every eigenvalue from one eigvalsh call.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -51,10 +49,11 @@ Exact = (int, Fraction)
 # mpmath working precision in decimal digits, mp.prec = 169 bits: to_grid
 # puts refine_root's grid mp.prec bits below the width of its bracket, so a
 # refined root is far inside the 2^-49 half-width that the two exact signs
-# of the enclosure certificate test
+# of the enclosure certificate test, in any box narrower than about 2^120
 DPS = 50
 
-# a certified enclosure is the refined root +- _HALF_WIDTH: width <= 2^-48
+# a certified enclosure is the refined root c +- max(_HALF_WIDTH, 2^-s), so
+# it covers refine_root's last grid unit: width <= 2^-48 while 2^-s <= 2^-49
 _HALF_WIDTH = Fraction(1, 2 ** 49)
 
 
@@ -214,9 +213,9 @@ class Spectrum:
     """Distinct eigenvalues theta_0 > ... > theta_D with Biggs multiplicities.
 
     thetas holds exact ints where the eigenvalue is rational, else mpf values;
-    enclosures holds (theta, theta) for an int, else a rational interval of
-    width <= 2^-48 around the refined root that exact signs of the
-    characteristic polynomial prove holds the eigenvalue.
+    enclosures holds (theta, theta) for an int, else a rational interval
+    around the refined root, width <= 2^-48 in a box narrower than about
+    2^120, that exact signs of P = det(xI - L) prove holds the eigenvalue.
     """
 
     thetas: tuple
@@ -236,7 +235,7 @@ class Spectrum:
         return sum(self.mults) == self.v and all(map(multiplicity_integral, self.mults_raw))
 
 
-def _box_root(arr: IntersectionArray, fl, lo: Fraction, hi: Fraction, n_lo: int):
+def _box_root(arr: IntersectionArray, lo: Fraction, hi: Fraction, n_lo: int):
     """(theta, enclosure, (x, q)) for the eigenvalue of the one-root box
     (lo, hi], n_lo eigenvalues <= lo (the module docstring), with x/q the
     point its multiplicity is read at: the eigenvalue itself if it is an
@@ -249,13 +248,13 @@ def _box_root(arr: IntersectionArray, fl, lo: Fraction, hi: Fraction, n_lo: int)
         r = round(x)
         return r if lo < r <= hi and det(r)[0] == 0 else None
 
-    x = next((t for t in fl if lo < t <= hi), (lo + hi) / 2)
-    if (r := int_root(x)) is None:
-        s, *ends = to_grid(lo, hi, x)  # every cut, and x, is dyadic
+    if (r := int_root(x := (lo + hi) / 2)) is None:
+        s, *ends = to_grid(lo, hi, x)  # every cut, and so x, is dyadic
         # P is monic with simple roots, so sign P(lo) = (-1)^(D+1-n_lo)
         X = refine_root(lambda X: det(X, 1 << s), *ends, (arr.D + 1 - n_lo) % 2 == 0)
         if (r := int_root(c := Fraction(X, 1 << s))) is None:
-            a, b = max(lo, c - _HALF_WIDTH), min(hi, c + _HALF_WIDTH)
+            h = max(_HALF_WIDTH, Fraction(1, 1 << s))  # the root is in (c, c + 2^-s)
+            a, b = max(lo, c - h), min(hi, c + h)
             if not (a < b and det(a)[0] * det(b)[0] < 0):
                 raise SpectralError(f"refined root {float(c)} is not in its box ({lo}, {hi}]")
             y = mp.mpf((X, -s))  # the mpf nearest c, or the box end it rounds past
@@ -269,27 +268,21 @@ def _box_root(arr: IntersectionArray, fl, lo: Fraction, hi: Fraction, n_lo: int)
 def _roots(arr: IntersectionArray):
     """spectrum's isolation, lazily and lowest first: yields (theta,
     enclosure, (x, q)) of _box_root for each eigenvalue, so that theta_min
-    alone costs the lowest box: the Sturm count at its top cut, its
-    halvings and one refine_root.  Taking the records in any number of
-    steps gives the same boxes, counts and roots."""
-    fl = sorted(Fraction(t) for t in eigenvalues_float(arr))
-    # increasing, as each lies strictly between its two float eigenvalues
-    inner = (_cut(s, t) for s, t in itertools.pairwise(fl) if -arr.k - 1 < s < t < arr.k + 1)
-    # L is nonnegative with row sums k: every eigenvalue lies in [-k, k]
-    lo, n = Fraction(-arr.k - 1), 0  # n eigenvalues are <= lo
-    for hi, n_hi in itertools.chain(((x, sturm_count_leq(arr, x)) for x in inner),
-                                    [(Fraction(arr.k + 1), arr.D + 1)]):
-        boxes, lo, n = [(lo, hi, n, n_hi)], hi, n_hi
-        while boxes:  # the lowest box first
-            a, b, n_a, n_b = boxes.pop()
-            if n_b - n_a > 1:
-                m = _cut(a, b)
-                n_m = sturm_count_leq(arr, m)
-                boxes += [(m, b, n_m, n_b), (a, m, n_a, n_m)]
-            elif n_b - n_a == 1:
-                with workdps():
-                    found = _box_root(arr, fl, a, b, n_a)
-                yield found
+    alone costs the lowest box: the Sturm counts at its halving cuts and one
+    refine_root.  Taking the records in any number of steps gives the same
+    boxes, counts and roots."""
+    # L is nonnegative with row sums k: (-k-1, k+1] holds every eigenvalue
+    boxes = [(Fraction(-arr.k - 1), Fraction(arr.k + 1), 0, arr.D + 1)]
+    while boxes:  # the lowest box first
+        a, b, n_a, n_b = boxes.pop()
+        if n_b - n_a > 1:
+            m = _cut(a, b)
+            n_m = sturm_count_leq(arr, m)
+            boxes += [(m, b, n_m, n_b), (a, m, n_a, n_m)]
+        elif n_b - n_a == 1:
+            with workdps():
+                found = _box_root(arr, a, b, n_a)
+            yield found
 
 
 def eigenvalues(arr: IntersectionArray) -> list:
@@ -327,7 +320,7 @@ def _jacobi_eigvals(a, b, c) -> np.ndarray:
 
 def eigenvalues_float(arr: IntersectionArray) -> list[float]:
     """Float eigenvalues, decreasing, of the symmetrised intersection matrix
-    (LAPACK): the steering of spectrum's exact isolation."""
+    (LAPACK); spectrum's exact isolation reads none of them."""
     return _jacobi_eigvals(*_columns([arr.b + arr.c]))[0].tolist()
 
 

@@ -51,6 +51,21 @@ def test_check_without_a_spectrum_exit3(monkeypatch, capsys):
     assert "overall: inconclusive" in out and " fail" not in out
 
 
+@pytest.mark.parametrize("e, c, code, failing", [
+    (128, 2**127, 1, ["multiplicity_integrality"]), (1100, 1, 0, [])],
+    ids=["k=2^128", "k=2^1100"])
+def test_check_decides_past_the_float_range(capsys, e, c, code, failing):
+    # {k, k-1, c; 1, 1, k-1}: at k = 2^128 a one-root box is wider than
+    # 2^120, so refine_root's last grid unit is wider than 2^-49 and the
+    # enclosure must cover it; at k = 2^1100 no float holds k
+    from drgf import cli
+    k = 2**e
+    assert cli.main(["check", "--json", f"{{{k},{k - 1},{c};1,1,{k - 1}}}"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert [ch["name"] for ch in doc["checks"] if ch["verdict"] == "fail"] == failing
+    assert "inconclusive" not in {ch["verdict"] for ch in doc["checks"]}
+
+
 def test_check_decides_spectrum_with_zero_eigenvalue():
     r = run_cli("check", "--json", "{6,5,5,4,2;1,1,2,2,3}")
     assert r.returncode == 1
@@ -162,6 +177,41 @@ def test_enumerate_bad_spec_exit2(tmp_path):
                          '"checks": "theta_ratio"}')
     r = run_cli("enumerate", "--spec", str(spec_file))
     assert r.returncode == 2 and "checks must be a list of strings" in r.stderr
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[1, 2]", "the top level must be a JSON object, got [1, 2]"),
+    ('"x"', "the top level must be a JSON object, got 'x'"),
+    ("4", "the top level must be a JSON object, got 4"),
+    ('{"D": 4, "k_range": [5, 8], "a_pattern": "000+", "theta_ratio": "1/0"}', ""),
+    ('{"D": 4, "k_range": [5, 8], "a_pattern": "000+", "theta-ratio": "-3/4"}',
+     "unknown keys ['theta-ratio']")],
+    ids=["list", "string", "number", "zero-denominator", "unknown-key"])
+def test_enumerate_spec_not_read_exit2(tmp_path, capsys, text, named):
+    # a file that is no object, a ratio with a zero denominator and a key the
+    # reader does not know each stop the run with one error line: a
+    # misspelt key would otherwise run the space without its setting
+    from drgf import cli
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(text)
+    assert cli.main(["enumerate", "--spec", str(spec_file)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bad search spec: ") and named in err
+    assert err.count("\n") == 1
+
+
+def test_enumerate_json_spec_reads_back(tmp_path, capsys):
+    # every key that --json writes under "spec" is one the spec reader knows,
+    # and the file runs the same space to the same survivors and counts
+    from drgf import cli
+    assert cli.main(["enumerate", "-d", "4", "--k-max", "9", "--theta-ratio=-3/4",
+                     "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc["spec"]) == {"D", "k_range", "a_pattern", "c2_set", "theta_ratio", "checks"}
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(doc["spec"]))
+    assert cli.main(["enumerate", "--spec", str(spec_file), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == doc
 
 
 @pytest.mark.parametrize("flags, named", [

@@ -772,9 +772,9 @@ def test_one_spectrum_per_array_on_the_exact_path(monkeypatch, ratio):
         reports.append(arr)
         return real_report(arr, theta_ratio, checks)
 
-    def counting_box(arr, fl, lo, hi, n_lo):
+    def counting_box(arr, lo, hi, n_lo):
         boxes.append((arr, lo, hi))
-        return real_box(arr, fl, lo, hi, n_lo)
+        return real_box(arr, lo, hi, n_lo)
 
     monkeypatch.setattr(feasibility, "spectrum", counting_spectrum)
     monkeypatch.setattr(search, "full_report", counting_report)
