@@ -95,15 +95,18 @@ class Graph:
         Row y of A L sums L's rows at y's neighbours.  Ranked by degree, the
         vertices of degree > j come first and slot j lists their j-th
         neighbours, so each edge end adds one gathered row, into 256 KB of
-        rank-ordered sums (in cache) at a time.  Counts take the narrowest
-        unsigned dtype of the largest degree (one byte on every witness) and
-        are read by masked reductions in C order: argmax of L_i is the layer's
-        least pair, argmax of (N != its count) & L_i the first that differs.
+        rank-ordered sums (in cache) at a time, put back in vertex order
+        unless the ranks are the vertices' own order, as on every regular
+        graph.  Counts take the narrowest unsigned dtype of the largest
+        degree (one byte on every witness) and are read by masked reductions
+        in C order: argmax of L_i is the layer's least pair, argmax of (N !=
+        its count) & L_i the first that differs.
         """
         n, (ends, nbr) = self.n, self._ends()
         deg = np.bincount(ends, minlength=n)
         dtype = np.min_scalar_type(int(deg.max(initial=0)))
         rank = np.argsort(np.argsort(-deg, kind="stable"))
+        in_order = rank.tolist() == list(range(n))
         e = np.argsort(ends, kind="stable")
         slot = np.arange(len(e)) - np.repeat(np.cumsum(deg) - deg, deg)  # place among y's ends
         nbr, size = nbr[e][np.argsort(slot * n + rank[ends[e]])], np.bincount(slot).tolist()
@@ -114,7 +117,7 @@ class Graph:
             S = np.zeros((n, n), dtype)  # rows in rank order
             for r0, r1, at in blocks:
                 S[r0:r1] += L[at]
-            return S[rank]
+            return S if in_order else S[rank]
 
         cur = np.eye(n, dtype=bool)
         reached, nt_prev, nt_cur = cur.copy(), None, times_a(cur.view(np.uint8))

@@ -37,10 +37,10 @@ that read only theta_min, and theta_min's multiplicity, where it is not
 integral, fails multiplicity_integrality before the rest of the spectrum is
 isolated; a survivor gets one full_report built on what its checks found,
 and keeps it.  Each valency keeps its own results and statistics; with
-jobs > 1 the caller and up to jobs - 1 forked children claim runs of up to
-8 valencies one at a time, largest first, from a shared counter, and the
-parts merge in valency order, so no output depends on process count or on
-how the valencies are grouped.
+jobs > 1, on a space of at least _FORK_ARRAYS arrays, the caller and up to
+jobs - 1 forked children claim runs of up to 8 valencies one at a time,
+largest first, from a shared counter, and the parts merge in valency order,
+so no output depends on process count or on how the valencies are grouped.
 
 classify_diameter runs the paper's stages in one loop: k <= 4, the a_2, a_3
 and (D = 5) a_4 exclusions under their derived caps, and the main space.
@@ -78,6 +78,16 @@ SCREEN_MARGIN = 1e-4
 # this many options at a level: numpy's per-call cost is spread over a run of
 # valencies while the pass's columns stay near a megabyte.
 _PASS_ROWS = 1 << 14
+
+# enumerate_arrays forks only for a space of at least this many arrays, as a
+# forked child costs about 10 ms whatever it walks.  Wall ms of jobs=1 against
+# a forking jobs=2, in process on 2 cores, medians of 20: the D = 4 main space
+# (000+, -3/4) to k = 35, 13,671 arrays, 7.2 against 20.3; to k = 70, 111,881,
+# 10.9 against 18.8; the D = 5 a_4 space, 261,076, 20.0 against 23.4; the
+# D = 5 main space (0000+, -4/5) to k = 44, 312,160, 30.6 against 27.9; to
+# k = 71, 2,117,200, 80.0 against 57.5.  A D = 4 space still forks at a loss
+# somewhat past it (k = 110, 437,621: 25.0 against 29.0).
+_FORK_ARRAYS = 300_000
 
 DEFAULT_CHECKS = ("a1_zero", "c2_bound", "k_integrality", "trace_vs_ratio",
                   "theta_ratio", "multiplicity_integrality",
@@ -584,20 +594,35 @@ def _shares(spec: SearchSpec, ks) -> list[list[int]]:
     return [run[i:i + 8] for run in _dtype_runs(spec, ks) for i in range(0, len(run), 8)][::-1]
 
 
+def _forks(spec: SearchSpec, shares) -> bool:
+    """Whether the space of shares (see _shares) holds at least _FORK_ARRAYS
+    arrays, from the completion counts of its largest share, then, where
+    those fall short, of its other valencies in their dtype runs."""
+    def arrays(runs):
+        return sum(sum(_KSpace(spec, run)._completions()[1].tolist()) for run in runs)
+    held = arrays(shares[:1])
+    return held >= _FORK_ARRAYS or held + arrays(
+        _dtype_runs(spec, range(spec.k_min, shares[0][0]))) >= _FORK_ARRAYS
+
+
 def enumerate_arrays(spec: SearchSpec, jobs: int = 1) -> ClassificationResult:
     """Exhaust the search space; deterministic output order (k, c-sequence).
 
-    In process each dtype's valencies are one run.  With jobs > 1 the caller
-    and up to jobs - 1 forked children claim the runs of _shares one at a
-    time, largest valencies first, from a shared counter (a
-    multiprocessing.Value; a process's first costs about 7 ms), one process
-    per run at most; the results merge in valency order, as in process.  A
+    In process each dtype's valencies are one run.  With jobs > 1, a space
+    of more than one run of _shares and at least _FORK_ARRAYS arrays is
+    walked by the caller and up to jobs - 1 forked children, which claim the
+    runs of _shares one at a time, largest valencies first, from a shared
+    counter (a multiprocessing.Value; a process's first costs about 7 ms),
+    one process per run at most; the results merge in valency order, as in
+    process.  Any other space is walked in process whatever jobs is.  A
     child's exception is raised here, and a child that exits without
     sending, even holding the counter's lock, raises RuntimeError naming its
     exit code.  Every child is joined on every path, terminated first if
     alive."""
     ks = range(spec.k_min, spec.k_max + 1)
-    runs = _shares(spec, ks) if jobs > 1 else _dtype_runs(spec, ks)
+    runs = _shares(spec, ks) if jobs > 1 else []
+    if len(runs) < 2 or not _forks(spec, runs):
+        runs, jobs = _dtype_runs(spec, ks), 1
     jobs, pipes, parts = min(jobs, len(runs)), {}, []  # pipes: read end -> child, until read
 
     def receive(timeout=None):  # the parts of each child whose pipe is ready in time

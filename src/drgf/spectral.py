@@ -73,8 +73,12 @@ def workdps():
 
 
 def num_str(x) -> str:
-    """Decimal string at working precision (exact values print exactly)."""
-    return str(x) if isinstance(x, Exact) else mp.nstr(as_mpf(x), DPS)
+    """Decimal string at working precision (exact values print exactly); an
+    mpf is read at that precision, not rounded to the caller's."""
+    if isinstance(x, Exact):
+        return str(x)
+    with workdps():
+        return mp.nstr(as_mpf(x), DPS)
 
 
 def minor_polys(a, w) -> list[list[int]]:

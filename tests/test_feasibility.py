@@ -12,7 +12,7 @@ from drgf.feasibility import (FAIL, INCONCLUSIVE, NA, PASS, CheckEntry,
                               check_odd_girth_inequality, check_sum_rules,
                               check_theta_ratio, check_trace_square,
                               full_report, p_polynomials)
-from drgf.spectral import SpectralError, as_mpf, eigenvalues, spectrum, workdps
+from drgf.spectral import SpectralError, as_mpf, eigenvalues, num_str, spectrum, workdps
 
 WITNESSES = ["{2,1,1,1;1,1,1,1}", "{3,2,2,1;1,1,1,2}", "{5,4,4,3;1,1,2,2}",
              "{9,8,7,6;1,2,3,4}", "{2,1,1,1,1;1,1,1,1,1}",
@@ -46,6 +46,18 @@ def test_regression_non_integral_multiplicities():
     assert rep.overall == FAIL
     assert "multiplicity_integrality" in rep.failing
     assert "k_integrality" not in rep.failing
+
+
+def test_multiplicity_strings_carry_working_precision():
+    # each multiplicity is written from the spectrum's own mpf at working
+    # precision, not first rounded to 53 bits: 13.7871115188999994407...,
+    # not the double's 13.7871115188999997513...
+    arr = parse_array("{71,19,6;1,3,57}")
+    entry = next(e for e in full_report(arr).checks if e.name == "multiplicity_integrality")
+    with workdps():
+        mults = [num_str(m) for m in spectrum(arr).mults_raw]
+    assert entry.verdict == FAIL and entry.witness["mults"] == str(mults)
+    assert mults[1].startswith("13.787111518899999440799")
 
 
 def test_regression_perturbed_o5_fails():

@@ -1001,8 +1001,11 @@ def test_widening_ratio_gives_superset(d4_result):
     assert {format_array(a) for a in d4_result.survivors} <= names
 
 
-def test_parallel_matches_serial(d4_result):
+def test_parallel_matches_serial(d4_result, monkeypatch):
+    monkeypatch.setattr(search, "_FORK_ARRAYS", 0)  # the space forks a child
+    children = _recorded_children(monkeypatch)
     par = enumerate_arrays(D4_SPEC, jobs=2)
+    assert len(children) == 1
     assert par.survivors == d4_result.survivors
     assert par.stats.generated == d4_result.stats.generated
     assert par.stats.killed == d4_result.stats.killed
@@ -1012,14 +1015,18 @@ def test_jobs_change_no_output_or_its_order(monkeypatch):
     # every odd-girth entry inconclusive: warnings at k = 4..12, in two runs
     # of valencies, which the processes claim largest first and hold out of
     # valency order; the merge restores it for the survivors, the kills and
-    # the warnings
+    # the warnings.  The space is far below _FORK_ARRAYS: patched, it forks
     monkeypatch.setattr(feasibility, "INEQ_PASS_TOL", -1e9)
+    monkeypatch.setattr(search, "_FORK_ARRAYS", 0)
+    children = _recorded_children(monkeypatch)
     spec = SearchSpec(3, 3, 12, "***", (1, 2), None)
     assert search._shares(spec, range(3, 13)) == [[11, 12], [*range(3, 11)]]
     serial = enumerate_arrays(spec)
     assert {int(w[1:w.index(",")]) for w in serial.stats.warnings} == {*range(4, 13)}
     for jobs in (2, 3):
+        children.clear()
         par = enumerate_arrays(spec, jobs=jobs)
+        assert len(children) == 1
         assert par.survivors == serial.survivors and list(par.reports) == list(serial.reports)
         assert list(par.stats.killed.items()) == list(serial.stats.killed.items())
         assert par.stats.warnings == serial.stats.warnings
@@ -1076,12 +1083,15 @@ def _each_valency_once(walks, children):
 
 
 def test_no_more_children_than_valencies(monkeypatch, tmp_path):
-    # a one-valency space forks no child, and a space cut into n runs of up
-    # to 8 valencies forks min(jobs, n) - 1, the caller claiming runs too:
-    # here k in [5, 30] makes four runs; in classify_diameter(5, jobs=2) the
-    # a_4 and main spaces fork one child each, and the k <= 4 space and the
-    # one-valency a_3 space k in [5, 5], one run each, none.  However the
-    # claims fall, every valency is walked once across the processes
+    # a one-valency space forks no child, a space of fewer than _FORK_ARRAYS
+    # arrays none either, and any other space cut into n runs of up to 8
+    # valencies forks min(jobs, n) - 1, the caller claiming runs too: here k
+    # in [5, 30] makes four runs of 8,541 arrays, which fork once the
+    # crossover is patched below them; in classify_diameter(5, jobs=2) only
+    # the main space (2,117,200 arrays) forks, one child, while the a_4
+    # space (261,076) and the k <= 4 and a_3 spaces stay in process.
+    # However the claims fall, every valency is walked once across the
+    # processes
     children, walks = _recorded_children(monkeypatch), _walks(monkeypatch, tmp_path)
     enumerate_arrays(SearchSpec(5, 5, 5, "000+*", (1, 2), Fraction(-4, 5)), jobs=2)
     assert children == []
@@ -1089,17 +1099,26 @@ def test_no_more_children_than_valencies(monkeypatch, tmp_path):
     spec = SearchSpec(4, 5, 30, "000+", (1, 2), Fraction(-3, 4))
     assert search._shares(spec, range(5, 31)) == [[29, 30], [*range(21, 29)],
                                                    [*range(13, 21)], [*range(5, 13)]]
+    assert enumerate_arrays(spec).stats.generated == 8_541 < search._FORK_ARRAYS
+    _each_valency_once(walks, children)
     enumerate_arrays(spec, jobs=8)
+    assert children == []
+    _each_valency_once(walks, children)
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_FORK_ARRAYS", 8_541)
+        enumerate_arrays(spec, jobs=8)
     assert len(children) == min(8, 4) - 1
     _each_valency_once(walks, children)
     children.clear()
     classify_diameter(5, jobs=2)
-    assert len(children) == 2
+    assert len(children) == 1
     _each_valency_once(walks, children)
     assert multiprocessing.active_children() == []
 
 
-SMALL_SPEC = SearchSpec(4, 5, 16, "000+", (1, 2), Fraction(-3, 4))  # two runs: 13..16, 5..12
+# two runs: 13..16, 5..12; far below _FORK_ARRAYS, so each test that forks for
+# it patches the crossover to 0
+SMALL_SPEC = SearchSpec(4, 5, 16, "000+", (1, 2), Fraction(-3, 4))
 
 
 @pytest.fixture
@@ -1135,6 +1154,7 @@ def _failing_valency(monkeypatch, k, fail):
 
 
 def test_a_childs_exception_is_raised_in_the_caller(monkeypatch, no_hang):
+    monkeypatch.setattr(search, "_FORK_ARRAYS", 0)
     def fail():
         raise SearchSpecError("share from k = 6")
     _failing_valency(monkeypatch, 6, fail)
@@ -1144,6 +1164,7 @@ def test_a_childs_exception_is_raised_in_the_caller(monkeypatch, no_hang):
 
 
 def test_an_exception_in_the_callers_share_terminates_the_child(monkeypatch, no_hang):
+    monkeypatch.setattr(search, "_FORK_ARRAYS", 0)
     # the child sleeps far past the test's alarm: only terminate ends it,
     # and the caller's exception comes through unchanged
     children, caller, run = _recorded_children(monkeypatch), os.getpid(), search._run_group
@@ -1161,6 +1182,7 @@ def test_an_exception_in_the_callers_share_terminates_the_child(monkeypatch, no_
 
 
 def test_a_child_that_exits_without_sending_raises(monkeypatch, no_hang):
+    monkeypatch.setattr(search, "_FORK_ARRAYS", 0)
     _failing_valency(monkeypatch, 6, lambda: os._exit(3))
     with pytest.raises(RuntimeError, match="exited with code 3 before sending"):
         enumerate_arrays(SMALL_SPEC, jobs=2)
@@ -1168,6 +1190,7 @@ def test_a_child_that_exits_without_sending_raises(monkeypatch, no_hang):
 
 
 def test_a_child_that_dies_holding_the_claim_lock_raises(monkeypatch, no_hang):
+    monkeypatch.setattr(search, "_FORK_ARRAYS", 0)
     # the child exits inside a claim, so the counter's lock is never
     # released; the caller, whose next claim waits for the lock, finds the
     # child gone within the alarm instead of waiting for ever
