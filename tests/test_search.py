@@ -1086,7 +1086,7 @@ def test_no_more_children_than_valencies(monkeypatch, tmp_path):
     # a one-valency space forks no child, a space of fewer than _FORK_ARRAYS
     # arrays none either, and any other space cut into n runs of up to 8
     # valencies forks min(jobs, n) - 1, the caller claiming runs too: here k
-    # in [5, 30] makes four runs of 8,541 arrays, which fork once the
+    # in [5, 30] makes four runs, 8,541 arrays in all, which fork once the
     # crossover is patched below them; in classify_diameter(5, jobs=2) only
     # the main space (2,117,200 arrays) forks, one child, while the a_4
     # space (261,076) and the k <= 4 and a_3 spaces stay in process.
