@@ -9,9 +9,11 @@ perfbench/ and BENCHMARK.json; the workloads and the run length are those
 of BENCHMARK.json.  For each workload, pair i runs the seed at position i on
 both sides, the parent first in odd pairs and the change first in even ones.
 Every end-to-end metric is summarised by each side's median and inclusive
-quartiles and by the number of pairs in which the change read lower, with
-two verdicts (see verdict): whether the change shows a gain, and whether its
-median is past the metric's regression bound in BENCHMARK.json.  Then
+quartiles, by the number of pairs in which the change read lower and by each
+pair's change/parent ratio, with two verdicts (see verdict): whether the
+change shows a gain, and whether its median is past the metric's regression
+bound in BENCHMARK.json.  The ratios tell a load drift, which moves both
+sides of a pair, from an effect, which moves the ratio.  Then
 one traced run per side (parent first) is made for each workload, with the
 first seed.  Runs are sequential: nothing else of this script runs while one
 is timed.
@@ -66,11 +68,13 @@ def verdict(parent: list[float], change: list[float], metric: dict) -> dict:
     pairs, a tie counting for neither side, and the medians to differ by more
     than the parent's interquartile range.  past_bound says whether the
     change's median exceeds the parent's times 1 + metric["bound"].
+    pair_ratios holds each pair's change/parent (None where the parent read 0).
     """
     lower = sum(c < p for p, c in zip(parent, change))
     p, c = summary(parent), summary(change)
     gap = round(p["median"] - c["median"], 4)
     return {"change_lower_in_pairs": f"{lower}/{len(parent)}",
+            "pair_ratios": [round(c / p, 4) if p else None for p, c in zip(parent, change)],
             "median_gap": gap, "parent_iqr": p["iqr"],
             "gain": lower >= 0.9 * len(parent) and gap > p["iqr"],
             "bound": metric["bound"],
@@ -139,7 +143,8 @@ def main(argv=None) -> int:
                 "perfbench/ and BENCHMARK.json were checked to be byte-identical first. "
                 "gain: lower in at least 9/10 of the pairs (ties count for neither side) and a "
                 "median gap above the parent's IQR; past_bound: the change's median above the "
-                "parent's times 1 + the BENCHMARK.json bound.",
+                "parent's times 1 + the BENCHMARK.json bound; pair_ratios: each pair's "
+                "change/parent, in pair order.",
         "command": "python3 perfbench/run.py --workload <workload> --seed <seed> "
                    f"--seconds {seconds} --trace 0",
         "parent_sha": git(sides["parent"], "rev-parse", "HEAD"),

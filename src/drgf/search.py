@@ -11,36 +11,38 @@ subtrees as soon as a prefix is doomed:
 * k_i = k_{i-1} b_{i-1} / c_i must stay integral.
 
 The walk takes one numpy pass per level over a run of consecutive valencies,
-k a row column: np.repeat expands every live prefix into its options, in
-walk order, and the level's prunings kill options as masks, each kill
-counting every array below the option, at the option's valency, from
-completion counts indexed by each level's option list and built once per
-run, so the statistics cover the full search space at array granularity.  A
-level expands the prefixes of whole valencies in groups of at most
-_PASS_ROWS options (or one valency's), each walked down to the leaf before
-the next.  A row keeps its parent's index at each level, and tr(L^2), k_i and
-the Sturm minors of L at the cut ratio*k advance by one recurrence step per
-level; at the leaf (a_D = k - c_D) the trace identity (k^2 + (ratio*k)^2 <=
-tr(L^2)) and the exact Sturm count (theta_min <= ratio*k) decide, and the
-columns of the rows kept are gathered once and go, as the leaf's last cut,
-through one batched float screen of the Biggs multiplicities per leaf group
-(see _screen), which decides at theta_min first and sends to eigvalsh only
-the rows it leaves undecided or integral-looking there; each row's verdict
-is its own, whatever its batch.  A run holds the valencies of one dtype:
-int64, or Python ints where an a-priori bound on the valency's values
-reaches 2^63.  Only the rows the screen keeps become arrays.  Each array's
-enabled checks are decided one at a time in DEFAULT_CHECKS order
-(feasibility.ArrayChecks), and the first that fails kills it, so a c2_bound
-or a1_zero failure at the array's own theta_min counts even where the
-walk's cuts at ratio*k let it through.  theta_min alone serves the checks
-that read only theta_min, and theta_min's multiplicity, where it is not
-integral, fails multiplicity_integrality before the rest of the spectrum is
-isolated; a survivor gets one full_report built on what its checks found,
-and keeps it.  Each valency keeps its own results and statistics; with
-jobs > 1, on a space of at least _FORK_ARRAYS arrays, the caller and up to
-jobs - 1 forked children claim runs of up to 8 valencies one at a time,
-largest first, from a shared counter, and the parts merge in valency order,
-so no output depends on process count or on how the valencies are grouped.
+k a row column: np.repeat expands every live prefix into its options, in walk
+order, the level's prunings read only the columns they test, and one index
+array keeps the options that pass, each kill counting every array below the
+option, at the option's valency, from completion counts indexed by each
+level's option list and built once per run, so the statistics cover the full
+search space at array granularity.  A level expands the prefixes of whole
+valencies in groups of at most _PASS_ROWS options (or one valency's), each
+walked down to the leaf before the next.  A row keeps its parent's index at
+each level, and tr(L^2), k_i and the Sturm minors of L at the cut ratio*k
+advance by one recurrence step per level, for the options kept; at the leaf
+(b_D = 0, a_D = k - c_D) k-integrality reads the (prefix, c_D) pairs alone,
+and on the options it keeps the trace identity (k^2 + (ratio*k)^2 <= tr(L^2))
+and the exact Sturm count (theta_min <= ratio*k) decide; the columns of the
+rows kept are gathered once and go, as the last cut, through one batched
+float screen of the Biggs multiplicities per leaf group (see _screen), which
+decides at theta_min first and sends to eigvalsh only the rows it leaves
+undecided or integral-looking there; each row's verdict is its own, whatever
+its batch.  A run holds the valencies of one dtype: int64, or Python ints
+where an a-priori bound on the valency's values reaches 2^63.  Only the rows
+the screen keeps become arrays.  Each array's enabled checks are decided one
+at a time in DEFAULT_CHECKS order (feasibility.ArrayChecks), and the first
+that fails kills it, so a c2_bound or a1_zero failure at the array's own
+theta_min counts even where the walk's cuts at ratio*k let it through.
+theta_min alone serves the checks that read only theta_min, and theta_min's
+multiplicity, where it is not integral, fails multiplicity_integrality before
+the rest of the spectrum is isolated; a survivor gets one full_report built
+on what its checks found, and keeps it.  Each valency keeps its own results
+and statistics; with jobs > 1, on a space of at least _FORK_ARRAYS arrays,
+the caller and up to jobs - 1 forked children claim runs of up to 8 valencies
+one at a time, largest first, from a shared counter, and the parts merge in
+valency order, so no output depends on process count or on how the valencies
+are grouped.
 
 classify_diameter runs the paper's stages in one loop: k <= 4, the a_2, a_3
 and (D = 5) a_4 exclusions under their derived caps, and the main space.
@@ -54,6 +56,7 @@ import math
 import multiprocessing
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 
 import numpy as np
@@ -262,11 +265,8 @@ class _KSpace:
         self._a1_prune = (
             "a1_zero" in spec.checks
             and spec.theta_ratio is not None and spec.theta_ratio < Fraction(-1, 2))
-        on = set(spec.checks) - (
+        self._on = set(spec.checks) - (  # the checks that the walk applies
             {"trace_vs_ratio", "theta_ratio"} if spec.theta_ratio is None else set())
-        self._k_integral, self._trace_cut, self._sturm_cut, self._screen_cut = (
-            name in on for name in ("k_integrality", "trace_vs_ratio", "theta_ratio",
-                                    "multiplicity_integrality"))
         # per valency: the cut's numerator p = P k over Q, k^2 + cut^2 times
         # Q^2 and the c_2 cap (k where there is none)
         (P, self._Q), k = (spec.theta_ratio or 0).as_integer_ratio(), self.k.astype(dt)
@@ -284,6 +284,7 @@ class _KSpace:
             v, c, b = self._options(level)
             keys = v * s + c
             self._levels.append((v, c, b, keys, np.searchsorted(keys, past)))
+        self._below, self._generated = self._completions()
 
     def _options(self, level: int):
         """The options (v, c, b) of a level before the prunings, a = k - c - b,
@@ -292,8 +293,7 @@ class _KSpace:
         those of its valency with c >= c' and b <= b'."""
         ks, D, kind = self.k, self.spec.D, self.spec.a_pattern[level - 1]
         if level > 2:
-            v, c = _runs(ks)
-            c = c + 1
+            v, c = _runs(ks, 1)
         else:
             cs = np.array(sorted({1} if level == 1 else {*self.spec.c2_set}))
             v, c = np.repeat(np.arange(len(ks)), len(cs)), np.tile(cs, len(ks))
@@ -350,40 +350,37 @@ class _KSpace:
         """Each valency of the run, in order, with its leaf rows that the
         prunings and the float screen keep, as an (n, 2D) int matrix of
         b_0..b_{D-1}, c_1..c_D in walk order, and the PruningStats of their
-        kills.
+        kills, counted per valency in DEFAULT_CHECKS order.
 
-        Level by level, np.repeat expands the live prefixes into their options
-        in walk order, and the level's checks kill options as masks, in
-        DEFAULT_CHECKS order, each kill weighted by the arrays below the
-        option (one at the leaf) and counted at the option's valency.
-        tr(L^2), k_l b_l and the Sturm minors at the cut advance by one step
-        for the options kept, and each keeps its parent's index; at the leaf
-        the trace and Sturm cuts apply to them, then the float screen, one
-        _screen call per leaf group.  A level expands the prefixes
-        of consecutive whole valencies together, up to _PASS_ROWS options or
-        one valency's, and walks each such group down to the leaf before the
-        next, so a valency is done when its leaf group is."""
-        below, generated = self._completions()
-        kills, n, done = {}, len(self.k), 0
+        Level by level, np.repeat expands the live prefixes into their
+        options in walk order, the level's checks read only the columns they
+        test, and one index array keeps the options that pass: only they are
+        gathered and advance tr(L^2), k_l b_l and the Sturm minors at the cut
+        by one step (see _step and, at the leaf, _leaf).  A level expands the
+        prefixes of consecutive whole valencies together, up to _PASS_ROWS
+        options or one valency's, and walks each such group down to the leaf
+        before the next, so a valency is done when its leaf group is."""
+        n, done = len(self.k), 0
+        kills = {name: np.zeros(n, self.dtype) for name in DEFAULT_CHECKS}
         # per live prefix of l - 1 levels: its valency's place v, c_{l-1}, b_{l-1}
         # (c_0 = 1, b_0 = k), k_{l-1} b_{l-1}, tr = sum a_i^2 + 2 sum b_{i-1} c_i
         # so far, the minors phi_{l-1}, phi_l at cut = p/Q (times Q^l) and
         # whether phi_0..phi_l alternate in sign, none zero (phi_0 = 1, phi_1 = p)
         live = (np.arange(n), np.ones(n, np.int64), self.k, self.k.astype(self.dtype),
                 np.zeros(n, self.dtype), np.ones(n, self.dtype), self._p, np.ones(n, bool))
-        for last, rows in itertools.chain(self._descend(1, live, [], below, kills),
+        for last, rows in itertools.chain(self._descend(1, live, [], kills),
                                           [(n - 1, np.zeros((0, 2 * self.spec.D), np.int64))]):
             # one piece per valency, each popped as it goes, so that none stays held here
             pieces = np.split(rows, np.searchsorted(rows[:, 0], self.k[done:last], "right"))[::-1]
             del rows
             for v in range(done, last + 1):
-                stats = PruningStats(generated=int(generated[v]))
-                for name in DEFAULT_CHECKS:  # each valency's walk kills in this order
-                    stats.kill(name, int(kills[name][v]) if name in kills else 0)
+                stats = PruningStats(generated=int(self._generated[v]))
+                for name in DEFAULT_CHECKS:
+                    stats.kill(name, int(kills[name][v]))
                 yield int(self.k[v]), pieces.pop(), stats
             done = last + 1
 
-    def _descend(self, level, live, tree, below, kills):
+    def _descend(self, level, live, tree, kills):
         """Expand the live prefixes at level, a group of valencies at a time,
         and walk each group on to the leaf; yield, for each leaf group, its
         last valency's place and its kept rows.  tree[l - 1]: level l's
@@ -391,75 +388,84 @@ class _KSpace:
         start, end = self._first(level, *live[:3])
         n = end - start
         for lo, hi in _groups(live[0], n):
-            step = self._step(level, live, start[lo:hi], n[lo:hi], lo, below[level - 1], kills)
+            at, nxt, held = self._step(level, live, start[lo:hi], n[lo:hi], lo, kills)
             if level == self.spec.D:  # nothing of the group but its rows held across the yield
-                yield live[0][hi - 1], self._leaf(*step, tree, kills)
+                yield live[0][hi - 1], self._leaf(at, nxt, held, tree, kills)
                 continue
-            at, nxt = step
-            yield from self._descend(level + 1, nxt, tree + [(at, *nxt[1:3])], below, kills)
+            yield from self._descend(level + 1, nxt, tree + [(at, *nxt[1:3])], kills)
 
-    def _step(self, level, live, start, n, lo, below, kills):
+    def _step(self, level, live, start, n, lo, kills):
         """The options of the live prefixes lo, lo + 1, .. that take n options
-        each from start, less those the level's checks kill, as their
-        parents' places and the next level's live prefixes."""
+        each from start and pass the level's checks, as their parents'
+        places, the next level's live prefixes and, at the leaf, each
+        valency's options kept.  A check reads only the columns it tests: at
+        the leaf, where b_D = 0, k-integrality (c_D | k_{D-1} b_{D-1}) reads
+        the pairs (prefix, c_D) alone.  One index array keeps the options that
+        pass, and only they are gathered and advance tr(L^2), k_l b_l and the
+        Sturm minors at the cut by one step.  An option that fails counts at
+        its valency with the arrays below it (one at the leaf: see _cut)."""
         k, D, Q, dt = self.k, self.spec.D, self._Q, self.dtype
-        v, c_prev, b_prev, kb, tr, f0, f1, alternate = live
-        c_opt, b_opt = self._levels[level - 1][1:3]
-        at, i = _runs(n)
-        opt = start[at] + i
+        v, _c, b_prev, kb, tr, f0, f1, alternate = live
+        at, opt = _runs(n, start)
         at += lo
-        vr, c, b = v[at], c_opt[opt], b_opt[opt]
-        ok = b <= b_prev[at]
-
-        def drop(name, fails):  # each live option that fails, with the arrays below it
-            self._drop(kills, name, fails, ok, vr, below, opt)
-
+        c, vr, held = self._levels[level - 1][1][opt], v[at], None
+        b = self._levels[level - 1][2][opt] if level < D else 0
+        fails = []
         if level == 1 and self._a1_prune:
-            drop("a1_zero", c + b != k[vr])  # a_1 != 0
-        if level == 2 and "c2_bound" in self.spec.checks:
-            drop("c2_bound", (c > self._c2_cap[vr]) & ((c + b != k[vr]) | self._c2_not_bipartite))
-        if level >= 2 and self._k_integral:  # k_l = k_{l-1} b_{l-1} / c_l
-            drop("k_integrality", kb[at] % c.astype(dt) != 0)
-        at, vr, c, b = at[ok], vr[ok], c[ok], b[ok]
+            fails.append(("a1_zero", c + b != k[vr]))  # a_1 != 0
+        if level == 2 and "c2_bound" in self._on:
+            fails.append(("c2_bound", (c > self._c2_cap[vr])
+                          & ((c + b != k[vr]) | self._c2_not_bipartite)))
+        if level >= 2 and "k_integrality" in self._on:  # k_l = k_{l-1} b_{l-1} / c_l
+            fails.append(("k_integrality", kb[at] % c.astype(dt, copy=False) != 0))
+        if level == D:
+            held = np.bincount(v[lo:lo + len(n)], n, len(k)).astype(np.int64)  # options
+            keep, held = self._cut(kills, held, vr, fails)
+        else:
+            ok = b <= b_prev[at]
+            for name, fail in fails:
+                fail &= ok
+                np.add.at(kills[name], vr[fail], self._below[level - 1][opt[fail]])
+                ok &= ~fail
+            keep = np.flatnonzero(ok)
+        at, vr, c, b = at[keep], vr[keep], c[keep], b if level == D else b[keep]
         # Python ints on the object path, so that no product wraps
         a_l, c_l, bc = (x.astype(dt, copy=False) for x in (k[vr] - c - b, c, b_prev[at] * c))
         # phi_{l+1} = (p - a_l Q) phi_l - b_{l-1} c_l Q^2 phi_{l-1}
         g1 = (self._p[vr] - a_l * Q) * f1[at] - bc * (Q * Q) * f0[at]
         kb = kb[at] // c_l * b.astype(dt) if level < D else None  # b_D = 0
         return at, (vr, c, b, kb, tr[at] + a_l * a_l + 2 * bc, f1[at], g1,
-                    alternate[at] & ((g1 > 0) if level % 2 else (g1 < 0)))
+                    alternate[at] & ((g1 > 0) if level % 2 else (g1 < 0))), held
 
-    def _leaf(self, at, live, tree, kills) -> np.ndarray:
-        """The rows of the complete arrays live (parents at) that the trace
-        and Sturm cuts keep, gathered up the tree, less those the float
-        screen kills."""
-        v, tr, alternate, Q = live[0], live[4], live[7], self._Q
-        tree = tree + [(at, *live[1:3])]
-        ok = np.ones(len(v), bool)
-        if self._trace_cut:  # k^2 + cut^2 <= tr(L^2), times Q^2
-            self._drop(kills, "trace_vs_ratio", self._trace_lhs[v] > tr * (Q * Q), ok, v)
-        if self._sturm_cut:  # D + 1 sign changes: no eigenvalue <= cut
-            self._drop(kills, "theta_ratio", alternate, ok, v)
-        rows, cols = np.flatnonzero(ok), []  # b_1, c_1, .., b_D, c_D of the rows kept
-        v = v[rows]
-        for at, c, b in reversed(tree):
-            cols, rows = [b[rows], c[rows]] + cols, at[rows]
-        rows = np.column_stack([self.k[rows]] + cols[:-2:2] + cols[1::2])
+    def _leaf(self, at, live, held, tree, kills) -> np.ndarray:
+        """The rows of the complete arrays live (parents at; held, each
+        valency's) that the trace and Sturm cuts keep, gathered up the tree,
+        less those the float screen kills (see _cut)."""
+        vr, c, tr, alternate, Q = live[0], live[1], live[4], live[7], self._Q
+        cuts = [("trace_vs_ratio", self._trace_lhs[vr] > tr * (Q * Q)), ("theta_ratio", alternate)]
+        keep, held = self._cut(kills, held, vr, [cut for cut in cuts if cut[0] in self._on])
+        cols, rows, vr, c = [], at[keep], vr[keep], c[keep]  # b_1, c_1, .., c_{D-1} of the rows
+        for at, c_l, b_l in reversed(tree):
+            cols, rows = [b_l[rows], c_l[rows]] + cols, at[rows]
+        rows = np.column_stack([self.k[rows]] + cols[::2] + cols[1::2] + [c])
         del cols  # so that the screen runs beside one copy of the rows
-        if self._screen_cut and len(rows):
-            ok = np.ones(len(rows), bool)
-            self._drop(kills, "multiplicity_integrality", ~_screen(rows), ok, v)
-            rows = rows[ok]
+        if "multiplicity_integrality" in self._on and len(rows):
+            cuts = [("multiplicity_integrality", ~_screen(rows))]
+            rows = rows[self._cut(kills, held, vr, cuts)[0]]
         return rows
 
-    def _drop(self, kills, name, fails, ok, v, below=None, opt=None) -> None:
-        """Kill the live options that fail (ok, cleared there): each counts at
-        its valency's place v in kills[name], with the arrays below it,
-        below[opt], or as one array where below is None."""
-        fails &= ok
-        np.add.at(kills.setdefault(name, np.zeros(len(self.k), self.dtype)), v[fails],
-                  1 if below is None else below[opt[fails]])
-        ok[fails] = False
+    def _cut(self, kills, held, vr, cuts):
+        """The places of the rows (at valency places vr) that pass each cut,
+        (name, fails) in order, and each valency's rows then, from held: a
+        cut's kills, one array each, are what it takes from each valency's
+        rows (one np.bincount of those it keeps)."""
+        ok, keep = np.ones(len(vr), bool), slice(None)
+        for name, fails in cuts:
+            ok &= ~fails
+            now = np.bincount(vr[keep := np.flatnonzero(ok)], minlength=len(self.k))
+            kills[name] += held - now
+            held = now
+        return keep, held
 
 
 def _groups(v: np.ndarray, n: np.ndarray) -> list:
@@ -485,10 +491,11 @@ def _suffix_sums(x: np.ndarray, end: np.ndarray) -> np.ndarray:
     return total[:-1] - total[end]
 
 
-def _runs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For runs of lengths n laid end to end, each element's run and its place in it."""
+def _runs(n: np.ndarray, start=0) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of lengths n laid end to end, each element's run and start
+    plus its place in it."""
     at = np.repeat(np.arange(len(n)), n)
-    return at, np.arange(len(at)) - (np.cumsum(n) - n)[at]
+    return at, np.arange(len(at)) - (np.cumsum(n) - n - start)[at]
 
 
 def _screen(rows: np.ndarray) -> np.ndarray:
@@ -515,19 +522,19 @@ def _fractional(m: np.ndarray) -> np.ndarray:
 
 
 def _walk_group(spec: SearchSpec,
-                runs) -> Iterator[tuple[int, list[IntersectionArray], PruningStats]]:
-    """Each valency of the runs (lists of consecutive valencies of one dtype)
-    that the iterable runs gives, in its order, with the arrays that its
-    run's level pass keeps, in walk order, and the stats of their kills."""
-    for run in runs:
-        for k, rows, stats in _KSpace(spec, run).run():
+                spaces) -> Iterator[tuple[int, list[IntersectionArray], PruningStats]]:
+    """Each valency of the spaces (_KSpace runs) that the iterable spaces
+    gives, in its order, with the arrays that its run's level pass keeps, in
+    walk order, and the stats of their kills."""
+    for space in spaces:
+        for k, rows, stats in space.run():
             yield k, [IntersectionArray(tuple(row[:spec.D]), tuple(row[spec.D:]))
                       for row in rows.tolist()], stats
 
 
-def _run_group(spec: SearchSpec, runs) -> list:
+def _run_group(spec: SearchSpec, spaces) -> list:
     """(k, survivors as (array, report) pairs, stats) for each valency of the
-    runs, in order.  Each array's enabled checks are decided one at a time in
+    spaces, in order.  Each array's enabled checks are decided one at a time in
     DEFAULT_CHECKS order on one ArrayChecks, and the first that fails kills
     it: theta_min alone decides the checks that read only theta_min, and
     theta_min's multiplicity, where it is not integral, fails
@@ -535,7 +542,7 @@ def _run_group(spec: SearchSpec, runs) -> list:
     odd-girth check reached with no failure but an undecided entry leaves a
     warning.  A survivor's full_report is built on what its checks found."""
     parts, enabled = [], [c for c in DEFAULT_CHECKS if c in spec.checks]
-    for k, arrays, stats in _walk_group(spec, runs):
+    for k, arrays, stats in _walk_group(spec, spaces):
         survivors = []
         for arr in arrays:
             checks = ArrayChecks(arr, spec.theta_ratio)
@@ -577,7 +584,7 @@ def _claims(runs, counter, stalled=lambda: None) -> Iterator[list]:
 def _send_share(conn, spec: SearchSpec, runs, counter) -> None:
     """A child's share: send (True, the parts of what it claims) or (False, the exception)."""
     try:
-        conn.send((True, _run_group(spec, _claims(runs, counter))))
+        conn.send((True, _run_group(spec, map(partial(_KSpace, spec), _claims(runs, counter)))))
     except Exception as exc:
         conn.send((False, exc))
 
@@ -594,15 +601,16 @@ def _shares(spec: SearchSpec, ks) -> list[list[int]]:
     return [run[i:i + 8] for run in _dtype_runs(spec, ks) for i in range(0, len(run), 8)][::-1]
 
 
-def _forks(spec: SearchSpec, shares) -> bool:
-    """Whether the space of shares (see _shares) holds at least _FORK_ARRAYS
-    arrays, from the completion counts of its largest share, then, where
-    those fall short, of its other valencies in their dtype runs."""
-    def arrays(runs):
-        return sum(sum(_KSpace(spec, run)._completions()[1].tolist()) for run in runs)
-    held = arrays(shares[:1])
-    return held >= _FORK_ARRAYS or held + arrays(
-        _dtype_runs(spec, range(spec.k_min, shares[0][0]))) >= _FORK_ARRAYS
+def _in_process(spec: SearchSpec, shares) -> list[_KSpace] | None:
+    """The _KSpace runs that count the arrays of shares (see _shares), its
+    largest first and, where that falls short, the rest in their dtype runs,
+    to be walked in process; None where they reach _FORK_ARRAYS."""
+    spaces = []
+    for runs in (shares[:1], _dtype_runs(spec, range(spec.k_min, shares[0][0]))):
+        spaces += map(partial(_KSpace, spec), runs)
+        if sum(sum(space._generated.tolist()) for space in spaces) >= _FORK_ARRAYS:
+            return None
+    return spaces
 
 
 def enumerate_arrays(spec: SearchSpec, jobs: int = 1) -> ClassificationResult:
@@ -614,16 +622,18 @@ def enumerate_arrays(spec: SearchSpec, jobs: int = 1) -> ClassificationResult:
     runs of _shares one at a time, largest valencies first, from a shared
     counter (a multiprocessing.Value; a process's first costs about 7 ms),
     one process per run at most; the results merge in valency order, as in
-    process.  Any other space is walked in process whatever jobs is.  A
+    process.  Any other space is walked in process whatever jobs is, on the
+    spaces that counted it where jobs > 1.  A
     child's exception is raised here, and a child that exits without
     sending, even holding the counter's lock, raises RuntimeError naming its
     exit code.  Every child is joined on every path, terminated first if
     alive."""
     ks = range(spec.k_min, spec.k_max + 1)
     runs = _shares(spec, ks) if jobs > 1 else []
-    if len(runs) < 2 or not _forks(spec, runs):
-        runs, jobs = _dtype_runs(spec, ks), 1
-    jobs, pipes, parts = min(jobs, len(runs)), {}, []  # pipes: read end -> child, until read
+    spaces = (_in_process(spec, runs) if len(runs) > 1
+              else map(partial(_KSpace, spec), _dtype_runs(spec, ks)))
+    jobs = 1 if spaces is not None else min(jobs, len(runs))
+    pipes, parts = {}, []  # pipes: read end -> child, until read
 
     def receive(timeout=None):  # the parts of each child whose pipe is ready in time
         for recv in multiprocessing.connection.wait(list(pipes), timeout):  # loaded by Pipe
@@ -646,8 +656,8 @@ def enumerate_arrays(spec: SearchSpec, jobs: int = 1) -> ClassificationResult:
                                                       args=(send, spec, runs, counter))
                 pipes[recv].start()
                 send.close()
-            runs = _claims(runs, counter, lambda: receive(0))
-        parts += _run_group(spec, runs)
+            spaces = map(partial(_KSpace, spec), _claims(runs, counter, lambda: receive(0)))
+        parts += _run_group(spec, spaces)
         while pipes:
             receive()
     finally:

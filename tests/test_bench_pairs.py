@@ -52,3 +52,17 @@ def test_a_median_past_the_bound_is_flagged():
     v = bench_pairs.verdict(PARENT, [p + 0.50 * 0.25 for p in PARENT], OP_S)
     assert v["past_bound"] and not v["gain"] and v["bound"] == 0.24
 
+
+
+def test_each_pair_records_its_ratio():
+    # a load drift moves both sides of a pair and leaves its ratio; here the
+    # change reads 0.9 of the parent in every pair but the last, which ties
+    change = [round(p * 0.9, 4) for p in PARENT[:-1]] + PARENT[-1:]
+    v = bench_pairs.verdict(PARENT, change, OP_S)
+    assert v["pair_ratios"] == [0.9] * 9 + [1.0]
+    assert v["change_lower_in_pairs"] == "9/10"
+
+
+def test_a_parent_that_reads_zero_has_no_ratio():
+    v = bench_pairs.verdict([0.0, 0.5, 0.5, 0.5], [0.1, 0.25, 0.5, 0.6], OP_S)
+    assert v["pair_ratios"] == [None, 0.5, 1.0, 1.2]

@@ -92,7 +92,8 @@ def test_spec_json_rejects_what_it_would_misread(key, value):
 
 def _valencies(spec):
     """Each valency of spec with its walked and screened arrays and stats."""
-    return _walk_group(spec, search._dtype_runs(spec, range(spec.k_min, spec.k_max + 1)))
+    return _walk_group(spec, (_KSpace(spec, run) for run in search._dtype_runs(
+        spec, range(spec.k_min, spec.k_max + 1))))
 
 
 def test_spec_contains_what_its_walk_generates():
@@ -340,6 +341,23 @@ def test_one_row_batches_change_no_verdict(screened_rows, name):
     assert np.array_equal(_keep_in_batches(rows, np.arange(1, len(rows))), search._screen(rows))
 
 
+def _spy_leaf(monkeypatch, spy) -> list:
+    """Patch _KSpace._leaf to call spy(leaf, space, *args), leaf the real
+    one, and count the leaf groups that the walk yields to run(): the list
+    returned holds that count, for the test to check that its spy saw every
+    leaf group."""
+    leaf, descend, yielded = _KSpace._leaf, _KSpace._descend, [0]
+
+    def descend_spy(self, level, *args):
+        for group in descend(self, level, *args):
+            yielded[0] += level == 1
+            yield group
+
+    monkeypatch.setattr(_KSpace, "_leaf", lambda self, *args: spy(leaf, self, *args))
+    monkeypatch.setattr(_KSpace, "_descend", descend_spy)
+    return yielded
+
+
 def test_screen_batches_stay_bounded(monkeypatch):
     # the screen is the leaf's last cut: one _screen call per leaf group that
     # the trace and Sturm cuts leave rows in, so a batch is a group of the
@@ -347,25 +365,27 @@ def test_screen_batches_stay_bounded(monkeypatch):
     # make 34 calls; the D = 5 main space's 43,081 rows take 22, not one per
     # valency, the largest holding 4,299
     spaces, leaves = [], []
-    real_screen, real_leaf, real_enumerate = search._screen, _KSpace._leaf, search.enumerate_arrays
+    real_screen, real_enumerate = search._screen, search.enumerate_arrays
 
     def enumerate_spy(spec, jobs=1):
         spaces.append((spec, []))
         return real_enumerate(spec, jobs)
 
-    def leaf_spy(self, *args):  # the batches screened in the leaf, and the rows it keeps
+    def leaf_spy(leaf, self, *args):  # the batches screened in the leaf, and the rows it keeps
         before = len(spaces[-1][1])
-        rows = real_leaf(self, *args)
+        rows = leaf(self, *args)
         leaves.append((spaces[-1][1][before:], len(rows)))
         return rows
 
     monkeypatch.setattr(search, "enumerate_arrays", enumerate_spy)
     monkeypatch.setattr(search, "_screen", lambda rows: spaces[-1][1].append(len(rows))
                         or real_screen(rows))
-    monkeypatch.setattr(_KSpace, "_leaf", leaf_spy)
+    walked = _spy_leaf(monkeypatch, leaf_spy)
     classify_diameter(4)
     classify_diameter(5)
+    assert len(leaves) == walked[0] > 0
     assert all(len(batches) <= 1 and (batches or kept == 0) for batches, kept in leaves)
+    assert sum(len(batches) for batches, _kept in leaves) == sum(len(b) for _s, b in spaces)
     sizes = [n for _spec, sizes in spaces for n in sizes]
     assert len(sizes) == 34 and 0 < min(sizes) and max(sizes) <= search._PASS_ROWS
     main = [sizes for spec, sizes in spaces if spec.a_pattern == "0000+"]
@@ -858,7 +878,7 @@ def _lazy_decisions_match_full_reports(monkeypatch, cases) -> set:
     the kill (or survival) and the odd-girth warning against the first
     failure read off the array's full_report; the decisions seen."""
     reports, seen = {}, set()
-    monkeypatch.setattr(search, "_walk_group", lambda spec, runs: iter(runs))
+    monkeypatch.setattr(search, "_walk_group", lambda spec, spaces: iter(spaces))
     # a survivor's report is the one already read (the fixtures pin its bytes)
     monkeypatch.setattr(search, "full_report", lambda arr, ratio, checks: reports[arr, ratio])
     for spec, arr in cases:
@@ -874,9 +894,7 @@ def _lazy_decisions_match_full_reports(monkeypatch, cases) -> set:
 def _exact_path_cases(specs):
     """(spec, array) for each array that the walk and the screen keep in specs."""
     return [(spec, arr) for spec in specs
-            for _k, arrays, _stats in _walk_group(
-                spec, search._dtype_runs(spec, range(spec.k_min, spec.k_max + 1)))
-            for arr in arrays]
+            for _k, arrays, _stats in _valencies(spec) for arr in arrays]
 
 
 # {4,3,3,2;1,1,2,4}: theta_min = -4 has multiplicity 1, and +-sqrt(5) and 0
@@ -937,7 +955,7 @@ def test_odd_girth_kills_from_theta_min_alone(monkeypatch):
     text, spec = ODD_GIRTH_FROM_THETA_MIN
     monkeypatch.setattr(feasibility, "spectrum", no_spectrum)
     arr = parse_array(text)
-    monkeypatch.setattr(search, "_walk_group", lambda spec, runs: iter(runs))
+    monkeypatch.setattr(search, "_walk_group", lambda spec, spaces: iter(spaces))
     (_k, kept, stats), = search._run_group(spec, [(arr.k, [arr], PruningStats())])
     assert (kept, stats.killed) == ([], {"odd_girth_inequality": 1})
 
@@ -1058,10 +1076,10 @@ def _walks(monkeypatch, tmp_path):
             spaces.append(spec)
 
         def logged():
-            for ks in runs:
+            for space in runs:
                 with open(log, "a") as fh:
-                    fh.writelines(f"{os.getpid()}\t{spec!r}\t{k}\n" for k in ks)
-                yield ks
+                    fh.writelines(f"{os.getpid()}\t{spec!r}\t{k}\n" for k in space.k.tolist())
+                yield space
         return run(spec, logged())
 
     def read():
@@ -1144,11 +1162,11 @@ def _failing_valency(monkeypatch, k, fail):
         def claims():
             if os.getpid() == caller:
                 reached.wait(50)
-            for ks in runs:
-                if os.getpid() != caller and k in ks:
+            for space in runs:
+                if os.getpid() != caller and k in space.k:
                     reached.set()
                     fail()
-                yield ks
+                yield space
         return run(spec, claims())
     monkeypatch.setattr(search, "_run_group", patched)
 
@@ -1231,18 +1249,19 @@ def test_pass_grouping_changes_no_output(classified, monkeypatch, budget):
     # least three groups, several of them runs of valencies: the same
     # arrays, stage lines, stats and warnings
     monkeypatch.setattr(search, "_PASS_ROWS", budget)
-    groups, leaf = [], _KSpace._leaf
+    groups = []
 
-    def spy(self, at, live, tree, kills):
+    def spy(leaf, self, at, live, held, tree, kills):
         groups.append((self.spec.a_pattern, len(set(live[0].tolist()))))
-        return leaf(self, at, live, tree, kills)
+        return leaf(self, at, live, held, tree, kills)
 
-    monkeypatch.setattr(_KSpace, "_leaf", spy)
+    walked = _spy_leaf(monkeypatch, spy)
     for D in (4, 5):
         again, before = classify_diameter(D), classified[D]
         assert again.arrays == before.arrays and again.discrepancies == before.discrepancies
         assert [(s.name, s.lines, s.stats) for s in again.stages] == [
             (s.name, s.lines, s.stats) for s in before.stages]
+    assert len(groups) == walked[0] > 0
     main = [n for pattern, n in groups if pattern == "0000+"]
     assert max(n for _pattern, n in groups) == 1 if budget == 0 else (
         len(main) >= 3 and max(main) > 1)
