@@ -11,38 +11,39 @@ subtrees as soon as a prefix is doomed:
 * k_i = k_{i-1} b_{i-1} / c_i must stay integral.
 
 The walk takes one numpy pass per level over a run of consecutive valencies,
-k a row column: np.repeat expands every live prefix into its options, in walk
-order, the level's prunings read only the columns they test, and one index
-array keeps the options that pass, each kill counting every array below the
-option, at the option's valency, from completion counts indexed by each
-level's option list and built once per run, so the statistics cover the full
-search space at array granularity.  A level expands the prefixes of whole
-valencies in groups of at most _PASS_ROWS options (or one valency's), each
-walked down to the leaf before the next.  A row keeps its parent's index at
-each level, and tr(L^2), k_i and the Sturm minors of L at the cut ratio*k
-advance by one recurrence step per level, for the options kept; at the leaf
-(b_D = 0, a_D = k - c_D) k-integrality reads the (prefix, c_D) pairs alone,
-and on the options it keeps the trace identity (k^2 + (ratio*k)^2 <= tr(L^2))
-and the exact Sturm count (theta_min <= ratio*k) decide; the columns of the
-rows kept are gathered once and go, as the last cut, through one batched
-float screen of the Biggs multiplicities per leaf group (see _screen), which
-decides at theta_min first and sends to eigvalsh only the rows it leaves
-undecided or integral-looking there; each row's verdict is its own, whatever
-its batch.  A run holds the valencies of one dtype: int64, or Python ints
-where an a-priori bound on the valency's values reaches 2^63.  Only the rows
-the screen keeps become arrays.  Each array's enabled checks are decided one
-at a time in DEFAULT_CHECKS order (feasibility.ArrayChecks), and the first
-that fails kills it, so a c2_bound or a1_zero failure at the array's own
-theta_min counts even where the walk's cuts at ratio*k let it through.
-theta_min alone serves the checks that read only theta_min, and theta_min's
-multiplicity, where it is not integral, fails multiplicity_integrality before
-the rest of the spectrum is isolated; a survivor gets one full_report built
-on what its checks found, and keeps it.  Each valency keeps its own results
-and statistics; with jobs > 1, on a space of at least _FORK_ARRAYS arrays,
-the caller and up to jobs - 1 forked children claim runs of up to 8 valencies
-one at a time, largest first, from a shared counter, and the parts merge in
-valency order, so no output depends on process count or on how the valencies
-are grouped.
+k a row column: np.repeat expands every live prefix into its options, in
+walk order, and the level's prunings test only the columns they read and
+keep the options that pass by one index array, each kill counting every
+array below the option, at the option's valency, from
+completion counts indexed by each level's option list and built once per
+run, so the statistics cover the full search space at array granularity.  A
+level expands the prefixes of whole valencies in groups of at most
+_PASS_ROWS options (or one valency's), each walked down to the leaf before
+the next.  A row keeps its parent's index at each level, and tr(L^2), k_i and
+the Sturm minors of L at the cut ratio*k advance by one recurrence step per
+level for the options kept; at the leaf (b_D = 0, a_D = k - c_D)
+k-integrality reads the (prefix, c_D) pairs alone, and on the options it
+keeps the trace identity (k^2 + (ratio*k)^2 <= tr(L^2)) and the exact Sturm
+count (theta_min <= ratio*k) decide, and the columns of the rows kept are
+gathered once and go, as the leaf's last cut,
+through one batched float screen of the Biggs multiplicities per leaf group
+(see _screen), which decides at theta_min first and sends to eigvalsh only
+the rows it leaves undecided or integral-looking there; each row's verdict
+is its own, whatever its batch.  A run holds the valencies of one dtype:
+int64, or Python ints where an a-priori bound on the valency's values
+reaches 2^63.  Only the rows the screen keeps become arrays.  Each array's
+enabled checks are decided one at a time in DEFAULT_CHECKS order
+(feasibility.ArrayChecks), and the first that fails kills it, so a c2_bound
+or a1_zero failure at the array's own theta_min counts even where the
+walk's cuts at ratio*k let it through.  theta_min alone serves the checks
+that read only theta_min, and theta_min's multiplicity, where it is not
+integral, fails multiplicity_integrality before the rest of the spectrum is
+isolated; a survivor gets one full_report built on what its checks found,
+and keeps it.  Each valency keeps its own results and statistics; with
+jobs > 1, on a space of at least _FORK_ARRAYS arrays, the caller and up to
+jobs - 1 forked children claim runs of up to 8 valencies one at a time,
+largest first, from a shared counter, and the parts merge in valency order,
+so no output depends on process count or on how the valencies are grouped.
 
 classify_diameter runs the paper's stages in one loop: k <= 4, the a_2, a_3
 and (D = 5) a_4 exclusions under their derived caps, and the main space.
@@ -456,9 +457,8 @@ class _KSpace:
 
     def _cut(self, kills, held, vr, cuts):
         """The places of the rows (at valency places vr) that pass each cut,
-        (name, fails) in order, and each valency's rows then, from held: a
-        cut's kills, one array each, are what it takes from each valency's
-        rows (one np.bincount of those it keeps)."""
+        (name, fails) in order, and each valency's rows then, from held: each
+        kill counts one array (one np.bincount of the rows a cut keeps)."""
         ok, keep = np.ones(len(vr), bool), slice(None)
         for name, fails in cuts:
             ok &= ~fails

@@ -509,6 +509,27 @@ def test_level_pass_stays_exact_past_int64(q, dtypes):
     assert killed["theta_ratio"] and killed["trace_vs_ratio"] and survivors
 
 
+def test_leaf_tallies_per_valency_on_python_ints():
+    # at q = 1000 every valency of the space above runs on Python ints, so
+    # the leaf's int64 np.bincount counts are added into object tallies:
+    # each valency's k_integrality, trace_vs_ratio and theta_ratio kills and
+    # its kept rows are those of _reference_cuts and of a naive enumeration
+    # at that valency alone, and every count is a Python int
+    q = 1000
+    spec = _with_cuts(SearchSpec(4, 5, 12, "000+", (1, 2), Fraction(1 - 3 * q, 4 * q)),
+                      ("trace_vs_ratio", "theta_ratio"))
+    space, seen = _KSpace(spec, range(5, 13)), set()
+    assert space.dtype is object
+    for k, rows, stats in space.run():
+        one = replace(spec, k_min=k, k_max=k)
+        rows = [(tuple(row[:4]), tuple(row[4:])) for row in rows.tolist()]
+        assert (stats.killed, rows) == _reference_cuts(one) == _naive_kills(
+            _naive_space(one), WALK_CHECKS), k
+        assert all(type(n) is int for n in stats.killed.values())
+        seen |= set(stats.killed)
+    assert seen >= {"k_integrality", "trace_vs_ratio", "theta_ratio"}
+
+
 def test_completion_counts_keep_a_zero_pattern_on_int64():
     # b_i = k - c_i wherever a_i = 0, so the D = 4 main space's completion
     # counts stay far below 2^63 at k = 600, where C(604, 4)^2 would not
@@ -1132,6 +1153,28 @@ def test_no_more_children_than_valencies(monkeypatch, tmp_path):
     assert len(children) == 1
     _each_valency_once(walks, children)
     assert multiprocessing.active_children() == []
+
+
+def test_a_space_walked_in_process_is_built_once(monkeypatch):
+    # at jobs = 2 the D = 4 main space (13,671 arrays) stays in process: its
+    # largest share, k = 29..35, and the valencies below it, 5..28, are
+    # counted as two _KSpace runs, and the walk takes those two, building
+    # none again; at jobs = 1 its one dtype run is one _KSpace.  The output
+    # is the same
+    built, children = [], _recorded_children(monkeypatch)
+
+    class Counted(_KSpace):
+        def __init__(self, spec, ks):
+            built.append(list(ks))
+            super().__init__(spec, ks)
+
+    monkeypatch.setattr(search, "_KSpace", Counted)
+    serial = enumerate_arrays(D4_SPEC)
+    assert built == [list(range(5, 36))]
+    built.clear()
+    par = enumerate_arrays(D4_SPEC, jobs=2)
+    assert built == [list(range(29, 36)), list(range(5, 29))] and children == []
+    assert (par.survivors, par.stats) == (serial.survivors, serial.stats)
 
 
 # two runs: 13..16, 5..12; far below _FORK_ARRAYS, so each test that forks for
