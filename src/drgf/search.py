@@ -443,6 +443,7 @@ class _KSpace:
         valency's) that the trace and Sturm cuts keep, gathered up the tree,
         less those the float screen kills (see _cut)."""
         vr, c, tr, alternate, Q = live[0], live[1], live[4], live[7], self._Q
+        # k^2 + cut^2 <= tr(L^2), times Q^2; D + 1 sign changes: no eigenvalue <= cut
         cuts = [("trace_vs_ratio", self._trace_lhs[vr] > tr * (Q * Q)), ("theta_ratio", alternate)]
         keep, held = self._cut(kills, held, vr, [cut for cut in cuts if cut[0] in self._on])
         cols, rows, vr, c = [], at[keep], vr[keep], c[keep]  # b_1, c_1, .., c_{D-1} of the rows
@@ -623,11 +624,10 @@ def enumerate_arrays(spec: SearchSpec, jobs: int = 1) -> ClassificationResult:
     counter (a multiprocessing.Value; a process's first costs about 7 ms),
     one process per run at most; the results merge in valency order, as in
     process.  Any other space is walked in process whatever jobs is, on the
-    spaces that counted it where jobs > 1.  A
-    child's exception is raised here, and a child that exits without
-    sending, even holding the counter's lock, raises RuntimeError naming its
-    exit code.  Every child is joined on every path, terminated first if
-    alive."""
+    spaces that counted it where jobs > 1.  A child's exception is raised
+    here, and a child that exits without sending, even holding the
+    counter's lock, raises RuntimeError naming its exit code.  Every child
+    is joined on every path, terminated first if alive."""
     ks = range(spec.k_min, spec.k_max + 1)
     runs = _shares(spec, ks) if jobs > 1 else []
     spaces = (_in_process(spec, runs) if len(runs) > 1
