@@ -10,7 +10,7 @@ subtrees as soon as a prefix is doomed:
   at theta = ratio*k where the bound is largest, is impossible;
 * k_i = k_{i-1} b_{i-1} / c_i must stay integral.
 
-The walk takes one numpy pass per level over a run of consecutive valencies,
+The walk takes one numpy pass per level over a run of increasing valencies,
 k a row column: np.repeat expands every live prefix into its options, in
 walk order, and the level's prunings test only the columns they read and
 keep the options that pass by one index array, each kill counting every
@@ -40,10 +40,10 @@ that read only theta_min, and theta_min's multiplicity, where it is not
 integral, fails multiplicity_integrality before the rest of the spectrum is
 isolated; a survivor gets one full_report built on what its checks found,
 and keeps it.  Each valency keeps its own results and statistics; with
-jobs > 1, on a space of at least _FORK_ARRAYS arrays, the caller and up to
-jobs - 1 forked children claim runs of up to 8 valencies one at a time,
-largest first, from a shared counter, and the parts merge in valency order,
-so no output depends on process count or on how the valencies are grouped.
+jobs > 1, on a space of at least _FORK_ARRAYS arrays, its valencies are
+dealt by their array counts to the caller and up to jobs - 1 forked
+children (see _shares), and the parts merge in valency order, so no output
+depends on process count or on how the valencies are grouped.
 
 classify_diameter runs the paper's stages in one loop: k <= 4, the a_2, a_3
 and (D = 5) a_4 exclusions under their derived caps, and the main space.
@@ -78,19 +78,20 @@ ZERO, NONZERO, FREE = "0", "+", "*"
 # values fall through to the exact spectrum.
 SCREEN_MARGIN = 1e-4
 
-# The level pass expands the prefixes of consecutive valencies together, up to
+# The level pass expands the prefixes of a run's valencies together, up to
 # this many options at a level: numpy's per-call cost is spread over a run of
 # valencies while the pass's columns stay near a megabyte.
 _PASS_ROWS = 1 << 14
 
 # enumerate_arrays forks only for a space of at least this many arrays, as a
 # forked child costs about 10 ms whatever it walks.  Wall ms of jobs=1 against
-# a forking jobs=2, in process on 2 cores, medians of 20: the D = 4 main space
-# (000+, -3/4) to k = 35, 13,671 arrays, 7.2 against 20.3; to k = 70, 111,881,
-# 10.9 against 18.8; the D = 5 a_4 space, 261,076, 20.0 against 23.4; the
-# D = 5 main space (0000+, -4/5) to k = 44, 312,160, 30.6 against 27.9; to
-# k = 71, 2,117,200, 80.0 against 57.5.  A D = 4 space still forks at a loss
-# somewhat past it (k = 110, 437,621: 25.0 against 29.0).
+# a forking jobs=2, in process on 2 cores, medians of 40 alternating pairs: the
+# D = 4 main space (000+, -3/4) to k = 35, 13,671 arrays, 3.9 against 13.2; to
+# k = 70, 111,881, 7.2 against 18.0; to k = 110, 437,621, 16.4 against 16.5;
+# to k = 140, 904,876, 26.1 against 22.9; the D = 5 a_4 space, 261,076, 12.0
+# against 13.6; the D = 5 main space (0000+, -4/5) to k = 44, 312,160, 15.9
+# against 20.3; to k = 71, 2,117,200, 45.0 against 34.6.  So a space just past
+# it still forks at a loss, and one of about a million arrays gains.
 _FORK_ARRAYS = 300_000
 
 DEFAULT_CHECKS = ("a1_zero", "c2_bound", "k_integrality", "trace_vs_ratio",
@@ -257,8 +258,9 @@ def _c2_cap(spec: SearchSpec, k: int) -> int | None:
 
 
 class _KSpace:
-    """The search space at a run of consecutive valencies of one dtype (see
-    _dtype), decided one level at a time (see run)."""
+    """The search space at a run of increasing valencies of one dtype (see
+    _dtype), consecutive or not (a dealt share's), decided one level at a
+    time (see run)."""
 
     def __init__(self, spec: SearchSpec, ks):
         self.spec, self.k = spec, np.asarray(ks, np.int64)
@@ -358,7 +360,7 @@ class _KSpace:
         test, and one index array keeps the options that pass: only they are
         gathered and advance tr(L^2), k_l b_l and the Sturm minors at the cut
         by one step (see _step and, at the leaf, _leaf).  A level expands the
-        prefixes of consecutive whole valencies together, up to _PASS_ROWS
+        prefixes of whole valencies of the run together, up to _PASS_ROWS
         options or one valency's, and walks each such group down to the leaf
         before the next, so a valency is done when its leaf group is."""
         n, done = len(self.k), 0
@@ -568,100 +570,76 @@ def _run_group(spec: SearchSpec, spaces) -> list:
     return parts
 
 
-def _claims(runs, counter, stalled=lambda: None) -> Iterator[list]:
-    """The runs that this process claims in turn from the shared counter, its lock held
-    for the read and the increment; stalled() runs while a holder keeps it past 0.1 s."""
-    lock = counter.get_lock()
-    while True:
-        while not lock.acquire(timeout=0.1):
-            stalled()
-        i, counter.value = counter.value, counter.value + 1
-        lock.release()
-        if i >= len(runs):
-            return
-        yield runs[i]
-
-
-def _send_share(conn, spec: SearchSpec, runs, counter) -> None:
-    """A child's share: send (True, the parts of what it claims) or (False, the exception)."""
+def _send_share(conn, spec: SearchSpec, share) -> None:
+    """A child's share of valencies: send (True, their parts) or (False, the exception)."""
     try:
-        conn.send((True, _run_group(spec, map(partial(_KSpace, spec), _claims(runs, counter)))))
+        conn.send((True, _run_group(spec, map(partial(_KSpace, spec), _dtype_runs(spec, share)))))
     except Exception as exc:
         conn.send((False, exc))
 
 
 def _dtype_runs(spec: SearchSpec, ks) -> list[list[int]]:
-    """The valencies of ks of each dtype, as one run each."""
+    """The valencies of ks (increasing) of each dtype, as one run each."""
     return [list(run) for _dt, run in itertools.groupby(ks, lambda k: _dtype(spec, k))]
 
 
-def _shares(spec: SearchSpec, ks) -> list[list[int]]:
-    """The runs that processes claim: each dtype's valencies in runs of 8,
-    the largest valencies first.  A run's cost rises steeply with k, so the
-    small runs claimed last even out the processes' loads."""
-    return [run[i:i + 8] for run in _dtype_runs(spec, ks) for i in range(0, len(run), 8)][::-1]
-
-
-def _in_process(spec: SearchSpec, shares) -> list[_KSpace] | None:
-    """The _KSpace runs that count the arrays of shares (see _shares), its
-    largest first and, where that falls short, the rest in their dtype runs,
-    to be walked in process; None where they reach _FORK_ARRAYS."""
-    spaces = []
-    for runs in (shares[:1], _dtype_runs(spec, range(spec.k_min, shares[0][0]))):
-        spaces += map(partial(_KSpace, spec), runs)
-        if sum(sum(space._generated.tolist()) for space in spaces) >= _FORK_ARRAYS:
-            return None
-    return spaces
+def _shares(spaces, jobs: int) -> list[list[int]]:
+    """The valencies of the _KSpace runs spaces, dealt to min(jobs, valencies)
+    shares, each increasing: largest array count first (the larger valency
+    first on a tie), each to the share of fewest arrays so far, then of
+    fewest valencies, then the first (Graham's LPT rule).  So no share is
+    empty, and no share's count passes another's by more than the largest
+    valency count."""
+    counts = sorted(((n, k) for space in spaces
+                     for k, n in zip(space.k.tolist(), space._generated.tolist())), reverse=True)
+    shares = [(0, []) for _ in range(min(jobs, len(counts)))]  # (arrays, valencies)
+    for n, k in counts:
+        i = min(range(len(shares)), key=lambda i: (shares[i][0], len(shares[i][1])))
+        shares[i] = (shares[i][0] + n, shares[i][1] + [k])
+    return [sorted(ks) for _n, ks in shares]
 
 
 def enumerate_arrays(spec: SearchSpec, jobs: int = 1) -> ClassificationResult:
     """Exhaust the search space; deterministic output order (k, c-sequence).
 
-    In process each dtype's valencies are one run.  With jobs > 1, a space
-    of more than one run of _shares and at least _FORK_ARRAYS arrays is
-    walked by the caller and up to jobs - 1 forked children, which claim the
-    runs of _shares one at a time, largest valencies first, from a shared
-    counter (a multiprocessing.Value; a process's first costs about 7 ms),
-    one process per run at most; the results merge in valency order, as in
-    process.  Any other space is walked in process whatever jobs is, on the
-    spaces that counted it where jobs > 1.  A child's exception is raised
-    here, and a child that exits without sending, even holding the
-    counter's lock, raises RuntimeError naming its exit code.  Every child
-    is joined on every path, terminated first if alive."""
-    ks = range(spec.k_min, spec.k_max + 1)
-    runs = _shares(spec, ks) if jobs > 1 else []
-    spaces = (_in_process(spec, runs) if len(runs) > 1
-              else map(partial(_KSpace, spec), _dtype_runs(spec, ks)))
-    jobs = 1 if spaces is not None else min(jobs, len(runs))
-    pipes, parts = {}, []  # pipes: read end -> child, until read
-
-    def receive(timeout=None):  # the parts of each child whose pipe is ready in time
-        for recv in multiprocessing.connection.wait(list(pipes), timeout):  # loaded by Pipe
+    Each dtype's valencies are one _KSpace run, whose completion counts give
+    each valency's arrays before any walk.  Where jobs > 1 and the space
+    holds at least _FORK_ARRAYS arrays over more than one valency, _shares
+    deals its valencies to min(jobs, valencies) processes by those counts:
+    the caller keeps the first share and forks one child for each other,
+    each process builds the runs of its own share (the caller after the
+    forks) and walks them, and the caller then reads each child's pipe in
+    turn.  Any other space is walked in process on the runs that counted
+    it, as at jobs = 1.  The parts merge in valency order, so no output
+    depends on jobs.  A child's exception is raised here, and a child that
+    exits without sending raises RuntimeError naming its exit code.  Every
+    child is joined on every path, terminated first if alive."""
+    spaces = [_KSpace(spec, run) for run in _dtype_runs(spec, range(spec.k_min, spec.k_max + 1))]
+    forks = jobs > 1 and sum(sum(space._generated.tolist()) for space in spaces) >= _FORK_ARRAYS
+    shares = _shares(spaces, jobs) if forks else []
+    if len(shares) > 1:  # the counting runs are dropped before the forks
+        spaces = map(partial(_KSpace, spec), _dtype_runs(spec, shares[0]))
+    children = []  # (read end, process)
+    try:
+        for share in shares[1:]:
+            recv, send = multiprocessing.Pipe(duplex=False)
+            children.append((recv, multiprocessing.Process(target=_send_share,
+                                                           args=(send, spec, share))))
+            children[-1][1].start()
+            send.close()
+        parts = _run_group(spec, spaces)
+        for recv, child in children:
             try:
                 ok, out = recv.recv()
             except EOFError:  # it died before sending
                 ok, out = False, None
-            (child := pipes.pop(recv)).join()
+            child.join()
             if not ok:
                 raise out or RuntimeError(f"a child exited with code {child.exitcode} "
                                           "before sending its valencies")
-            parts.extend(out)
-
-    try:
-        if jobs > 1:
-            counter = multiprocessing.Value("i", 0)
-            for _ in range(1, jobs):
-                recv, send = multiprocessing.Pipe(duplex=False)
-                pipes[recv] = multiprocessing.Process(target=_send_share,
-                                                      args=(send, spec, runs, counter))
-                pipes[recv].start()
-                send.close()
-            spaces = map(partial(_KSpace, spec), _claims(runs, counter, lambda: receive(0)))
-        parts += _run_group(spec, spaces)
-        while pipes:
-            receive()
+            parts += out
     finally:
-        for child in pipes.values():  # each child read is joined
+        for _recv, child in children:
             child.terminate()  # a no-op once the child has exited
             child.join()
     stats, found = PruningStats(), []

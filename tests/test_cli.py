@@ -291,6 +291,23 @@ def test_theorem2_d4_matches_fixture():
     assert r.stdout == (FIXTURES / "theorem2_d4.txt").read_text()
 
 
+def test_theorem2_d5_jobs2_matches_fixture():
+    # the D = 5 main space (2,117,200 arrays) forks one child at --jobs 2
+    r = subprocess.run([sys.executable, "-m", "drgf", "theorem2", "-d", "5", "--jobs", "2"],
+                       capture_output=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == (FIXTURES / "theorem2_d5.txt").read_bytes()
+
+
+def test_enumerate_d5_json_is_the_same_at_any_jobs():
+    # --jobs 2 and 3 fork one and two children on the main space
+    outs = [subprocess.run([sys.executable, "-m", "drgf", "enumerate", "-d", "5", "--json",
+                            "--jobs", jobs], capture_output=True) for jobs in ("1", "2", "3")]
+    assert [r.returncode for r in outs] == [0, 0, 0]
+    assert outs[0].stdout == outs[1].stdout == outs[2].stdout
+    assert json.loads(outs[0].stdout)["stats"]["generated"] == 2_117_200
+
+
 def test_theorem2_writes_nothing_to_stderr():
     # no warning path is left: a logging warning would reach stderr through
     # Python's last-resort handler

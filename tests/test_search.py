@@ -12,6 +12,7 @@ import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -1051,21 +1052,24 @@ def test_parallel_matches_serial(d4_result, monkeypatch):
 
 
 def test_jobs_change_no_output_or_its_order(monkeypatch):
-    # every odd-girth entry inconclusive: warnings at k = 4..12, in two runs
-    # of valencies, which the processes claim largest first and hold out of
-    # valency order; the merge restores it for the survivors, the kills and
-    # the warnings.  The space is far below _FORK_ARRAYS: patched, it forks
+    # every odd-girth entry inconclusive: warnings at k = 4..12, dealt by
+    # array count to shares that interleave the valencies, and the caller's
+    # parts come before its children's; the merge restores valency order for
+    # the survivors, the kills and the warnings.  The space is far below
+    # _FORK_ARRAYS: patched, it forks
     monkeypatch.setattr(feasibility, "INEQ_PASS_TOL", -1e9)
     monkeypatch.setattr(search, "_FORK_ARRAYS", 0)
     children = _recorded_children(monkeypatch)
     spec = SearchSpec(3, 3, 12, "***", (1, 2), None)
-    assert search._shares(spec, range(3, 13)) == [[11, 12], [*range(3, 11)]]
+    spaces = [_KSpace(spec, range(3, 13))]
+    assert search._shares(spaces, 2) == [[6, 7, 9, 12], [3, 4, 5, 8, 10, 11]]  # 2,538, 2,542 arrays
+    assert search._shares(spaces, 3) == [[3, 6, 12], [4, 5, 8, 11], [7, 9, 10]]
     serial = enumerate_arrays(spec)
     assert {int(w[1:w.index(",")]) for w in serial.stats.warnings} == {*range(4, 13)}
     for jobs in (2, 3):
         children.clear()
         par = enumerate_arrays(spec, jobs=jobs)
-        assert len(children) == 1
+        assert len(children) == jobs - 1
         assert par.survivors == serial.survivors and list(par.reports) == list(serial.reports)
         assert list(par.stats.killed.items()) == list(serial.stats.killed.items())
         assert par.stats.warnings == serial.stats.warnings
@@ -1123,21 +1127,19 @@ def _each_valency_once(walks, children):
 
 def test_no_more_children_than_valencies(monkeypatch, tmp_path):
     # a one-valency space forks no child, a space of fewer than _FORK_ARRAYS
-    # arrays none either, and any other space cut into n runs of up to 8
-    # valencies forks min(jobs, n) - 1, the caller claiming runs too: here k
-    # in [5, 30] makes four runs, 8,541 arrays in all, which fork once the
-    # crossover is patched below them; in classify_diameter(5, jobs=2) only
-    # the main space (2,117,200 arrays) forks, one child, while the a_4
-    # space (261,076) and the k <= 4 and a_3 spaces stay in process.
-    # However the claims fall, every valency is walked once across the
+    # arrays none either, and any other space of n valencies forks
+    # min(jobs, n) - 1, the caller walking the first share: here k in
+    # [5, 30], 8,541 arrays, forks once the crossover is patched down to
+    # them, and k in [29, 30] forks one child at jobs = 8; in
+    # classify_diameter(5, jobs=2) only the main space (2,117,200 arrays)
+    # forks, one child, while the a_4 space (261,076) and the k <= 4 and a_3
+    # spaces stay in process.  Every valency is walked once across the
     # processes
     children, walks = _recorded_children(monkeypatch), _walks(monkeypatch, tmp_path)
     enumerate_arrays(SearchSpec(5, 5, 5, "000+*", (1, 2), Fraction(-4, 5)), jobs=2)
     assert children == []
     _each_valency_once(walks, children)
     spec = SearchSpec(4, 5, 30, "000+", (1, 2), Fraction(-3, 4))
-    assert search._shares(spec, range(5, 31)) == [[29, 30], [*range(21, 29)],
-                                                   [*range(13, 21)], [*range(5, 13)]]
     assert enumerate_arrays(spec).stats.generated == 8_541 < search._FORK_ARRAYS
     _each_valency_once(walks, children)
     enumerate_arrays(spec, jobs=8)
@@ -1145,10 +1147,18 @@ def test_no_more_children_than_valencies(monkeypatch, tmp_path):
     _each_valency_once(walks, children)
     with monkeypatch.context() as patch:
         patch.setattr(search, "_FORK_ARRAYS", 8_541)
-        enumerate_arrays(spec, jobs=8)
-    assert len(children) == min(8, 4) - 1
-    _each_valency_once(walks, children)
-    children.clear()
+        enumerate_arrays(spec, jobs=3)
+        assert len(children) == min(3, 26) - 1
+        _each_valency_once(walks, children)
+        children.clear()
+        patch.setattr(search, "_FORK_ARRAYS", 0)
+        enumerate_arrays(replace(spec, k_min=29), jobs=8)
+        assert len(children) == min(8, 2) - 1
+        _each_valency_once(walks, children)
+        children.clear()
+        enumerate_arrays(replace(spec, k_min=30), jobs=8)
+        assert children == []
+        _each_valency_once(walks, children)
     classify_diameter(5, jobs=2)
     assert len(children) == 1
     _each_valency_once(walks, children)
@@ -1156,11 +1166,14 @@ def test_no_more_children_than_valencies(monkeypatch, tmp_path):
 
 
 def test_a_space_walked_in_process_is_built_once(monkeypatch):
-    # at jobs = 2 the D = 4 main space (13,671 arrays) stays in process: its
-    # largest share, k = 29..35, and the valencies below it, 5..28, are
-    # counted as two _KSpace runs, and the walk takes those two, building
-    # none again; at jobs = 1 its one dtype run is one _KSpace.  The output
-    # is the same
+    # below _FORK_ARRAYS a space is walked in process at any jobs, on the
+    # _KSpace runs that counted it, which are those of jobs = 1: one per
+    # dtype run, for the D = 4 main space (13,671 arrays) 5..35, for the
+    # q = 100 space of test_level_pass_stays_exact_past_int64 5..8 on int64
+    # and 9..12 on Python ints.  A space that forks is counted on the same
+    # runs, and the caller then builds the runs of its own share alone, here
+    # of both dtypes at q = 100 (its child's share, 5, 8, 10, 11, too).  The
+    # output is the same
     built, children = [], _recorded_children(monkeypatch)
 
     class Counted(_KSpace):
@@ -1169,16 +1182,80 @@ def test_a_space_walked_in_process_is_built_once(monkeypatch):
             super().__init__(spec, ks)
 
     monkeypatch.setattr(search, "_KSpace", Counted)
-    serial = enumerate_arrays(D4_SPEC)
-    assert built == [list(range(5, 36))]
-    built.clear()
-    par = enumerate_arrays(D4_SPEC, jobs=2)
-    assert built == [list(range(29, 36)), list(range(5, 29))] and children == []
-    assert (par.survivors, par.stats) == (serial.survivors, serial.stats)
+    q100 = replace(D4_SPEC, k_max=12, theta_ratio=Fraction(-299, 400))
+    for spec, runs, share in (
+            (D4_SPEC, [[*range(5, 36)]], [[5, 6, 8, 11, 13, 14, 16, 19, 21, 22, 24, 27, 29, 30,
+                                           32, 35]]),
+            (q100, [[5, 6, 7, 8], [9, 10, 11, 12]], [[6, 7], [9, 12]])):
+        serial, par = enumerate_arrays(spec), enumerate_arrays(spec, jobs=2)
+        assert built == runs + runs and children == []
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_FORK_ARRAYS", 0)
+            forked = enumerate_arrays(spec, jobs=2)
+        assert built == runs * 3 + share and len(children) == 1
+        built.clear()
+        children.clear()
+        assert serial.stats.survivors
+        for out in (par, forked):
+            assert (out.survivors, list(out.reports), out.stats) == (
+                serial.survivors, list(serial.reports), serial.stats)
 
 
-# two runs: 13..16, 5..12; far below _FORK_ARRAYS, so each test that forks for
-# it patches the crossover to 0
+def _counted(*runs):
+    """Stand-ins for _KSpace runs, ({k: array count}, ...), for _shares."""
+    return [SimpleNamespace(k=np.array(list(run)), _generated=np.array(list(run.values())))
+            for run in runs]
+
+
+@pytest.mark.parametrize("runs, jobs, shares", [
+    (({5: 0, 6: 0, 7: 0},), 8, [[7], [6], [5]]),
+    (({5: 3, 6: 3}, {7: 3, 8: 3}), 2, [[6, 8], [5, 7]]),
+    (({5: 9, 6: 0}, {7: 0, 8: 0}), 2, [[5], [6, 7, 8]]),
+    (({5: 1, 6: 2, 7: 4}, {8: 8, 9: 8}), 3, [[9], [8], [5, 6, 7]]),
+], ids=["all zero", "ties", "zeros", "LPT"])
+def test_shares_deal_largest_first_to_the_least_loaded(runs, jobs, shares):
+    # a tie in count goes to the share of fewer valencies, so a valency of
+    # no arrays still fills an empty share
+    assert search._shares(_counted(*runs), jobs) == shares
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 50), min_size=1, max_size=30), st.integers(1, 6))
+def test_no_dealt_share_is_empty(counts, jobs):
+    # min(jobs, valencies) shares, increasing, that partition the valencies,
+    # none empty, and none of more arrays than another's plus the largest
+    # valency count (the share last dealt to was the least loaded then)
+    runs = _counted({5 + i: n for i, n in enumerate(counts)})
+    shares = search._shares(runs, jobs)
+    assert len(shares) == min(jobs, len(counts)) and all(shares)
+    assert sorted(k for share in shares for k in share) == list(range(5, 5 + len(counts)))
+    assert all(share == sorted(share) for share in shares)
+    loads = [sum(counts[k - 5] for k in share) for share in shares]
+    assert max(loads) - min(loads) <= max(counts)
+
+
+@pytest.mark.parametrize("spec", [
+    _with_cuts(SearchSpec(4, 5, 20, "0*+*", (1, 2), Fraction(-2, 3)), ("trace_vs_ratio", "theta_ratio")),
+    _with_cuts(SearchSpec(4, 5, 20, "000+", (1, 2), Fraction(-2999, 4000)),
+               ("trace_vs_ratio", "theta_ratio")),
+], ids=["int64", "object"])
+def test_a_dealt_share_walks_each_valency_as_alone(spec):
+    # a dealt share holds increasing valencies with gaps: each valency's
+    # rows, their order and its stats are those of a one-valency run, on
+    # int64 and on Python ints (every valency of the second space)
+    space = _KSpace(spec, [5, 8, 9, 13, 20])
+    assert space.dtype is (np.int64 if "*" in spec.a_pattern else object)
+    walked = list(space.run())
+    assert [k for k, _rows, _stats in walked] == [5, 8, 9, 13, 20]
+    for k, rows, stats in walked:
+        [(_k, alone, alone_stats)] = _KSpace(spec, [k]).run()
+        assert (rows.tolist(), stats) == (alone.tolist(), alone_stats), k
+    assert sum(len(rows) for _k, rows, _stats in walked) > 50
+
+
+# shares 5, 8, 10, 11, 13, 16 (the caller's) and 6, 7, 9, 12, 14, 15 at
+# jobs = 2; far below _FORK_ARRAYS, so each test that forks for it patches the
+# crossover to 0
 SMALL_SPEC = SearchSpec(4, 5, 16, "000+", (1, 2), Fraction(-3, 4))
 
 
@@ -1196,21 +1273,17 @@ def no_hang():
 
 def _failing_valency(monkeypatch, k, fail):
     """Patch _run_group, before any fork, so that a child calls fail() when
-    it claims the run of valency k; every other run goes as usual.  The
-    caller claims nothing until then, so a child claims k whatever the
-    timing."""
-    run, caller, reached = search._run_group, os.getpid(), multiprocessing.Event()
+    it reaches the run of its share that holds valency k; every other run
+    goes as usual."""
+    run, caller = search._run_group, os.getpid()
 
     def patched(spec, runs):
-        def claims():
-            if os.getpid() == caller:
-                reached.wait(50)
+        def failing():
             for space in runs:
                 if os.getpid() != caller and k in space.k:
-                    reached.set()
                     fail()
                 yield space
-        return run(spec, claims())
+        return run(spec, failing())
     monkeypatch.setattr(search, "_run_group", patched)
 
 
@@ -1245,26 +1318,6 @@ def test_an_exception_in_the_callers_share_terminates_the_child(monkeypatch, no_
 def test_a_child_that_exits_without_sending_raises(monkeypatch, no_hang):
     monkeypatch.setattr(search, "_FORK_ARRAYS", 0)
     _failing_valency(monkeypatch, 6, lambda: os._exit(3))
-    with pytest.raises(RuntimeError, match="exited with code 3 before sending"):
-        enumerate_arrays(SMALL_SPEC, jobs=2)
-    assert multiprocessing.active_children() == []
-
-
-def test_a_child_that_dies_holding_the_claim_lock_raises(monkeypatch, no_hang):
-    monkeypatch.setattr(search, "_FORK_ARRAYS", 0)
-    # the child exits inside a claim, so the counter's lock is never
-    # released; the caller, whose next claim waits for the lock, finds the
-    # child gone within the alarm instead of waiting for ever
-    claims, caller, held = search._claims, os.getpid(), multiprocessing.Event()
-
-    def patched(runs, counter, *args):
-        if os.getpid() != caller:
-            counter.get_lock().acquire()
-            held.set()
-            os._exit(3)
-        held.wait(50)
-        return claims(runs, counter, *args)
-    monkeypatch.setattr(search, "_claims", patched)
     with pytest.raises(RuntimeError, match="exited with code 3 before sending"):
         enumerate_arrays(SMALL_SPEC, jobs=2)
     assert multiprocessing.active_children() == []
