@@ -2,9 +2,14 @@
 
 Exit codes: 0 success (and, for verdict-producing commands, a pass),
 1 semantic failure (feasibility fail, classification discrepancy, oracle
-disagreement), 2 usage or parse errors (an unreadable or unwritable file
-included), 3 an inconclusive feasibility report (no check fails, but at
-least one could not be decided).
+disagreement), 2 usage or parse errors, 3 an inconclusive feasibility report
+(no check fails, but at least one could not be decided).
+
+Each subcommand names its usage errors, which main alone turns into one
+`error: ...` line and exit 2: check ArrayFormatError; enumerate
+SearchSpecError, CapDerivationError, OSError and JSONDecodeError; theorem2
+SearchSpecError; bound BoundError; verify OracleError and OSError.  Any other
+exception propagates.
 """
 
 from __future__ import annotations
@@ -61,11 +66,7 @@ def _nstr(x, digits: int = 10) -> str:
 # ---------------------------------------------------------------- check
 
 def cmd_check(args) -> int:
-    try:
-        arr = parse_array(args.array)
-    except ArrayFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    arr = parse_array(args.array)
     rep = full_report(arr, theta_ratio=args.theta_ratio)
     if args.json:
         print(json.dumps(rep.to_json_dict()))
@@ -101,13 +102,8 @@ def _spec_from_args(args) -> search.SearchSpec:
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        spec = _spec_from_args(args)
-        out = open(args.csv, "w", newline="") if args.csv else None  # fail before the run
-    except (search.SearchSpecError, search.CapDerivationError, OSError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = _spec_from_args(args)
+    out = open(args.csv, "w", newline="") if args.csv else None  # fail before the run
     result = search.enumerate_arrays(spec, jobs=args.jobs)
     rows = []
     for arr in result.survivors:
@@ -143,11 +139,7 @@ def cmd_enumerate(args) -> int:
 # ------------------------------------------------------------- theorem2
 
 def cmd_theorem2(args) -> int:
-    try:
-        result = search.classify_diameter(args.diameter, jobs=args.jobs)
-    except search.SearchSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    result = search.classify_diameter(args.diameter, jobs=args.jobs)
     if args.json:
         print(json.dumps({
             "D": result.D,
@@ -177,19 +169,15 @@ def cmd_theorem2(args) -> int:
 
 def cmd_bound(args) -> int:
     g = args.girth
-    try:
-        if args.table:
-            if args.zeta is not None:
-                raise bound.BoundError("--zeta goes with --girth, not --table")
-            rows = bound.bound_table(*args.table, args.mode)
-            print("g,zeta_star,epsilon1,theta_over_k")
-            for gg, z, e, th in rows:
-                print(f"{gg},{_nstr(z)},{_nstr(e)},{_nstr(th)}")
-            return EXIT_OK
-        params = bound.epsilon1(g, args.mode, zeta=args.zeta)
-    except bound.BoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.table:
+        if args.zeta is not None:
+            raise bound.BoundError("--zeta goes with --girth, not --table")
+        rows = bound.bound_table(*args.table, args.mode)
+        print("g,zeta_star,epsilon1,theta_over_k")
+        for gg, z, e, th in rows:
+            print(f"{gg},{_nstr(z)},{_nstr(e)},{_nstr(th)}")
+        return EXIT_OK
+    params = bound.epsilon1(g, args.mode, zeta=args.zeta)
     print(f"odd girth g = {g} (t = {params.t}), mode = {params.mode}")
     star = " (zeta*)" if args.zeta is None else ""
     print(f"zeta = {_nstr(params.zeta)}{star}")
@@ -211,24 +199,18 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
-    try:
-        g = oracle.build(args.graph)
-        if args.export:
-            g.write_edge_list(args.export)
-        print(f"graph {g.name}: {g.n} vertices, {len(g.edges)} edges")
-        if g.n > oracle.DENSE_MAX_VERTICES:  # before the BFS passes, which would run in vain
-            raise oracle.OracleError("graph too large for the dense oracle")
-        arr, witness = oracle.verify_distance_regular(g)
-        if arr is None:
-            print(f"not distance-regular: witness (x, y, i) = {witness}")
-            return EXIT_FAIL
-        print(f"intersection array (BFS): {format_array(arr)}")
-        og = oracle.odd_girth_bruteforce(g)
-        print(f"odd girth (BFS): {og}")
-        vals, mults = oracle.spectrum_bruteforce(g)
-    except (oracle.OracleError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = oracle.build(args.graph)
+    if args.export:
+        g.write_edge_list(args.export)
+    print(f"graph {g.name}: {g.n} vertices, {len(g.edges)} edges")
+    arr, witness = oracle.verify_distance_regular(g)
+    if arr is None:
+        print(f"not distance-regular: witness (x, y, i) = {witness}")
+        return EXIT_FAIL
+    print(f"intersection array (BFS): {format_array(arr)}")
+    og = oracle.odd_girth_bruteforce(g)
+    print(f"odd girth (BFS): {og}")
+    vals, mults = oracle.spectrum_bruteforce(g)
     print("spectrum (dense): " + ", ".join(
         f"{v:.6f}^{m}" for v, m in zip(vals, mults)))
 
@@ -266,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--theta-ratio", type=_fraction, default=None,
                    help="also require theta_min <= RATIO * k (e.g. --theta-ratio=-3/4)")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, usage_errors=ArrayFormatError)
 
     p = sub.add_parser("enumerate", help="exhaust a search space of arrays")
     p.add_argument("--spec", help="JSON search-spec file")
@@ -281,13 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", help="write survivors to a CSV file")
-    p.set_defaults(func=cmd_enumerate)
+    p.set_defaults(func=cmd_enumerate, usage_errors=(
+        search.SearchSpecError, search.CapDerivationError, OSError, json.JSONDecodeError))
 
     p = sub.add_parser("theorem2", help="reproduce the diameter-4/5 classification")
     p.add_argument("--diameter", "-d", type=int, required=True)
     p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_theorem2)
+    p.set_defaults(func=cmd_theorem2, usage_errors=search.SearchSpecError)
 
     p = sub.add_parser("bound", help="odd-girth smallest-eigenvalue bound")
     what = p.add_mutually_exclusive_group(required=True)
@@ -297,18 +280,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=_fraction, default=None,
                    help="branch parameter in [0, 1/2]; default zeta*")
     p.add_argument("--mode", default=bound.MODE_GENERAL, choices=bound.MODES)
-    p.set_defaults(func=cmd_bound)
+    p.set_defaults(func=cmd_bound, usage_errors=bound.BoundError)
 
     p = sub.add_parser("verify", help="brute-force check a named witness graph")
     p.add_argument("graph", help="cycle:N, odd_graph:M, folded_cube:N, coxeter")
     p.add_argument("--export", help="write the edge list to a file")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, usage_errors=(oracle.OracleError, OSError))
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except args.usage_errors as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

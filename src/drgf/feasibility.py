@@ -23,9 +23,9 @@ from functools import cache, cached_property
 from mpmath import mp
 
 from .core import IntersectionArray, format_array
-from .spectral import (DPS, Exact, Spectrum, _minors, _roots, as_mpf, multiplicity,
-                       multiplicity_integral, num_str, spectrum, theta_min_cmp,
-                       trace_of_l_squared, workdps)
+from .spectral import (DPS, Exact, Spectrum, SpectralError, _minors, _roots, as_mpf,
+                       multiplicity, multiplicity_integral, num_str, spectrum,
+                       theta_min_cmp, trace_of_l_squared, workdps)
 
 PASS = "pass"
 FAIL = "fail"
@@ -287,13 +287,13 @@ def full_report(arr: IntersectionArray, theta_ratio: Fraction | None = None,
     """Run the whole battery in deterministic order, reusing what checks,
     an ArrayChecks(arr, theta_ratio), has found already.
 
-    Numerical-precision failures inside a check surface as inconclusive
-    entries rather than exceptions.
+    A spectrum that fails to isolate (SpectralError) surfaces as an
+    inconclusive entry; any other exception propagates.
     """
     checks = ArrayChecks(arr, theta_ratio) if checks is None else checks
     try:
         spec = checks.spectrum
-    except Exception as exc:  # defensive: no spectrum decides no multiplicity
+    except SpectralError as exc:  # no spectrum decides no multiplicity
         return FeasibilityReport(arr, (
             _entry("spectrum", INCONCLUSIVE, error=str(exc)), *_structure_checks(arr),
             _entry("multiplicity_integrality", INCONCLUSIVE, reason="no spectrum")))

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, count
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +20,9 @@ from .core import IntersectionArray
 BIPARTITE = "bipartite"
 CLUSTER_TOL = 1e-7  # spectrum_bruteforce merges eigenvalues closer than this
 DENSE_MAX_VERTICES = 4096  # spectrum_bruteforce's limit: its n x n eigvalsh past it
+# a maker whose count is at least 2^(p-1) caps p here first, so that the
+# count costs nothing to work out: 2^(p-1) is past the dense oracle from it on
+_PAST_DENSE = DENSE_MAX_VERTICES.bit_length() + 1
 
 # Coxeter graph: vertices are the 28 triples from a 7-set that are not lines
 # of a Fano plane (lines {0,1,3}+i mod 7), triples adjacent when disjoint;
@@ -163,9 +167,15 @@ def _graph(name, n, edges) -> Graph:
     return Graph(name, n, tuple(sorted((u, v) if u < v else (v, u) for u, v in edges)))
 
 
+def _dense(vertices: int) -> None:  # each maker's refusal, before it allocates
+    if vertices > DENSE_MAX_VERTICES:
+        raise OracleError("graph too large for the dense oracle")
+
+
 def cycle(n: int) -> Graph:
     if n < 3:
         raise OracleError("cycle needs n >= 3")
+    _dense(n)
     return _graph(f"cycle:{n}", n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -173,6 +183,8 @@ def odd_graph(m: int) -> Graph:
     """Kneser graph on (m-1)-subsets of a (2m-1)-set, adjacency = disjointness."""
     if m < 2:
         raise OracleError("odd_graph needs m >= 2")
+    p = min(m, _PAST_DENSE)
+    _dense(comb(2 * p - 1, p - 1))
     masks = np.array([sum(1 << x for x in t) for t in combinations(range(2 * m - 1), m - 1)])
     order, bits = np.argsort(masks), 1 << np.arange(2 * m - 1)
     # the subsets disjoint from a vertex are its m-set complement less one point
@@ -186,6 +198,7 @@ def folded_cube(n: int) -> Graph:
     """n-cube with antipodal vertices identified; n odd keeps it simple."""
     if n < 3 or n % 2 == 0:
         raise OracleError("folded_cube needs odd n >= 3")
+    _dense(1 << min(n, _PAST_DENSE) - 1)
     half = 1 << (n - 1)  # representatives: words with top bit 0
     w = np.arange(half)[:, None]
     x = w ^ (1 << np.arange(n))
@@ -234,8 +247,7 @@ def spectrum_bruteforce(g: Graph):
     integers summing to n.  Raises ClusteringError when adjacent clusters are
     not separated by at least 10 CLUSTER_TOL.
     """
-    if g.n > DENSE_MAX_VERTICES:
-        raise OracleError("graph too large for the dense oracle")
+    _dense(g.n)
     values, mults = [], []
     for x in np.linalg.eigvalsh(g.adjacency)[::-1]:
         if values and abs(x - values[-1]) < CLUSTER_TOL:

@@ -559,10 +559,8 @@ def _run_group(spec: SearchSpec, spaces) -> list:
                         stats.warnings.append(
                             f"{format_array(arr)}: odd-girth inequality inconclusive")
                 else:
-                    report = full_report(arr, spec.theta_ratio, checks)
-                    if report.spectrum is None:
-                        raise SpectralError(report.checks[0].witness["error"])
-                    survivors.append((arr, report))
+                    checks.spectrum  # a spectrum that fails to isolate raises here
+                    survivors.append((arr, full_report(arr, spec.theta_ratio, checks)))
             except SpectralError as exc:
                 raise SpectralError(f"{format_array(arr)}: {exc}") from exc
         stats.survivors = len(survivors)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -42,13 +43,27 @@ def test_check_without_a_spectrum_exit3(monkeypatch, capsys):
     from drgf import cli, feasibility
     from drgf.spectral import SpectralError
 
-    def broken(arr):
+    def broken(arr, roots=None):
         raise SpectralError("no spectrum")
 
     monkeypatch.setattr(feasibility, "spectrum", broken)
     assert cli.main(["check", "{9,8,7,6;1,2,3,4}"]) == cli.EXIT_INCONCLUSIVE
     out = capsys.readouterr().out
     assert "overall: inconclusive" in out and " fail" not in out
+
+
+def test_check_lets_a_bug_in_the_spectrum_propagate(monkeypatch, capsys):
+    # only a spectrum that fails to isolate reads inconclusive: any other
+    # exception is a bug, neither a verdict nor a usage error
+    from drgf import cli, feasibility
+
+    def broken(arr, roots=None):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(feasibility, "spectrum", broken)
+    with pytest.raises(ZeroDivisionError, match="bug"):
+        cli.main(["check", "{9,8,7,6;1,2,3,4}"])
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("e, c, code, failing", [
@@ -321,6 +336,21 @@ def test_theorem2_bad_diameter_exit2():
     assert run_cli("theorem2", "--diameter", "6").returncode == 2
 
 
+def test_theorem2_lets_a_spectral_error_propagate(monkeypatch, capsys):
+    # theorem2's one usage error is SearchSpecError: a failed spectrum is not
+    # the caller's mistake, so it is not an exit 2
+    from drgf import cli, search
+    from drgf.spectral import SpectralError
+
+    def broken(D, jobs=1):
+        raise SpectralError("no spectrum")
+
+    monkeypatch.setattr(search, "classify_diameter", broken)
+    with pytest.raises(SpectralError, match="no spectrum"):
+        cli.main(["theorem2", "-d", "4"])
+    assert capsys.readouterr().err == ""
+
+
 def test_theorem2_discrepancy_injection(monkeypatch, capsys):
     # without the Coxeter graph in the witness table, its array survives the
     # k <= 4 stage unexpected
@@ -464,17 +494,30 @@ def test_verify_unknown_exit2():
 
 
 def test_verify_past_the_dense_oracle_exit2(capsys, monkeypatch):
-    # odd_graph:8 has 6435 vertices, past the dense oracle's 4096: the graph
-    # line, then one error line and no traceback, with no all-sources BFS
-    # pass run first (build checks connectivity from one vertex only)
+    # odd_graph:8 has 6435 vertices, past the dense oracle's 4096: build
+    # refuses it before it is made, so one error line and no traceback, with
+    # no graph line and no all-sources BFS pass run first
     from drgf import cli, oracle
     passes = []
     monkeypatch.setattr(oracle.Graph, "bfs", property(lambda g: passes.append(g.name)))
     assert cli.main(["verify", "odd_graph:8"]) == cli.EXIT_USAGE
     out, err = capsys.readouterr()
-    assert out == "graph odd_graph:8: 6435 vertices, 25740 edges\n"
+    assert out == ""
     assert err == "error: graph too large for the dense oracle\n"
     assert passes == []
+
+
+@pytest.mark.parametrize("graph", ["folded_cube:41", "odd_graph:1000000", "cycle:300000000"])
+def test_verify_refuses_a_huge_graph_at_once(capsys, graph):
+    # refused before anything is allocated or counted: folded_cube:41 would
+    # hold 2^40 vertices and odd_graph:1000000 C(1999999, 999999)
+    from drgf import cli
+    t0 = time.perf_counter()
+    assert cli.main(["verify", graph]) == cli.EXIT_USAGE
+    assert time.perf_counter() - t0 < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: graph too large for the dense oracle\n"
 
 
 def test_verify_export(tmp_path):

@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from mpmath import mp
 
 from drgf import feasibility
@@ -298,6 +299,16 @@ def test_full_report_without_a_spectrum_is_inconclusive(monkeypatch):
     assert verdicts["spectrum"] == verdicts["multiplicity_integrality"] == INCONCLUSIVE
     assert rep.failing == []
     assert rep.overall == INCONCLUSIVE
+
+
+def test_full_report_lets_a_bug_in_the_spectrum_propagate(monkeypatch):
+    # only SpectralError reads as no spectrum: any other exception is a bug
+    def broken(arr, roots=None):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(feasibility, "spectrum", broken)
+    with pytest.raises(ZeroDivisionError, match="bug"):
+        full_report(parse_array("{9,8,7,6;1,2,3,4}"))
 
 
 def test_full_report_with_ratio_entry():

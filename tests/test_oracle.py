@@ -293,3 +293,26 @@ def test_edge_list_export(tmp_path, catalog_graphs):
     path = tmp_path / "coxeter.txt"
     g.write_edge_list(path)
     assert path.read_text() == text
+
+
+@pytest.mark.parametrize("name", ["cycle:4097", "odd_graph:8", "folded_cube:15",
+                                  "cycle:300000000", "odd_graph:1000000", "folded_cube:41"])
+def test_build_refuses_past_the_dense_oracle_before_allocating(monkeypatch, name):
+    def reached(*args):
+        raise AssertionError("the graph was allocated")
+
+    monkeypatch.setattr(oracle, "_graph", reached)
+    with pytest.raises(oracle.OracleError, match="too large for the dense oracle"):
+        oracle.build(name)
+
+
+@pytest.mark.parametrize("name, n", [("cycle:4096", 4096), ("odd_graph:7", 1716),
+                                     ("folded_cube:13", 4096)])
+def test_build_makes_graphs_up_to_the_dense_oracle(name, n):
+    assert oracle.build(name).n == n
+
+
+def test_spectrum_bruteforce_refuses_a_hand_built_graph_past_it():
+    g = oracle.Graph("empty", oracle.DENSE_MAX_VERTICES + 1, ())
+    with pytest.raises(oracle.OracleError, match="too large for the dense oracle"):
+        oracle.spectrum_bruteforce(g)

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import random
+import re
 import signal
 import time
 import tracemalloc
@@ -880,6 +881,18 @@ def test_search_raises_when_a_spectrum_fails(monkeypatch):
     monkeypatch.setattr(feasibility, "spectrum", broken)
     with pytest.raises(SpectralError, match="no spectrum"):
         enumerate_arrays(SearchSpec(4, 5, 5, "000+", (1, 2), Fraction(-3, 4)))
+
+
+def test_search_raises_where_a_survivors_spectrum_fails(monkeypatch):
+    # with no check that reads the whole spectrum, a survivor's spectrum is
+    # first taken for its report, and its failure names the array
+    def broken(arr, roots=None):
+        raise SpectralError("no spectrum")
+
+    monkeypatch.setattr(feasibility, "spectrum", broken)
+    checks = tuple(c for c in DEFAULT_CHECKS if c != "multiplicity_integrality")
+    with pytest.raises(SpectralError, match=re.escape("{5,4,4,3;1,1,2,2}: no spectrum")):
+        enumerate_arrays(SearchSpec(4, 5, 5, "000+", (1, 2), Fraction(-3, 4), checks))
 
 
 def _report_decision(report, checks):
